@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from . import dataio, hmm, metrics, mogp
 from .errors import NumericError, ValidationError
 from .gait_signal import (CHANNELS, GaitEvents, detect_events,
                           phase_durations)
-from .serialize import (atomic_write_text, format_float, read_document,
-                        write_document)
+from .serialize import (atomic_write_text, format_float, parse_number,
+                        read_document, write_document)
 
 SEGMENT_REPORT_SCHEMA_ID = "segment-report-v1"
 
@@ -212,37 +212,25 @@ _PATH_KEYS = ("input_path", "output_path", "model_path", "mogp_dir",
 
 def _config_value_from_text(name: str, kind, text: str):
     if name == "filter_cutoff_hz":
-        return None if text.lower() in ("none", "off") else float(text)
-    if kind is bool or kind == "bool":
+        if text.lower() in ("none", "off"):
+            return None
+        return parse_number(text, f"config key {name}")
+    if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValidationError(f"config key {name}: not a boolean: {text!r}")
-    try:
-        if kind is int or kind == "int":
-            return int(text)
-        if kind is float or kind == "float":
-            return float(text)
-    except ValueError:
-        raise ValidationError(f"config key {name}: not a number: {text!r}")
+    if kind in (int, float):
+        return parse_number(text, f"config key {name}", kind)
     return text
 
 
+# Field annotations are strings under postponed evaluation.
 _SETTING_KINDS = {
-    "iterations": int, "learning_rate": float, "weight_decay": float,
-    "seed": int, "rank": int, "init_variance": float,
-    "init_lengthscale": float, "init_period": float, "init_w_std": float,
-    "init_kappa": float, "init_noise_variance": float, "grid_points": int,
-    "filter_cutoff_hz": float, "filter_order": int,
-    "points_per_channel": int, "scope": str, "subjects_per_cohort": int,
-    "cycles_per_subject": int, "noise_level": float, "anomaly_side": str,
-    "anomaly_phase": float, "anomaly_shift": float,
-    "anomaly_duration": float, "em_iterations": int, "em_tol": float,
-    "update_initial_probs": bool, "update_transitions": bool,
-    "observation_source": str, "segment_threshold": float,
-    "metrics_normalized": bool, "metrics_raw": bool, "verbose": bool,
-}
+    f.name: {"int": int, "float": float, "float | None": float,
+             "bool": bool}.get(f.type, str)
+    for f in fields(RunConfig) if f.name not in _PATH_KEYS}
 
 
 def _apply_config_file(cfg: RunConfig, path: str) -> None:
@@ -591,23 +579,25 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         items: list[tuple[str, str]] = [
             ("schema", "evaluate-v1"), ("subject_id", held.subject_id)]
         values: dict[str, float] = {}
+        # The raw local cost |s a - s b| is s |a - b|, so each raw DTW is
+        # the channel std times the normalized one.
+        normalized_dtw = np.array([metrics.dtw(p, t)
+                                   for p, t in zip(pred.mean, truth)])
+        reports = []
         if cfg.metrics_normalized:
-            report = metrics.compute_report(pred.mean, truth, CHANNELS)
-            if cfg.verbose:
-                print(f"== {held.subject_id} (normalized)")
-                print(report.as_table(), end="")
-            for key, text in _report_items("normalized", report):
-                items.append((key, text))
-                values[key] = float(text)
+            reports.append(("normalized", metrics.compute_report(
+                pred.mean, truth, CHANNELS, per_output_dtw=normalized_dtw)))
         if cfg.metrics_raw:
             stds = held.channel_stds[:, None]
             means = held.channel_means[:, None]
-            report = metrics.compute_report(
-                pred.mean * stds + means, truth * stds + means, CHANNELS)
+            reports.append(("raw", metrics.compute_report(
+                pred.mean * stds + means, truth * stds + means, CHANNELS,
+                per_output_dtw=held.channel_stds * normalized_dtw)))
+        for unit, report in reports:
             if cfg.verbose:
-                print(f"== {held.subject_id} (raw)")
+                print(f"== {held.subject_id} ({unit})")
                 print(report.as_table(), end="")
-            for key, text in _report_items("raw", report):
+            for key, text in _report_items(unit, report):
                 items.append((key, text))
                 values[key] = float(text)
 
@@ -786,7 +776,8 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return _HANDLERS[cfg.subcommand](cfg)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
+        # An unreadable input or unwritable output path is bad input too.
         _emit_error("validation", 2, exc)
         return 2
     except NumericError as exc:

@@ -14,6 +14,8 @@ B = W W^T + diag(kappa) positive semi-definite by construction.
 All positive hyperparameters (variances, length-scales, period, kappa)
 are stored in log-space so optimization is unconstrained; values are
 floored at PARAM_FLOOR after exponentiation to avoid degenerate kernels.
+Gradients are contracted (TemporalKernel.gradient,
+CoregionalizationFactor.gradient), never one n x n matrix per parameter.
 Functions here are pure and safe for concurrent use.
 """
 
@@ -119,6 +121,20 @@ class CompositeKernelSpec:
             matern32=SubKernelParams.from_values(1.0, 0.2),
         )
 
+    @classmethod
+    def from_log_values(cls, v) -> "CompositeKernelSpec":
+        """Inverse of log_values."""
+        return cls(periodic=SubKernelParams(v[0], v[1], v[2]),
+                   se=SubKernelParams(v[3], v[4]),
+                   matern32=SubKernelParams(v[5], v[6]))
+
+    def log_values(self) -> list[float]:
+        """The seven log-space parameters in kernel_parameter_names order."""
+        p, s, m = self.periodic, self.se, self.matern32
+        return [p.log_variance, p.log_lengthscale, p.log_period,
+                s.log_variance, s.log_lengthscale,
+                m.log_variance, m.log_lengthscale]
+
     def prior_variance(self) -> float:
         """k_t(t, t): sum of the three signal variances."""
         return (self.periodic.variance + self.se.variance
@@ -174,10 +190,23 @@ class CoregionalizationFactor:
         """Dense B, symmetric PSD with strictly positive diagonal."""
         return self.w @ self.w.T + np.diag(self.kappa)
 
+    def gradient(self, d_matrix: np.ndarray) -> np.ndarray:
+        """df/dW (row-major), then df/d log kappa, from d_matrix[a, b] =
+        df/dB[a, b] (entries independent); zero where kappa is floored."""
+        _, dkappa = _floored_exp_with_grad(self.log_kappa)
+        d_w = (d_matrix + d_matrix.T) @ self.w
+        return np.concatenate([d_w.ravel(), np.diag(d_matrix) * dkappa])
+
 
 # ---------------------------------------------------------------------------
-# Component evaluations.  Each takes scalar or array time arguments and
-# broadcasts; lag-based helpers are shared with the gradient code.
+# Component evaluations on broadcast lag arrays; the *_parts helpers also
+# return the intermediates that the log-parameter partials reuse.
+
+def _lags(t, t_prime):
+    """|t - t'| and (t - t')^2, broadcast."""
+    d = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
+    return np.abs(d), d * d
+
 
 def _se_from_sqlag(params: SubKernelParams, sq_lag):
     variance = _floored_exp(params.log_variance)
@@ -185,46 +214,89 @@ def _se_from_sqlag(params: SubKernelParams, sq_lag):
     return variance * np.exp(-0.5 * sq_lag / (lengthscale * lengthscale))
 
 
-def _matern32_from_lag(params: SubKernelParams, abs_lag):
+def _matern32_parts(params: SubKernelParams, abs_lag):
+    """k_mat, a = sqrt(3) r / l and exp(-a)."""
     variance = _floored_exp(params.log_variance)
     lengthscale = _floored_exp(params.log_lengthscale)
     a = _SQRT3 * abs_lag / lengthscale
-    return variance * (1.0 + a) * np.exp(-a)
+    exp_a = np.exp(-a)
+    return variance * (1.0 + a) * exp_a, a, exp_a
 
 
-def _periodic_from_lag(params: SubKernelParams, abs_lag):
+def _periodic_parts(params: SubKernelParams, abs_lag):
+    """k_per, u = pi r / p and sin(u)."""
     variance = _floored_exp(params.log_variance)
     lengthscale = _floored_exp(params.log_lengthscale)
     period = _floored_exp(params.log_period)
-    s = np.sin(np.pi * abs_lag / period)
-    return variance * np.exp(-2.0 * s * s / (lengthscale * lengthscale))
+    u = np.pi * abs_lag / period
+    s = np.sin(u)
+    return variance * np.exp(-2.0 * s * s / (lengthscale * lengthscale)), u, s
+
+
+class TemporalKernel:
+    """k_t = k_per + k_se + k_mat on a set of lags, keeping the components
+    and intermediates so the same evaluation serves :meth:`gradient`."""
+
+    def __init__(self, spec: CompositeKernelSpec, abs_lag, sq_lag):
+        self.spec = spec
+        self.k_per, self._u, self._sin_u = _periodic_parts(spec.periodic, abs_lag)
+        self.k_se = _se_from_sqlag(spec.se, sq_lag)
+        self._sq_lag = sq_lag
+        self.k_mat, self._a, self._exp_a = _matern32_parts(spec.matern32, abs_lag)
+        self.k_t = self.k_per + self.k_se + self.k_mat
+
+    def gradient(self, weights) -> np.ndarray:
+        """sum_ij weights[i, j] * d k_t[i, j] / d theta for the seven
+        log-space parameters, in kernel_parameter_names order.
+
+        A partial is zero where its parameter's floor is active.
+        """
+        def rel(log_value):
+            # (d value / d log value) / value: 1, or 0 on the floor.
+            value, grad = _floored_exp_with_grad(log_value)
+            return grad / value
+
+        per, se, mat = self.spec.periodic, self.spec.se, self.spec.matern32
+        u, sin_u, a = self._u, self._sin_u, self._a
+        weighted_per = weights * self.k_per
+        per_len2 = per.lengthscale ** 2
+        return np.array([
+            np.vdot(weights, self.k_per) * rel(per.log_variance),
+            # d k_per / d log l = k_per * 4 sin^2(u) / l^2.
+            np.vdot(weighted_per, sin_u * sin_u) * 4.0 / per_len2
+            * rel(per.log_lengthscale),
+            # d k_per / d log p = k_per * 2 u sin(2u) / l^2.
+            np.vdot(weighted_per, u * np.sin(2.0 * u)) * 2.0 / per_len2
+            * rel(per.log_period),
+            np.vdot(weights, self.k_se) * rel(se.log_variance),
+            # d k_se / d log l = k_se * d^2 / l^2.
+            np.vdot(weights, self.k_se * self._sq_lag) / se.lengthscale ** 2
+            * rel(se.log_lengthscale),
+            np.vdot(weights, self.k_mat) * rel(mat.log_variance),
+            # d/da [(1+a) e^-a] = -a e^-a and da/d log l = -a.
+            np.vdot(weights, a * a * self._exp_a) * mat.variance
+            * rel(mat.log_lengthscale),
+        ])
 
 
 def eval_se(params: SubKernelParams, t, t_prime):
     """Squared-exponential kernel sigma^2 exp(-(t-t')^2 / (2 l^2))."""
-    d = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-    return _se_from_sqlag(params, d * d)
+    return _se_from_sqlag(params, _lags(t, t_prime)[1])
 
 
 def eval_matern32(params: SubKernelParams, t, t_prime):
     """Matern-3/2 kernel sigma^2 (1 + sqrt(3) r / l) exp(-sqrt(3) r / l)."""
-    r = np.abs(np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float))
-    return _matern32_from_lag(params, r)
+    return _matern32_parts(params, _lags(t, t_prime)[0])[0]
 
 
 def eval_periodic(params: SubKernelParams, t, t_prime):
     """Periodic kernel sigma^2 exp(-2 sin^2(pi |t-t'| / p) / l^2)."""
-    r = np.abs(np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float))
-    return _periodic_from_lag(params, r)
+    return _periodic_parts(params, _lags(t, t_prime)[0])[0]
 
 
 def eval_composite(spec: CompositeKernelSpec, t, t_prime):
     """Sum of the periodic, SE and Matern-3/2 components."""
-    d = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-    r = np.abs(d)
-    return (_periodic_from_lag(spec.periodic, r)
-            + _se_from_sqlag(spec.se, d * d)
-            + _matern32_from_lag(spec.matern32, r))
+    return TemporalKernel(spec, *_lags(t, t_prime)).k_t
 
 
 def icm_covariance(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
@@ -242,7 +314,7 @@ def icm_covariance(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
     return b * eval_composite(spec, t, t_prime)
 
 
-def _validate_points(coreg: CoregionalizationFactor, times, outputs):
+def _validate_points(num_outputs: int, times, outputs):
     times = np.asarray(times, dtype=float).ravel()
     outputs = np.asarray(outputs).ravel()
     if times.shape[0] != outputs.shape[0]:
@@ -258,9 +330,9 @@ def _validate_points(coreg: CoregionalizationFactor, times, outputs):
         if not np.array_equal(as_int, outputs):
             raise ValidationError("output indices must be integers")
         outputs = as_int
-    if np.any(outputs < 0) or np.any(outputs >= coreg.num_outputs):
+    if np.any(outputs < 0) or np.any(outputs >= num_outputs):
         raise ValidationError(
-            f"output indices must lie in [0, {coreg.num_outputs})")
+            f"output indices must lie in [0, {num_outputs})")
     return times, outputs.astype(int)
 
 
@@ -279,12 +351,8 @@ def gram_matrix(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
     -------
     (n, n) symmetric PSD matrix.
     """
-    times, outputs = _validate_points(coreg, times, outputs)
-    d = times[:, None] - times[None, :]
-    r = np.abs(d)
-    temporal = (_periodic_from_lag(spec.periodic, r)
-                + _se_from_sqlag(spec.se, d * d)
-                + _matern32_from_lag(spec.matern32, r))
+    times, outputs = _validate_points(coreg.num_outputs, times, outputs)
+    temporal = eval_composite(spec, times[:, None], times[None, :])
     b_oo = coreg.matrix()[np.ix_(outputs, outputs)]
     return b_oo * temporal
 
@@ -292,7 +360,8 @@ def gram_matrix(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
 def kernel_parameter_names(num_outputs: int, rank: int) -> list[str]:
     """Canonical ordering of the unconstrained kernel + coreg parameters.
 
-    kernel_gradients returns its matrices keyed and ordered by these names.
+    The first seven are TemporalKernel.gradient's entries, the rest
+    CoregionalizationFactor.gradient's.
     """
     names = [
         "periodic.log_variance",
@@ -306,80 +375,3 @@ def kernel_parameter_names(num_outputs: int, rank: int) -> list[str]:
     names += [f"coreg.w[{i},{j}]" for i in range(num_outputs) for j in range(rank)]
     names += [f"coreg.log_kappa[{i}]" for i in range(num_outputs)]
     return names
-
-
-def kernel_gradients(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
-                     times, outputs) -> dict[str, np.ndarray]:
-    """Gradient of the Gram matrix w.r.t. every unconstrained parameter.
-
-    Returns a dict mapping parameter name (see kernel_parameter_names) to
-    the (n, n) matrix dK/dtheta.  Gradients are taken in log-space for
-    the positive parameters and natural space for W.
-    """
-    times, outputs = _validate_points(coreg, times, outputs)
-    d = times[:, None] - times[None, :]
-    r = np.abs(d)
-    n = times.shape[0]
-
-    per_var, dper_var = _floored_exp_with_grad(spec.periodic.log_variance)
-    per_len, dper_len = _floored_exp_with_grad(spec.periodic.log_lengthscale)
-    per_p, dper_p = _floored_exp_with_grad(spec.periodic.log_period)
-    se_var, dse_var = _floored_exp_with_grad(spec.se.log_variance)
-    se_len, dse_len = _floored_exp_with_grad(spec.se.log_lengthscale)
-    mat_var, dmat_var = _floored_exp_with_grad(spec.matern32.log_variance)
-    mat_len, dmat_len = _floored_exp_with_grad(spec.matern32.log_lengthscale)
-
-    # Periodic component and its partials.
-    u = np.pi * r / per_p
-    sin_u = np.sin(u)
-    k_per = per_var * np.exp(-2.0 * sin_u * sin_u / (per_len * per_len))
-    # d/d log l = k * 4 sin^2(u) / l^2 (chain through l, times l).
-    g_per_len = k_per * (4.0 * sin_u * sin_u / (per_len * per_len))
-    g_per_len *= dper_len / per_len
-    # d/d log p = k * 2 u sin(2u) / l^2.
-    g_per_p = k_per * (2.0 * u * np.sin(2.0 * u) / (per_len * per_len))
-    g_per_p *= dper_p / per_p
-
-    # Squared exponential.
-    sq = d * d
-    k_se = se_var * np.exp(-0.5 * sq / (se_len * se_len))
-    g_se_len = k_se * (sq / (se_len * se_len))
-    g_se_len *= dse_len / se_len
-
-    # Matern 3/2: d/da [(1+a) e^-a] = -a e^-a and da/d log l = -a.
-    a = _SQRT3 * r / mat_len
-    exp_a = np.exp(-a)
-    k_mat = mat_var * (1.0 + a) * exp_a
-    g_mat_len = mat_var * a * a * exp_a
-    g_mat_len *= dmat_len / mat_len
-
-    temporal = k_per + k_se + k_mat
-    b = coreg.matrix()
-    b_oo = b[np.ix_(outputs, outputs)]
-
-    grads: dict[str, np.ndarray] = {
-        "periodic.log_variance": b_oo * k_per * (dper_var / per_var),
-        "periodic.log_lengthscale": b_oo * g_per_len,
-        "periodic.log_period": b_oo * g_per_p,
-        "se.log_variance": b_oo * k_se * (dse_var / se_var),
-        "se.log_lengthscale": b_oo * g_se_len,
-        "matern32.log_variance": b_oo * k_mat * (dmat_var / mat_var),
-        "matern32.log_lengthscale": b_oo * g_mat_len,
-    }
-
-    # dB[a,b]/dW[m,r] = 1[a=m] W[b,r] + 1[b=m] W[a,r].
-    w_at_points = coreg.w[outputs, :]          # (n, rank)
-    kappa, dkappa = _floored_exp_with_grad(coreg.log_kappa)
-    for m in range(coreg.num_outputs):
-        sel = (outputs == m).astype(float)     # (n,)
-        for j in range(coreg.rank):
-            v = w_at_points[:, j]
-            db = np.outer(sel, v) + np.outer(v, sel)
-            grads[f"coreg.w[{m},{j}]"] = db * temporal
-    for m in range(coreg.num_outputs):
-        sel = (outputs == m).astype(float)
-        grads[f"coreg.log_kappa[{m}]"] = np.outer(sel, sel) * temporal * dkappa[m]
-
-    assert list(grads) == kernel_parameter_names(coreg.num_outputs, coreg.rank)
-    assert all(g.shape == (n, n) for g in grads.values())
-    return grads

@@ -150,8 +150,10 @@ class MetricReport:
         return doc
 
 
-def compute_report(pred_set, truth_set, output_names=None) -> MetricReport:
-    """Build a MetricReport from (M, Q) prediction/truth arrays."""
+def compute_report(pred_set, truth_set, output_names=None,
+                   per_output_dtw=None) -> MetricReport:
+    """Build a MetricReport from (M, Q) prediction/truth arrays; DTWs
+    the caller already has may be passed as ``per_output_dtw``."""
     pred = np.atleast_2d(np.asarray(pred_set, dtype=float))
     truth = np.atleast_2d(np.asarray(truth_set, dtype=float))
     if pred.shape != truth.shape:
@@ -165,7 +167,9 @@ def compute_report(pred_set, truth_set, output_names=None) -> MetricReport:
     per_mae = np.array([mae(pred[m], truth[m]) for m in range(num_outputs)])
     per_r2 = np.array([r_squared(pred[m], truth[m])
                        for m in range(num_outputs)])
-    per_dtw = np.array([dtw(pred[m], truth[m]) for m in range(num_outputs)])
+    per_dtw = np.array(
+        [dtw(pred[m], truth[m]) for m in range(num_outputs)]
+        if per_output_dtw is None else per_output_dtw, dtype=float)
     return MetricReport(
         mae=mae(pred.ravel(), truth.ravel()),
         r_squared=r_squared(pred.ravel(), truth.ravel()),

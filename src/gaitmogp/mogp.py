@@ -6,8 +6,10 @@ one shared Gaussian noise variance. Fitting maximizes the exact log
 marginal likelihood with Adam plus weight decay; predictions are the
 standard closed-form posterior with calibrated variances.
 
-Fitted models are immutable and safe for concurrent prediction; fitting
-itself owns a private parameter state (single writer).
+Each Adam step evaluates the kernel components once, for both the LML
+and its contracted gradient (see lml_gradient). The Cholesky cache that
+predict reads is filled by log_marginal_likelihood; the gradient leaves
+the model untouched. Fitting owns a private parameter state.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from . import serialize
 from .errors import NumericError, ValidationError
@@ -27,11 +30,11 @@ from .kernels import (
     CompositeKernelSpec,
     CoregionalizationFactor,
     SubKernelParams,
+    TemporalKernel,
     _floored_exp,
     _floored_exp_with_grad,
+    _lags,
     eval_composite,
-    gram_matrix,
-    kernel_gradients,
     kernel_parameter_names,
 )
 
@@ -158,7 +161,6 @@ class MoGPModel:
     lml_trace: list = field(default_factory=list, repr=False)
     _chol: np.ndarray | None = field(default=None, repr=False)
     _alpha: np.ndarray | None = field(default=None, repr=False)
-    _kinv: np.ndarray | None = field(default=None, repr=False)
     jitter_used: float = 0.0
 
     def __post_init__(self):
@@ -183,12 +185,6 @@ class MoGPModel:
 
     def centered_values(self) -> np.ndarray:
         return self.training.values - self.means[self.training.outputs]
-
-    def invalidate_cache(self) -> None:
-        self._chol = None
-        self._alpha = None
-        self._kinv = None
-        self.jitter_used = 0.0
 
 
 @dataclass
@@ -233,24 +229,66 @@ def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
         f"{cap:.3e}: kernel matrix is ill-conditioned")
 
 
-def _ensure_cache(model: MoGPModel) -> None:
-    if model._chol is not None:
-        return
-    model.training.validate()
-    k = gram_matrix(model.kernel, model.coreg,
-                    model.training.times, model.training.outputs)
-    k[np.diag_indices_from(k)] += model.noise_variance
-    model._chol, model.jitter_used = _chol_with_jitter(k)
-    model._alpha = cho_solve((model._chol, True), model.centered_values())
+class _Geometry:
+    """What a training set fixes for every parameter setting: the
+    pairwise lags and the (n, M) one-hot output indicator E."""
+
+    def __init__(self, training: TrainingSet):
+        training.validate()
+        times, self.outputs = training.times, training.outputs
+        self.abs_lag, self.sq_lag = _lags(times[:, None], times[None, :])
+        self.indicator = np.eye(training.num_outputs)[self.outputs]
+
+
+class _Evaluation:
+    """LML of one parameter setting; the Gram matrix, its Cholesky factor
+    and the gradient all read one evaluation of the kernel components."""
+
+    def __init__(self, model: MoGPModel, geometry: _Geometry):
+        self.model, self.geometry = model, geometry
+        self.temporal = TemporalKernel(model.kernel, geometry.abs_lag,
+                                       geometry.sq_lag)
+        self.b_oo = model.coreg.matrix()[np.ix_(geometry.outputs,
+                                                geometry.outputs)]
+        k = self.b_oo * self.temporal.k_t
+        k[np.diag_indices_from(k)] += model.noise_variance
+        self.chol, self.jitter = _chol_with_jitter(k)
+        y_c = model.centered_values()
+        self.alpha = cho_solve((self.chol, True), y_c)
+        half_logdet = float(np.sum(np.log(np.diag(self.chol))))
+        self.lml = float(-0.5 * y_c @ self.alpha - half_logdet
+                         - 0.5 * y_c.shape[0] * LOG_2PI)
+
+    def gradient(self) -> np.ndarray:
+        """d LML / d theta in parameter_names order (see lml_gradient)."""
+        model, geometry, alpha = self.model, self.geometry, self.alpha
+        kinv, info = dpotri(self.chol, lower=1)
+        if info != 0:
+            raise NumericError(f"LAPACK potri failed (info {info}): "
+                               "kernel matrix is singular")
+        kinv = np.tril(kinv)
+        kinv += np.tril(kinv, -1).T
+        a_mat = np.outer(alpha, alpha)
+        a_mat -= kinv
+        e = geometry.indicator
+        s = e.T @ ((a_mat * self.temporal.k_t) @ e)
+        _, dnoise = _floored_exp_with_grad(model.log_noise_variance)
+        return np.concatenate([
+            0.5 * self.temporal.gradient(a_mat * self.b_oo),
+            model.coreg.gradient(0.5 * s),
+            np.bincount(geometry.outputs, weights=alpha,
+                        minlength=model.num_outputs),
+            [0.5 * dnoise * (alpha @ alpha - np.trace(kinv))],
+        ])
 
 
 def log_marginal_likelihood(model: MoGPModel) -> float:
-    """Exact LML: -1/2 y_c^T (K+s I)^-1 y_c - 1/2 log det(K+s I) - n/2 log 2pi."""
-    _ensure_cache(model)
-    y_c = model.centered_values()
-    n = model.training.size
-    half_logdet = float(np.sum(np.log(np.diag(model._chol))))
-    return float(-0.5 * y_c @ model._alpha - half_logdet - 0.5 * n * LOG_2PI)
+    """Exact LML: -1/2 y_c^T (K+s I)^-1 y_c - 1/2 log det(K+s I) - n/2 log 2pi.
+    Also stores the Cholesky factor and alpha that predict reads."""
+    evaluation = _Evaluation(model, _Geometry(model.training))
+    model._chol, model._alpha = evaluation.chol, evaluation.alpha
+    model.jitter_used = evaluation.jitter
+    return evaluation.lml
 
 
 def parameter_names(num_outputs: int, rank: int) -> list[str]:
@@ -263,14 +301,8 @@ def parameter_names(num_outputs: int, rank: int) -> list[str]:
 
 def pack_parameters(model: MoGPModel) -> np.ndarray:
     """Flatten the unconstrained parameters in parameter_names order."""
-    k = model.kernel
-    head = np.array([
-        k.periodic.log_variance, k.periodic.log_lengthscale, k.periodic.log_period,
-        k.se.log_variance, k.se.log_lengthscale,
-        k.matern32.log_variance, k.matern32.log_lengthscale,
-    ])
     return np.concatenate([
-        head,
+        model.kernel.log_values(),
         model.coreg.w.ravel(),
         model.coreg.log_kappa,
         model.means,
@@ -288,63 +320,33 @@ def model_from_parameters(theta: np.ndarray, training: TrainingSet,
     if theta.shape[0] != expected:
         raise ValidationError(
             f"parameter vector has length {theta.shape[0]}, expected {expected}")
-    kernel = CompositeKernelSpec(
-        periodic=SubKernelParams(theta[0], theta[1], theta[2]),
-        se=SubKernelParams(theta[3], theta[4]),
-        matern32=SubKernelParams(theta[5], theta[6]),
-    )
-    pos = 7
-    w = theta[pos:pos + m * r].reshape(m, r)
-    pos += m * r
-    log_kappa = theta[pos:pos + m]
-    pos += m
-    means = theta[pos:pos + m]
-    pos += m
-    log_noise = float(theta[pos])
-    return MoGPModel(kernel=kernel,
-                     coreg=CoregionalizationFactor(w=w, log_kappa=log_kappa),
-                     means=means, log_noise_variance=log_noise,
+    w, log_kappa, means, log_noise = np.split(
+        theta[7:], np.cumsum([m * r, m, m]))
+    return MoGPModel(kernel=CompositeKernelSpec.from_log_values(theta[:7]),
+                     coreg=CoregionalizationFactor(w=w.reshape(m, r),
+                                                   log_kappa=log_kappa),
+                     means=means, log_noise_variance=float(log_noise[0]),
                      training=training, config=config)
 
 
 def _weight_decay_mask(num_outputs: int, rank: int) -> np.ndarray:
     """Decay applies to W and all log-parameters, never to the means."""
-    return np.concatenate([
-        np.ones(7),
-        np.ones(num_outputs * rank),
-        np.ones(num_outputs),
-        np.zeros(num_outputs),
-        np.ones(1),
-    ])
+    return np.array([not name.startswith("mean[")
+                     for name in parameter_names(num_outputs, rank)],
+                    dtype=float)
 
 
 def lml_gradient(model: MoGPModel) -> np.ndarray:
     """Gradient of the LML w.r.t. the packed unconstrained parameters.
 
-    Kernel and coregionalization entries use the trace identity
-    d LML / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta); the means
-    and log-noise entries are analytic.
+    Each entry is 1/2 tr(A dK/dtheta) with A = alpha alpha^T - K^-1
+    (Rasmussen & Williams 2006, eq. 5.9), contracted without forming
+    dK/dtheta: kernel entries are 1/2 sum (A o B_oo) o dk_t/dtheta; with
+    S = E^T (A o k_t) E, W gets S W and log kappa 1/2 diag(S) kappa'.
+    K^-1 comes from LAPACK potri on the Cholesky factor. The model is
+    not modified.
     """
-    _ensure_cache(model)
-    if model._kinv is None:
-        model._kinv = cho_solve((model._chol, True), np.eye(model.training.size))
-    alpha = model._alpha
-    a_mat = np.outer(alpha, alpha) - model._kinv
-
-    grads = kernel_gradients(model.kernel, model.coreg,
-                             model.training.times, model.training.outputs)
-    kernel_part = np.array([0.5 * np.sum(a_mat * dk) for dk in grads.values()])
-
-    mean_part = np.array([
-        float(np.sum(alpha[model.training.outputs == m]))
-        for m in range(model.num_outputs)
-    ])
-
-    noise, dnoise = _floored_exp_with_grad(model.log_noise_variance)
-    noise_part = 0.5 * float(dnoise) * (float(alpha @ alpha)
-                                        - float(np.trace(model._kinv)))
-
-    return np.concatenate([kernel_part, mean_part, [noise_part]])
+    return _Evaluation(model, _Geometry(model.training)).gradient()
 
 
 def initialize_model(training: TrainingSet, config: OptimizerConfig) -> MoGPModel:
@@ -400,13 +402,15 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     prev_lml = None
     stall = 0
 
-    def evaluate(vector: np.ndarray) -> tuple[MoGPModel, float]:
-        candidate = model_from_parameters(vector, training, config)
-        value = log_marginal_likelihood(candidate)
-        return candidate, value
+    geometry = _Geometry(training)
+
+    def evaluate(vector: np.ndarray) -> _Evaluation:
+        return _Evaluation(model_from_parameters(vector, training, config),
+                           geometry)
 
     for iteration in range(config.iterations):
-        model, lml = evaluate(theta)
+        step = evaluate(theta)
+        lml = step.lml
         if not math.isfinite(lml):
             raise NumericError(
                 f"non-finite log marginal likelihood at iteration {iteration}; "
@@ -416,7 +420,7 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
             best_lml = lml
             best_theta = theta.copy()
 
-        grad = lml_gradient(model)
+        grad = step.gradient()
         grad = grad - config.weight_decay * decay_mask * theta
         m_state = config.beta1 * m_state + (1.0 - config.beta1) * grad
         v_state = config.beta2 * v_state + (1.0 - config.beta2) * grad * grad
@@ -435,7 +439,7 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
             break
 
     if config.iterations > 0:
-        _, final_lml = evaluate(theta)
+        final_lml = evaluate(theta).lml
         if math.isfinite(final_lml):
             trace.append(final_lml)
             if final_lml > best_lml:
@@ -459,7 +463,8 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
         raise ValidationError("query grid is empty")
     if not np.all(np.isfinite(query)):
         raise ValidationError("query times must be finite")
-    _ensure_cache(model)
+    if model._chol is None:
+        log_marginal_likelihood(model)
 
     notes: list[str] = []
     outside = int(np.sum((query < 0.0) | (query > 1.0)))
@@ -506,21 +511,16 @@ def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:
 MODEL_SCHEMA = "mogp-v1"
 
 _CONFIG_INT_FIELDS = {"iterations", "seed", "rank", "early_stop_patience"}
+_KERNEL_NAMES = kernel_parameter_names(0, 0)
 
 
 def _model_document(model: MoGPModel) -> list[tuple[str, str]]:
-    k = model.kernel
     items: list[tuple[str, str]] = [
         ("schema", MODEL_SCHEMA),
         ("num_outputs", str(model.num_outputs)),
         ("rank", str(model.coreg.rank)),
-        ("kernel.periodic.log_variance", serialize.format_float(k.periodic.log_variance)),
-        ("kernel.periodic.log_lengthscale", serialize.format_float(k.periodic.log_lengthscale)),
-        ("kernel.periodic.log_period", serialize.format_float(k.periodic.log_period)),
-        ("kernel.se.log_variance", serialize.format_float(k.se.log_variance)),
-        ("kernel.se.log_lengthscale", serialize.format_float(k.se.log_lengthscale)),
-        ("kernel.matern32.log_variance", serialize.format_float(k.matern32.log_variance)),
-        ("kernel.matern32.log_lengthscale", serialize.format_float(k.matern32.log_lengthscale)),
+        *((f"kernel.{name}", serialize.format_float(value))
+          for name, value in zip(_KERNEL_NAMES, model.kernel.log_values())),
         ("coreg.w", serialize.format_float_list(model.coreg.w.ravel())),
         ("coreg.log_kappa", serialize.format_float_list(model.coreg.log_kappa)),
         ("means", serialize.format_float_list(model.means)),
@@ -547,54 +547,57 @@ def save_model(model: MoGPModel, path) -> None:
 
 def load_model(path) -> MoGPModel:
     doc = serialize.read_document(path)
-    schema = serialize.require_key(doc, "schema", str(path))
-    if schema != MODEL_SCHEMA:
-        raise ValidationError(
-            f"{path}: schema {schema!r} is not {MODEL_SCHEMA!r}")
-    num_outputs = int(serialize.require_key(doc, "num_outputs", str(path)))
-    rank = int(serialize.require_key(doc, "rank", str(path)))
-
-    config_kwargs = {}
-    for f in fields(OptimizerConfig):
-        raw = serialize.require_key(doc, f"config.{f.name}", str(path))
-        config_kwargs[f.name] = int(raw) if f.name in _CONFIG_INT_FIELDS else float(raw)
-    config = OptimizerConfig(**config_kwargs)
-    if config.rank != rank:
-        raise ValidationError(f"{path}: rank and config.rank disagree")
 
     def grab(key: str) -> str:
         return serialize.require_key(doc, key, str(path))
 
+    def number(key: str, kind=float):
+        return serialize.parse_number(grab(key), f"{path}: {key}", kind)
+
+    def integer(key: str) -> int:
+        return number(key, int)
+
+    def floats(key: str) -> np.ndarray:
+        return np.array(serialize.parse_float_list(grab(key), f"{path}: {key}"))
+
+    schema = grab("schema")
+    if schema != MODEL_SCHEMA:
+        raise ValidationError(
+            f"{path}: schema {schema!r} is not {MODEL_SCHEMA!r}")
+    num_outputs = integer("num_outputs")
+    rank = integer("rank")
+
+    config = OptimizerConfig(**{
+        f.name: (integer if f.name in _CONFIG_INT_FIELDS else number)(
+            f"config.{f.name}")
+        for f in fields(OptimizerConfig)})
+    if config.rank != rank:
+        raise ValidationError(f"{path}: rank and config.rank disagree")
+
     training = TrainingSet(
-        times=serialize.parse_float_list(grab("training.times")),
-        outputs=serialize.parse_int_list(grab("training.outputs")),
-        values=serialize.parse_float_list(grab("training.values")),
-        num_outputs=int(doc.get("training.num_outputs", num_outputs)),
+        times=floats("training.times"),
+        outputs=serialize.parse_int_list(grab("training.outputs"),
+                                         f"{path}: training.outputs"),
+        values=floats("training.values"),
+        num_outputs=(integer("training.num_outputs")
+                     if "training.num_outputs" in doc else num_outputs),
     )
     training.validate()
-    if training.size != int(grab("training.num_points")):
+    if training.size != integer("training.num_points"):
         raise ValidationError(f"{path}: training.num_points mismatch")
-    stored_hash = serialize.require_key(doc, "training.hash", str(path))
-    if training.data_hash() != stored_hash:
+    if training.data_hash() != grab("training.hash"):
         raise ValidationError(f"{path}: training data hash mismatch")
 
-    kernel = CompositeKernelSpec(
-        periodic=SubKernelParams(
-            float(grab("kernel.periodic.log_variance")),
-            float(grab("kernel.periodic.log_lengthscale")),
-            float(grab("kernel.periodic.log_period"))),
-        se=SubKernelParams(
-            float(grab("kernel.se.log_variance")),
-            float(grab("kernel.se.log_lengthscale"))),
-        matern32=SubKernelParams(
-            float(grab("kernel.matern32.log_variance")),
-            float(grab("kernel.matern32.log_lengthscale"))),
-    )
-    w = np.array(serialize.parse_float_list(grab("coreg.w"))).reshape(
-        num_outputs, rank)
-    coreg = CoregionalizationFactor(
-        w=w, log_kappa=np.array(serialize.parse_float_list(grab("coreg.log_kappa"))))
-    means = np.array(serialize.parse_float_list(grab("means")))
-    return MoGPModel(kernel=kernel, coreg=coreg, means=means,
-                     log_noise_variance=float(grab("log_noise_variance")),
+    kernel = CompositeKernelSpec.from_log_values(
+        [number(f"kernel.{name}") for name in _KERNEL_NAMES])
+
+    w = floats("coreg.w")
+    if num_outputs < 1 or rank < 1 or w.size != num_outputs * rank:
+        raise ValidationError(
+            f"{path}: coreg.w has {w.size} entries, expected "
+            f"num_outputs x rank = {num_outputs} x {rank}")
+    coreg = CoregionalizationFactor(w=w.reshape(num_outputs, rank),
+                                    log_kappa=floats("coreg.log_kappa"))
+    return MoGPModel(kernel=kernel, coreg=coreg, means=floats("means"),
+                     log_noise_variance=number("log_noise_variance"),
                      training=training, config=config)

@@ -27,18 +27,23 @@ def format_int_list(xs) -> str:
     return ",".join(str(int(x)) for x in xs)
 
 
-def parse_float_list(text: str) -> list[float]:
+def parse_number(text: str, what: str = "value", kind=float):
+    """kind(text); a ValidationError naming ``what`` if it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{what}: not a number: {text!r}") from None
+
+
+def parse_float_list(text: str, what: str = "value", kind=float) -> list:
     text = text.strip()
     if not text:
         return []
-    return [float(part) for part in text.split(",")]
+    return [parse_number(part, what, kind) for part in text.split(",")]
 
 
-def parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(part) for part in text.split(",")]
+def parse_int_list(text: str, what: str = "value") -> list[int]:
+    return parse_float_list(text, what, int)
 
 
 def render_document(items: list[tuple[str, str]]) -> str:

@@ -1,8 +1,9 @@
 """Independent reference implementations used by the test suite.
 
 Everything here is written the slow, obvious way on purpose: arbitrary
-precision arithmetic for kernel values, dense matrix inversion for GP
-posteriors, exhaustive path enumeration for HMM likelihoods and DTW.
+precision arithmetic for kernel values, one dense dK/dtheta matrix per
+kernel parameter, dense matrix inversion for GP posteriors, exhaustive
+path enumeration for HMM likelihoods and DTW.
 None of it shares code with the package beyond reading plain parameter
 values off the public dataclasses, so agreement is meaningful.
 """
@@ -140,6 +141,83 @@ def dense_posterior(model, query_times, output: int):
         mean[qi] = model.means[output] + k_star @ inv @ centered
         var[qi] = prior + constants["noise"] - k_star @ inv @ k_star
     return mean, var
+
+
+def _floored_exp_with_grad(log_value):
+    raw = np.exp(log_value)
+    return np.maximum(raw, PARAM_FLOOR), np.where(raw > PARAM_FLOOR, raw, 0.0)
+
+
+def kernel_gradients(spec, coreg, times, outputs) -> dict[str, np.ndarray]:
+    """Dense dK/dtheta, one (n, n) matrix per unconstrained parameter.
+
+    Keyed and ordered like ``kernels.kernel_parameter_names``: log-space
+    derivatives for the positive parameters (zero where the floor is
+    active), natural space for W. The per-parameter reference for the
+    contracted gradient in the package.
+    """
+    times = np.asarray(times, dtype=float).ravel()
+    outputs = np.asarray(outputs, dtype=int).ravel()
+    d = times[:, None] - times[None, :]
+    r = np.abs(d)
+
+    per_var, dper_var = _floored_exp_with_grad(spec.periodic.log_variance)
+    per_len, dper_len = _floored_exp_with_grad(spec.periodic.log_lengthscale)
+    per_p, dper_p = _floored_exp_with_grad(spec.periodic.log_period)
+    se_var, dse_var = _floored_exp_with_grad(spec.se.log_variance)
+    se_len, dse_len = _floored_exp_with_grad(spec.se.log_lengthscale)
+    mat_var, dmat_var = _floored_exp_with_grad(spec.matern32.log_variance)
+    mat_len, dmat_len = _floored_exp_with_grad(spec.matern32.log_lengthscale)
+
+    # Periodic: d/d log l = k 4 sin^2(u) / l^2, d/d log p = k 2 u sin(2u) / l^2.
+    u = np.pi * r / per_p
+    sin_u = np.sin(u)
+    k_per = per_var * np.exp(-2.0 * sin_u * sin_u / (per_len * per_len))
+    g_per_len = k_per * (4.0 * sin_u * sin_u / (per_len * per_len))
+    g_per_len *= dper_len / per_len
+    g_per_p = k_per * (2.0 * u * np.sin(2.0 * u) / (per_len * per_len))
+    g_per_p *= dper_p / per_p
+
+    sq = d * d
+    k_se = se_var * np.exp(-0.5 * sq / (se_len * se_len))
+    g_se_len = k_se * (sq / (se_len * se_len))
+    g_se_len *= dse_len / se_len
+
+    # Matern 3/2: d/da [(1+a) e^-a] = -a e^-a and da/d log l = -a.
+    a = math.sqrt(3.0) * r / mat_len
+    exp_a = np.exp(-a)
+    k_mat = mat_var * (1.0 + a) * exp_a
+    g_mat_len = mat_var * a * a * exp_a
+    g_mat_len *= dmat_len / mat_len
+
+    temporal = k_per + k_se + k_mat
+    w = np.asarray(coreg.w, dtype=float)
+    kappa, dkappa = _floored_exp_with_grad(np.asarray(coreg.log_kappa))
+    b_oo = (w @ w.T + np.diag(kappa))[np.ix_(outputs, outputs)]
+
+    grads: dict[str, np.ndarray] = {
+        "periodic.log_variance": b_oo * k_per * (dper_var / per_var),
+        "periodic.log_lengthscale": b_oo * g_per_len,
+        "periodic.log_period": b_oo * g_per_p,
+        "se.log_variance": b_oo * k_se * (dse_var / se_var),
+        "se.log_lengthscale": b_oo * g_se_len,
+        "matern32.log_variance": b_oo * k_mat * (dmat_var / mat_var),
+        "matern32.log_lengthscale": b_oo * g_mat_len,
+    }
+
+    # dB[a,b]/dW[m,r] = 1[a=m] W[b,r] + 1[b=m] W[a,r].
+    num_outputs, rank = w.shape
+    w_at_points = w[outputs, :]
+    for m in range(num_outputs):
+        sel = (outputs == m).astype(float)
+        for j in range(rank):
+            v = w_at_points[:, j]
+            db = np.outer(sel, v) + np.outer(v, sel)
+            grads[f"coreg.w[{m},{j}]"] = db * temporal
+    for m in range(num_outputs):
+        sel = (outputs == m).astype(float)
+        grads[f"coreg.log_kappa[{m}]"] = np.outer(sel, sel) * temporal * dkappa[m]
+    return grads
 
 
 def central_difference(func, theta: np.ndarray, step: float) -> np.ndarray:

@@ -110,6 +110,13 @@ class TestConfigPrecedence:
                          "--filter-cutoff", "none"]) == 0
         assert out.exists()
 
+    def test_non_numeric_filter_cutoff_is_rejected(self, pipeline, tmp_path,
+                                                   capsys):
+        assert cli.main(["preprocess", "--input", str(pipeline["corpus"]),
+                         "--output", str(tmp_path / "p.csv"),
+                         "--filter-cutoff", "abc"]) == 2
+        assert "not a number" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestErrorReporting:
     def test_validation_error_is_json_on_stderr(self, tmp_path, capsys):
@@ -141,6 +148,32 @@ class TestErrorReporting:
                          "--grid-points", "40"]) == 2
         assert "missing model file" in \
             json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_outputs", "six"),
+        ("means", "0.1,oops,0.2,0.3,0.4,0.5"),
+    ])
+    def test_malformed_model_file(self, pipeline, tmp_path, capsys,
+                                  key, value):
+        lines = (pipeline["models"] / "C01.mogp").read_text().splitlines()
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in lines]
+        model = tmp_path / "bad.mogp"
+        model.write_text("\n".join(lines) + "\n")
+        assert cli.main(["predict", "--model", str(model), "--output",
+                         str(tmp_path / "pred.csv")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["exit_code"] == 2 and key in err["error"]
+
+    def test_output_naming_a_directory(self, pipeline, tmp_path, capsys):
+        assert cli.main(["predict", "--model",
+                         str(pipeline["models"] / "C01.mogp"),
+                         "--output", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["exit_code"] == 2
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

