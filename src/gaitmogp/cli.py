@@ -166,16 +166,9 @@ class RunConfig:
     verbose: bool = False
 
     def validate(self) -> None:
-        if self.iterations < 0:
-            raise ValidationError("iterations must be >= 0")
-        if not self.learning_rate > 0.0:
-            raise ValidationError("learning_rate must be positive")
-        if self.weight_decay < 0.0:
-            raise ValidationError("weight_decay must be >= 0")
+        _optimizer_config(self).validate()
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if self.rank < 1:
-            raise ValidationError("rank must be >= 1")
         if self.grid_points < 2:
             raise ValidationError("grid_points must be >= 2")
         if self.points_per_channel < 2:
@@ -197,12 +190,6 @@ class RunConfig:
             raise ValidationError("segment_threshold must be >= 0")
         if not (self.metrics_normalized or self.metrics_raw):
             raise ValidationError("at least one metric unit system required")
-        for name in ("init_variance", "init_lengthscale", "init_period",
-                     "init_kappa", "init_noise_variance"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive")
-        if self.init_w_std < 0.0:
-            raise ValidationError("init_w_std must be >= 0")
         # Synthetic settings validated by SynthConfig when used.
 
 
@@ -285,14 +272,15 @@ def _load_corpus(cfg: RunConfig) -> list[dataio.SubjectRecord]:
         num_points=cfg.grid_points)
 
 
+# The optimizer settings a run can set: the fields the two configs share.
+_OPTIMIZER_KEYS = tuple(
+    f.name for f in fields(mogp.OptimizerConfig)
+    if f.name in {g.name for g in fields(RunConfig)})
+
+
 def _optimizer_config(cfg: RunConfig) -> mogp.OptimizerConfig:
     return mogp.OptimizerConfig(
-        iterations=cfg.iterations, learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay, seed=cfg.seed, rank=cfg.rank,
-        init_variance=cfg.init_variance,
-        init_lengthscale=cfg.init_lengthscale, init_period=cfg.init_period,
-        init_w_std=cfg.init_w_std, init_kappa=cfg.init_kappa,
-        init_noise_variance=cfg.init_noise_variance)
+        **{key: getattr(cfg, key) for key in _OPTIMIZER_KEYS})
 
 
 def _training_set_from_records(records, points_per_channel: int,
@@ -321,9 +309,7 @@ def _training_set_from_records(records, points_per_channel: int,
 
 
 def _write_fit_log(path, model: mogp.MoGPModel) -> None:
-    trace = list(getattr(model, "lml_trace", []) or [])
-    if not trace:
-        trace = [mogp.log_marginal_likelihood(model)]
+    trace = model.lml_trace or [mogp.log_marginal_likelihood(model)]
     lines = ["# schema=fitlog-v1", "iteration,lml"]
     lines.extend(f"{i},{format_float(v)}" for i, v in enumerate(trace))
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -393,7 +379,10 @@ def cmd_fit(cfg: RunConfig) -> int:
         model = mogp.fit(training, opt)
         mogp.save_model(model, os.path.join(out_dir, f"{name}.mogp"))
         _write_fit_log(os.path.join(out_dir, f"{name}.fitlog.csv"), model)
-        final = mogp.log_marginal_likelihood(model)
+        # The returned iterate is the best of the trace; evaluate only
+        # when fit ran no iteration.
+        final = (max(model.lml_trace) if model.lml_trace
+                 else mogp.log_marginal_likelihood(model))
         print(f"{name}: n={training.size} lml={format_float(final)}")
     return 0
 

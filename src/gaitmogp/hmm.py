@@ -6,19 +6,19 @@ covariance shared across states. Initial and transition probabilities
 default to expert values favoring the normal states; whether EM
 re-estimates them is a config switch (frozen by default).
 
-All recursions run in log-space (no scaling-coefficient variant), which
-is underflow-safe for the T = 400 sequences the pipeline produces.
+Likelihoods and EM statistics come from one scaled forward-backward
+with a per-step emission shift (Rabiner 1989, section V.A), which stays
+finite for observations far from every state mean; log-space Viterbi.
 Models are immutable after fitting; decoding is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import serialize
 from .errors import NumericError, ValidationError
@@ -57,6 +57,8 @@ class HmmModel:
     transitions: np.ndarray
     state_means: np.ndarray
     shared_covariance: np.ndarray
+    # Total log-likelihood per E-step, filled by baum_welch_fit.
+    log_likelihood_trace: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.initial_probs = np.asarray(self.initial_probs, dtype=float).ravel()
@@ -225,20 +227,45 @@ def emission_logpdf(model: HmmModel, obs, state: int) -> float:
     return float(_emission_log_matrix(model, obs[None, :])[0, int(state) - 1])
 
 
-def _log_probs(model: HmmModel):
-    with np.errstate(divide="ignore"):
-        return np.log(model.initial_probs), np.log(model.transitions)
+def _forward_backward(model: HmmModel, steps: np.ndarray):
+    """Rabiner-scaled forward-backward: (gamma, summed xi, log p(O | theta)).
+
+    Each step's emission densities are divided by their largest one, so
+    an observation far from every state mean does not underflow; that
+    shift and the per-step scale factors c_t give log p(O | theta). An
+    impossible sequence (some c_t = 0) gives -inf and zero statistics.
+    """
+    log_b = _emission_log_matrix(model, steps)
+    t_len = steps.shape[0]
+    shift = log_b.max(axis=1)
+    shift[np.isinf(shift)] = 0.0     # impossible under every state: b = 0
+    b = np.exp(log_b - shift[:, None])
+    a = model.transitions
+
+    alpha = np.empty((t_len, NUM_STATES))
+    scale = np.empty(t_len)
+    prior = model.initial_probs
+    for t in range(t_len):
+        alpha[t] = prior * b[t]
+        scale[t] = alpha[t].sum()
+        if scale[t] == 0.0:
+            return (np.zeros((t_len, NUM_STATES)),
+                    np.zeros((NUM_STATES, NUM_STATES)), -math.inf)
+        alpha[t] /= scale[t]
+        prior = alpha[t] @ a
+
+    beta = np.ones((t_len, NUM_STATES))
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = a @ (b[t + 1] * beta[t + 1] / scale[t + 1])
+    xi_sum = a * (alpha[:-1].T @ (b[1:] * beta[1:] / scale[1:, None]))
+    log_likelihood = float(np.sum(np.log(scale)) + np.sum(shift))
+    return alpha * beta, xi_sum, log_likelihood
 
 
 def forward_log_likelihood(model: HmmModel, seq: ObservationSequence) -> float:
-    """log p(O | theta) via the log-space forward recursion."""
+    """log p(O | theta) via the scaled forward recursion."""
     model.validate()
-    emissions = _emission_log_matrix(model, seq.steps)
-    log_pi, log_a = _log_probs(model)
-    log_alpha = log_pi + emissions[0]
-    for t in range(1, len(seq)):
-        log_alpha = logsumexp(log_alpha[:, None] + log_a, axis=0) + emissions[t]
-    return float(logsumexp(log_alpha))
+    return _forward_backward(model, seq.steps)[2]
 
 
 def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
@@ -248,7 +275,8 @@ def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
     if np.any(np.all(np.isinf(emissions) & (emissions < 0), axis=1)):
         raise NumericError(
             "emission underflow: an observation is impossible under every state")
-    log_pi, log_a = _log_probs(model)
+    with np.errstate(divide="ignore"):
+        log_pi, log_a = np.log(model.initial_probs), np.log(model.transitions)
     t_len = len(seq)
 
     delta = log_pi + emissions[0]
@@ -280,76 +308,33 @@ def _validated_sequences(sequences) -> list[ObservationSequence]:
 
 def _e_step(model: HmmModel, sequences):
     """Accumulated posterior statistics and the total log-likelihood."""
-    log_pi, log_a = _log_probs(model)
-    gamma_sum = np.zeros(NUM_STATES)
-    gamma_obs = np.zeros((NUM_STATES, OBS_DIM))
-    gamma_sq = np.zeros((NUM_STATES, OBS_DIM, OBS_DIM))
-    gamma_first = np.zeros(NUM_STATES)
-    xi_sum = np.zeros((NUM_STATES, NUM_STATES))
-    total_points = 0
-    total_ll = 0.0
-
-    for seq in sequences:
-        steps = seq.steps
-        t_len = steps.shape[0]
-        emissions = _emission_log_matrix(model, steps)
-
-        log_alpha = np.empty((t_len, NUM_STATES))
-        log_alpha[0] = log_pi + emissions[0]
-        for t in range(1, t_len):
-            log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0) \
-                + emissions[t]
-        seq_ll = float(logsumexp(log_alpha[-1]))
-
-        log_beta = np.zeros((t_len, NUM_STATES))
-        for t in range(t_len - 2, -1, -1):
-            log_beta[t] = logsumexp(
-                log_a + (emissions[t + 1] + log_beta[t + 1])[None, :], axis=1)
-
-        gamma = np.exp(log_alpha + log_beta - seq_ll)
-        gamma_sum += gamma.sum(axis=0)
-        gamma_obs += gamma.T @ steps
-        for i in range(NUM_STATES):
-            weighted = steps * gamma[:, i][:, None]
-            gamma_sq[i] += weighted.T @ steps
-        gamma_first += gamma[0]
-
-        if t_len > 1:
-            for t in range(t_len - 1):
-                log_xi = (log_alpha[t][:, None] + log_a
-                          + (emissions[t + 1] + log_beta[t + 1])[None, :] - seq_ll)
-                xi_sum += np.exp(log_xi)
-
-        total_points += t_len
-        total_ll += seq_ll
-
+    passes = [_forward_backward(model, seq.steps) for seq in sequences]
+    gamma = np.concatenate([gamma for gamma, _, _ in passes])
+    steps = np.concatenate([seq.steps for seq in sequences])
     stats = {
-        "gamma_sum": gamma_sum,
-        "gamma_obs": gamma_obs,
-        "gamma_sq": gamma_sq,
-        "gamma_first": gamma_first,
-        "xi_sum": xi_sum,
-        "total_points": total_points,
-        "num_sequences": len(sequences),
+        "gamma_sum": gamma.sum(axis=0),
+        "gamma_obs": gamma.T @ steps,
+        "gamma_sq": np.einsum("ti,td,te->ide", gamma, steps, steps),
+        "gamma_first": sum(gamma[0] for gamma, _, _ in passes),
+        "xi_sum": sum(xi_sum for _, xi_sum, _ in passes),
+        "total_points": steps.shape[0],
     }
-    return stats, total_ll
+    return stats, sum(ll for _, _, ll in passes)
 
 
 def _m_step(model: HmmModel, stats, config: BaumWelchConfig) -> HmmModel:
     gamma_sum = stats["gamma_sum"]
+    gamma_obs = stats["gamma_obs"]
+    # Empty-state rule: keep the previous mean below the mass floor.
+    filled = gamma_sum >= EMPTY_STATE_MASS
     new_means = model.state_means.copy()
-    for i in range(NUM_STATES):
-        # Empty-state rule: keep the previous mean below the mass floor.
-        if gamma_sum[i] >= EMPTY_STATE_MASS:
-            new_means[i] = stats["gamma_obs"][i] / gamma_sum[i]
+    new_means[filled] = gamma_obs[filled] / gamma_sum[filled, None]
 
-    # Shared covariance pooled over all states around the new means.
-    cov = np.zeros((OBS_DIM, OBS_DIM))
-    for i in range(NUM_STATES):
-        mu = new_means[i]
-        s1 = stats["gamma_obs"][i]
-        cov += (stats["gamma_sq"][i] - np.outer(mu, s1) - np.outer(s1, mu)
-                + gamma_sum[i] * np.outer(mu, mu))
+    # Shared covariance pooled over all states around the new means:
+    # sum_i S2_i - mu_i s1_i^T - s1_i mu_i^T + g_i mu_i mu_i^T.
+    cross = new_means.T @ gamma_obs
+    cov = (stats["gamma_sq"].sum(axis=0) - cross - cross.T
+           + (new_means.T * gamma_sum) @ new_means)
     cov /= float(stats["total_points"])
     cov = 0.5 * (cov + cov.T)
     cov += COVARIANCE_JITTER * (np.trace(cov) / 2.0) * np.eye(OBS_DIM)
@@ -367,11 +352,10 @@ def _m_step(model: HmmModel, stats, config: BaumWelchConfig) -> HmmModel:
     if config.update_transitions:
         xi = stats["xi_sum"]
         row_mass = xi.sum(axis=1)
-        for i in range(NUM_STATES):
-            # Zero rows keep their previous distribution; structural zeros
-            # of A stay zero because xi vanishes wherever A[i, j] = 0.
-            if row_mass[i] > 0.0:
-                new_a[i] = xi[i] / row_mass[i]
+        # Zero rows keep their previous distribution; structural zeros of
+        # A stay zero because xi vanishes wherever A[i, j] = 0.
+        rows = row_mass > 0.0
+        new_a[rows] = xi[rows] / row_mass[rows, None]
 
     return HmmModel(initial_probs=new_pi, transitions=new_a,
                     state_means=new_means, shared_covariance=cov)
@@ -381,9 +365,9 @@ def baum_welch_fit(init: HmmModel, sequences,
                    config: BaumWelchConfig | None = None) -> HmmModel:
     """EM for the emission parameters (and optionally pi/A).
 
-    Returns the refined model with the per-iteration total
-    log-likelihood trace attached as ``log_likelihood_trace``; the trace
-    is non-decreasing up to 1e-9 slack.
+    Returns the refined model with the total log-likelihood of every
+    E-step in ``log_likelihood_trace``: the initial model's first, then
+    one per M-step; the trace is non-decreasing up to 1e-9 slack.
     """
     config = config or BaumWelchConfig()
     config.validate()
@@ -392,25 +376,18 @@ def baum_welch_fit(init: HmmModel, sequences,
 
     model = init.copy()
     trace: list[float] = []
-    for iteration in range(config.max_iterations):
+    for iteration in range(config.max_iterations + 1):
         stats, ll = _e_step(model, sequences)
         if not math.isfinite(ll):
             raise NumericError(
                 f"non-finite log-likelihood in EM iteration {iteration}")
         trace.append(ll)
-        if iteration > 0 and abs(trace[-1] - trace[-2]) <= \
-                config.tol * max(1.0, abs(trace[-2])):
+        if iteration == config.max_iterations or (
+                iteration > 0 and abs(trace[-1] - trace[-2])
+                <= config.tol * max(1.0, abs(trace[-2]))):
             break
         model = _m_step(model, stats, config)
         model.validate()
-    else:
-        if config.max_iterations > 0:
-            _, final_ll = _e_step(model, sequences)
-            trace.append(final_ll)
-
-    if not trace:
-        _, initial_ll = _e_step(model, sequences)
-        trace.append(initial_ll)
     model.log_likelihood_trace = trace
     return model
 
@@ -471,7 +448,7 @@ def load_model(path) -> HmmModel:
         raise ValidationError(f"{path}: schema {schema!r} is not {MODEL_SCHEMA!r}")
     def grab(key: str, count: int) -> np.ndarray:
         values = serialize.parse_float_list(
-            serialize.require_key(doc, key, str(path)))
+            serialize.require_key(doc, key, str(path)), f"{path}: {key}")
         if len(values) != count:
             raise ValidationError(
                 f"{path}: {key} must have {count} entries, got {len(values)}")

@@ -8,8 +8,9 @@ standard closed-form posterior with calibrated variances.
 
 Each Adam step evaluates the kernel components once, for both the LML
 and its contracted gradient (see lml_gradient). The Cholesky cache that
-predict reads is filled by log_marginal_likelihood; the gradient leaves
-the model untouched. Fitting owns a private parameter state.
+predict reads is kept by fit from its best iterate, or filled by
+log_marginal_likelihood; the gradient leaves the model untouched.
+Fitting owns a private parameter state.
 """
 
 from __future__ import annotations
@@ -148,8 +149,9 @@ class MoGPModel:
     """Kernel spec, coregionalization, means and noise plus training data.
 
     The Cholesky cache (factor of K + noise I and the solve against
-    centered targets) is built lazily and never serialized; rebuilding it
-    reproduces identical predictions.
+    centered targets) comes from fit's best iterate or is built lazily,
+    and is never serialized; rebuilding it reproduces identical
+    predictions.
     """
 
     kernel: CompositeKernelSpec
@@ -384,8 +386,9 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     Deterministic given the config seed. Stops early once |delta LML|
     stays below early_stop_tol for early_stop_patience consecutive
     iterations. The best-scoring iterate is returned, so the final LML
-    never falls below the initial one; the full per-iteration LML trace
-    is attached as ``lml_trace``.
+    never falls below the initial one, together with the Cholesky cache
+    its evaluation already built; the full per-iteration LML trace is
+    attached as ``lml_trace``.
     """
     config = config or OptimizerConfig()
     config.validate()
@@ -399,6 +402,9 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     trace: list[float] = []
     best_theta = theta.copy()
     best_lml = -math.inf
+    # Only the factor, the solve and the jitter of the best iterate are
+    # kept for predict, not its kernel intermediates.
+    best_cache = None
     prev_lml = None
     stall = 0
 
@@ -419,6 +425,7 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
         if lml > best_lml:
             best_lml = lml
             best_theta = theta.copy()
+            best_cache = step.chol, step.alpha, step.jitter
 
         grad = step.gradient()
         grad = grad - config.weight_decay * decay_mask * theta
@@ -439,15 +446,18 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
             break
 
     if config.iterations > 0:
-        final_lml = evaluate(theta).lml
-        if math.isfinite(final_lml):
-            trace.append(final_lml)
-            if final_lml > best_lml:
-                best_lml = final_lml
+        final = evaluate(theta)
+        if math.isfinite(final.lml):
+            trace.append(final.lml)
+            if final.lml > best_lml:
+                best_lml = final.lml
                 best_theta = theta.copy()
+                best_cache = final.chol, final.alpha, final.jitter
 
     result = model_from_parameters(best_theta, training, config)
     result.lml_trace = trace
+    if best_cache is not None:
+        result._chol, result._alpha, result.jitter_used = best_cache
     return result
 
 

@@ -256,8 +256,8 @@ def hmm_log_emissions(means, covariance, steps) -> np.ndarray:
         for i in range(means.shape[0])])
 
 
-def hmm_enumerate(initial, transitions, means, covariance, steps):
-    """Exact log-likelihood and best path by summing over every path."""
+def _hmm_path_scores(initial, transitions, means, covariance, steps):
+    """Every state path (T, S**T) and its joint log score."""
     initial = np.asarray(initial, dtype=float)
     transitions = np.asarray(transitions, dtype=float)
     steps = np.atleast_2d(np.asarray(steps, dtype=float))
@@ -282,8 +282,32 @@ def hmm_enumerate(initial, transitions, means, covariance, steps):
         raise ValueError("every path has zero probability")
     peak = float(np.max(finite))
     log_likelihood = peak + math.log(float(np.sum(np.exp(scores - peak))))
+    return paths, scores, log_likelihood
+
+
+def hmm_enumerate(initial, transitions, means, covariance, steps):
+    """Exact log-likelihood and best path by summing over every path."""
+    paths, scores, log_likelihood = _hmm_path_scores(
+        initial, transitions, means, covariance, steps)
     best = int(np.argmax(scores))
     return log_likelihood, paths[:, best] + 1
+
+
+def hmm_enumerate_posteriors(initial, transitions, means, covariance, steps):
+    """Posterior state marginals gamma (T, S) and the transition posteriors
+    xi summed over time (S, S), each path weighted by p(path | O)."""
+    paths, scores, log_likelihood = _hmm_path_scores(
+        initial, transitions, means, covariance, steps)
+    num_states = np.asarray(initial).shape[0]
+    weights = np.exp(scores - log_likelihood)
+    gamma = np.zeros((paths.shape[0], num_states))
+    for t in range(paths.shape[0]):
+        gamma[t] = np.bincount(paths[t], weights=weights,
+                               minlength=num_states)
+    xi_sum = np.zeros((num_states, num_states))
+    for t in range(paths.shape[0] - 1):
+        np.add.at(xi_sum, (paths[t], paths[t + 1]), weights)
+    return gamma, xi_sum
 
 
 def sample_hmm(initial, transitions, means, covariance, length: int,

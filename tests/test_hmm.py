@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from gaitmogp import hmm
 from gaitmogp.errors import NumericError, ValidationError
@@ -52,6 +53,49 @@ class TestExactness:
                 model.initial_probs, model.transitions, model.state_means,
                 model.shared_covariance, seq.steps)
             assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_posterior_statistics_match_path_enumeration(self):
+        rng = np.random.default_rng(113)
+        models = [_random_model(rng) for _ in range(10)]
+        # The expert transitions have structural zeros.
+        for model in models[:3]:
+            model.initial_probs = np.array(hmm.DEFAULT_INITIAL_PROBS)
+            model.transitions = np.array(hmm.DEFAULT_TRANSITIONS)
+        for model in models:
+            seq = _random_sequence(rng, int(rng.integers(1, 7)))
+            gamma, xi_sum = oracles.hmm_enumerate_posteriors(
+                model.initial_probs, model.transitions, model.state_means,
+                model.shared_covariance, seq.steps)
+            stats, _ = hmm._e_step(model, [seq])
+            steps = seq.steps
+            expected = {
+                "gamma_sum": gamma.sum(axis=0),
+                "gamma_obs": gamma.T @ steps,
+                "gamma_sq": np.einsum("ti,td,te->ide", gamma, steps, steps),
+                "gamma_first": gamma[0],
+                "xi_sum": xi_sum,
+            }
+            for key, value in expected.items():
+                np.testing.assert_allclose(stats[key], value, rtol=1e-10,
+                                           atol=1e-10, err_msg=key)
+            assert np.all(stats["xi_sum"][model.transitions == 0.0] == 0.0)
+
+    def test_forward_survives_an_observation_far_from_every_mean(self):
+        rng = np.random.default_rng(114)
+        model = _random_model(rng)
+        steps = _random_sequence(rng, 400).steps
+        steps[137] = [2000.0, -2000.0]
+        log_b = oracles.hmm_log_emissions(model.state_means,
+                                          model.shared_covariance, steps)
+        assert log_b[137].max() < -1e5
+        log_a = np.log(model.transitions)
+        log_alpha = np.log(model.initial_probs) + log_b[0]
+        for t in range(1, steps.shape[0]):
+            log_alpha = logsumexp(log_alpha[:, None] + log_a,
+                                  axis=0) + log_b[t]
+        expected = float(logsumexp(log_alpha))
+        got = forward_log_likelihood(model, ObservationSequence(steps=steps))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_viterbi_matches_path_enumeration(self):
         rng = np.random.default_rng(101)
@@ -305,6 +349,13 @@ class TestValidation:
         with pytest.raises(NumericError, match="underflow"):
             viterbi_decode(model, seq)
 
+    def test_impossible_sequence_has_minus_infinite_likelihood(self):
+        model = default_model()
+        seq = ObservationSequence(steps=np.array([[0.0, 0.0], [1e200, 1e200]]))
+        assert forward_log_likelihood(model, seq) == -np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            baum_welch_fit(model, [seq])
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -338,4 +389,14 @@ class TestSerialization:
             "state_means = ", "state_means = 0.0,", 1)
         path.write_text(text)
         with pytest.raises(ValidationError, match="must have 8 entries"):
+            load_model(path)
+
+    def test_parse_error_names_file_and_key(self, tmp_path):
+        rng = np.random.default_rng(115)
+        path = tmp_path / "model.hmm"
+        save_model(_random_model(rng), path)
+        text = path.read_text().replace("transitions = ", "transitions = x,", 1)
+        path.write_text(text)
+        with pytest.raises(ValidationError,
+                           match=r"model\.hmm: transitions: not a number: 'x'"):
             load_model(path)

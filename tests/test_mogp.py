@@ -160,8 +160,14 @@ class TestFit:
         rng = np.random.default_rng(3)
         training = _random_training(rng, num_outputs=2, points_per_output=5)
         model = fit(training, OptimizerConfig(iterations=40, seed=0))
+        # fit keeps the factor of the best iterate; evaluating afresh
+        # rebuilds the same one.
+        kept = model._chol, model._alpha, model.jitter_used
         assert log_marginal_likelihood(model) == max(model.lml_trace)
         assert log_marginal_likelihood(model) >= model.lml_trace[0]
+        np.testing.assert_array_equal(kept[0], model._chol)
+        np.testing.assert_array_equal(kept[1], model._alpha)
+        assert kept[2] == model.jitter_used
 
     def test_fit_improves_lml(self):
         rng = np.random.default_rng(4)
