@@ -5,6 +5,15 @@ Subcommands: ``synth``, ``preprocess``, ``fit``, ``predict``,
 key=value config files (``--config``) overridden by CLI flags; unknown
 config keys are rejected. File paths are given as flags.
 
+Each setting is declared once, as a ``RunConfig`` field: its config key
+is the field name and its flag is ``--`` plus that name with dashes (a
+few paths and ``--filter-cutoff`` are shorter). The parser is generated
+from the table of the flags each subcommand takes, keeps every flag value
+as text, and both flag and config text go through one conversion to the
+field's type; ranges and choices are checked by ``RunConfig.validate``
+and the library configs, so a bad flag value gets the same JSON error as
+a bad config value.
+
 Every run is deterministic given (config, seed): outputs carry schema
 versions, are written atomically, and contain no timestamps. Exit
 status is 0 on success, 2 on validation errors, 3 on numeric failures;
@@ -18,16 +27,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio, hmm, metrics, mogp
+from . import dataio, gait_signal, hmm, metrics, mogp
 from .errors import NumericError, ValidationError
 from .gait_signal import (CHANNELS, GaitEvents, detect_events,
                           phase_durations)
-from .serialize import (atomic_write_text, format_float, parse_number,
-                        read_document, write_document)
+from .serialize import (atomic_write_text, field_kinds, format_float,
+                        parse_number, read_document, write_document)
 
 SEGMENT_REPORT_SCHEMA_ID = "segment-report-v1"
 
@@ -118,46 +127,49 @@ SEGMENT_REPORT_JSONSCHEMA = {
 
 @dataclass
 class RunConfig:
-    """Merged settings of one CLI run (defaults < config file < flags)."""
+    """Merged settings of one CLI run (defaults < config file < flags).
 
-    subcommand: str = ""
+    A default that a library config or ``gait_signal`` declares is taken
+    from there by reference; the rest belong to the CLI.
+    """
+
     input_path: str | None = None
     output_path: str | None = None
     model_path: str | None = None
     mogp_dir: str | None = None
     hmm_path: str | None = None
     # optimizer
-    iterations: int = 2000
-    learning_rate: float = 7.5e-3
-    weight_decay: float = 1e-4
-    seed: int = 0
+    iterations: int = mogp.OptimizerConfig.iterations
+    learning_rate: float = mogp.OptimizerConfig.learning_rate
+    weight_decay: float = mogp.OptimizerConfig.weight_decay
+    seed: int = mogp.OptimizerConfig.seed
     # kernel / initialization
-    rank: int = 2
-    init_variance: float = 1.0
-    init_lengthscale: float = 0.2
-    init_period: float = 1.0
-    init_w_std: float = 0.5
-    init_kappa: float = 0.5
-    init_noise_variance: float = 0.1
+    rank: int = mogp.OptimizerConfig.rank
+    init_variance: float = mogp.OptimizerConfig.init_variance
+    init_lengthscale: float = mogp.OptimizerConfig.init_lengthscale
+    init_period: float = mogp.OptimizerConfig.init_period
+    init_w_std: float = mogp.OptimizerConfig.init_w_std
+    init_kappa: float = mogp.OptimizerConfig.init_kappa
+    init_noise_variance: float = mogp.OptimizerConfig.init_noise_variance
     # preprocessing / data
-    grid_points: int = 400
-    filter_cutoff_hz: float | None = 6.0
-    filter_order: int = 4
+    grid_points: int = gait_signal.DEFAULT_GRID_POINTS
+    filter_cutoff_hz: float | None = gait_signal.DEFAULT_FILTER_CUTOFF_HZ
+    filter_order: int = gait_signal.DEFAULT_FILTER_ORDER
     points_per_channel: int = 50
     scope: str = "subject"
     # synthetic corpus
-    subjects_per_cohort: int = 2
-    cycles_per_subject: int = 3
-    noise_level: float = 0.002
-    anomaly_side: str = "left"
-    anomaly_phase: float = 0.55
-    anomaly_shift: float = 0.05
-    anomaly_duration: float = 0.25
+    subjects_per_cohort: int = dataio.SynthConfig.subjects_per_cohort
+    cycles_per_subject: int = dataio.SynthConfig.cycles_per_subject
+    noise_level: float = dataio.SynthConfig.noise_level
+    anomaly_side: str = dataio.AnomalySpec.affected_side
+    anomaly_phase: float = dataio.AnomalySpec.phase
+    anomaly_shift: float = dataio.AnomalySpec.amplitude_shift
+    anomaly_duration: float = dataio.AnomalySpec.duration_fraction
     # HMM
-    em_iterations: int = 100
-    em_tol: float = 1e-6
-    update_initial_probs: bool = False
-    update_transitions: bool = False
+    em_iterations: int = hmm.BaumWelchConfig.max_iterations
+    em_tol: float = hmm.BaumWelchConfig.tol
+    update_initial_probs: bool = hmm.BaumWelchConfig.update_initial_probs
+    update_transitions: bool = hmm.BaumWelchConfig.update_transitions
     observation_source: str = "mogp-predicted"
     segment_threshold: float = 1.5
     # metric toggles
@@ -167,8 +179,6 @@ class RunConfig:
 
     def validate(self) -> None:
         _optimizer_config(self).validate()
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         if self.grid_points < 2:
             raise ValidationError("grid_points must be >= 2")
         if self.points_per_channel < 2:
@@ -177,12 +187,10 @@ class RunConfig:
             raise ValidationError("scope must be 'subject' or 'pooled'")
         if self.filter_cutoff_hz is not None and not self.filter_cutoff_hz > 0:
             raise ValidationError("filter_cutoff_hz must be positive or none")
-        if self.filter_order not in (2, 4, 6):
-            raise ValidationError("filter_order must be one of 2, 4, 6")
-        if self.em_iterations < 0:
-            raise ValidationError("em_iterations must be >= 0")
-        if not self.em_tol > 0.0:
-            raise ValidationError("em_tol must be positive")
+        if self.filter_order not in gait_signal.ALLOWED_FILTER_ORDERS:
+            raise ValidationError("filter_order must be one of "
+                                  f"{gait_signal.ALLOWED_FILTER_ORDERS}")
+        _em_config(self).validate()
         if self.observation_source not in ("raw", "mogp-predicted"):
             raise ValidationError(
                 "observation_source must be 'raw' or 'mogp-predicted'")
@@ -193,55 +201,55 @@ class RunConfig:
         # Synthetic settings validated by SynthConfig when used.
 
 
+_KINDS = field_kinds(RunConfig)
+# Paths are given as flags only; every other setting is also a config key.
 _PATH_KEYS = ("input_path", "output_path", "model_path", "mogp_dir",
-              "hmm_path", "subcommand")
+              "hmm_path")
+_REQUIRED_KEYS = ("input_path", "output_path", "model_path")
+# A setting's flag is "--" plus its name with dashes, except for these.
+_FLAG_ALIASES = {"input_path": "--input", "output_path": "--output",
+                 "model_path": "--model", "hmm_path": "--hmm",
+                 "filter_cutoff_hz": "--filter-cutoff"}
 
 
-def _config_value_from_text(name: str, kind, text: str):
-    if name == "filter_cutoff_hz":
-        if text.lower() in ("none", "off"):
-            return None
-        return parse_number(text, f"config key {name}")
+def _flag(key: str) -> str:
+    return _FLAG_ALIASES.get(key, "--" + key.replace("_", "-"))
+
+
+def _config_value_from_text(key: str, text: str, what: str):
+    """The value of setting ``key`` from its text in a flag or config file."""
+    kind = _KINDS[key]
+    if key == "filter_cutoff_hz" and text.lower() in ("none", "off"):
+        return None
     if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ValidationError(f"config key {name}: not a boolean: {text!r}")
+        raise ValidationError(f"{what}: not a boolean: {text!r}")
     if kind in (int, float):
-        return parse_number(text, f"config key {name}", kind)
+        return parse_number(text, what, kind)
     return text
 
 
-# Field annotations are strings under postponed evaluation.
-_SETTING_KINDS = {
-    f.name: {"int": int, "float": float, "float | None": float,
-             "bool": bool}.get(f.type, str)
-    for f in fields(RunConfig) if f.name not in _PATH_KEYS}
-
-
 def _apply_config_file(cfg: RunConfig, path: str) -> None:
-    entries = read_document(path)
-    for key, text in entries.items():
-        if key not in _SETTING_KINDS:
+    for key, text in read_document(path).items():
+        if key not in _KINDS or key in _PATH_KEYS:
             raise ValidationError(f"{path}: unknown config key {key!r}")
         setattr(cfg, key, _config_value_from_text(
-            key, _SETTING_KINDS[key], text))
+            key, text, f"config key {key}"))
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
-    for key in list(_SETTING_KINDS) + list(_PATH_KEYS):
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key == "filter_cutoff_hz" and isinstance(value, str):
-            value = _config_value_from_text(key, float, value)
-        setattr(cfg, key, value)
+    for key, text in vars(args).items():
+        if key in _KINDS and text is not None:
+            setattr(cfg, key, _config_value_from_text(
+                key, text, f"flag {_flag(key)}"))
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    if getattr(args, "config", None):
+    cfg = RunConfig()
+    if args.config:
         _apply_config_file(cfg, args.config)
     _apply_flags(cfg, args)
     cfg.validate()
@@ -274,13 +282,19 @@ def _load_corpus(cfg: RunConfig) -> list[dataio.SubjectRecord]:
 
 # The optimizer settings a run can set: the fields the two configs share.
 _OPTIMIZER_KEYS = tuple(
-    f.name for f in fields(mogp.OptimizerConfig)
-    if f.name in {g.name for g in fields(RunConfig)})
+    key for key in field_kinds(mogp.OptimizerConfig) if key in _KINDS)
 
 
 def _optimizer_config(cfg: RunConfig) -> mogp.OptimizerConfig:
     return mogp.OptimizerConfig(
         **{key: getattr(cfg, key) for key in _OPTIMIZER_KEYS})
+
+
+def _em_config(cfg: RunConfig) -> hmm.BaumWelchConfig:
+    return hmm.BaumWelchConfig(
+        max_iterations=cfg.em_iterations, tol=cfg.em_tol,
+        update_initial_probs=cfg.update_initial_probs,
+        update_transitions=cfg.update_transitions)
 
 
 def _training_set_from_records(records, points_per_channel: int,
@@ -308,8 +322,7 @@ def _training_set_from_records(records, points_per_channel: int,
                             num_outputs=len(CHANNELS))
 
 
-def _write_fit_log(path, model: mogp.MoGPModel) -> None:
-    trace = model.lml_trace or [mogp.log_marginal_likelihood(model)]
+def _write_fit_log(path, trace: list[float]) -> None:
     lines = ["# schema=fitlog-v1", "iteration,lml"]
     lines.extend(f"{i},{format_float(v)}" for i, v in enumerate(trace))
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -378,12 +391,11 @@ def cmd_fit(cfg: RunConfig) -> int:
             group, cfg.points_per_channel, rng)
         model = mogp.fit(training, opt)
         mogp.save_model(model, os.path.join(out_dir, f"{name}.mogp"))
-        _write_fit_log(os.path.join(out_dir, f"{name}.fitlog.csv"), model)
         # The returned iterate is the best of the trace; evaluate only
         # when fit ran no iteration.
-        final = (max(model.lml_trace) if model.lml_trace
-                 else mogp.log_marginal_likelihood(model))
-        print(f"{name}: n={training.size} lml={format_float(final)}")
+        trace = model.lml_trace or [mogp.log_marginal_likelihood(model)]
+        _write_fit_log(os.path.join(out_dir, f"{name}.fitlog.csv"), trace)
+        print(f"{name}: n={training.size} lml={format_float(max(trace))}")
     return 0
 
 
@@ -477,10 +489,7 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
         hmm_model = shared_hmm
     else:
         init = hmm.init_emissions_from_data(hmm.default_model(), [obs])
-        hmm_model = hmm.baum_welch_fit(init, [obs], hmm.BaumWelchConfig(
-            max_iterations=cfg.em_iterations, tol=cfg.em_tol,
-            update_initial_probs=cfg.update_initial_probs,
-            update_transitions=cfg.update_transitions))
+        hmm_model = hmm.baum_welch_fit(init, [obs], _em_config(cfg))
     decoded = hmm.viterbi_decode(hmm_model, obs)
     segments = _apply_decision_rule(
         decoded, grid, _bilateral_deviation(obs.steps),
@@ -644,127 +653,69 @@ def cmd_export_plots(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "synth": cmd_synth,
-    "preprocess": cmd_preprocess,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "segment": cmd_segment,
-    "evaluate": cmd_evaluate,
-    "export-plots": cmd_export_plots,
+_CORPUS_KEYS = ("input_path", "filter_cutoff_hz", "filter_order",
+                "grid_points")
+
+# Subcommand -> (handler, help, the settings it takes as flags besides
+# --config, --seed and --verbose).
+_SUBCOMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic corpus", (
+        "output_path", "subjects_per_cohort", "cycles_per_subject",
+        "noise_level", "anomaly_side", "anomaly_phase", "anomaly_shift",
+        "anomaly_duration", "grid_points")),
+    "preprocess": (cmd_preprocess, "normalize a corpus onto the cycle grid",
+                   (*_CORPUS_KEYS, "output_path")),
+    "fit": (cmd_fit, "fit MoGP models", (
+        *_CORPUS_KEYS, "output_path", "scope", "iterations", "learning_rate",
+        "weight_decay", "rank", "points_per_channel")),
+    "predict": (cmd_predict, "evaluate a fitted model on a grid",
+                ("model_path", "output_path", "grid_points")),
+    "segment": (cmd_segment, "decode gait phases and anomalous segments", (
+        *_CORPUS_KEYS, "output_path", "mogp_dir", "hmm_path",
+        "observation_source", "iterations", "points_per_channel",
+        "em_iterations", "segment_threshold")),
+    "evaluate": (cmd_evaluate, "leave-one-subject-out evaluation", (
+        *_CORPUS_KEYS, "output_path", "iterations", "points_per_channel")),
+    "export-plots": (cmd_export_plots, "export prediction bands and B matrix",
+                     ("model_path", "output_path", "grid_points")),
+}
+
+_FLAG_HELP = {
+    "seed": "master RNG seed",
+    "verbose": "chatty output",
+    "input_path": "corpus CSV path",
+    "output_path": "output file, or directory for several files",
+    "filter_cutoff_hz": "Butterworth cutoff in Hz, or 'none'",
+    "mogp_dir": "directory of fitted per-subject models",
+    "hmm_path": "fitted HMM model file (skips in-run EM)",
+    "segment_threshold": "bilateral-deviation threshold for reporting "
+                         "decoded abnormal runs (0 reports all)",
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag's value is kept as text; build_config parses it."""
     parser = argparse.ArgumentParser(
         prog="gaitmogp",
         description="Multi-output GP gait modeling and HMM segmentation.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sub: argparse.ArgumentParser) -> None:
+    for name, (_, help_text, keys) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", help="flat key=value settings file")
-        sub.add_argument("--seed", type=int, help="master RNG seed")
-        sub.add_argument("--verbose", action="store_const", const=True,
-                         dest="verbose", help="chatty output")
-
-    def add_corpus_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--input", dest="input_path", required=True,
-                         help="corpus CSV path")
-        sub.add_argument("--filter-cutoff", dest="filter_cutoff_hz",
-                         help="Butterworth cutoff in Hz, or 'none'")
-        sub.add_argument("--filter-order", dest="filter_order", type=int)
-        sub.add_argument("--grid-points", dest="grid_points", type=int)
-
-    sub = subparsers.add_parser("synth", help="generate a synthetic corpus")
-    add_common(sub)
-    sub.add_argument("--output", dest="output_path", required=True)
-    sub.add_argument("--subjects-per-cohort", dest="subjects_per_cohort",
-                     type=int)
-    sub.add_argument("--cycles-per-subject", dest="cycles_per_subject",
-                     type=int)
-    sub.add_argument("--noise-level", dest="noise_level", type=float)
-    sub.add_argument("--anomaly-side", dest="anomaly_side",
-                     choices=("right", "left"))
-    sub.add_argument("--anomaly-phase", dest="anomaly_phase", type=float)
-    sub.add_argument("--anomaly-shift", dest="anomaly_shift", type=float)
-    sub.add_argument("--anomaly-duration", dest="anomaly_duration",
-                     type=float)
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
-
-    sub = subparsers.add_parser("preprocess",
-                                help="normalize a corpus onto the cycle grid")
-    add_common(sub)
-    add_corpus_flags(sub)
-    sub.add_argument("--output", dest="output_path", required=True)
-
-    sub = subparsers.add_parser("fit", help="fit MoGP models")
-    add_common(sub)
-    add_corpus_flags(sub)
-    sub.add_argument("--output", dest="output_path", required=True,
-                     help="output directory")
-    sub.add_argument("--scope", choices=("subject", "pooled"))
-    sub.add_argument("--iterations", type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--weight-decay", dest="weight_decay", type=float)
-    sub.add_argument("--rank", type=int)
-    sub.add_argument("--points-per-channel", dest="points_per_channel",
-                     type=int)
-
-    sub = subparsers.add_parser("predict",
-                                help="evaluate a fitted model on a grid")
-    add_common(sub)
-    sub.add_argument("--model", dest="model_path", required=True)
-    sub.add_argument("--output", dest="output_path", required=True)
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
-
-    sub = subparsers.add_parser(
-        "segment", help="decode gait phases and anomalous segments")
-    add_common(sub)
-    add_corpus_flags(sub)
-    sub.add_argument("--output", dest="output_path", required=True,
-                     help="segment report JSON path")
-    sub.add_argument("--mogp-dir", dest="mogp_dir",
-                     help="directory of fitted per-subject models")
-    sub.add_argument("--hmm", dest="hmm_path",
-                     help="fitted HMM model file (skips in-run EM)")
-    sub.add_argument("--observation-source", dest="observation_source",
-                     choices=("raw", "mogp-predicted"))
-    sub.add_argument("--iterations", type=int)
-    sub.add_argument("--points-per-channel", dest="points_per_channel",
-                     type=int)
-    sub.add_argument("--em-iterations", dest="em_iterations", type=int)
-    sub.add_argument("--segment-threshold", dest="segment_threshold",
-                     type=float,
-                     help="bilateral-deviation threshold for reporting "
-                          "decoded abnormal runs (0 reports all)")
-
-    sub = subparsers.add_parser(
-        "evaluate", help="leave-one-subject-out evaluation")
-    add_common(sub)
-    add_corpus_flags(sub)
-    sub.add_argument("--output", dest="output_path", required=True,
-                     help="output directory")
-    sub.add_argument("--iterations", type=int)
-    sub.add_argument("--points-per-channel", dest="points_per_channel",
-                     type=int)
-
-    sub = subparsers.add_parser(
-        "export-plots", help="export prediction bands and B matrix")
-    add_common(sub)
-    sub.add_argument("--model", dest="model_path", required=True)
-    sub.add_argument("--output", dest="output_path", required=True,
-                     help="output directory")
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
-
+        for key in ("seed", "verbose", *keys):
+            # A boolean setting is a switch that sets it true.
+            switch = ({"action": "store_const", "const": "true"}
+                      if _KINDS[key] is bool else {})
+            sub.add_argument(_flag(key), dest=key, help=_FLAG_HELP.get(key),
+                             required=key in _REQUIRED_KEYS, **switch)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _SUBCOMMANDS[args.subcommand][0](cfg)
     except (ValidationError, OSError) as exc:
         # An unreadable input or unwritable output path is bad input too.
         _emit_error("validation", 2, exc)

@@ -139,6 +139,8 @@ class SynthConfig:
     anomaly: AnomalySpec = field(default_factory=AnomalySpec)
 
     def validate(self):
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.subjects_per_cohort < 1:
             raise ValidationError("subjects_per_cohort must be >= 1")
         if self.cycles_per_subject < 1:

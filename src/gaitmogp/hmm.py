@@ -428,17 +428,20 @@ def anomalous_segments(decoded: DecodedStates, time_grid) -> list[AnomalousSegme
 # ---------------------------------------------------------------------------
 # Serialization (schema hmm-v1).
 
+# The hmm-v1 array entries, in file order, with their shapes.
+_ARRAY_SHAPES = {
+    "initial_probs": (NUM_STATES,),
+    "transitions": (NUM_STATES, NUM_STATES),
+    "state_means": (NUM_STATES, OBS_DIM),
+    "shared_covariance": (OBS_DIM, OBS_DIM),
+}
+
+
 def save_model(model: HmmModel, path) -> None:
     model.validate()
-    items = [
-        ("schema", MODEL_SCHEMA),
-        ("initial_probs", serialize.format_float_list(model.initial_probs)),
-        ("transitions", serialize.format_float_list(model.transitions.ravel())),
-        ("state_means", serialize.format_float_list(model.state_means.ravel())),
-        ("shared_covariance",
-         serialize.format_float_list(model.shared_covariance.ravel())),
-    ]
-    serialize.write_document(path, items)
+    serialize.write_document(path, [("schema", MODEL_SCHEMA)] + [
+        (key, serialize.format_float_list(getattr(model, key).ravel()))
+        for key in _ARRAY_SHAPES])
 
 
 def load_model(path) -> HmmModel:
@@ -446,21 +449,15 @@ def load_model(path) -> HmmModel:
     schema = serialize.require_key(doc, "schema", str(path))
     if schema != MODEL_SCHEMA:
         raise ValidationError(f"{path}: schema {schema!r} is not {MODEL_SCHEMA!r}")
-    def grab(key: str, count: int) -> np.ndarray:
+    arrays = {}
+    for key, shape in _ARRAY_SHAPES.items():
         values = serialize.parse_float_list(
             serialize.require_key(doc, key, str(path)), f"{path}: {key}")
+        count = math.prod(shape)
         if len(values) != count:
             raise ValidationError(
                 f"{path}: {key} must have {count} entries, got {len(values)}")
-        return np.array(values)
-    model = HmmModel(
-        initial_probs=grab("initial_probs", NUM_STATES),
-        transitions=grab("transitions", NUM_STATES * NUM_STATES).reshape(
-            NUM_STATES, NUM_STATES),
-        state_means=grab("state_means", NUM_STATES * OBS_DIM).reshape(
-            NUM_STATES, OBS_DIM),
-        shared_covariance=grab("shared_covariance", OBS_DIM * OBS_DIM).reshape(
-            OBS_DIM, OBS_DIM),
-    )
+        arrays[key] = np.array(values).reshape(shape)
+    model = HmmModel(**arrays)
     model.validate()
     return model

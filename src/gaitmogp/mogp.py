@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -142,6 +142,8 @@ class OptimizerConfig:
                 raise ValidationError(f"{name} must be positive")
         if self.init_w_std < 0.0:
             raise ValidationError("init_w_std must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(eq=False)
@@ -520,7 +522,7 @@ def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:
 
 MODEL_SCHEMA = "mogp-v1"
 
-_CONFIG_INT_FIELDS = {"iterations", "seed", "rank", "early_stop_patience"}
+_CONFIG_KINDS = serialize.field_kinds(OptimizerConfig)
 _KERNEL_NAMES = kernel_parameter_names(0, 0)
 
 
@@ -542,12 +544,10 @@ def _model_document(model: MoGPModel) -> list[tuple[str, str]]:
         ("training.outputs", serialize.format_int_list(model.training.outputs)),
         ("training.values", serialize.format_float_list(model.training.values)),
     ]
-    for f in fields(OptimizerConfig):
-        value = getattr(model.config, f.name)
-        if f.name in _CONFIG_INT_FIELDS:
-            items.append((f"config.{f.name}", str(int(value))))
-        else:
-            items.append((f"config.{f.name}", serialize.format_float(value)))
+    for name, kind in _CONFIG_KINDS.items():
+        value = getattr(model.config, name)
+        items.append((f"config.{name}", str(int(value)) if kind is int
+                      else serialize.format_float(value)))
     return items
 
 
@@ -577,10 +577,8 @@ def load_model(path) -> MoGPModel:
     num_outputs = integer("num_outputs")
     rank = integer("rank")
 
-    config = OptimizerConfig(**{
-        f.name: (integer if f.name in _CONFIG_INT_FIELDS else number)(
-            f"config.{f.name}")
-        for f in fields(OptimizerConfig)})
+    config = OptimizerConfig(**{name: number(f"config.{name}", kind)
+                                for name, kind in _CONFIG_KINDS.items()})
     if config.rank != rank:
         raise ValidationError(f"{path}: rank and config.rank disagree")
 

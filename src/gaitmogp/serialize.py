@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ValidationError
@@ -25,6 +26,16 @@ def format_float_list(xs) -> str:
 
 def format_int_list(xs) -> str:
     return ",".join(str(int(x)) for x in xs)
+
+
+def field_kinds(cls) -> dict:
+    """Field name -> int, float, bool or str, from a dataclass's annotations.
+
+    Annotations are strings under postponed evaluation; ``float | None``
+    reads as float and anything unlisted as str.
+    """
+    kinds = {"int": int, "float": float, "float | None": float, "bool": bool}
+    return {f.name: kinds.get(f.type, str) for f in fields(cls)}
 
 
 def parse_number(text: str, what: str = "value", kind=float):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
@@ -184,6 +185,65 @@ class TestErrorReporting:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["synth"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        "fit --iterations abc", "fit --scope bogus", "synth --anomaly-side up",
+        "segment --observation-source x", "segment --em-iterations -1"])
+    def test_bad_flag_value_is_json_error(self, tmp_path, capsys, argv):
+        command, *flags = argv.split()
+        paths = ["--output", str(tmp_path / "out")]
+        if command != "synth":
+            paths += ["--input", str(tmp_path / "corpus.csv")]
+        assert cli.main([command, *paths, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["type"] == "validation" and err["exit_code"] == 2
+
+
+# Every subcommand's flags, written out: (required, optional).
+_COMMON_FLAGS = {"--config", "--seed", "--verbose"}
+_CORPUS_FLAGS = {"--filter-cutoff", "--filter-order", "--grid-points"}
+_EXPECTED_FLAGS = {
+    "synth": ({"--output"}, {
+        "--subjects-per-cohort", "--cycles-per-subject", "--noise-level",
+        "--anomaly-side", "--anomaly-phase", "--anomaly-shift",
+        "--anomaly-duration", "--grid-points"}),
+    "preprocess": ({"--input", "--output"}, _CORPUS_FLAGS),
+    "fit": ({"--input", "--output"}, _CORPUS_FLAGS | {
+        "--scope", "--iterations", "--learning-rate", "--weight-decay",
+        "--rank", "--points-per-channel"}),
+    "predict": ({"--model", "--output"}, {"--grid-points"}),
+    "segment": ({"--input", "--output"}, _CORPUS_FLAGS | {
+        "--mogp-dir", "--hmm", "--observation-source", "--iterations",
+        "--points-per-channel", "--em-iterations", "--segment-threshold"}),
+    "evaluate": ({"--input", "--output"}, _CORPUS_FLAGS | {
+        "--iterations", "--points-per-channel"}),
+    "export-plots": ({"--model", "--output"}, {"--grid-points"}),
+}
+
+
+class TestParser:
+    def test_each_subcommand_has_its_flags(self):
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(_EXPECTED_FLAGS)
+        for name, (required, optional) in _EXPECTED_FLAGS.items():
+            actions = [a for a in subparsers.choices[name]._actions
+                       if a.dest != "help"]
+            flags = {s for a in actions for s in a.option_strings}
+            assert flags == required | optional | _COMMON_FLAGS, name
+            assert {a.option_strings[0] for a in actions
+                    if a.required} == required, name
+
+    @pytest.mark.parametrize("subcommand", sorted(_EXPECTED_FLAGS))
+    def test_help_exits_zero(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([subcommand, "--help"])
+        assert excinfo.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestPipelineArtifacts:

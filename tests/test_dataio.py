@@ -267,6 +267,10 @@ class TestSyntheticGeometry:
         with pytest.raises(ValidationError, match=r"phase must lie"):
             AnomalySpec(phase=1.0).validate()
 
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            generate_synthetic(_small_config(seed=-1))
+
 
 class TestLosoSplits:
     def test_each_subject_held_out_once(self):

@@ -191,6 +191,12 @@ class TestFit:
         with pytest.raises(ValidationError, match="at least 2 points"):
             fit(training, OptimizerConfig(iterations=1))
 
+    def test_negative_seed_is_a_validation_error(self):
+        rng = np.random.default_rng(6)
+        training = _random_training(rng, num_outputs=2, points_per_output=4)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            fit(training, OptimizerConfig(iterations=1, seed=-1))
+
 
 class TestPredict:
     def test_interpolates_training_data_at_low_noise(self):
