@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -297,29 +298,31 @@ def _em_config(cfg: RunConfig) -> hmm.BaumWelchConfig:
         update_transitions=cfg.update_transitions)
 
 
-def _training_set_from_records(records, points_per_channel: int,
-                               rng: np.random.Generator) -> mogp.TrainingSet:
-    """Subsample a stacked training set, per channel, over all cycles."""
+def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
+    """A MoGP fitted to a subsample of every cycle of ``records``.
+
+    Each channel keeps ``points_per_channel`` of its pooled points, drawn
+    from the seed stream ``(seed, index)`` so that each job of a run
+    (subject, pooled fit or LOSO split) has its own reproducible draw.
+    """
+    rng = np.random.default_rng([cfg.seed, index])
+    cycles = [cycle for record in records for cycle in record.cycles]
     times, outputs, values = [], [], []
     for m in range(len(CHANNELS)):
-        pool_t, pool_v = [], []
-        for record in records:
-            for cycle in record.cycles:
-                pool_t.append(cycle.grid)
-                pool_v.append(cycle.channels[m])
-        pool_t = np.concatenate(pool_t)
-        pool_v = np.concatenate(pool_v)
-        if points_per_channel < pool_t.shape[0]:
-            idx = np.sort(rng.choice(pool_t.shape[0], points_per_channel,
+        pool_t = np.concatenate([cycle.grid for cycle in cycles])
+        pool_v = np.concatenate([cycle.channels[m] for cycle in cycles])
+        if cfg.points_per_channel < pool_t.shape[0]:
+            idx = np.sort(rng.choice(pool_t.shape[0], cfg.points_per_channel,
                                      replace=False))
             pool_t, pool_v = pool_t[idx], pool_v[idx]
         times.append(pool_t)
         outputs.append(np.full(pool_t.shape[0], m, dtype=int))
         values.append(pool_v)
-    return mogp.TrainingSet(times=np.concatenate(times),
-                            outputs=np.concatenate(outputs),
-                            values=np.concatenate(values),
-                            num_outputs=len(CHANNELS))
+    training = mogp.TrainingSet(times=np.concatenate(times),
+                                outputs=np.concatenate(outputs),
+                                values=np.concatenate(values),
+                                num_outputs=len(CHANNELS))
+    return mogp.fit(training, _optimizer_config(cfg))
 
 
 def _write_fit_log(path, trace: list[float]) -> None:
@@ -377,25 +380,16 @@ def cmd_fit(cfg: RunConfig) -> int:
     out_dir = _require(cfg.output_path, "--output")
     records = _load_corpus(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    opt = _optimizer_config(cfg)
 
-    jobs: list[tuple[str, list[dataio.SubjectRecord]]] = []
-    if cfg.scope == "subject":
-        jobs = [(r.subject_id, [r]) for r in records]
-    else:
-        jobs = [("pooled", records)]
-
+    jobs = ([(r.subject_id, [r]) for r in records] if cfg.scope == "subject"
+            else [("pooled", records)])
     for index, (name, group) in enumerate(jobs):
-        rng = np.random.default_rng([cfg.seed, index])
-        training = _training_set_from_records(
-            group, cfg.points_per_channel, rng)
-        model = mogp.fit(training, opt)
+        model = _fit_records(cfg, group, index)
         mogp.save_model(model, os.path.join(out_dir, f"{name}.mogp"))
-        # The returned iterate is the best of the trace; evaluate only
-        # when fit ran no iteration.
-        trace = model.lml_trace or [mogp.log_marginal_likelihood(model)]
-        _write_fit_log(os.path.join(out_dir, f"{name}.fitlog.csv"), trace)
-        print(f"{name}: n={training.size} lml={format_float(max(trace))}")
+        _write_fit_log(os.path.join(out_dir, f"{name}.fitlog.csv"),
+                       model.lml_trace)
+        print(f"{name}: n={model.training.size} "
+              f"lml={format_float(max(model.lml_trace))}")
     return 0
 
 
@@ -470,10 +464,7 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
                 raise ValidationError(f"missing model file: {path}")
             model = mogp.load_model(path)
         else:
-            rng = np.random.default_rng([cfg.seed, index])
-            training = _training_set_from_records(
-                [record], cfg.points_per_channel, rng)
-            model = mogp.fit(training, _optimizer_config(cfg))
+            model = _fit_records(cfg, [record], index)
         pred = mogp.predict(model, grid)
         right = pred.mean[CHANNELS.index("ankle_right")]
         left = pred.mean[CHANNELS.index("ankle_left")]
@@ -561,15 +552,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     records = _load_corpus(cfg)
     os.makedirs(out_dir, exist_ok=True)
     splits = dataio.loso_splits(records)
-    opt = _optimizer_config(cfg)
 
     numeric_keys: list[str] = []
     per_split_values: list[dict[str, float]] = []
     for split_index, (train, held) in enumerate(splits):
-        rng = np.random.default_rng([cfg.seed, split_index])
-        training = _training_set_from_records(
-            train, cfg.points_per_channel, rng)
-        model = mogp.fit(training, opt)
+        model = _fit_records(cfg, train, split_index)
         grid = held.cycles[0].grid
         pred = mogp.predict(model, grid)
         truth = np.mean([c.channels for c in held.cycles], axis=0)
@@ -701,6 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text, keys) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
+        # Take "-1e-2" for a value, not an option, as argparse does from
+        # Python 3.13 on; before, it took only "-5" and "-.01" for numbers.
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
         sub.add_argument("--config", help="flat key=value settings file")
         for key in ("seed", "verbose", *keys):
             # A boolean setting is a switch that sets it true.
@@ -715,7 +705,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        return _SUBCOMMANDS[args.subcommand][0](cfg)
+        # Explicit checks report an overflow as the JSON error; numpy's
+        # warnings about it would only add unparsed lines to stderr.
+        with np.errstate(all="ignore"):
+            return _SUBCOMMANDS[args.subcommand][0](cfg)
     except (ValidationError, OSError) as exc:
         # An unreadable input or unwritable output path is bad input too.
         _emit_error("validation", 2, exc)

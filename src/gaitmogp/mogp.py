@@ -6,10 +6,13 @@ one shared Gaussian noise variance. Fitting maximizes the exact log
 marginal likelihood with Adam plus weight decay; predictions are the
 standard closed-form posterior with calibrated variances.
 
-Each Adam step evaluates the kernel components once, for both the LML
-and its contracted gradient (see lml_gradient). The Cholesky cache that
-predict reads is kept by fit from its best iterate, or filled by
-log_marginal_likelihood; the gradient leaves the model untouched.
+Fitting is one loop over up to ``iterations + 1`` iterates, each with
+one LML trace entry (one at ``iterations = 0``) and each raising
+NumericError on a non-finite LML; an iterate evaluates the kernel
+components once, for both the LML and its contracted gradient (see
+lml_gradient). The Cholesky cache that predict reads is kept by fit
+from its best iterate, or filled by log_marginal_likelihood; the
+gradient leaves the model untouched.
 Fitting owns a private parameter state.
 """
 
@@ -173,6 +176,8 @@ class MoGPModel:
             raise ValidationError(
                 f"means has length {self.means.shape[0]} but the model "
                 f"has {self.coreg.num_outputs} outputs")
+        if not np.all(np.isfinite(self.means)):
+            raise ValidationError("means must be finite")
         if self.training.num_outputs != self.coreg.num_outputs:
             raise ValidationError(
                 "training set and coregionalization disagree on the "
@@ -214,10 +219,14 @@ class PosteriorPrediction:
 
 
 def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter."""
+    """Lower Cholesky factor with escalating diagonal jitter; a matrix
+    with an inf or NaN entry raises NumericError (the only scan for them)."""
+    if not np.isfinite(matrix).all():
+        raise NumericError("kernel matrix has non-finite entries: a "
+                           "parameter is NaN or overflows")
     mean_diag = max(float(np.mean(np.diag(matrix))), PARAM_FLOOR)
     try:
-        return cholesky(matrix, lower=True), 0.0
+        return cholesky(matrix, lower=True, check_finite=False), 0.0
     except np.linalg.LinAlgError:
         pass
     jitter = JITTER_START * mean_diag
@@ -225,7 +234,8 @@ def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     eye = np.eye(matrix.shape[0])
     while jitter <= cap * (1.0 + 1e-12):
         try:
-            return cholesky(matrix + jitter * eye, lower=True), jitter
+            return cholesky(matrix + jitter * eye, lower=True,
+                            check_finite=False), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericError(
@@ -385,12 +395,14 @@ def initialize_model(training: TrainingSet, config: OptimizerConfig) -> MoGPMode
 def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPModel:
     """Maximize the LML with Adam ascent plus weight decay.
 
-    Deterministic given the config seed. Stops early once |delta LML|
-    stays below early_stop_tol for early_stop_patience consecutive
-    iterations. The best-scoring iterate is returned, so the final LML
-    never falls below the initial one, together with the Cholesky cache
-    its evaluation already built; the full per-iteration LML trace is
-    attached as ``lml_trace``.
+    Deterministic given the config seed. One loop evaluates up to
+    ``iterations + 1`` iterates, each adding its LML to ``lml_trace`` (one
+    entry at ``iterations = 0``); a non-finite LML raises NumericError.
+    It stops early after the iterate that follows |delta LML| staying
+    below early_stop_tol for early_stop_patience consecutive iterations.
+    The best-scoring iterate is returned, so the final LML never falls
+    below the initial one, together with the Cholesky cache its
+    evaluation already built.
     """
     config = config or OptimizerConfig()
     config.validate()
@@ -400,34 +412,26 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     decay_mask = _weight_decay_mask(training.num_outputs, config.rank)
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
-
-    trace: list[float] = []
-    best_theta = theta.copy()
-    best_lml = -math.inf
-    # Only the factor, the solve and the jitter of the best iterate are
-    # kept for predict, not its kernel intermediates.
-    best_cache = None
-    prev_lml = None
-    stall = 0
-
     geometry = _Geometry(training)
 
-    def evaluate(vector: np.ndarray) -> _Evaluation:
-        return _Evaluation(model_from_parameters(vector, training, config),
+    trace: list[float] = []
+    stall = 0
+    last = config.iterations
+    for iteration in range(config.iterations + 1):
+        step = _Evaluation(model_from_parameters(theta, training, config),
                            geometry)
-
-    for iteration in range(config.iterations):
-        step = evaluate(theta)
         lml = step.lml
         if not math.isfinite(lml):
             raise NumericError(
                 f"non-finite log marginal likelihood at iteration {iteration}; "
                 f"parameter snapshot: {theta.tolist()}")
         trace.append(lml)
-        if lml > best_lml:
-            best_lml = lml
-            best_theta = theta.copy()
-            best_cache = step.chol, step.alpha, step.jitter
+        # Keep the best iterate's factor, solve and jitter for predict,
+        # not its kernel intermediates; theta is rebound, never mutated.
+        if iteration == 0 or lml > best[0]:
+            best = lml, theta, step.chol, step.alpha, step.jitter
+        if iteration == last:
+            break
 
         grad = step.gradient()
         grad = grad - config.weight_decay * decay_mask * theta
@@ -437,29 +441,19 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
         v_hat = v_state / (1.0 - config.beta2 ** (iteration + 1))
         theta = theta + config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
-        if prev_lml is not None and abs(lml - prev_lml) < config.early_stop_tol:
+        if iteration > 0 and abs(lml - trace[-2]) < config.early_stop_tol:
             stall += 1
         else:
             stall = 0
-        prev_lml = lml
         if stall >= config.early_stop_patience:
             logger.debug("early stop after %d iterations (LML %.6f)",
                          iteration + 1, lml)
-            break
+            last = iteration + 1
 
-    if config.iterations > 0:
-        final = evaluate(theta)
-        if math.isfinite(final.lml):
-            trace.append(final.lml)
-            if final.lml > best_lml:
-                best_lml = final.lml
-                best_theta = theta.copy()
-                best_cache = final.chol, final.alpha, final.jitter
-
-    result = model_from_parameters(best_theta, training, config)
+    _, theta, chol, alpha, jitter = best
+    result = model_from_parameters(theta, training, config)
     result.lml_trace = trace
-    if best_cache is not None:
-        result._chol, result._alpha, result.jitter_used = best_cache
+    result._chol, result._alpha, result.jitter_used = chol, alpha, jitter
     return result
 
 

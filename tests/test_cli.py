@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitmogp import cli, hmm
 from gaitmogp.dataio import CSV_HEADER
@@ -104,6 +109,13 @@ class TestConfigPrecedence:
                       "--config", str(settings)) == 2
         assert "not a number" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_negative_value_with_exponent(self, tmp_path):
+        small = ("--subjects-per-cohort", "1", "--cycles-per-subject", "2")
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert _synth(spaced, *small, "--anomaly-shift", "-1e-2") == 0
+        assert _synth(joined, *small, "--anomaly-shift=-1e-2") == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_filter_cutoff_none_spelling(self, pipeline, tmp_path):
         out = tmp_path / "processed.csv"
         assert cli.main(["preprocess", "--input", str(pipeline["corpus"]),
@@ -153,6 +165,7 @@ class TestErrorReporting:
     @pytest.mark.parametrize("key, value", [
         ("num_outputs", "six"),
         ("means", "0.1,oops,0.2,0.3,0.4,0.5"),
+        ("means", "0.1,nan,0.2,0.3,0.4,0.5"),
     ])
     def test_malformed_model_file(self, pipeline, tmp_path, capsys,
                                   key, value):
@@ -167,6 +180,19 @@ class TestErrorReporting:
         assert len(captured.err.splitlines()) == 1
         err = json.loads(captured.err)
         assert err["exit_code"] == 2 and key in err["error"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_model_value_is_numeric_error(self, pipeline,
+                                                      tmp_path, capsys):
+        text = (pipeline["models"] / "C01.mogp").read_text()
+        model = tmp_path / "overflow.mogp"
+        model.write_text(re.sub(r"(?m)^kernel\.se\.log_variance = .*$",
+                                "kernel.se.log_variance = 1000.0", text))
+        assert cli.main(["predict", "--model", str(model), "--output",
+                         str(tmp_path / "pred.csv")]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["type"] == "numeric"
 
     def test_output_naming_a_directory(self, pipeline, tmp_path, capsys):
         assert cli.main(["predict", "--model",
@@ -200,6 +226,77 @@ class TestErrorReporting:
         assert len(captured.err.splitlines()) == 1
         err = json.loads(captured.err)
         assert err["type"] == "validation" and err["exit_code"] == 2
+
+
+# Values that replace one number, or a whole value, of a model file.
+_BAD_NUMBERS = ("junk", "nan", "inf", "-inf", "1e308", "-1e308", "1000")
+
+
+@st.composite
+def _corrupted_documents(draw, text: str) -> str:
+    """``text`` with one value replaced: one of its comma-separated
+    entries by a bad number, or a list one entry too short or too long."""
+    lines = text.splitlines()
+    row = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[row].partition(" = ")
+    parts = value.split(",")
+    change = draw(st.sampled_from(("entry", "shorter", "longer")))
+    if change == "entry":
+        parts[draw(st.integers(0, len(parts) - 1))] = \
+            draw(st.sampled_from(_BAD_NUMBERS))
+    elif change == "shorter":
+        parts = parts[:-1]
+    else:
+        parts = parts + parts[-1:]
+    lines[row] = f"{key} = {','.join(parts)}"
+    return "\n".join(lines) + "\n"
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of cli.main; any raised exception, or a
+    numpy warning that would print to stderr, escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestCorruptedModelFiles:
+    """A damaged model file gives a result or one JSON error line, never
+    a traceback."""
+
+    @staticmethod
+    def _check(code: int, err: str) -> None:
+        assert code in (0, 2, 3)
+        if code:
+            (line,) = err.splitlines()
+            assert json.loads(line)["exit_code"] == code
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_predict_on_corrupted_mogp(self, pipeline, data):
+        text = (pipeline["models"] / "C01.mogp").read_text()
+        root = pipeline["root"]
+        model = root / "fuzz.mogp"
+        model.write_text(data.draw(_corrupted_documents(text)))
+        self._check(*_run_quietly([
+            "predict", "--model", str(model), "--output",
+            str(root / "fuzz_pred.csv"), "--grid-points", "5"]))
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_segment_with_corrupted_hmm(self, pipeline, data):
+        root = pipeline["root"]
+        model = root / "fuzz.hmm"
+        hmm.save_model(hmm.default_model(), model)
+        model.write_text(data.draw(_corrupted_documents(model.read_text())))
+        self._check(*_run_quietly([
+            "segment", "--input", str(pipeline["corpus"]), "--output",
+            str(root / "fuzz_report.json"), "--mogp-dir",
+            str(pipeline["models"]), "--hmm", str(model),
+            "--grid-points", "20"]))
 
 
 # Every subcommand's flags, written out: (required, optional).

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaitmogp import mogp
-from gaitmogp.errors import ValidationError
+from gaitmogp.errors import NumericError, ValidationError
 from gaitmogp.mogp import (
     MoGPModel,
     OptimizerConfig,
@@ -146,9 +146,10 @@ class TestFit:
         training = _random_training(rng, num_outputs=2, points_per_output=4)
         config = OptimizerConfig(iterations=0, seed=5)
         model = fit(training, config)
-        expected = pack_parameters(initialize_model(training, config))
-        np.testing.assert_array_equal(pack_parameters(model), expected)
-        assert model.lml_trace == []
+        initial = initialize_model(training, config)
+        np.testing.assert_array_equal(pack_parameters(model),
+                                      pack_parameters(initial))
+        assert model.lml_trace == [log_marginal_likelihood(initial)]
 
     def test_trace_has_one_entry_per_iteration_plus_final(self):
         rng = np.random.default_rng(2)
@@ -168,6 +169,26 @@ class TestFit:
         np.testing.assert_array_equal(kept[0], model._chol)
         np.testing.assert_array_equal(kept[1], model._alpha)
         assert kept[2] == model.jitter_used
+
+    def test_early_stop_evaluates_one_iterate_past_the_trigger(self):
+        rng = np.random.default_rng(7)
+        training = _random_training(rng, num_outputs=2, points_per_output=5)
+        # Every change is below the tolerance, so iterate 1 triggers the
+        # stop and iterate 2 is the last one evaluated.
+        model = fit(training, OptimizerConfig(
+            iterations=50, seed=0, early_stop_tol=1e300,
+            early_stop_patience=1))
+        assert len(model.lml_trace) == 3
+        assert log_marginal_likelihood(model) == max(model.lml_trace)
+
+    def test_overflowing_adam_step_is_a_numeric_error(self):
+        rng = np.random.default_rng(8)
+        training = _random_training(rng, num_outputs=2, points_per_output=4)
+        # From a tiny signal variance the LML pushes the variances up;
+        # one step of size ~1e6 makes them overflow at the last iterate.
+        with pytest.raises(NumericError, match="non-finite"):
+            fit(training, OptimizerConfig(iterations=1, learning_rate=1e6,
+                                          init_variance=1e-4, seed=0))
 
     def test_fit_improves_lml(self):
         rng = np.random.default_rng(4)
@@ -227,6 +248,16 @@ class TestPredict:
         model = _random_model(rng, num_outputs=1, points_per_output=4, rank=1)
         prediction = predict(model, [-0.2, 0.5, 1.3])
         assert any("extrapolation: 2" in note for note in prediction.notes)
+
+    def test_overflowing_kernel_variance_is_a_numeric_error(self):
+        rng = np.random.default_rng(24)
+        model = _random_model(rng)
+        theta = pack_parameters(model)
+        theta[parameter_names(3, 2).index("se.log_variance")] = 1000.0
+        overflowing = model_from_parameters(theta, model.training,
+                                            model.config)
+        with pytest.raises(NumericError, match="non-finite"):
+            predict(overflowing, np.linspace(0.0, 1.0, 5))
 
     def test_rejects_empty_or_nonfinite_queries(self):
         rng = np.random.default_rng(8)
