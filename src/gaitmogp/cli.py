@@ -10,9 +10,10 @@ is the field name and its flag is ``--`` plus that name with dashes (a
 few paths and ``--filter-cutoff`` are shorter). The parser is generated
 from the table of the flags each subcommand takes, keeps every flag value
 as text, and both flag and config text go through one conversion to the
-field's type; ranges and choices are checked by ``RunConfig.validate``
-and the library configs, so a bad flag value gets the same JSON error as
-a bad config value.
+field's type; numbers must be finite. Ranges and choices are checked by
+``RunConfig.validate`` through the library configs (optimizer, EM and
+synthetic corpus alike, whatever the subcommand), so a bad flag value
+gets the same JSON error as a bad config value, before any work starts.
 
 Every run is deterministic given (config, seed): outputs carry schema
 versions, are written atomically, and contain no timestamps. Exit
@@ -71,7 +72,7 @@ SEGMENT_REPORT_JSONSCHEMA = {
     "properties": {
         "schema": {"const": SEGMENT_REPORT_SCHEMA_ID},
         "grid_points": {"type": "integer", "minimum": 2},
-        "observation_source": {"enum": ["raw", "mogp-predicted"]},
+        "observation_source": {"enum": list(hmm.OBSERVATION_SOURCES)},
         "segment_threshold": {"type": "number", "minimum": 0},
         "subjects": {
             "type": "array",
@@ -83,11 +84,11 @@ SEGMENT_REPORT_JSONSCHEMA = {
                 "additionalProperties": False,
                 "properties": {
                     "subject_id": {"type": "string"},
-                    "cohort": {"enum": ["control", "disorder"]},
+                    "cohort": {"enum": list(dataio.COHORTS)},
                     "states": {
                         "type": "array",
-                        "items": {"type": "integer",
-                                  "minimum": 1, "maximum": 4},
+                        "items": {"type": "integer", "minimum": 1,
+                                  "maximum": hmm.NUM_STATES},
                     },
                     "log_joint": {"type": "number"},
                     "events": {
@@ -114,7 +115,8 @@ SEGMENT_REPORT_JSONSCHEMA = {
                             "properties": {
                                 "start_time": {"type": "number"},
                                 "end_time": {"type": "number"},
-                                "state_label": {"enum": ["s3", "s4"]},
+                                "state_label": {"enum": [
+                                    f"s{s}" for s in hmm.ABNORMAL_STATES]},
                             },
                         },
                     },
@@ -192,14 +194,14 @@ class RunConfig:
             raise ValidationError("filter_order must be one of "
                                   f"{gait_signal.ALLOWED_FILTER_ORDERS}")
         _em_config(self).validate()
-        if self.observation_source not in ("raw", "mogp-predicted"):
-            raise ValidationError(
-                "observation_source must be 'raw' or 'mogp-predicted'")
+        if self.observation_source not in hmm.OBSERVATION_SOURCES:
+            raise ValidationError("observation_source must be one of "
+                                  f"{hmm.OBSERVATION_SOURCES}")
         if self.segment_threshold < 0.0:
             raise ValidationError("segment_threshold must be >= 0")
         if not (self.metrics_normalized or self.metrics_raw):
             raise ValidationError("at least one metric unit system required")
-        # Synthetic settings validated by SynthConfig when used.
+        _synth_config(self).validate()
 
 
 _KINDS = field_kinds(RunConfig)
@@ -261,24 +263,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # Shared helpers.
 
 
-def _output_names(num_outputs: int) -> tuple[str, ...]:
-    if num_outputs == len(CHANNELS):
-        return CHANNELS
-    return tuple(f"output_{m}" for m in range(num_outputs))
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise ValidationError(f"missing required flag {flag}")
-    return value
-
-
 def _load_corpus(cfg: RunConfig) -> list[dataio.SubjectRecord]:
     return dataio.load_corpus(
-        _require(cfg.input_path, "--input"),
-        filter_cutoff_hz=cfg.filter_cutoff_hz,
-        filter_order=cfg.filter_order,
-        num_points=cfg.grid_points)
+        cfg.input_path, filter_cutoff_hz=cfg.filter_cutoff_hz,
+        filter_order=cfg.filter_order, num_points=cfg.grid_points)
 
 
 # The optimizer settings a run can set: the fields the two configs share.
@@ -296,6 +284,17 @@ def _em_config(cfg: RunConfig) -> hmm.BaumWelchConfig:
         max_iterations=cfg.em_iterations, tol=cfg.em_tol,
         update_initial_probs=cfg.update_initial_probs,
         update_transitions=cfg.update_transitions)
+
+
+def _synth_config(cfg: RunConfig) -> dataio.SynthConfig:
+    return dataio.SynthConfig(
+        seed=cfg.seed, subjects_per_cohort=cfg.subjects_per_cohort,
+        cycles_per_subject=cfg.cycles_per_subject,
+        noise_level=cfg.noise_level,
+        anomaly=dataio.AnomalySpec(
+            affected_side=cfg.anomaly_side, phase=cfg.anomaly_phase,
+            amplitude_shift=cfg.anomaly_shift,
+            duration_fraction=cfg.anomaly_duration))
 
 
 def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
@@ -325,10 +324,21 @@ def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
     return mogp.fit(training, _optimizer_config(cfg))
 
 
-def _write_fit_log(path, trace: list[float]) -> None:
-    lines = ["# schema=fitlog-v1", "iteration,lml"]
-    lines.extend(f"{i},{format_float(v)}" for i, v in enumerate(trace))
+def _write_table(path, schema: str, header, rows) -> None:
+    """A CSV under a ``# schema=`` line: floats in repr form, the rest str."""
+    lines = [f"# schema={schema}", ",".join(header)]
+    lines.extend(",".join(format_float(v) if isinstance(v, float) else str(v)
+                          for v in row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _predict_on_grid(cfg: RunConfig):
+    """The --model file, its output names, the grid and the posterior on it."""
+    model = mogp.load_model(cfg.model_path)
+    names = (CHANNELS if model.num_outputs == len(CHANNELS)
+             else tuple(f"output_{m}" for m in range(model.num_outputs)))
+    grid = np.arange(cfg.grid_points, dtype=float) / cfg.grid_points
+    return model, names, grid, mogp.predict(model, grid)
 
 
 def _write_json(path, document: dict) -> None:
@@ -341,43 +351,29 @@ def _write_json(path, document: dict) -> None:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    out = _require(cfg.output_path, "--output")
-    synth = dataio.SynthConfig(
-        seed=cfg.seed, subjects_per_cohort=cfg.subjects_per_cohort,
-        cycles_per_subject=cfg.cycles_per_subject,
-        noise_level=cfg.noise_level,
-        anomaly=dataio.AnomalySpec(
-            affected_side=cfg.anomaly_side, phase=cfg.anomaly_phase,
-            amplitude_shift=cfg.anomaly_shift,
-            duration_fraction=cfg.anomaly_duration))
-    records = dataio.generate_synthetic(synth, num_points=cfg.grid_points)
-    dataio.save_corpus(records, out)
+    records = dataio.generate_synthetic(_synth_config(cfg),
+                                        num_points=cfg.grid_points)
+    dataio.save_corpus(records, cfg.output_path)
     print(f"wrote {len(records)} subjects "
-          f"({cfg.cycles_per_subject} cycles each) to {out}")
+          f"({cfg.cycles_per_subject} cycles each) to {cfg.output_path}")
     return 0
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
-    out = _require(cfg.output_path, "--output")
     records = _load_corpus(cfg)
-    lines = ["# schema=processed-v1",
-             "subject_id,cohort,cycle,position,channel,value"]
-    for record in records:
-        for cycle in record.cycles:
-            for m, name in enumerate(CHANNELS):
-                for k in range(cycle.num_points):
-                    lines.append(
-                        f"{record.subject_id},{record.cohort},"
-                        f"{cycle.cycle_index},{k},{name},"
-                        f"{format_float(float(cycle.channels[m, k]))}")
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    rows = ((record.subject_id, record.cohort, cycle.cycle_index, k, name, v)
+            for record in records for cycle in record.cycles
+            for name, channel in zip(CHANNELS, cycle.channels)
+            for k, v in enumerate(channel))
+    _write_table(cfg.output_path, "processed-v1", (
+        "subject_id", "cohort", "cycle", "position", "channel", "value"), rows)
     print(f"wrote {sum(len(r.cycles) for r in records)} normalized cycles "
-          f"from {len(records)} subjects to {out}")
+          f"from {len(records)} subjects to {cfg.output_path}")
     return 0
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    out_dir = _require(cfg.output_path, "--output")
+    out_dir = cfg.output_path
     records = _load_corpus(cfg)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -386,29 +382,21 @@ def cmd_fit(cfg: RunConfig) -> int:
     for index, (name, group) in enumerate(jobs):
         model = _fit_records(cfg, group, index)
         mogp.save_model(model, os.path.join(out_dir, f"{name}.mogp"))
-        _write_fit_log(os.path.join(out_dir, f"{name}.fitlog.csv"),
-                       model.lml_trace)
+        _write_table(os.path.join(out_dir, f"{name}.fitlog.csv"),
+                     "fitlog-v1", ("iteration", "lml"),
+                     enumerate(model.lml_trace))
         print(f"{name}: n={model.training.size} "
               f"lml={format_float(max(model.lml_trace))}")
     return 0
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    out = _require(cfg.output_path, "--output")
-    model = mogp.load_model(_require(cfg.model_path, "--model"))
-    grid = np.arange(cfg.grid_points, dtype=float) / cfg.grid_points
-    pred = mogp.predict(model, grid)
-    names = _output_names(model.num_outputs)
-    header = "time," + ",".join(f"{n}_mean,{n}_std" for n in names)
-    lines = ["# schema=predict-v1", header]
-    for k in range(grid.shape[0]):
-        cells = [format_float(float(grid[k]))]
-        for m in range(len(names)):
-            cells.append(format_float(float(pred.mean[m, k])))
-            cells.append(format_float(float(pred.std[m, k])))
-        lines.append(",".join(cells))
-    atomic_write_text(out, "\n".join(lines) + "\n")
-    print(f"wrote predictions on {cfg.grid_points} grid points to {out}")
+    _, names, grid, pred = _predict_on_grid(cfg)
+    header = ["time"] + [f"{n}_{s}" for n in names for s in ("mean", "std")]
+    columns = [c for pair in zip(pred.mean, pred.std) for c in pair]
+    _write_table(cfg.output_path, "predict-v1", header, zip(grid, *columns))
+    print(f"wrote predictions on {cfg.grid_points} grid points "
+          f"to {cfg.output_path}")
     return 0
 
 
@@ -516,11 +504,9 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
 
 
 def cmd_segment(cfg: RunConfig) -> int:
-    out = _require(cfg.output_path, "--output")
     records = _load_corpus(cfg)
-    shared_hmm = None
-    if cfg.hmm_path is not None:
-        shared_hmm = hmm.load_model(cfg.hmm_path)
+    shared_hmm = (hmm.load_model(cfg.hmm_path)
+                  if cfg.hmm_path is not None else None)
 
     subjects = []
     for index, record in enumerate(
@@ -537,23 +523,16 @@ def cmd_segment(cfg: RunConfig) -> int:
         "segment_threshold": cfg.segment_threshold,
         "subjects": subjects,
     }
-    _write_json(out, document)
+    _write_json(cfg.output_path, document)
     return 0
 
 
-def _report_items(prefix: str, report: metrics.MetricReport):
-    return [(f"{prefix}.{key}", value)
-            for key, value in report.as_document().items()
-            if key != "schema"]
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
-    out_dir = _require(cfg.output_path, "--output")
+    out_dir = cfg.output_path
     records = _load_corpus(cfg)
     os.makedirs(out_dir, exist_ok=True)
     splits = dataio.loso_splits(records)
 
-    numeric_keys: list[str] = []
     per_split_values: list[dict[str, float]] = []
     for split_index, (train, held) in enumerate(splits):
         model = _fit_records(cfg, train, split_index)
@@ -561,9 +540,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         pred = mogp.predict(model, grid)
         truth = np.mean([c.channels for c in held.cycles], axis=0)
 
-        items: list[tuple[str, str]] = [
-            ("schema", "evaluate-v1"), ("subject_id", held.subject_id)]
-        values: dict[str, float] = {}
         # The raw local cost |s a - s b| is s |a - b|, so each raw DTW is
         # the channel std times the normalized one.
         normalized_dtw = np.array([metrics.dtw(p, t)
@@ -578,19 +554,20 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             reports.append(("raw", metrics.compute_report(
                 pred.mean * stds + means, truth * stds + means, CHANNELS,
                 per_output_dtw=held.channel_stds * normalized_dtw)))
+        items: list[tuple[str, str]] = []
         for unit, report in reports:
             if cfg.verbose:
                 print(f"== {held.subject_id} ({unit})")
                 print(report.as_table(), end="")
-            for key, text in _report_items(unit, report):
-                items.append((key, text))
-                values[key] = float(text)
-
+            items += [(f"{unit}.{key}", text)
+                      for key, text in report.as_document().items()
+                      if key != "schema"]
+        values = {key: float(text) for key, text in items}
         per_split_values.append(values)
-        if not numeric_keys:
-            numeric_keys = [k for k, _ in items if k in values]
         write_document(
-            os.path.join(out_dir, f"split_{held.subject_id}.metrics"), items)
+            os.path.join(out_dir, f"split_{held.subject_id}.metrics"),
+            [("schema", "evaluate-v1"), ("subject_id", held.subject_id),
+             *items])
         print(f"split {held.subject_id}: "
               + " ".join(f"{k}={values[k]:.6f}" for k in
                          ("normalized.mae", "raw.mae") if k in values))
@@ -598,7 +575,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     aggregate_items: list[tuple[str, str]] = [
         ("schema", "evaluate-aggregate-v1"),
         ("splits", str(len(splits)))]
-    for key in numeric_keys:
+    for key in per_split_values[0]:
         mean_value = float(np.mean([v[key] for v in per_split_values]))
         aggregate_items.append((key, format_float(mean_value)))
     write_document(os.path.join(out_dir, "aggregate.metrics"),
@@ -608,33 +585,20 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_export_plots(cfg: RunConfig) -> int:
-    out_dir = _require(cfg.output_path, "--output")
-    model = mogp.load_model(_require(cfg.model_path, "--model"))
-    os.makedirs(out_dir, exist_ok=True)
-    grid = np.arange(cfg.grid_points, dtype=float) / cfg.grid_points
-    pred = mogp.predict(model, grid)
-    names = _output_names(model.num_outputs)
-
-    for m, name in enumerate(names):
-        lines = ["# schema=plotband-v1", "time,mean,lower,upper"]
-        for k in range(grid.shape[0]):
-            mu = float(pred.mean[m, k])
-            half = 2.0 * float(pred.std[m, k])
-            lines.append(",".join(format_float(v) for v in
-                                  (float(grid[k]), mu, mu - half, mu + half)))
-        atomic_write_text(os.path.join(out_dir, f"band_{name}.csv"),
-                          "\n".join(lines) + "\n")
+    out_dir = cfg.output_path
+    model, names, grid, pred = _predict_on_grid(cfg)
+    for name, mu, std in zip(names, pred.mean, pred.std):
+        _write_table(os.path.join(out_dir, f"band_{name}.csv"), "plotband-v1",
+                     ("time", "mean", "lower", "upper"),
+                     zip(grid, mu, mu - 2.0 * std, mu + 2.0 * std))
 
     matrix, normalized = mogp.export_coregionalization(model)
     for filename, payload in (("coregionalization.csv", matrix),
                               ("coregionalization_normalized.csv",
                                normalized)):
-        lines = ["# schema=coreg-v1", "output," + ",".join(names)]
-        for m, name in enumerate(names):
-            lines.append(name + "," + ",".join(
-                format_float(float(v)) for v in payload[m]))
-        atomic_write_text(os.path.join(out_dir, filename),
-                          "\n".join(lines) + "\n")
+        _write_table(os.path.join(out_dir, filename), "coreg-v1",
+                     ("output", *names),
+                     ((name, *row) for name, row in zip(names, payload)))
     print(f"wrote {len(names)} band files and coregionalization exports "
           f"to {out_dir}")
     return 0

@@ -37,7 +37,7 @@ from .gait_signal import (CHANNELS, JOINTS, SIDES, JointTrajectory3D,
                           TrajectorySet, impute_missing, lowpass_filter,
                           normalize_and_align, DEFAULT_GRID_POINTS,
                           DEFAULT_FILTER_CUTOFF_HZ, DEFAULT_FILTER_ORDER)
-from .serialize import atomic_write_text, format_float
+from .serialize import atomic_write_text, format_float, read_text
 
 CSV_HEADER = "subject_id,cohort,cycle,frame,joint,side,x,y,z"
 COHORTS = ("control", "disorder")
@@ -196,8 +196,7 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
     """
     if not os.path.exists(path):
         raise ValidationError(f"corpus file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(
             f"line 1: header must be exactly {CSV_HEADER!r}")

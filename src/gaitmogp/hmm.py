@@ -27,6 +27,8 @@ NUM_STATES = 4
 OBS_DIM = 2
 # 1-based indices of the abnormal stance/swing states.
 ABNORMAL_STATES = (3, 4)
+# Where an observation sequence's ankle curves come from.
+OBSERVATION_SOURCES = ("raw", "mogp-predicted")
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -116,9 +118,10 @@ class ObservationSequence:
             raise ValidationError("observation sequence must have length >= 1")
         if not np.all(np.isfinite(self.steps)):
             raise ValidationError("observations must be finite")
-        if self.source not in ("raw", "mogp-predicted"):
+        if self.source not in OBSERVATION_SOURCES:
             raise ValidationError(
-                f"source must be 'raw' or 'mogp-predicted', got {self.source!r}")
+                f"source must be one of {OBSERVATION_SOURCES}, "
+                f"got {self.source!r}")
 
     def __len__(self) -> int:
         return self.steps.shape[0]

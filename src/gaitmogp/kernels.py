@@ -259,7 +259,9 @@ class TemporalKernel:
         per, se, mat = self.spec.periodic, self.spec.se, self.spec.matern32
         u, sin_u, a = self._u, self._sin_u, self._a
         weighted_per = weights * self.k_per
-        per_len2 = per.lengthscale ** 2
+        # numpy scalars: a huge lengthscale squares to inf, not an error.
+        per_len2 = _floored_exp(per.log_lengthscale) ** 2
+        se_len2 = _floored_exp(se.log_lengthscale) ** 2
         return np.array([
             np.vdot(weights, self.k_per) * rel(per.log_variance),
             # d k_per / d log l = k_per * 4 sin^2(u) / l^2.
@@ -270,7 +272,7 @@ class TemporalKernel:
             * rel(per.log_period),
             np.vdot(weights, self.k_se) * rel(se.log_variance),
             # d k_se / d log l = k_se * d^2 / l^2.
-            np.vdot(weights, self.k_se * self._sq_lag) / se.lengthscale ** 2
+            np.vdot(weights, self.k_se * self._sq_lag) / se_len2
             * rel(se.log_lengthscale),
             np.vdot(weights, self.k_mat) * rel(mat.log_variance),
             # d/da [(1+a) e^-a] = -a e^-a and da/d log l = -a.

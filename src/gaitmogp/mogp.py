@@ -129,6 +129,9 @@ class OptimizerConfig:
     init_noise_variance: float = 0.1
 
     def validate(self) -> None:
+        for name, kind in _CONFIG_KINDS.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.iterations < 0:
             raise ValidationError("iterations must be >= 0")
         if self.rank < 1:

@@ -8,6 +8,7 @@ models produce identical bytes.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import fields
@@ -39,11 +40,14 @@ def field_kinds(cls) -> dict:
 
 
 def parse_number(text: str, what: str = "value", kind=float):
-    """kind(text); a ValidationError naming ``what`` if it is not one."""
+    """kind(text); a ValidationError naming ``what`` unless it is finite."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValidationError(f"{what}: not a number: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"{what}: not a finite number: {text!r}")
+    return value
 
 
 def parse_float_list(text: str, what: str = "value", kind=float) -> list:
@@ -111,8 +115,17 @@ def write_document(path, items: list[tuple[str, str]]) -> None:
     atomic_write_text(path, render_document(items))
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a ValidationError naming it if it is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_document(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"no such file: {path}")
-    return parse_document(path.read_text(encoding="utf-8"), path=str(path))
+    return parse_document(read_text(path), path=str(path))

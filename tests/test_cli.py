@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from gaitmogp import cli, hmm
 from gaitmogp.dataio import CSV_HEADER
+from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import CHANNELS
 
 
@@ -166,6 +168,8 @@ class TestErrorReporting:
         ("num_outputs", "six"),
         ("means", "0.1,oops,0.2,0.3,0.4,0.5"),
         ("means", "0.1,nan,0.2,0.3,0.4,0.5"),
+        ("kernel.se.log_variance", "nan"),
+        ("log_noise_variance", "inf"),
     ])
     def test_malformed_model_file(self, pipeline, tmp_path, capsys,
                                   key, value):
@@ -214,7 +218,8 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("argv", [
         "fit --iterations abc", "fit --scope bogus", "synth --anomaly-side up",
-        "segment --observation-source x", "segment --em-iterations -1"])
+        "segment --observation-source x", "segment --em-iterations -1",
+        "fit --learning-rate inf", "segment --segment-threshold nan"])
     def test_bad_flag_value_is_json_error(self, tmp_path, capsys, argv):
         command, *flags = argv.split()
         paths = ["--output", str(tmp_path / "out")]
@@ -226,6 +231,37 @@ class TestErrorReporting:
         assert len(captured.err.splitlines()) == 1
         err = json.loads(captured.err)
         assert err["type"] == "validation" and err["exit_code"] == 2
+        # The value is rejected before the (absent) corpus is opened.
+        assert str(tmp_path) not in err["error"]
+
+    def test_synth_settings_are_checked_by_every_subcommand(self, tmp_path,
+                                                            capsys):
+        settings = tmp_path / "run.cfg"
+        settings.write_text("anomaly_side = up\n")
+        assert cli.main(["fit", "--input", str(tmp_path / "corpus.csv"),
+                         "--output", str(tmp_path / "out"),
+                         "--config", str(settings)]) == 2
+        assert "affected_side" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_non_utf8_config_is_json_error(self, tmp_path, capsys):
+        settings = tmp_path / "run.cfg"
+        settings.write_bytes(b"noise_level = 0.01 \xff\n")
+        assert _synth(tmp_path / "corpus.csv",
+                      "--config", str(settings)) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["exit_code"] == 2 and str(settings) in err["error"]
+
+    def test_non_utf8_corpus_is_json_error(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_bytes(pipeline["corpus"].read_bytes() + b"C\xff\n")
+        assert cli.main(["preprocess", "--input", str(corpus),
+                         "--output", str(tmp_path / "p.csv")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["exit_code"] == 2 and str(corpus) in err["error"]
 
 
 # Values that replace one number, or a whole value, of a model file.
@@ -263,16 +299,17 @@ def _run_quietly(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _check_outcome(code: int, err: str) -> None:
+    """A result, or one JSON error line with the exit code; no traceback."""
+    assert code in (0, 2, 3)
+    if code:
+        (line,) = err.splitlines()
+        assert json.loads(line)["exit_code"] == code
+
+
 class TestCorruptedModelFiles:
     """A damaged model file gives a result or one JSON error line, never
     a traceback."""
-
-    @staticmethod
-    def _check(code: int, err: str) -> None:
-        assert code in (0, 2, 3)
-        if code:
-            (line,) = err.splitlines()
-            assert json.loads(line)["exit_code"] == code
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -281,7 +318,7 @@ class TestCorruptedModelFiles:
         root = pipeline["root"]
         model = root / "fuzz.mogp"
         model.write_text(data.draw(_corrupted_documents(text)))
-        self._check(*_run_quietly([
+        _check_outcome(*_run_quietly([
             "predict", "--model", str(model), "--output",
             str(root / "fuzz_pred.csv"), "--grid-points", "5"]))
 
@@ -292,11 +329,81 @@ class TestCorruptedModelFiles:
         model = root / "fuzz.hmm"
         hmm.save_model(hmm.default_model(), model)
         model.write_text(data.draw(_corrupted_documents(model.read_text())))
-        self._check(*_run_quietly([
+        _check_outcome(*_run_quietly([
             "segment", "--input", str(pipeline["corpus"]), "--output",
             str(root / "fuzz_report.json"), "--mogp-dir",
             str(pipeline["models"]), "--hmm", str(model),
             "--grid-points", "20"]))
+
+
+# Every key a --config file accepts, written out.
+_CONFIG_KEYS = {
+    "iterations", "learning_rate", "weight_decay", "seed", "rank",
+    "init_variance", "init_lengthscale", "init_period", "init_w_std",
+    "init_kappa", "init_noise_variance", "grid_points", "filter_cutoff_hz",
+    "filter_order", "points_per_channel", "scope", "subjects_per_cohort",
+    "cycles_per_subject", "noise_level", "anomaly_side", "anomaly_phase",
+    "anomaly_shift", "anomaly_duration", "em_iterations", "em_tol",
+    "update_initial_probs", "update_transitions", "observation_source",
+    "segment_threshold", "metrics_normalized", "metrics_raw", "verbose"}
+
+# A small valid run configuration, and what a fuzzed one may set a key to.
+_BASE_CONFIG = {"subjects_per_cohort": "1", "cycles_per_subject": "2",
+                "grid_points": "20", "points_per_channel": "8", "rank": "1"}
+_BAD_SETTINGS = ("junk", "nan", "inf", "-inf", "1e308", "-1e308", "-1", "0",
+                 "")
+
+
+@st.composite
+def _corrupted_configs(draw) -> bytes:
+    """``_BASE_CONFIG`` with one key set to a bad value, a duplicate key,
+    a line without ``=`` or a byte that is not UTF-8."""
+    lines = [f"{key} = {value}" for key, value in _BASE_CONFIG.items()]
+    change = draw(st.sampled_from(("value", "duplicate", "no-equals",
+                                   "byte")))
+    if change == "value":
+        key = draw(st.sampled_from(sorted(_CONFIG_KEYS)))
+        lines = [line for line in lines if not line.startswith(f"{key} =")]
+        lines.append(f"{key} = {draw(st.sampled_from(_BAD_SETTINGS))}")
+    elif change == "duplicate":
+        lines.append(draw(st.sampled_from(lines)))
+    elif change == "no-equals":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(("grid_points 20", "junk"))))
+    data = ("\n".join(lines) + "\n").encode()
+    if change == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestCorruptedConfigFiles:
+    def test_accepted_config_keys(self, tmp_path):
+        settings = tmp_path / "run.cfg"
+        parser = cli.build_parser()
+        accepted = set()
+        for field in dataclasses.fields(cli.RunConfig):
+            settings.write_text(f"{field.name} = {field.default}\n")
+            args = parser.parse_args(["synth", "--output", "x.csv",
+                                      "--config", str(settings)])
+            try:
+                cli.build_config(args)
+            except ValidationError as exc:
+                assert "unknown config key" in str(exc), field.name
+            else:
+                accepted.add(field.name)
+        assert accepted == _CONFIG_KEYS
+
+    @given(document=_corrupted_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_synth_and_fit_on_corrupted_config(self, pipeline, document):
+        root = pipeline["root"]
+        config = root / "fuzz.cfg"
+        config.write_bytes(document)
+        for argv in (["synth", "--output", str(root / "fuzz_corpus.csv")],
+                     ["fit", "--input", str(pipeline["corpus"]), "--output",
+                      str(root / "fuzz_models"), "--iterations", "1"]):
+            _check_outcome(*_run_quietly([*argv, "--config", str(config)]))
 
 
 # Every subcommand's flags, written out: (required, optional).

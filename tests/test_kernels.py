@@ -13,6 +13,7 @@ from gaitmogp.kernels import (
     CompositeKernelSpec,
     CoregionalizationFactor,
     SubKernelParams,
+    TemporalKernel,
     eval_composite,
     eval_matern32,
     eval_periodic,
@@ -217,6 +218,20 @@ class TestKernelGradients:
                                         log_kappa=np.zeros(2))
         grads = oracles.kernel_gradients(spec, coreg, [0.1, 0.6], [0, 1])
         assert np.all(grads["se.log_variance"] == 0.0)
+
+    def test_huge_lengthscale_gradient_is_finite(self):
+        # exp(709) squares past the float range; the lengthscale partials
+        # are then 0 instead of an OverflowError.
+        spec = CompositeKernelSpec(
+            periodic=SubKernelParams(0.0, 709.0, 0.0),
+            se=SubKernelParams(0.0, 709.0),
+            matern32=SubKernelParams(0.0, 0.0))
+        lag = np.array([[0.0, 0.3], [0.3, 0.0]])
+        with np.errstate(over="ignore"):
+            kernel = TemporalKernel(spec, lag, lag * lag)
+            grad = kernel.gradient(np.ones((2, 2)))
+        assert np.all(np.isfinite(grad))
+        assert grad[1] == 0.0 and grad[4] == 0.0
 
     def test_parameter_names_cover_w_then_kappa(self):
         names = kernel_parameter_names(num_outputs=2, rank=2)

@@ -218,6 +218,14 @@ class TestFit:
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             fit(training, OptimizerConfig(iterations=1, seed=-1))
 
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay",
+                                      "init_period", "early_stop_tol"])
+    def test_non_finite_setting_is_a_validation_error(self, name):
+        for value in (math.inf, math.nan):
+            config = OptimizerConfig(**{name: value})
+            with pytest.raises(ValidationError, match=f"{name} must be fin"):
+                config.validate()
+
 
 class TestPredict:
     def test_interpolates_training_data_at_low_noise(self):
