@@ -11,8 +11,7 @@ leave-one-subject-out splitting, a synthetic-data generator, and the
 
 from .errors import GaitPipelineError, NumericError, ValidationError
 from .kernels import (CompositeKernelSpec, CoregionalizationFactor,
-                      SubKernelParams, eval_composite, eval_matern32,
-                      eval_periodic, eval_se, gram_matrix, icm_covariance)
+                      SubKernelParams, TemporalKernel, gram_matrix)
 from .mogp import (MoGPModel, OptimizerConfig, PosteriorPrediction,
                    TrainingSet, export_coregionalization, fit,
                    initialize_model, lml_gradient, log_marginal_likelihood,
@@ -36,8 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GaitPipelineError", "NumericError", "ValidationError",
     "CompositeKernelSpec", "CoregionalizationFactor", "SubKernelParams",
-    "eval_composite", "eval_matern32", "eval_periodic", "eval_se",
-    "gram_matrix", "icm_covariance",
+    "TemporalKernel", "gram_matrix",
     "MoGPModel", "OptimizerConfig", "PosteriorPrediction", "TrainingSet",
     "export_coregionalization", "fit", "initialize_model", "lml_gradient",
     "log_marginal_likelihood", "predict",

@@ -7,6 +7,11 @@ a Matern-3/2 term for rougher local structure,
 
     k_t(t, t') = k_per(t, t') + k_se(t, t') + k_mat(t, t').
 
+Each part depends on the lag r = |t - t'| alone (stationarity), so
+TemporalKernel takes one lag array of any shape and holds the only copy
+of the closed forms; gram_matrix, the MoGP's Gram matrix and gradient
+and its posterior all evaluate it.
+
 Cross-output structure follows the intrinsic coregionalization model:
 for outputs m, m' the covariance is B[m, m'] * k_t(t, t') with
 B = W W^T + diag(kappa) positive semi-definite by construction.
@@ -112,13 +117,15 @@ class CompositeKernelSpec:
             raise ValidationError("periodic component requires a period")
 
     @classmethod
-    def default(cls) -> "CompositeKernelSpec":
-        """Initialization used by the optimizer: unit variances and
-        period, length-scales 0.2."""
+    def from_values(cls, variance: float, lengthscale: float,
+                    period: float) -> "CompositeKernelSpec":
+        """All three components at one natural-space variance and
+        length-scale; the periodic one also gets the period."""
         return cls(
-            periodic=SubKernelParams.from_values(1.0, 0.2, period=1.0),
-            se=SubKernelParams.from_values(1.0, 0.2),
-            matern32=SubKernelParams.from_values(1.0, 0.2),
+            periodic=SubKernelParams.from_values(variance, lengthscale,
+                                                 period=period),
+            se=SubKernelParams.from_values(variance, lengthscale),
+            matern32=SubKernelParams.from_values(variance, lengthscale),
         )
 
     @classmethod
@@ -198,51 +205,37 @@ class CoregionalizationFactor:
         return np.concatenate([d_w.ravel(), np.diag(d_matrix) * dkappa])
 
 
-# ---------------------------------------------------------------------------
-# Component evaluations on broadcast lag arrays; the *_parts helpers also
-# return the intermediates that the log-parameter partials reuse.
-
-def _lags(t, t_prime):
-    """|t - t'| and (t - t')^2, broadcast."""
-    d = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-    return np.abs(d), d * d
-
-
-def _se_from_sqlag(params: SubKernelParams, sq_lag):
-    variance = _floored_exp(params.log_variance)
-    lengthscale = _floored_exp(params.log_lengthscale)
-    return variance * np.exp(-0.5 * sq_lag / (lengthscale * lengthscale))
-
-
-def _matern32_parts(params: SubKernelParams, abs_lag):
-    """k_mat, a = sqrt(3) r / l and exp(-a)."""
-    variance = _floored_exp(params.log_variance)
-    lengthscale = _floored_exp(params.log_lengthscale)
-    a = _SQRT3 * abs_lag / lengthscale
-    exp_a = np.exp(-a)
-    return variance * (1.0 + a) * exp_a, a, exp_a
-
-
-def _periodic_parts(params: SubKernelParams, abs_lag):
-    """k_per, u = pi r / p and sin(u)."""
-    variance = _floored_exp(params.log_variance)
-    lengthscale = _floored_exp(params.log_lengthscale)
-    period = _floored_exp(params.log_period)
-    u = np.pi * abs_lag / period
-    s = np.sin(u)
-    return variance * np.exp(-2.0 * s * s / (lengthscale * lengthscale)), u, s
-
-
 class TemporalKernel:
-    """k_t = k_per + k_se + k_mat on a set of lags, keeping the components
-    and intermediates so the same evaluation serves :meth:`gradient`."""
+    """k_t = k_per + k_se + k_mat on an array of lags r = |t - t'| of any
+    shape; the only place the closed forms are written:
 
-    def __init__(self, spec: CompositeKernelSpec, abs_lag, sq_lag):
-        self.spec = spec
-        self.k_per, self._u, self._sin_u = _periodic_parts(spec.periodic, abs_lag)
-        self.k_se = _se_from_sqlag(spec.se, sq_lag)
-        self._sq_lag = sq_lag
-        self.k_mat, self._a, self._exp_a = _matern32_parts(spec.matern32, abs_lag)
+        k_per = s_p^2 exp(-2 sin^2(pi r / p) / l_p^2)
+        k_se  = s_s^2 exp(-r^2 / (2 l_s^2))
+        k_mat = s_m^2 (1 + sqrt(3) r / l_m) exp(-sqrt(3) r / l_m)
+
+    The components and their intermediates are kept, and the lag array is
+    referenced (not copied), so the same evaluation serves :meth:`gradient`.
+    """
+
+    def __init__(self, spec: CompositeKernelSpec, lag):
+        self.spec, self.lag = spec, lag
+        per, se, mat = spec.periodic, spec.se, spec.matern32
+
+        per_len = _floored_exp(per.log_lengthscale)
+        self._u = np.pi * lag / _floored_exp(per.log_period)
+        self._sin_u = np.sin(self._u)
+        self.k_per = _floored_exp(per.log_variance) * np.exp(
+            -2.0 * self._sin_u * self._sin_u / (per_len * per_len))
+
+        se_len = _floored_exp(se.log_lengthscale)
+        self.k_se = _floored_exp(se.log_variance) * np.exp(
+            -0.5 * (lag * lag) / (se_len * se_len))
+
+        self._a = _SQRT3 * lag / _floored_exp(mat.log_lengthscale)
+        self._exp_a = np.exp(-self._a)
+        self.k_mat = (_floored_exp(mat.log_variance) * (1.0 + self._a)
+                      * self._exp_a)
+
         self.k_t = self.k_per + self.k_se + self.k_mat
 
     def gradient(self, weights) -> np.ndarray:
@@ -271,8 +264,8 @@ class TemporalKernel:
             np.vdot(weighted_per, u * np.sin(2.0 * u)) * 2.0 / per_len2
             * rel(per.log_period),
             np.vdot(weights, self.k_se) * rel(se.log_variance),
-            # d k_se / d log l = k_se * d^2 / l^2.
-            np.vdot(weights, self.k_se * self._sq_lag) / se_len2
+            # d k_se / d log l = k_se * r^2 / l^2.
+            np.vdot(weights, self.k_se * (self.lag * self.lag)) / se_len2
             * rel(se.log_lengthscale),
             np.vdot(weights, self.k_mat) * rel(mat.log_variance),
             # d/da [(1+a) e^-a] = -a e^-a and da/d log l = -a.
@@ -281,42 +274,8 @@ class TemporalKernel:
         ])
 
 
-def eval_se(params: SubKernelParams, t, t_prime):
-    """Squared-exponential kernel sigma^2 exp(-(t-t')^2 / (2 l^2))."""
-    return _se_from_sqlag(params, _lags(t, t_prime)[1])
-
-
-def eval_matern32(params: SubKernelParams, t, t_prime):
-    """Matern-3/2 kernel sigma^2 (1 + sqrt(3) r / l) exp(-sqrt(3) r / l)."""
-    return _matern32_parts(params, _lags(t, t_prime)[0])[0]
-
-
-def eval_periodic(params: SubKernelParams, t, t_prime):
-    """Periodic kernel sigma^2 exp(-2 sin^2(pi |t-t'| / p) / l^2)."""
-    return _periodic_parts(params, _lags(t, t_prime)[0])[0]
-
-
-def eval_composite(spec: CompositeKernelSpec, t, t_prime):
-    """Sum of the periodic, SE and Matern-3/2 components."""
-    return TemporalKernel(spec, *_lags(t, t_prime)).k_t
-
-
-def icm_covariance(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
-                   m: int, m_prime: int, t, t_prime):
-    """Cross-covariance between output m at t and output m' at t'.
-
-    Returns B[m, m'] * k_t(t, t').
-    """
-    num = coreg.num_outputs
-    for label, idx in (("m", m), ("m_prime", m_prime)):
-        if not 0 <= idx < num:
-            raise ValidationError(
-                f"output index {label}={idx} out of range [0, {num})")
-    b = coreg.matrix()[m, m_prime]
-    return b * eval_composite(spec, t, t_prime)
-
-
 def _validate_points(num_outputs: int, times, outputs):
+    """Checked float times and int output indices of stacked points."""
     times = np.asarray(times, dtype=float).ravel()
     outputs = np.asarray(outputs).ravel()
     if times.shape[0] != outputs.shape[0]:
@@ -324,14 +283,13 @@ def _validate_points(num_outputs: int, times, outputs):
             f"times ({times.shape[0]}) and outputs ({outputs.shape[0]}) "
             "must have equal length")
     if times.shape[0] == 0:
-        raise ValidationError("at least one (time, output) point is required")
+        raise ValidationError("point set is empty: at least one "
+                              "(time, output) point is required")
     if not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite")
-    if not np.issubdtype(outputs.dtype, np.integer):
-        as_int = outputs.astype(int)
-        if not np.array_equal(as_int, outputs):
-            raise ValidationError("output indices must be integers")
-        outputs = as_int
+    if not (np.issubdtype(outputs.dtype, np.integer)
+            or np.all(np.isfinite(outputs) & (outputs == np.round(outputs)))):
+        raise ValidationError("output indices must be integers")
     if np.any(outputs < 0) or np.any(outputs >= num_outputs):
         raise ValidationError(
             f"output indices must lie in [0, {num_outputs})")
@@ -354,9 +312,9 @@ def gram_matrix(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
     (n, n) symmetric PSD matrix.
     """
     times, outputs = _validate_points(coreg.num_outputs, times, outputs)
-    temporal = eval_composite(spec, times[:, None], times[None, :])
+    temporal = TemporalKernel(spec, np.abs(times[:, None] - times[None, :]))
     b_oo = coreg.matrix()[np.ix_(outputs, outputs)]
-    return b_oo * temporal
+    return b_oo * temporal.k_t
 
 
 def kernel_parameter_names(num_outputs: int, rank: int) -> list[str]:

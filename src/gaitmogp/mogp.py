@@ -4,7 +4,8 @@ A single GP over stacked (time, output-index) points with the composite
 ICM kernel from :mod:`gaitmogp.kernels`, constant per-output means and
 one shared Gaussian noise variance. Fitting maximizes the exact log
 marginal likelihood with Adam plus weight decay; predictions are the
-standard closed-form posterior with calibrated variances.
+standard closed-form posterior mean and variance (observation noise
+included; nothing here measures their calibration).
 
 Fitting is one loop over up to ``iterations + 1`` iterates, each with
 one LML trace entry (one at ``iterations = 0``) and each raising
@@ -33,12 +34,10 @@ from .kernels import (
     PARAM_FLOOR,
     CompositeKernelSpec,
     CoregionalizationFactor,
-    SubKernelParams,
     TemporalKernel,
     _floored_exp,
     _floored_exp_with_grad,
-    _lags,
-    eval_composite,
+    _validate_points,
     kernel_parameter_names,
 )
 
@@ -63,8 +62,9 @@ class TrainingSet:
     num_outputs: int = 6
 
     def __post_init__(self):
+        # Output indices keep their dtype until validate checks them.
         self.times = np.asarray(self.times, dtype=float).ravel()
-        self.outputs = np.asarray(self.outputs, dtype=int).ravel()
+        self.outputs = np.asarray(self.outputs).ravel()
         self.values = np.asarray(self.values, dtype=float).ravel()
 
     @property
@@ -72,22 +72,20 @@ class TrainingSet:
         return self.times.shape[0]
 
     def validate(self, for_fitting: bool = False) -> None:
-        n = self.size
-        if not (self.outputs.shape[0] == n and self.values.shape[0] == n):
-            raise ValidationError(
-                "times, outputs and values must have equal length "
-                f"({n}, {self.outputs.shape[0]}, {self.values.shape[0]})")
-        if n == 0:
-            raise ValidationError("training set is empty")
-        if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.values)):
-            raise ValidationError("times and values must be finite")
-        if np.any(self.times < 0.0) or np.any(self.times > 1.0):
-            raise ValidationError("training times must lie in [0, 1]")
+        """Check the points (the check gram_matrix makes) and the values;
+        output indices are stored as ints from then on."""
         if self.num_outputs < 1:
             raise ValidationError("num_outputs must be >= 1")
-        if np.any(self.outputs < 0) or np.any(self.outputs >= self.num_outputs):
+        if self.values.shape[0] != self.size:
             raise ValidationError(
-                f"output indices must lie in [0, {self.num_outputs})")
+                f"times ({self.size}) and values ({self.values.shape[0]}) "
+                "must have equal length")
+        self.times, self.outputs = _validate_points(
+            self.num_outputs, self.times, self.outputs)
+        if not np.all(np.isfinite(self.values)):
+            raise ValidationError("values must be finite")
+        if np.any(self.times < 0.0) or np.any(self.times > 1.0):
+            raise ValidationError("training times must lie in [0, 1]")
         if for_fitting:
             counts = np.bincount(self.outputs, minlength=self.num_outputs)
             lacking = np.nonzero(counts < 2)[0]
@@ -248,12 +246,12 @@ def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 class _Geometry:
     """What a training set fixes for every parameter setting: the
-    pairwise lags and the (n, M) one-hot output indicator E."""
+    pairwise lags |t_i - t_j| and the (n, M) one-hot output indicator E."""
 
     def __init__(self, training: TrainingSet):
         training.validate()
         times, self.outputs = training.times, training.outputs
-        self.abs_lag, self.sq_lag = _lags(times[:, None], times[None, :])
+        self.lag = np.abs(times[:, None] - times[None, :])
         self.indicator = np.eye(training.num_outputs)[self.outputs]
 
 
@@ -263,8 +261,7 @@ class _Evaluation:
 
     def __init__(self, model: MoGPModel, geometry: _Geometry):
         self.model, self.geometry = model, geometry
-        self.temporal = TemporalKernel(model.kernel, geometry.abs_lag,
-                                       geometry.sq_lag)
+        self.temporal = TemporalKernel(model.kernel, geometry.lag)
         self.b_oo = model.coreg.matrix()[np.ix_(geometry.outputs,
                                                 geometry.outputs)]
         k = self.b_oo * self.temporal.k_t
@@ -369,20 +366,17 @@ def lml_gradient(model: MoGPModel) -> np.ndarray:
 def initialize_model(training: TrainingSet, config: OptimizerConfig) -> MoGPModel:
     """Starting point for the optimizer.
 
-    Unit variances, length-scales 0.2, period 1, W ~ N(0, init_w_std^2)
-    from the config seed, kappa 0.5, per-output empirical means.
+    The config's init_* variance, length-scale and period for all three
+    kernel components, W ~ N(0, init_w_std^2) from the config seed,
+    kappa init_kappa, per-output empirical means.
     """
     training.validate()
     config.validate()
     m = training.num_outputs
     rng = np.random.default_rng(config.seed)
     w = rng.normal(0.0, config.init_w_std, size=(m, config.rank))
-    kernel = CompositeKernelSpec(
-        periodic=SubKernelParams.from_values(
-            config.init_variance, config.init_lengthscale, period=config.init_period),
-        se=SubKernelParams.from_values(config.init_variance, config.init_lengthscale),
-        matern32=SubKernelParams.from_values(config.init_variance, config.init_lengthscale),
-    )
+    kernel = CompositeKernelSpec.from_values(
+        config.init_variance, config.init_lengthscale, config.init_period)
     means = np.zeros(m)
     for idx in range(m):
         sel = training.outputs == idx
@@ -480,8 +474,8 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
     if outside:
         notes.append(f"extrapolation: {outside} query times outside [0, 1]")
 
-    temporal = eval_composite(model.kernel, query[:, None],
-                              model.training.times[None, :])
+    temporal = TemporalKernel(model.kernel, np.abs(
+        query[:, None] - model.training.times[None, :])).k_t
     b = model.coreg.matrix()
     prior_var = model.kernel.prior_variance()
     noise = model.noise_variance

@@ -18,8 +18,7 @@ from gaitmogp import cli, hmm, metrics, mogp
 from gaitmogp.gait_signal import (CHANNELS, JointTrajectory3D, detect_events,
                                   lowpass_filter)
 from gaitmogp.kernels import (CompositeKernelSpec, CoregionalizationFactor,
-                              SubKernelParams, eval_composite, eval_matern32,
-                              eval_periodic, eval_se, gram_matrix)
+                              SubKernelParams, TemporalKernel, gram_matrix)
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -57,15 +56,16 @@ def test_criterion_01_kernel_closed_forms():
         mat = SubKernelParams.from_values(v_m, l_m)
         per = SubKernelParams.from_values(v_p, l_p, period=period)
         spec = CompositeKernelSpec(periodic=per, se=se, matern32=mat)
+        kernel = TemporalKernel(spec, abs(t - u))
 
         worst = max(
             worst,
-            _rel_err(eval_se(se, t, u), float(oracles.se_value(v_s, l_s, t, u))),
-            _rel_err(eval_matern32(mat, t, u),
+            _rel_err(kernel.k_se, float(oracles.se_value(v_s, l_s, t, u))),
+            _rel_err(kernel.k_mat,
                      float(oracles.matern32_value(v_m, l_m, t, u))),
-            _rel_err(eval_periodic(per, t, u),
+            _rel_err(kernel.k_per,
                      float(oracles.periodic_value(v_p, l_p, period, t, u))),
-            _rel_err(eval_composite(spec, t, u),
+            _rel_err(kernel.k_t,
                      float(oracles.composite_value(
                          (v_p, l_p, period), (v_s, l_s), (v_m, l_m), t, u))),
         )

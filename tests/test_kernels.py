@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,7 @@ from gaitmogp.kernels import (
     CoregionalizationFactor,
     SubKernelParams,
     TemporalKernel,
-    eval_composite,
-    eval_matern32,
-    eval_periodic,
-    eval_se,
     gram_matrix,
-    icm_covariance,
     kernel_parameter_names,
 )
 
@@ -33,6 +29,13 @@ COMPOSITE_SPOT = 0.51405075067619723233  # all v=1, l=0.2, p=1, t=0.3, t'=0.62
 
 finite_times = st.floats(min_value=0.0, max_value=1.0)
 log_params = st.floats(min_value=-2.5, max_value=2.5)
+
+# Unit variances and period, length-scales 0.2.
+BASE_SPEC = CompositeKernelSpec.from_values(1.0, 0.2, 1.0)
+
+
+def _lag(t, t_prime):
+    return np.abs(np.subtract(t, t_prime, dtype=float))
 
 
 def _random_spec(rng: np.random.Generator) -> CompositeKernelSpec:
@@ -54,22 +57,24 @@ def _random_coreg(rng: np.random.Generator, num_outputs: int,
 
 class TestClosedFormValues:
     def test_se_spot_value(self):
-        params = SubKernelParams.from_values(1.3, 0.35)
-        assert eval_se(params, 0.2, 0.75) == pytest.approx(SE_SPOT, rel=1e-13)
+        spec = replace(BASE_SPEC, se=SubKernelParams.from_values(1.3, 0.35))
+        assert TemporalKernel(spec, _lag(0.2, 0.75)).k_se == pytest.approx(
+            SE_SPOT, rel=1e-13)
 
     def test_matern32_spot_value(self):
-        params = SubKernelParams.from_values(0.7, 0.15)
-        assert eval_matern32(params, 0.9, 0.05) == pytest.approx(
+        spec = replace(BASE_SPEC,
+                       matern32=SubKernelParams.from_values(0.7, 0.15))
+        assert TemporalKernel(spec, _lag(0.9, 0.05)).k_mat == pytest.approx(
             MATERN_SPOT, rel=1e-13)
 
     def test_periodic_spot_value(self):
-        params = SubKernelParams.from_values(2.1, 0.6, period=1.25)
-        assert eval_periodic(params, 0.1, 0.85) == pytest.approx(
+        spec = replace(BASE_SPEC, periodic=SubKernelParams.from_values(
+            2.1, 0.6, period=1.25))
+        assert TemporalKernel(spec, _lag(0.1, 0.85)).k_per == pytest.approx(
             PERIODIC_SPOT, rel=1e-13)
 
     def test_composite_spot_value(self):
-        spec = CompositeKernelSpec.default()
-        assert eval_composite(spec, 0.3, 0.62) == pytest.approx(
+        assert TemporalKernel(BASE_SPEC, _lag(0.3, 0.62)).k_t == pytest.approx(
             COMPOSITE_SPOT, rel=1e-13)
 
     def test_random_params_match_high_precision_forms(self):
@@ -77,19 +82,20 @@ class TestClosedFormValues:
         for _ in range(50):
             spec = _random_spec(rng)
             t, t_prime = rng.uniform(0.0, 1.0, size=2)
+            kernel = TemporalKernel(spec, _lag(t, t_prime))
             per = spec.periodic
             se = spec.se
             mat = spec.matern32
             checks = [
-                (eval_periodic(per, t, t_prime),
+                (kernel.k_per,
                  oracles.periodic_value(per.variance, per.lengthscale,
                                         per.period, t, t_prime)),
-                (eval_se(se, t, t_prime),
+                (kernel.k_se,
                  oracles.se_value(se.variance, se.lengthscale, t, t_prime)),
-                (eval_matern32(mat, t, t_prime),
+                (kernel.k_mat,
                  oracles.matern32_value(mat.variance, mat.lengthscale,
                                         t, t_prime)),
-                (eval_composite(spec, t, t_prime),
+                (kernel.k_t,
                  oracles.composite_value(
                      (per.variance, per.lengthscale, per.period),
                      (se.variance, se.lengthscale),
@@ -99,12 +105,12 @@ class TestClosedFormValues:
                 assert float(got) == pytest.approx(float(expected), rel=1e-12)
 
     def test_vectorized_evaluation_matches_scalars(self):
-        spec = CompositeKernelSpec.default()
         t = np.linspace(0.0, 1.0, 9)
-        grid = eval_composite(spec, t[:, None], t[None, :])
+        grid = TemporalKernel(BASE_SPEC, _lag(t[:, None], t[None, :])).k_t
         for i in range(9):
             for j in range(9):
-                assert grid[i, j] == float(eval_composite(spec, t[i], t[j]))
+                assert grid[i, j] == float(
+                    TemporalKernel(BASE_SPEC, _lag(t[i], t[j])).k_t)
 
 
 class TestKernelProperties:
@@ -113,8 +119,9 @@ class TestKernelProperties:
     @settings(max_examples=60, deadline=None)
     def test_se_symmetric_and_bounded(self, log_v, log_l, t, t_prime):
         params = SubKernelParams(log_v, log_l)
-        value = float(eval_se(params, t, t_prime))
-        assert value == float(eval_se(params, t_prime, t))
+        spec = replace(BASE_SPEC, se=params)
+        value = float(TemporalKernel(spec, _lag(t, t_prime)).k_se)
+        assert value == float(TemporalKernel(spec, _lag(t_prime, t)).k_se)
         assert 0.0 <= value <= params.variance * (1.0 + 1e-12)
 
     @given(log_v=log_params, log_l=log_params, log_p=log_params,
@@ -123,8 +130,10 @@ class TestKernelProperties:
     def test_periodic_repeats_with_period(self, log_v, log_l, log_p, t,
                                           t_prime):
         params = SubKernelParams(log_v, log_l, log_p)
-        base = float(eval_periodic(params, t, t_prime))
-        shifted = float(eval_periodic(params, t + params.period, t_prime))
+        spec = replace(BASE_SPEC, periodic=params)
+        base = float(TemporalKernel(spec, _lag(t, t_prime)).k_per)
+        shifted = float(
+            TemporalKernel(spec, _lag(t + params.period, t_prime)).k_per)
         assert base == pytest.approx(shifted, rel=1e-9, abs=1e-12)
 
     def test_composite_at_zero_lag_is_prior_variance(self):
@@ -132,7 +141,7 @@ class TestKernelProperties:
         for _ in range(20):
             spec = _random_spec(rng)
             t = float(rng.uniform(0.0, 1.0))
-            assert float(eval_composite(spec, t, t)) == pytest.approx(
+            assert float(TemporalKernel(spec, _lag(t, t)).k_t) == pytest.approx(
                 spec.prior_variance(), rel=1e-12)
 
     def test_gram_matrix_matches_pairwise_icm(self):
@@ -142,10 +151,11 @@ class TestKernelProperties:
         times = rng.uniform(0.0, 1.0, size=8)
         outputs = rng.integers(0, 3, size=8)
         gram = gram_matrix(spec, coreg, times, outputs)
+        b = coreg.matrix()
         for i in range(8):
             for j in range(8):
-                expected = icm_covariance(spec, coreg, int(outputs[i]),
-                                          int(outputs[j]), times[i], times[j])
+                expected = b[outputs[i], outputs[j]] * TemporalKernel(
+                    spec, _lag(times[i], times[j])).k_t
                 assert gram[i, j] == pytest.approx(float(expected), rel=1e-12)
 
     def test_gram_matrix_symmetric_positive_semidefinite(self):
@@ -228,7 +238,7 @@ class TestKernelGradients:
             matern32=SubKernelParams(0.0, 0.0))
         lag = np.array([[0.0, 0.3], [0.3, 0.0]])
         with np.errstate(over="ignore"):
-            kernel = TemporalKernel(spec, lag, lag * lag)
+            kernel = TemporalKernel(spec, lag)
             grad = kernel.gradient(np.ones((2, 2)))
         assert np.all(np.isfinite(grad))
         assert grad[1] == 0.0 and grad[4] == 0.0
@@ -290,24 +300,19 @@ class TestParameterHandling:
 
 class TestPointValidation:
     def test_output_index_out_of_range(self):
-        spec = CompositeKernelSpec.default()
         coreg = CoregionalizationFactor.from_values(
             w=np.ones((2, 1)), kappa=np.ones(2))
         with pytest.raises(ValidationError, match=r"\[0, 2\)"):
-            gram_matrix(spec, coreg, [0.1, 0.2], [0, 2])
-        with pytest.raises(ValidationError, match="out of range"):
-            icm_covariance(spec, coreg, 0, 5, 0.1, 0.2)
+            gram_matrix(BASE_SPEC, coreg, [0.1, 0.2], [0, 2])
 
     def test_empty_points_rejected(self):
-        spec = CompositeKernelSpec.default()
         coreg = CoregionalizationFactor.from_values(
             w=np.ones((2, 1)), kappa=np.ones(2))
         with pytest.raises(ValidationError, match="at least one"):
-            gram_matrix(spec, coreg, [], [])
+            gram_matrix(BASE_SPEC, coreg, [], [])
 
     def test_fractional_output_indices_rejected(self):
-        spec = CompositeKernelSpec.default()
         coreg = CoregionalizationFactor.from_values(
             w=np.ones((2, 1)), kappa=np.ones(2))
         with pytest.raises(ValidationError, match="integers"):
-            gram_matrix(spec, coreg, [0.1, 0.2], [0.0, 0.5])
+            gram_matrix(BASE_SPEC, coreg, [0.1, 0.2], [0.0, 0.5])

@@ -316,6 +316,17 @@ class TestTrainingSetValidation:
         with pytest.raises(ValidationError, match="equal length"):
             training.validate()
 
+    @pytest.mark.parametrize("outputs, match", [
+        ([0, 0.5, 1, 1.7, 0, 1], "integers"),
+        ([0, 1, 0, 1, 0, float("nan")], "integers"),
+        ([0, 1, 0, 1, 0, 2], r"\[0, 2\)"),
+    ])
+    def test_output_indices_checked_like_gram_matrix(self, outputs, match):
+        training = TrainingSet(times=np.linspace(0.0, 1.0, 6), outputs=outputs,
+                               values=np.zeros(6), num_outputs=2)
+        with pytest.raises(ValidationError, match=match):
+            training.validate(for_fitting=True)
+
     def test_data_hash_is_stable_and_sensitive(self):
         training = TrainingSet(times=[0.1, 0.2], outputs=[0, 0],
                                values=[1.0, 2.0], num_outputs=1)
