@@ -20,13 +20,13 @@ from .hmm import (AnomalousSegment, BaumWelchConfig, DecodedStates, HmmModel,
                   ObservationSequence, anomalous_segments, baum_welch_fit,
                   default_model, emission_logpdf, forward_log_likelihood,
                   init_emissions_from_data, viterbi_decode)
-from .gait_signal import (CHANNELS, GaitEvents, JointTrajectory3D,
-                          PhaseDurations, TrajectorySet, detect_events,
-                          impute_missing, knee_angle, lowpass_filter,
-                          normalize_and_align, phase_durations)
+from .gait_signal import (CHANNELS, GaitEvents, PhaseDurations,
+                          detect_events, impute_missing, knee_angle,
+                          lowpass_filter, normalize_and_align,
+                          phase_durations)
 from .metrics import (MetricReport, adtw, compute_report, dtw, mae,
                       r_squared)
-from .dataio import (AnomalySpec, RawCycle, SubjectRecord, SynthConfig,
+from .dataio import (AnomalySpec, SubjectRecord, SynthConfig,
                      generate_synthetic, load_corpus, loso_splits,
                      save_corpus)
 
@@ -43,11 +43,11 @@ __all__ = [
     "ObservationSequence", "anomalous_segments", "baum_welch_fit",
     "default_model", "emission_logpdf", "forward_log_likelihood",
     "init_emissions_from_data", "viterbi_decode",
-    "CHANNELS", "GaitEvents", "JointTrajectory3D", "PhaseDurations",
-    "TrajectorySet", "detect_events", "impute_missing", "knee_angle",
-    "lowpass_filter", "normalize_and_align", "phase_durations",
+    "CHANNELS", "GaitEvents", "PhaseDurations", "detect_events",
+    "impute_missing", "knee_angle", "lowpass_filter", "normalize_and_align",
+    "phase_durations",
     "MetricReport", "adtw", "compute_report", "dtw", "mae", "r_squared",
-    "AnomalySpec", "RawCycle", "SubjectRecord", "SynthConfig",
+    "AnomalySpec", "SubjectRecord", "SynthConfig",
     "generate_synthetic", "load_corpus", "loso_splits", "save_corpus",
     "__version__",
 ]

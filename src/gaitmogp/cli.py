@@ -305,11 +305,11 @@ def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
     (subject, pooled fit or LOSO split) has its own reproducible draw.
     """
     rng = np.random.default_rng([cfg.seed, index])
-    cycles = [cycle for record in records for cycle in record.cycles]
+    cycles = np.concatenate([record.cycles for record in records])
+    cycle_times = np.tile(records[0].grid, len(cycles))
     times, outputs, values = [], [], []
     for m in range(len(CHANNELS)):
-        pool_t = np.concatenate([cycle.grid for cycle in cycles])
-        pool_v = np.concatenate([cycle.channels[m] for cycle in cycles])
+        pool_t, pool_v = cycle_times, cycles[:, m].ravel()
         if cfg.points_per_channel < pool_t.shape[0]:
             idx = np.sort(rng.choice(pool_t.shape[0], cfg.points_per_channel,
                                      replace=False))
@@ -361,9 +361,9 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_preprocess(cfg: RunConfig) -> int:
     records = _load_corpus(cfg)
-    rows = ((record.subject_id, record.cohort, cycle.cycle_index, k, name, v)
-            for record in records for cycle in record.cycles
-            for name, channel in zip(CHANNELS, cycle.channels)
+    rows = ((record.subject_id, record.cohort, c, k, name, v)
+            for record in records for c, cycle in enumerate(record.cycles)
+            for name, channel in zip(CHANNELS, cycle)
             for k, v in enumerate(channel))
     _write_table(cfg.output_path, "processed-v1", (
         "subject_id", "cohort", "cycle", "position", "channel", "value"), rows)
@@ -441,7 +441,7 @@ def _apply_decision_rule(decoded: hmm.DecodedStates, grid: np.ndarray,
 
 def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
                      index: int, shared_hmm: hmm.HmmModel | None) -> dict:
-    grid = record.cycles[0].grid
+    grid = record.grid
     notes: list[str] = []
 
     if cfg.observation_source == "mogp-predicted":
@@ -451,13 +451,17 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
             if not os.path.exists(path):
                 raise ValidationError(f"missing model file: {path}")
             model = mogp.load_model(path)
+            if model.num_outputs != len(CHANNELS):
+                raise ValidationError(
+                    f"{path}: model has {model.num_outputs} outputs, "
+                    f"segment needs {len(CHANNELS)} ({', '.join(CHANNELS)})")
         else:
             model = _fit_records(cfg, [record], index)
         pred = mogp.predict(model, grid)
         right = pred.mean[CHANNELS.index("ankle_right")]
         left = pred.mean[CHANNELS.index("ankle_left")]
     else:
-        stacked = np.mean([c.channels for c in record.cycles], axis=0)
+        stacked = record.cycles.mean(axis=0)
         right = stacked[CHANNELS.index("ankle_right")]
         left = stacked[CHANNELS.index("ankle_left")]
 
@@ -536,9 +540,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     per_split_values: list[dict[str, float]] = []
     for split_index, (train, held) in enumerate(splits):
         model = _fit_records(cfg, train, split_index)
-        grid = held.cycles[0].grid
-        pred = mogp.predict(model, grid)
-        truth = np.mean([c.channels for c in held.cycles], axis=0)
+        pred = mogp.predict(model, held.grid)
+        truth = held.cycles.mean(axis=0)
 
         # The raw local cost |s a - s b| is s |a - b|, so each raw DTW is
         # the channel std times the normalized one.

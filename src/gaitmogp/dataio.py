@@ -12,6 +12,12 @@ rows of a frame in CHANNELS order; ``save_corpus`` always writes the
 canonical form, so save(load(f)) round-trips canonical files
 byte-for-byte.
 
+Each subject becomes one ``SubjectRecord`` of plain arrays: its raw
+cycles as (L, 6, 3) arrays keyed by corpus cycle id (NaN marks a gap),
+and the preprocessed cycles as one (C, 6, T) array on the T-point grid.
+A cycle that cannot be preprocessed (too short to filter, a gap run too
+long to impute) is reported with its subject id and corpus cycle id.
+
 Synthetic subjects are built from a shared two-harmonic template
 
     y(t) = offset + A_joint * (-cos(2*pi*t) + 0.3 * cos(4*pi*t + phi_joint))
@@ -33,10 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .gait_signal import (CHANNELS, JOINTS, SIDES, JointTrajectory3D,
-                          TrajectorySet, impute_missing, lowpass_filter,
-                          normalize_and_align, DEFAULT_GRID_POINTS,
-                          DEFAULT_FILTER_CUTOFF_HZ, DEFAULT_FILTER_ORDER)
+from .gait_signal import (CHANNELS, JOINTS, SIDES, impute_missing,
+                          lowpass_filter, normalize_and_align,
+                          DEFAULT_GRID_POINTS, DEFAULT_FILTER_CUTOFF_HZ,
+                          DEFAULT_FILTER_ORDER)
 from .serialize import atomic_write_text, format_float, read_text
 
 CSV_HEADER = "subject_id,cohort,cycle,frame,joint,side,x,y,z"
@@ -53,34 +59,23 @@ SECOND_HARMONIC_WEIGHT = 0.3
 
 
 @dataclass
-class RawCycle:
-    """Unprocessed per-cycle joint trajectories, keyed by channel name."""
-
-    cycle_id: int
-    trajectories: dict[str, JointTrajectory3D]
-
-    def __post_init__(self):
-        if set(self.trajectories) != set(CHANNELS):
-            raise ValidationError(
-                f"cycle {self.cycle_id}: expected channels {CHANNELS}")
-        lengths = {len(t) for t in self.trajectories.values()}
-        if len(lengths) != 1:
-            raise ValidationError(
-                f"cycle {self.cycle_id}: channel lengths differ")
-
-    @property
-    def length(self) -> int:
-        return len(self.trajectories[CHANNELS[0]])
-
-
-@dataclass
 class SubjectRecord:
-    """One subject: processed cycles plus the raw data they came from."""
+    """One subject: its normalized cycles plus the raw data they came from.
+
+    ``raw_cycles`` maps each corpus cycle id, in increasing order, to an
+    (L, 6, 3) array of (x, y, z) samples per frame and channel (CHANNELS
+    order), NaN marking a gap. ``cycles[c]`` is the c-th of them imputed,
+    filtered, resampled onto ``grid`` (T points) and z-scored per channel
+    with ``channel_means``/``channel_stds``, giving a (C, 6, T) array.
+    """
 
     subject_id: str
     cohort: str
-    cycles: list[TrajectorySet]
-    raw_cycles: list[RawCycle]
+    grid: np.ndarray
+    cycles: np.ndarray
+    channel_means: np.ndarray
+    channel_stds: np.ndarray
+    raw_cycles: dict[int, np.ndarray]
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,16 +84,8 @@ class SubjectRecord:
         if self.cohort not in COHORTS:
             raise ValidationError(
                 f"cohort must be one of {COHORTS}, got {self.cohort!r}")
-        if not self.cycles:
+        if len(self.cycles) == 0:
             raise ValidationError(f"{self.subject_id}: needs >= 1 cycle")
-
-    @property
-    def channel_means(self) -> np.ndarray:
-        return self.cycles[0].channel_means
-
-    @property
-    def channel_stds(self) -> np.ndarray:
-        return self.cycles[0].channel_stds
 
 
 @dataclass
@@ -150,24 +137,28 @@ class SynthConfig:
         self.anomaly.validate()
 
 
-def _build_record(subject_id: str, cohort: str, raw_cycles: list[RawCycle],
+def _build_record(subject_id: str, cohort: str,
+                  raw_cycles: dict[int, np.ndarray],
                   provenance: dict[str, str],
                   filter_cutoff_hz: float | None,
                   filter_order: int, num_points: int) -> SubjectRecord:
     """Run the preprocessing chain (impute -> filter -> normalize/align)."""
-    cycle_rows = []
-    for raw in raw_cycles:
-        rows = []
-        for name in CHANNELS:
-            traj = impute_missing(raw.trajectories[name])
+    heights = []
+    for cycle_id, raw in raw_cycles.items():
+        try:
+            samples = impute_missing(raw)
             if filter_cutoff_hz is not None:
-                traj = lowpass_filter(traj, filter_cutoff_hz, filter_order)
-            rows.append(traj.y)
-        cycle_rows.append(np.stack(rows))
-    cycles = normalize_and_align(cycle_rows, subject_id=subject_id,
-                                 num_points=num_points)
-    return SubjectRecord(subject_id=subject_id, cohort=cohort, cycles=cycles,
-                         raw_cycles=raw_cycles, provenance=provenance)
+                samples = lowpass_filter(samples, filter_cutoff_hz,
+                                         filter_order)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"subject {subject_id}, cycle {cycle_id}: {exc}") from None
+        heights.append(samples[:, :, 1].T)
+    grid, cycles, means, stds = normalize_and_align(heights, num_points)
+    return SubjectRecord(subject_id=subject_id, cohort=cohort, grid=grid,
+                         cycles=cycles, channel_means=means,
+                         channel_stds=stds, raw_cycles=raw_cycles,
+                         provenance=provenance)
 
 
 def _parse_coordinate(text: str, line_no: int, column: str) -> float:
@@ -255,7 +246,7 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
 
     records = []
     for subject in sorted(data):
-        raw_cycles = []
+        raw_cycles = {}
         for cycle_id in sorted(data[subject]):
             frames = data[subject][cycle_id]
             length = len(frames)
@@ -263,21 +254,15 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
                 raise ValidationError(
                     f"subject {subject}, cycle {cycle_id}: frames must be "
                     f"consecutive from 0")
-            trajectories = {}
-            for channel in CHANNELS:
-                samples = np.empty((length, 3))
+            raw = np.empty((length, len(CHANNELS), 3))
+            for j, channel in enumerate(CHANNELS):
                 for frame in range(length):
                     if channel not in frames[frame]:
                         raise ValidationError(
                             f"subject {subject}, cycle {cycle_id}, frame "
                             f"{frame}: missing {channel} row")
-                    samples[frame] = frames[frame][channel]
-                joint, side = channel.rsplit("_", 1)
-                trajectories[channel] = JointTrajectory3D(
-                    joint=joint, side=side, samples=samples,
-                    gap_mask=~np.isfinite(samples))
-            raw_cycles.append(RawCycle(cycle_id=cycle_id,
-                                       trajectories=trajectories))
+                    raw[frame, j] = frames[frame][channel]
+            raw_cycles[cycle_id] = raw
         records.append(_build_record(
             subject, cohorts[subject], raw_cycles,
             provenance={"source": str(path)},
@@ -293,16 +278,15 @@ def save_corpus(records: list[SubjectRecord], path) -> None:
         raise ValidationError("duplicate subject ids in corpus")
     lines = [CSV_HEADER]
     for record in sorted(records, key=lambda r: r.subject_id):
-        for raw in sorted(record.raw_cycles, key=lambda c: c.cycle_id):
-            for frame in range(raw.length):
-                for channel in CHANNELS:
+        for cycle_id, raw in sorted(record.raw_cycles.items()):
+            for frame, row in enumerate(raw):
+                for channel, sample in zip(CHANNELS, row):
                     joint, side = channel.rsplit("_", 1)
-                    sample = raw.trajectories[channel].samples[frame]
                     coords = ",".join(
                         "" if not math.isfinite(v) else format_float(float(v))
                         for v in sample)
                     lines.append(
-                        f"{record.subject_id},{record.cohort},{raw.cycle_id},"
+                        f"{record.subject_id},{record.cohort},{cycle_id},"
                         f"{frame},{joint},{side},{coords}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -361,11 +345,11 @@ def generate_synthetic(config: SynthConfig, *,
                       for j, joint in enumerate(JOINTS)}
             lengths = BASE_CYCLE_FRAMES + 2 * length_steps
 
-            raw_cycles = []
+            raw_cycles = {}
             for cycle_id, length in enumerate(int(n) for n in lengths):
                 t = np.arange(length, dtype=float) / length
-                trajectories = {}
-                for channel in CHANNELS:
+                raw = np.empty((length, len(CHANNELS), 3))
+                for j, channel in enumerate(CHANNELS):
                     joint, side = channel.rsplit("_", 1)
                     t_side = t if side == "right" else t - 0.5
                     samples = np.column_stack([
@@ -381,10 +365,8 @@ def generate_synthetic(config: SynthConfig, *,
                             and side == config.anomaly.affected_side):
                         mask = config.anomaly.window_mask(t)
                         samples[:, 1] += config.anomaly.amplitude_shift * mask
-                    trajectories[channel] = JointTrajectory3D(
-                        joint=joint, side=side, samples=samples)
-                raw_cycles.append(RawCycle(cycle_id=cycle_id,
-                                           trajectories=trajectories))
+                    raw[:, j] = samples
+                raw_cycles[cycle_id] = raw
 
             provenance = {
                 "generator": "synthetic-v1",

@@ -7,8 +7,10 @@ detection, stance/swing phase durations, and knee angles.
 
 Conventions
 -----------
-- Source signals are 3-D joint displacements sampled at 30 FPS; only the
-  y (vertical) axis enters modeling, x/z are kept for knee angles.
+- Signals are plain arrays with time along axis 0. A raw cycle is an
+  (L, 6, 3) array: L frames at 30 FPS, the six channels in CHANNELS
+  order, and (x, y, z) joint displacements, with NaN marking a gap. Only
+  the y (vertical) axis enters modeling; x/z are kept for knee angles.
 - The normalized cycle grid is t_k = k / T for k = 0..T-1: a gait cycle
   is periodic, so the grid excludes the duplicate endpoint t = 1 and
   resampling interpolates cyclically.
@@ -20,7 +22,7 @@ All operations are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, filtfilt, find_peaks
@@ -43,86 +45,6 @@ ALLOWED_FILTER_ORDERS = (2, 4, 6)
 PROMINENCE_FRACTION = 0.2
 MIN_EVENT_SPACING = 0.15
 FLAT_SIGNAL_PTP = 1e-9
-
-
-@dataclass
-class JointTrajectory3D:
-    """(x, y, z) displacement samples of one joint at 30 FPS.
-
-    gap_mask marks samples that were missing in the source and later
-    imputed; it is carried for provenance and round-tripping.
-    """
-
-    joint: str
-    side: str
-    samples: np.ndarray
-    gap_mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if self.joint not in JOINTS:
-            raise ValidationError(f"unknown joint label {self.joint!r}")
-        if self.side not in SIDES:
-            raise ValidationError(f"unknown side label {self.side!r}")
-        if self.samples.ndim != 2 or self.samples.shape[1] != 3:
-            raise ValidationError("samples must have shape (N, 3)")
-        if self.samples.shape[0] < 2:
-            raise ValidationError("trajectory needs at least 2 samples")
-        if self.gap_mask is not None:
-            self.gap_mask = np.asarray(self.gap_mask, dtype=bool)
-            if self.gap_mask.shape != self.samples.shape:
-                raise ValidationError("gap_mask must match samples shape")
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.samples[:, 1]
-
-
-@dataclass
-class TrajectorySet:
-    """One cycle's six y-channels on the normalized T-point grid.
-
-    channel_means/channel_stds hold the per-subject normalization
-    constants so values can be mapped back to raw units.
-    """
-
-    subject_id: str
-    cycle_index: int
-    grid: np.ndarray
-    channels: np.ndarray
-    channel_means: np.ndarray | None = None
-    channel_stds: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float).ravel()
-        self.channels = np.atleast_2d(np.asarray(self.channels, dtype=float))
-        if self.channels.shape[0] != len(CHANNELS):
-            raise ValidationError(
-                f"expected {len(CHANNELS)} channels, got {self.channels.shape[0]}")
-        if self.channels.shape[1] != self.grid.shape[0]:
-            raise ValidationError("channel length must match grid length")
-        if self.grid.shape[0] < 2:
-            raise ValidationError("grid needs at least 2 points")
-        if np.any(self.grid < 0.0) or np.any(self.grid > 1.0):
-            raise ValidationError("grid must lie within [0, 1]")
-        steps = np.diff(self.grid)
-        if np.max(np.abs(steps - steps[0])) > 1e-12 or steps[0] <= 0.0:
-            raise ValidationError("grid must be uniform and increasing")
-        if not np.all(np.isfinite(self.channels)):
-            raise ValidationError("channel values must be finite")
-
-    @property
-    def num_points(self) -> int:
-        return self.grid.shape[0]
-
-    def channel(self, name: str) -> np.ndarray:
-        try:
-            return self.channels[CHANNELS.index(name)]
-        except ValueError:
-            raise ValidationError(f"unknown channel {name!r}")
 
 
 @dataclass
@@ -160,11 +82,15 @@ class PhaseDurations:
             raise ValidationError("durations must be positive")
 
 
-def lowpass_filter(traj: JointTrajectory3D,
-                   cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
+def lowpass_filter(samples, cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
                    order: int = DEFAULT_FILTER_ORDER,
-                   frame_rate: float = FRAME_RATE) -> JointTrajectory3D:
-    """Zero-phase Butterworth low-pass, applied per axis (DC gain 1)."""
+                   frame_rate: float = FRAME_RATE) -> np.ndarray:
+    """Zero-phase Butterworth low-pass along axis 0 (DC gain 1).
+
+    Every other axis is filtered independently, so one call filters a
+    whole (L, 6, 3) cycle.
+    """
+    samples = np.asarray(samples, dtype=float)
     nyquist = frame_rate / 2.0
     if not 0.0 < cutoff_hz < nyquist:
         raise ValidationError(
@@ -175,39 +101,40 @@ def lowpass_filter(traj: JointTrajectory3D,
     b, a = butter(order, cutoff_hz, btype="low", fs=frame_rate)
     # filtfilt pads with 3 * (order + 1) samples on each side.
     min_len = 3 * (order + 1) + 1
-    if len(traj) < min_len:
+    if samples.shape[0] < min_len:
         raise ValidationError(
-            f"signal too short to filter: {len(traj)} < {min_len} samples")
-    filtered = filtfilt(b, a, traj.samples, axis=0)
-    return JointTrajectory3D(joint=traj.joint, side=traj.side,
-                             samples=filtered, gap_mask=traj.gap_mask)
+            f"signal too short to filter: {samples.shape[0]} < {min_len} "
+            f"samples")
+    return filtfilt(b, a, samples, axis=0)
 
 
-def impute_missing(traj: JointTrajectory3D) -> JointTrajectory3D:
-    """Fill NaN gaps by linear interpolation, holding edge values.
+def impute_missing(samples) -> np.ndarray:
+    """Fill NaN gaps along axis 0 by linear interpolation, holding edge
+    values; every other index is a separate signal.
 
     Gap runs must be shorter than one third of the sequence; longer runs
-    raise, recommending the cycle be excluded.
+    raise, recommending the cycle be excluded. The error names the
+    channel when ``samples`` is an (L, 6, 3) cycle.
     """
-    samples = traj.samples.copy()
-    n = samples.shape[0]
-    mask = ~np.isfinite(samples)
-    for axis in range(3):
-        gap = mask[:, axis]
-        if not np.any(gap):
-            continue
+    filled = np.array(samples, dtype=float)
+    n = filled.shape[0]
+    columns = filled.reshape(n, -1)  # a view: writes land in ``filled``
+    gaps = ~np.isfinite(columns)
+    idx = np.arange(n, dtype=float)
+    for col in np.nonzero(gaps.any(axis=0))[0]:
+        gap = gaps[:, col]
         run = _longest_run(gap)
         if 3 * run >= n:
+            label = (CHANNELS[col // 3]
+                     if filled.shape[1:] == (len(CHANNELS), 3)
+                     else f"column {col}")
             raise ValidationError(
-                f"{traj.joint}_{traj.side}: gap run of {run} samples is >= "
-                f"1/3 of the sequence ({n}); exclude this cycle")
-        good = np.nonzero(~gap)[0]
-        idx = np.arange(n, dtype=float)
+                f"{label}: gap run of {run} samples is >= 1/3 of the "
+                f"sequence ({n}); exclude this cycle")
         # np.interp holds the first/last known value at the edges.
-        samples[gap, axis] = np.interp(idx[gap], idx[good], samples[good, axis])
-    new_mask = mask if traj.gap_mask is None else (mask | traj.gap_mask)
-    return JointTrajectory3D(joint=traj.joint, side=traj.side,
-                             samples=samples, gap_mask=new_mask)
+        columns[gap, col] = np.interp(idx[gap], idx[~gap],
+                                      columns[~gap, col])
+    return filled
 
 
 def _longest_run(flags: np.ndarray) -> int:
@@ -226,8 +153,7 @@ def _resample_cyclic(values: np.ndarray, num_points: int) -> np.ndarray:
     return np.interp(targets, positions, values, period=1.0)
 
 
-def normalize_and_align(cycles, subject_id: str = "",
-                        num_points: int = DEFAULT_GRID_POINTS) -> list[TrajectorySet]:
+def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
     """Align cycles onto the T-point grid and z-score per subject.
 
     Parameters
@@ -237,9 +163,11 @@ def normalize_and_align(cycles, subject_id: str = "",
 
     Returns
     -------
-    One TrajectorySet per input cycle. Channels are resampled onto the
-    uniform grid and then z-scored against the subject's pooled cycles,
-    so each channel has mean 0 and variance 1 across the returned sets.
+    (grid, normalized, means, stds): the (T,) grid t_k = k / T; the
+    (C, 6, T) cycles resampled onto it and z-scored against the
+    subject's pooled cycles, so each channel has mean 0 and variance 1
+    across all C cycles; and the (6,) per-channel constants that map
+    normalized values back to raw units.
     """
     if num_points < 2:
         raise ValidationError("num_points must be >= 2")
@@ -256,11 +184,10 @@ def normalize_and_align(cycles, subject_id: str = "",
         if not np.all(np.isfinite(cycle)):
             raise ValidationError(f"cycle {i}: non-finite values")
 
-    resampled = [
-        np.stack([_resample_cyclic(cycle[ch], num_points)
-                  for ch in range(len(CHANNELS))])
-        for cycle in cycles
-    ]
+    resampled = np.array([[_resample_cyclic(row, num_points) for row in cycle]
+                          for cycle in cycles])
+    # Pool as (6, C*T): numpy's pairwise sums, and so the last bits of
+    # the constants, depend on the layout.
     pooled = np.concatenate(resampled, axis=1)
     means = pooled.mean(axis=1)
     stds = pooled.std(axis=1)
@@ -268,16 +195,8 @@ def normalize_and_align(cycles, subject_id: str = "",
     if flat.size:
         raise ValidationError(
             f"zero-variance channel(s): {[CHANNELS[i] for i in flat]}")
-
     grid = np.arange(num_points, dtype=float) / num_points
-    sets = []
-    for index, cycle in enumerate(resampled):
-        normalized = (cycle - means[:, None]) / stds[:, None]
-        sets.append(TrajectorySet(
-            subject_id=subject_id, cycle_index=index, grid=grid,
-            channels=normalized, channel_means=means.copy(),
-            channel_stds=stds.copy()))
-    return sets
+    return grid, (resampled - means[:, None]) / stds[:, None], means, stds
 
 
 def detect_events(values, grid=None,
@@ -372,21 +291,24 @@ def phase_durations(events: GaitEvents) -> PhaseDurations:
     return PhaseDurations(stance=stance, swing=swing, side=events.side)
 
 
-def knee_angle(hip: JointTrajectory3D, knee: JointTrajectory3D,
-               ankle: JointTrajectory3D) -> np.ndarray:
-    """Inner knee angle per sample, in degrees within [0, 180].
+def knee_angle(hip, knee, ankle) -> np.ndarray:
+    """Inner knee angle per sample, in degrees within [0, 180], from three
+    (L, 3) position arrays.
 
     angle(t) = arccos( <hip-knee, ankle-knee> / (|hip-knee| |ankle-knee|) ).
     """
-    if not (len(hip) == len(knee) == len(ankle)):
-        raise ValidationError("hip, knee and ankle must have equal lengths")
-    thigh = hip.samples - knee.samples
-    shank = ankle.samples - knee.samples
-    norm_t = np.linalg.norm(thigh, axis=1)
-    norm_s = np.linalg.norm(shank, axis=1)
+    hip, knee, ankle = (np.asarray(a, dtype=float) for a in (hip, knee, ankle))
+    if not (hip.shape == knee.shape == ankle.shape):
+        raise ValidationError(
+            f"hip, knee and ankle must have equal lengths, got shapes "
+            f"{hip.shape}, {knee.shape}, {ankle.shape}")
+    thigh = hip - knee
+    shank = ankle - knee
+    norm_t = np.linalg.norm(thigh, axis=-1)
+    norm_s = np.linalg.norm(shank, axis=-1)
     bad = np.nonzero((norm_t <= 1e-9) | (norm_s <= 1e-9))[0]
     if bad.size:
         raise ValidationError(
             f"degenerate leg segment at sample index {int(bad[0])}")
-    cos = np.sum(thigh * shank, axis=1) / (norm_t * norm_s)
+    cos = np.sum(thigh * shank, axis=-1) / (norm_t * norm_s)
     return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))

@@ -3,7 +3,8 @@
 Everything here is written the slow, obvious way on purpose: arbitrary
 precision arithmetic for kernel values, one dense dK/dtheta matrix per
 kernel parameter, dense matrix inversion for GP posteriors, exhaustive
-path enumeration for HMM likelihoods and DTW.
+path enumeration for HMM likelihoods and DTW, and one channel at a time
+for the preprocessing chain.
 None of it shares code with the package beyond reading plain parameter
 values off the public dataclasses, so agreement is meaningful.
 """
@@ -14,6 +15,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.signal import butter, filtfilt
 from scipy.stats import multivariate_normal
 
 mp.mp.dps = 50
@@ -352,3 +354,39 @@ def dtw_enumerate(a, b) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# Preprocessing chain, one channel of one cycle at a time.
+
+def preprocess_subject(raw_cycles, cutoff_hz: float, order: int,
+                       frame_rate: float, num_points: int):
+    """Normalized (C, 6, T) cycles, channel means and stds of one subject.
+
+    ``raw_cycles`` is a list of (L, 6, 3) arrays with NaN at gaps. Each
+    channel's y signal is gap-filled with ``np.interp`` over the frame
+    index, low-passed with a Butterworth ``filtfilt``, resampled onto
+    k / T with a cyclic ``np.interp``, and z-scored with the mean and
+    std of that channel over all of the subject's resampled cycles.
+    """
+    b, a = butter(order, cutoff_hz, btype="low", fs=frame_rate)
+    grid = np.arange(num_points, dtype=float) / num_points
+    resampled = []
+    for raw in raw_cycles:
+        length = raw.shape[0]
+        frames = np.arange(length, dtype=float)
+        rows = []
+        for channel in range(raw.shape[1]):
+            y = raw[:, channel, 1].copy()
+            gap = np.isnan(y)
+            y[gap] = np.interp(frames[gap], frames[~gap], y[~gap])
+            y = filtfilt(b, a, y)
+            rows.append(np.interp(grid, frames / length, y, period=1.0))
+        resampled.append(np.array(rows))
+    # Rows are channels, columns every grid point of every cycle.
+    pooled = np.concatenate(resampled, axis=1)
+    means = pooled.mean(axis=1)
+    stds = pooled.std(axis=1)
+    normalized = np.array([(cycle - means[:, None]) / stds[:, None]
+                           for cycle in resampled])
+    return normalized, means, stds

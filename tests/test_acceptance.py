@@ -15,8 +15,7 @@ import numpy as np
 
 import oracles
 from gaitmogp import cli, hmm, metrics, mogp
-from gaitmogp.gait_signal import (CHANNELS, JointTrajectory3D, detect_events,
-                                  lowpass_filter)
+from gaitmogp.gait_signal import CHANNELS, detect_events, lowpass_filter
 from gaitmogp.kernels import (CompositeKernelSpec, CoregionalizationFactor,
                               SubKernelParams, TemporalKernel, gram_matrix)
 
@@ -368,11 +367,9 @@ def test_criterion_08_event_detection():
         phase = float(rng.uniform())
         noisy = _template((grid - phase) % 1.0) + rng.normal(0.0, 0.05, n)
         tiled = np.tile(noisy, 3)
-        traj = JointTrajectory3D(
-            joint="ankle", side="right",
-            samples=np.column_stack([np.zeros(3 * n), tiled, np.ones(3 * n)]))
+        traj = np.column_stack([np.zeros(3 * n), tiled, np.ones(3 * n)])
         smoothed = lowpass_filter(traj, cutoff_hz=4.0, order=4,
-                                  frame_rate=float(n)).samples[n:2 * n, 1]
+                                  frame_rate=float(n))[n:2 * n, 1]
         events = detect_events(smoothed, grid)
         noisy_hits += int(
             len(events.heel_strikes) == 1 and len(events.toe_offs) == 1

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitmogp import cli, hmm
+from gaitmogp import cli, hmm, mogp
 from gaitmogp.dataio import CSV_HEADER
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import CHANNELS
@@ -163,6 +163,26 @@ class TestErrorReporting:
                          "--grid-points", "40"]) == 2
         assert "missing model file" in \
             json.loads(capsys.readouterr().err)["error"]
+
+    def test_mogp_dir_model_with_wrong_channel_count(self, pipeline,
+                                                     tmp_path, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        training = mogp.TrainingSet(times=[0.1, 0.4, 0.2, 0.7],
+                                    outputs=[0, 0, 1, 1],
+                                    values=[0.3, -0.2, 0.5, 0.1],
+                                    num_outputs=2)
+        model = mogp.fit(training, mogp.OptimizerConfig(iterations=0))
+        mogp.save_model(model, str(models / "C01.mogp"))
+        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
+                         "--output", str(tmp_path / "report.json"),
+                         "--mogp-dir", str(models),
+                         "--grid-points", "40"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert str(models / "C01.mogp") in error
+        assert "2 outputs" in error
 
     @pytest.mark.parametrize("key, value", [
         ("num_outputs", "six"),

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gaitmogp.dataio import (
     CSV_HEADER,
     AnomalySpec,
-    SubjectRecord,
     SynthConfig,
     generate_synthetic,
     load_corpus,
@@ -15,6 +16,8 @@ from gaitmogp.dataio import (
 )
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import CHANNELS
+
+import oracles
 
 
 def _small_config(**overrides) -> SynthConfig:
@@ -52,8 +55,8 @@ class TestRoundTrip:
 
     def test_gap_fields_round_trip_as_empty(self, tmp_path):
         records = generate_synthetic(_small_config())
-        target = records[0].raw_cycles[0].trajectories["ankle_right"]
-        target.samples[5, 1] = np.nan
+        ankle_right = CHANNELS.index("ankle_right")
+        records[0].raw_cycles[0][5, ankle_right, 1] = np.nan
         path = tmp_path / "corpus.csv"
         save_corpus(records, path)
         gap_lines = [line for line in path.read_text().splitlines()
@@ -62,11 +65,26 @@ class TestRoundTrip:
         assert len(gap_lines) == 1
         assert gap_lines[0].split(",")[7] == ""
         reloaded = load_corpus(path, filter_cutoff_hz=None)
-        raw = reloaded[0].raw_cycles[0].trajectories["ankle_right"]
-        assert raw.gap_mask[5, 1]
-        assert np.isnan(raw.samples[5, 1])
-        finite = np.isfinite(raw.samples)
+        raw = reloaded[0].raw_cycles[0][:, ankle_right]
+        assert np.isnan(raw[5, 1])
+        finite = np.isfinite(raw)
         assert np.sum(~finite) == 1
+
+    def test_cycle_ids_are_not_renumbered(self, tmp_path):
+        records = generate_synthetic(_small_config(noise_level=0.002))
+        for record in records:
+            record.raw_cycles = {0: record.raw_cycles[0],
+                                 7: record.raw_cycles[1]}
+        records[1].raw_cycles[7][3, CHANNELS.index("knee_left"), 0] = np.nan
+        first = tmp_path / "corpus.csv"
+        save_corpus(records, first)
+        assert sum(line.split(",")[6] == "" for line in
+                   first.read_text().splitlines()) == 1
+        reloaded = load_corpus(first)
+        assert [list(r.raw_cycles) for r in reloaded] == [[0, 7], [0, 7]]
+        second = tmp_path / "again.csv"
+        save_corpus(reloaded, second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_generation_is_deterministic(self, tmp_path):
         config = _small_config(noise_level=0.002)
@@ -197,15 +215,64 @@ class TestLoaderValidation:
             load_corpus(path)
 
 
+class TestPreprocessingErrors:
+    """A cycle that cannot be preprocessed is named by subject and id."""
+
+    @staticmethod
+    def _load_with_cycle(tmp_path, change):
+        records = generate_synthetic(_small_config())
+        records[0].raw_cycles[1] = change(records[0].raw_cycles[1])
+        path = tmp_path / "corpus.csv"
+        save_corpus(records, path)
+        return load_corpus(path)
+
+    def test_short_cycle_names_subject_and_cycle(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^subject C01, cycle 1: "
+                           r"signal too short to filter: 12 < 16 samples"):
+            self._load_with_cycle(tmp_path, lambda raw: raw[:12])
+
+    def test_long_gap_names_subject_and_cycle(self, tmp_path):
+        def punch(raw):
+            raw[10:40, CHANNELS.index("ankle_right"), 1] = np.nan
+            return raw
+
+        with pytest.raises(ValidationError, match=r"^subject C01, cycle 1: "
+                           r"ankle_right: gap run of 30 samples .* "
+                           r"exclude this cycle"):
+            self._load_with_cycle(tmp_path, punch)
+
+
+class TestPreprocessingChain:
+    def test_matches_per_channel_reference(self, tmp_path):
+        records = generate_synthetic(_small_config(noise_level=0.002,
+                                                   cycles_per_subject=3))
+        raw = records[1].raw_cycles
+        raw[0][20:24, CHANNELS.index("hip_left"), 1] = np.nan
+        raw[2][:3, CHANNELS.index("ankle_left"), 1] = np.nan
+        raw[2][-2:, CHANNELS.index("knee_right"), :] = np.nan
+        path = tmp_path / "corpus.csv"
+        save_corpus(records, path)
+        loaded = load_corpus(path)
+        for record, source in zip(loaded, records):
+            cycles, means, stds = oracles.preprocess_subject(
+                list(source.raw_cycles.values()), cutoff_hz=6.0, order=4,
+                frame_rate=30.0, num_points=400)
+            np.testing.assert_array_equal(record.grid,
+                                          np.arange(400) / 400.0)
+            np.testing.assert_array_equal(record.cycles, cycles)
+            np.testing.assert_array_equal(record.channel_means, means)
+            np.testing.assert_array_equal(record.channel_stds, stds)
+
+
 class TestSyntheticGeometry:
     def test_left_channel_is_half_cycle_shift_of_right(self):
         records = generate_synthetic(_small_config())
         control = next(r for r in records if r.cohort == "control")
         cycle = control.cycles[0]
-        half = cycle.num_points // 2
+        half = control.grid.shape[0] // 2
         for joint in ("hip", "knee", "ankle"):
-            right = cycle.channel(f"{joint}_right")
-            left = cycle.channel(f"{joint}_left")
+            right = cycle[CHANNELS.index(f"{joint}_right")]
+            left = cycle[CHANNELS.index(f"{joint}_left")]
             np.testing.assert_allclose(left, np.roll(right, half), atol=1e-9)
 
     def test_zero_amplitude_anomaly_makes_cohorts_identical(self):
@@ -216,7 +283,7 @@ class TestSyntheticGeometry:
         control = next(r for r in records if r.cohort == "control")
         disorder = next(r for r in records if r.cohort == "disorder")
         for c_cycle, d_cycle in zip(control.cycles, disorder.cycles):
-            np.testing.assert_array_equal(c_cycle.channels, d_cycle.channels)
+            np.testing.assert_array_equal(c_cycle, d_cycle)
 
     def test_anomaly_shifts_only_the_affected_window(self):
         base = generate_synthetic(_small_config())
@@ -227,12 +294,11 @@ class TestSyntheticGeometry:
         raw_base = base[1].raw_cycles[0]
         raw_shift = shifted[1].raw_cycles[0]
         assert base[1].cohort == "disorder"
-        length = raw_base.length
+        length = raw_base.shape[0]
         t = np.arange(length) / length
         mask = AnomalySpec(phase=0.55, duration_fraction=0.25).window_mask(t)
-        for channel in CHANNELS:
-            delta = raw_shift.trajectories[channel].samples \
-                - raw_base.trajectories[channel].samples
+        for j, channel in enumerate(CHANNELS):
+            delta = raw_shift[:, j] - raw_base[:, j]
             if channel == "ankle_left":
                 np.testing.assert_allclose(
                     delta[mask, 1], 0.2 - 0.05, atol=1e-12)
@@ -298,12 +364,10 @@ class TestRecordValidation:
     def test_cohort_label_is_checked(self):
         records = generate_synthetic(_small_config())
         with pytest.raises(ValidationError, match="cohort"):
-            SubjectRecord(subject_id="X", cohort="unknown",
-                          cycles=records[0].cycles,
-                          raw_cycles=records[0].raw_cycles)
+            replace(records[0], subject_id="X", cohort="unknown")
 
     def test_needs_at_least_one_cycle(self):
         records = generate_synthetic(_small_config())
         with pytest.raises(ValidationError, match="cycle"):
-            SubjectRecord(subject_id="X", cohort="control", cycles=[],
-                          raw_cycles=records[0].raw_cycles)
+            replace(records[0], subject_id="X", cohort="control",
+                    cycles=records[0].cycles[:0])

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gaitmogp.dataio import CSV_HEADER, load_corpus
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import (
     CHANNELS,
     GaitEvents,
-    JointTrajectory3D,
     PhaseDurations,
-    TrajectorySet,
     detect_events,
     impute_missing,
     knee_angle,
@@ -32,17 +31,16 @@ def _template(t: np.ndarray) -> np.ndarray:
         + 0.3 * np.cos(4.0 * np.pi * t + np.pi / 2.0)
 
 
-def _trajectory(y: np.ndarray, joint: str = "ankle",
-                side: str = "right") -> JointTrajectory3D:
-    samples = np.column_stack([np.zeros_like(y), y, np.ones_like(y)])
-    return JointTrajectory3D(joint=joint, side=side, samples=samples)
+def _trajectory(y: np.ndarray) -> np.ndarray:
+    """An (L, 3) joint trajectory whose y column is ``y``."""
+    return np.column_stack([np.zeros_like(y), y, np.ones_like(y)])
 
 
 class TestLowpassFilter:
     def test_preserves_constant_signal(self):
         traj = _trajectory(np.full(80, 3.25))
         filtered = lowpass_filter(traj, cutoff_hz=6.0, order=4)
-        np.testing.assert_allclose(filtered.y, 3.25, atol=1e-9)
+        np.testing.assert_allclose(filtered[:, 1], 3.25, atol=1e-9)
 
     def test_separates_pass_band_from_stop_band(self):
         t = np.arange(300) / 30.0
@@ -50,19 +48,8 @@ class TestLowpassFilter:
         fast = 0.5 * np.sin(2.0 * np.pi * 12.0 * t)
         filtered = lowpass_filter(_trajectory(slow + fast), cutoff_hz=6.0)
         interior = slice(30, -30)
-        residual = filtered.y[interior] - slow[interior]
+        residual = filtered[interior, 1] - slow[interior]
         assert float(np.max(np.abs(residual))) < 0.02
-
-    def test_keeps_joint_identity_and_gap_mask(self):
-        y = np.sin(np.arange(40) / 5.0)
-        traj = JointTrajectory3D(
-            joint="knee", side="left",
-            samples=np.column_stack([y, y, y]),
-            gap_mask=np.zeros((40, 3), dtype=bool))
-        filtered = lowpass_filter(traj)
-        assert filtered.joint == "knee"
-        assert filtered.side == "left"
-        assert filtered.gap_mask is not None
 
     def test_rejects_cutoff_outside_nyquist(self):
         traj = _trajectory(np.zeros(40))
@@ -87,15 +74,13 @@ class TestImputeMissing:
         y = np.arange(10, dtype=float)
         y[4:6] = np.nan
         result = impute_missing(_trajectory(y))
-        np.testing.assert_allclose(result.y, np.arange(10, dtype=float))
-        assert result.gap_mask[4, 1] and result.gap_mask[5, 1]
-        assert not result.gap_mask[3, 1]
+        np.testing.assert_allclose(result[:, 1], np.arange(10, dtype=float))
 
     def test_edge_gap_holds_nearest_value(self):
         y = np.array([np.nan, np.nan, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
         result = impute_missing(_trajectory(y))
         np.testing.assert_allclose(
-            result.y, [5.0, 5.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+            result[:, 1], [5.0, 5.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
 
     def test_gap_of_a_third_or_more_is_rejected(self):
         y = np.arange(9, dtype=float)
@@ -103,38 +88,26 @@ class TestImputeMissing:
         with pytest.raises(ValidationError, match="exclude this cycle"):
             impute_missing(_trajectory(y))
 
-    def test_existing_gap_mask_is_merged(self):
-        y = np.array([1.0, np.nan, 3.0, 4.0])
-        prior = np.zeros((4, 3), dtype=bool)
-        prior[3, 1] = True
-        traj = JointTrajectory3D(
-            joint="hip", side="right",
-            samples=np.column_stack([y, y, y]), gap_mask=prior)
-        result = impute_missing(traj)
-        assert result.gap_mask[1, 1]
-        assert result.gap_mask[3, 1]
-
     @given(arrays(np.float64, (12,), elements=st.floats(-100, 100)))
     @settings(max_examples=40, deadline=None)
     def test_finite_input_passes_through(self, y):
         result = impute_missing(_trajectory(y))
-        np.testing.assert_array_equal(result.y, y)
-        assert not np.any(result.gap_mask)
+        np.testing.assert_array_equal(result[:, 1], y)
 
 
 class TestNormalizeAndAlign:
     def test_grid_is_endpoint_free(self):
         cycles = [np.tile(np.sin(2 * np.pi * np.arange(40) / 40.0), (6, 1))]
-        sets = normalize_and_align(cycles, subject_id="s", num_points=16)
-        np.testing.assert_allclose(sets[0].grid, np.arange(16) / 16.0)
-        assert sets[0].num_points == 16
+        grid, normalized, _, _ = normalize_and_align(cycles, num_points=16)
+        np.testing.assert_allclose(grid, np.arange(16) / 16.0)
+        assert normalized.shape == (1, 6, 16)
 
     def test_pooled_channels_are_zero_mean_unit_variance(self):
         rng = np.random.default_rng(0)
         cycles = [rng.normal(size=(6, 50)) + 3.0,
                   rng.normal(size=(6, 58)) - 1.0]
-        sets = normalize_and_align(cycles, num_points=32)
-        pooled = np.concatenate([s.channels for s in sets], axis=1)
+        _, normalized, _, _ = normalize_and_align(cycles, num_points=32)
+        pooled = np.concatenate(normalized, axis=1)
         np.testing.assert_allclose(pooled.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(pooled.std(axis=1), 1.0, atol=1e-12)
 
@@ -143,11 +116,10 @@ class TestNormalizeAndAlign:
         t_in = np.arange(length) / length
         cycles = [np.stack([np.sin(2 * np.pi * (t_in + k / 6.0))
                             for k in range(6)])]
-        sets = normalize_and_align(cycles, num_points=400)
-        t_out = sets[0].grid
+        t_out, normalized, _, _ = normalize_and_align(cycles, num_points=400)
         for k in range(6):
             expected = np.sqrt(2.0) * np.sin(2 * np.pi * (t_out + k / 6.0))
-            assert float(np.max(np.abs(sets[0].channels[k] - expected))) < 0.01
+            assert float(np.max(np.abs(normalized[0, k] - expected))) < 0.01
 
     def test_zero_variance_channel_is_named(self):
         cycles = [np.vstack([np.ones((1, 20)),
@@ -162,21 +134,6 @@ class TestNormalizeAndAlign:
     def test_channel_count_is_enforced(self):
         with pytest.raises(ValidationError, match="expected 6 channels"):
             normalize_and_align([np.zeros((4, 20))])
-
-    def test_trajectory_set_channel_lookup(self):
-        cycles = [np.arange(6)[:, None] + np.sin(
-            2 * np.pi * np.arange(30) / 30.0)[None, :]]
-        sets = normalize_and_align(cycles, num_points=30)
-        np.testing.assert_array_equal(sets[0].channel("knee_left"),
-                                      sets[0].channels[3])
-        with pytest.raises(ValidationError, match="unknown channel"):
-            sets[0].channel("elbow_right")
-
-    def test_trajectory_set_requires_uniform_grid(self):
-        with pytest.raises(ValidationError, match="uniform"):
-            TrajectorySet(subject_id="s", cycle_index=0,
-                          grid=[0.0, 0.1, 0.3],
-                          channels=np.zeros((6, 3)))
 
 
 class TestDetectEvents:
@@ -292,63 +249,53 @@ class TestPhaseDurations:
 
 
 class TestKneeAngle:
-    @staticmethod
-    def _joint(joint, side, points):
-        return JointTrajectory3D(joint=joint, side=side,
-                                 samples=np.asarray(points, dtype=float))
-
     def test_right_angle(self):
-        hip = self._joint("hip", "right", [[0.0, 1.0, 0.0]] * 2)
-        knee = self._joint("knee", "right", [[0.0, 0.0, 0.0]] * 2)
-        ankle = self._joint("ankle", "right", [[1.0, 0.0, 0.0]] * 2)
+        hip = np.array([[0.0, 1.0, 0.0]] * 2)
+        knee = np.array([[0.0, 0.0, 0.0]] * 2)
+        ankle = np.array([[1.0, 0.0, 0.0]] * 2)
         np.testing.assert_allclose(knee_angle(hip, knee, ankle), 90.0)
 
     def test_straight_leg(self):
-        hip = self._joint("hip", "right", [[0.0, 2.0, 0.0]] * 2)
-        knee = self._joint("knee", "right", [[0.0, 1.0, 0.0]] * 2)
-        ankle = self._joint("ankle", "right", [[0.0, 0.0, 0.0]] * 2)
+        hip = np.array([[0.0, 2.0, 0.0]] * 2)
+        knee = np.array([[0.0, 1.0, 0.0]] * 2)
+        ankle = np.array([[0.0, 0.0, 0.0]] * 2)
         np.testing.assert_allclose(knee_angle(hip, knee, ankle), 180.0)
 
     def test_sixty_degree_flexion(self):
-        hip = self._joint("hip", "right", [[0.0, 1.0, 0.0]] * 2)
-        knee = self._joint("knee", "right", [[0.0, 0.0, 0.0]] * 2)
-        ankle = self._joint(
-            "ankle", "right",
-            [[np.sin(np.pi / 3.0), np.cos(np.pi / 3.0), 0.0]] * 2)
+        hip = np.array([[0.0, 1.0, 0.0]] * 2)
+        knee = np.array([[0.0, 0.0, 0.0]] * 2)
+        ankle = np.array([[np.sin(np.pi / 3.0), np.cos(np.pi / 3.0), 0.0]] * 2)
         np.testing.assert_allclose(knee_angle(hip, knee, ankle), 60.0,
                                    rtol=1e-10)
 
     def test_degenerate_segment_is_reported_with_index(self):
-        hip = self._joint("hip", "right", [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        knee = self._joint("knee", "right", [[0.0, 0.0, 0.0]] * 2)
-        ankle = self._joint("ankle", "right", [[1.0, 0.0, 0.0]] * 2)
+        hip = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        knee = np.array([[0.0, 0.0, 0.0]] * 2)
+        ankle = np.array([[1.0, 0.0, 0.0]] * 2)
         with pytest.raises(ValidationError, match="sample index 1"):
             knee_angle(hip, knee, ankle)
 
     def test_length_mismatch(self):
-        hip = self._joint("hip", "right", [[0.0, 1.0, 0.0]] * 3)
-        knee = self._joint("knee", "right", [[0.0, 0.0, 0.0]] * 2)
-        ankle = self._joint("ankle", "right", [[1.0, 0.0, 0.0]] * 2)
+        hip = np.array([[0.0, 1.0, 0.0]] * 3)
+        knee = np.array([[0.0, 0.0, 0.0]] * 2)
+        ankle = np.array([[1.0, 0.0, 0.0]] * 2)
         with pytest.raises(ValidationError, match="equal lengths"):
             knee_angle(hip, knee, ankle)
 
 
 class TestJointTrajectoryValidation:
-    def test_unknown_labels(self):
+    def test_unknown_labels(self, tmp_path):
+        # Joint and side labels come from corpus rows, checked on load.
+        path = tmp_path / "corpus.csv"
+        row = "S1,control,0,0,{joint},{side},0.1,0.2,0.3"
+        path.write_text(CSV_HEADER + "\n"
+                        + row.format(joint="elbow", side="right") + "\n")
         with pytest.raises(ValidationError, match="joint"):
-            JointTrajectory3D(joint="elbow", side="right",
-                              samples=np.zeros((4, 3)))
+            load_corpus(path)
+        path.write_text(CSV_HEADER + "\n"
+                        + row.format(joint="hip", side="center") + "\n")
         with pytest.raises(ValidationError, match="side"):
-            JointTrajectory3D(joint="hip", side="center",
-                              samples=np.zeros((4, 3)))
-
-    def test_shape_requirements(self):
-        with pytest.raises(ValidationError, match=r"\(N, 3\)"):
-            JointTrajectory3D(joint="hip", side="right",
-                              samples=np.zeros((4, 2)))
-        with pytest.raises(ValidationError, match="at least 2"):
-            JointTrajectory3D(joint="hip", side="right",
-                              samples=np.zeros((1, 3)))
+            load_corpus(path)
 
     def test_channel_constant_order(self):
         assert CHANNELS == ("hip_right", "hip_left", "knee_right",
