@@ -40,7 +40,7 @@ from .gait_signal import (CHANNELS, GaitEvents, detect_events,
 from .serialize import (atomic_write_text, field_kinds, format_float,
                         parse_number, read_document, write_document)
 
-SEGMENT_REPORT_SCHEMA_ID = "segment-report-v1"
+SEGMENT_SCHEMA_ID = "segment-report-v1"
 
 _EVENTS_SCHEMA = {
     "type": "object",
@@ -70,7 +70,7 @@ SEGMENT_REPORT_JSONSCHEMA = {
                  "segment_threshold", "subjects"],
     "additionalProperties": False,
     "properties": {
-        "schema": {"const": SEGMENT_REPORT_SCHEMA_ID},
+        "schema": {"const": SEGMENT_SCHEMA_ID},
         "grid_points": {"type": "integer", "minimum": 2},
         "observation_source": {"enum": list(hmm.OBSERVATION_SOURCES)},
         "segment_threshold": {"type": "number", "minimum": 0},
@@ -175,9 +175,6 @@ class RunConfig:
     update_transitions: bool = hmm.BaumWelchConfig.update_transitions
     observation_source: str = "mogp-predicted"
     segment_threshold: float = 1.5
-    # metric toggles
-    metrics_normalized: bool = True
-    metrics_raw: bool = True
     verbose: bool = False
 
     def validate(self) -> None:
@@ -199,8 +196,6 @@ class RunConfig:
                                   f"{hmm.OBSERVATION_SOURCES}")
         if self.segment_threshold < 0.0:
             raise ValidationError("segment_threshold must be >= 0")
-        if not (self.metrics_normalized or self.metrics_raw):
-            raise ValidationError("at least one metric unit system required")
         _synth_config(self).validate()
 
 
@@ -362,7 +357,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 def cmd_preprocess(cfg: RunConfig) -> int:
     records = _load_corpus(cfg)
     rows = ((record.subject_id, record.cohort, c, k, name, v)
-            for record in records for c, cycle in enumerate(record.cycles)
+            for record in records
+            for c, cycle in zip(record.raw_cycles, record.cycles)
             for name, channel in zip(CHANNELS, cycle)
             for k, v in enumerate(channel))
     _write_table(cfg.output_path, "processed-v1", (
@@ -465,9 +461,7 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
         right = stacked[CHANNELS.index("ankle_right")]
         left = stacked[CHANNELS.index("ankle_left")]
 
-    obs = hmm.ObservationSequence(
-        steps=np.column_stack([right, left]),
-        source=cfg.observation_source)
+    obs = hmm.ObservationSequence(steps=np.column_stack([right, left]))
     if shared_hmm is not None:
         hmm_model = shared_hmm
     else:
@@ -480,7 +474,7 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
 
     events_doc, phases_doc = {}, {}
     for side, curve in (("right", right), ("left", left)):
-        events = detect_events(curve, grid, side=side)
+        events = detect_events(curve, grid)
         events_doc[side] = _events_payload(events)
         try:
             phases = phase_durations(events)
@@ -521,7 +515,7 @@ def cmd_segment(cfg: RunConfig) -> int:
               f"segments={len(payload['anomalous_segments'])}")
 
     document = {
-        "schema": SEGMENT_REPORT_SCHEMA_ID,
+        "schema": SEGMENT_SCHEMA_ID,
         "grid_points": cfg.grid_points,
         "observation_source": cfg.observation_source,
         "segment_threshold": cfg.segment_threshold,
@@ -547,14 +541,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         # the channel std times the normalized one.
         normalized_dtw = np.array([metrics.dtw(p, t)
                                    for p, t in zip(pred.mean, truth)])
-        reports = []
-        if cfg.metrics_normalized:
-            reports.append(("normalized", metrics.compute_report(
-                pred.mean, truth, CHANNELS, per_output_dtw=normalized_dtw)))
-        if cfg.metrics_raw:
-            stds = held.channel_stds[:, None]
-            means = held.channel_means[:, None]
-            reports.append(("raw", metrics.compute_report(
+        stds = held.channel_stds[:, None]
+        means = held.channel_means[:, None]
+        reports = (
+            ("normalized", metrics.compute_report(
+                pred.mean, truth, CHANNELS, per_output_dtw=normalized_dtw)),
+            ("raw", metrics.compute_report(
                 pred.mean * stds + means, truth * stds + means, CHANNELS,
                 per_output_dtw=held.channel_stds * normalized_dtw)))
         items: list[tuple[str, str]] = []
@@ -563,8 +555,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
                 print(f"== {held.subject_id} ({unit})")
                 print(report.as_table(), end="")
             items += [(f"{unit}.{key}", text)
-                      for key, text in report.as_document().items()
-                      if key != "schema"]
+                      for key, text in report.as_document().items()]
         values = {key: float(text) for key, text in items}
         per_split_values.append(values)
         write_document(
@@ -572,8 +563,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             [("schema", "evaluate-v1"), ("subject_id", held.subject_id),
              *items])
         print(f"split {held.subject_id}: "
-              + " ".join(f"{k}={values[k]:.6f}" for k in
-                         ("normalized.mae", "raw.mae") if k in values))
+              f"normalized.mae={values['normalized.mae']:.6f} "
+              f"raw.mae={values['raw.mae']:.6f}")
 
     aggregate_items: list[tuple[str, str]] = [
         ("schema", "evaluate-aggregate-v1"),

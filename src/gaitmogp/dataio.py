@@ -12,11 +12,12 @@ rows of a frame in CHANNELS order; ``save_corpus`` always writes the
 canonical form, so save(load(f)) round-trips canonical files
 byte-for-byte.
 
-Each subject becomes one ``SubjectRecord`` of plain arrays: its raw
-cycles as (L, 6, 3) arrays keyed by corpus cycle id (NaN marks a gap),
-and the preprocessed cycles as one (C, 6, T) array on the T-point grid.
-A cycle that cannot be preprocessed (too short to filter, a gap run too
-long to impute) is reported with its subject id and corpus cycle id.
+Each subject becomes one ``SubjectRecord`` of plain arrays and nothing
+else: its raw cycles as (L, 6, 3) arrays keyed by corpus cycle id (NaN
+marks a gap), and the preprocessed cycles as one (C, 6, T) array on the
+T-point grid. A cycle that cannot be preprocessed (too short to filter
+or to align, a gap run too long to impute) is reported with its subject
+id and corpus cycle id.
 
 Synthetic subjects are built from a shared two-harmonic template
 
@@ -39,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .gait_signal import (CHANNELS, JOINTS, SIDES, impute_missing,
-                          lowpass_filter, normalize_and_align,
+from .gait_signal import (CHANNELS, JOINTS, SIDES, check_cycle,
+                          impute_missing, lowpass_filter, normalize_and_align,
                           DEFAULT_GRID_POINTS, DEFAULT_FILTER_CUTOFF_HZ,
                           DEFAULT_FILTER_ORDER)
 from .serialize import atomic_write_text, format_float, read_text
@@ -76,7 +77,6 @@ class SubjectRecord:
     channel_means: np.ndarray
     channel_stds: np.ndarray
     raw_cycles: dict[int, np.ndarray]
-    provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.subject_id:
@@ -139,10 +139,10 @@ class SynthConfig:
 
 def _build_record(subject_id: str, cohort: str,
                   raw_cycles: dict[int, np.ndarray],
-                  provenance: dict[str, str],
                   filter_cutoff_hz: float | None,
                   filter_order: int, num_points: int) -> SubjectRecord:
-    """Run the preprocessing chain (impute -> filter -> normalize/align)."""
+    """Run the preprocessing chain (impute -> filter -> normalize/align);
+    an error names the subject and the corpus cycle id."""
     heights = []
     for cycle_id, raw in raw_cycles.items():
         try:
@@ -150,15 +150,14 @@ def _build_record(subject_id: str, cohort: str,
             if filter_cutoff_hz is not None:
                 samples = lowpass_filter(samples, filter_cutoff_hz,
                                          filter_order)
+            heights.append(check_cycle(samples[:, :, 1].T))
         except ValidationError as exc:
             raise ValidationError(
                 f"subject {subject_id}, cycle {cycle_id}: {exc}") from None
-        heights.append(samples[:, :, 1].T)
     grid, cycles, means, stds = normalize_and_align(heights, num_points)
     return SubjectRecord(subject_id=subject_id, cohort=cohort, grid=grid,
                          cycles=cycles, channel_means=means,
-                         channel_stds=stds, raw_cycles=raw_cycles,
-                         provenance=provenance)
+                         channel_stds=stds, raw_cycles=raw_cycles)
 
 
 def _parse_coordinate(text: str, line_no: int, column: str) -> float:
@@ -265,7 +264,6 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
             raw_cycles[cycle_id] = raw
         records.append(_build_record(
             subject, cohorts[subject], raw_cycles,
-            provenance={"source": str(path)},
             filter_cutoff_hz=filter_cutoff_hz, filter_order=filter_order,
             num_points=num_points))
     return records
@@ -368,30 +366,8 @@ def generate_synthetic(config: SynthConfig, *,
                     raw[:, j] = samples
                 raw_cycles[cycle_id] = raw
 
-            provenance = {
-                "generator": "synthetic-v1",
-                "seed": str(config.seed),
-                "cohort": cohort,
-                "subject_index": str(index),
-                "noise_level": format_float(config.noise_level),
-                "cycle_lengths": ",".join(str(int(n)) for n in lengths),
-            }
-            for joint in JOINTS:
-                provenance[f"amplitude.{joint}"] = format_float(
-                    amplitudes[joint])
-                provenance[f"phase.{joint}"] = format_float(phases[joint])
-            if cohort == "disorder":
-                provenance["anomaly.affected_side"] = \
-                    config.anomaly.affected_side
-                provenance["anomaly.phase"] = format_float(
-                    config.anomaly.phase)
-                provenance["anomaly.amplitude_shift"] = format_float(
-                    config.anomaly.amplitude_shift)
-                provenance["anomaly.duration_fraction"] = format_float(
-                    config.anomaly.duration_fraction)
-
             records.append(_build_record(
-                subject_id, cohort, raw_cycles, provenance,
+                subject_id, cohort, raw_cycles,
                 filter_cutoff_hz=filter_cutoff_hz,
                 filter_order=filter_order, num_points=num_points))
     return records

@@ -13,7 +13,8 @@ Conventions
   the y (vertical) axis enters modeling; x/z are kept for knee angles.
 - The normalized cycle grid is t_k = k / T for k = 0..T-1: a gait cycle
   is periodic, so the grid excludes the duplicate endpoint t = 1 and
-  resampling interpolates cyclically.
+  resampling interpolates cyclically. A cycle needs MIN_CYCLE_SAMPLES
+  samples to be aligned (``check_cycle``).
 - Knee angle is the inner angle at the knee, arccos of the normalized
   dot product of (hip - knee) and (ankle - knee), reported in degrees.
 
@@ -42,6 +43,9 @@ DEFAULT_FILTER_CUTOFF_HZ = 6.0
 DEFAULT_FILTER_ORDER = 4
 ALLOWED_FILTER_ORDERS = (2, 4, 6)
 
+# Fewest samples a cycle may have to be resampled onto the grid.
+MIN_CYCLE_SAMPLES = 10
+
 PROMINENCE_FRACTION = 0.2
 MIN_EVENT_SPACING = 0.15
 FLAT_SIGNAL_PTP = 1e-9
@@ -53,7 +57,6 @@ class GaitEvents:
 
     heel_strikes: np.ndarray
     toe_offs: np.ndarray
-    side: str | None = None
 
     def __post_init__(self):
         self.heel_strikes = np.asarray(self.heel_strikes, dtype=float).ravel()
@@ -72,7 +75,6 @@ class PhaseDurations:
 
     stance: np.ndarray
     swing: np.ndarray
-    side: str | None = None
 
     def __post_init__(self):
         self.stance = np.asarray(self.stance, dtype=float).ravel()
@@ -153,6 +155,20 @@ def _resample_cyclic(values: np.ndarray, num_points: int) -> np.ndarray:
     return np.interp(targets, positions, values, period=1.0)
 
 
+def check_cycle(cycle: np.ndarray) -> np.ndarray:
+    """Return a (6, L) y-signal cycle unchanged if it has the six
+    channels, at least MIN_CYCLE_SAMPLES samples and only finite values."""
+    if cycle.shape[0] != len(CHANNELS):
+        raise ValidationError(
+            f"expected {len(CHANNELS)} channels, got {cycle.shape[0]}")
+    if cycle.shape[1] < MIN_CYCLE_SAMPLES:
+        raise ValidationError(
+            f"length {cycle.shape[1]} < {MIN_CYCLE_SAMPLES} samples")
+    if not np.all(np.isfinite(cycle)):
+        raise ValidationError("non-finite values")
+    return cycle
+
+
 def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
     """Align cycles onto the T-point grid and z-score per subject.
 
@@ -175,14 +191,10 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
     if not cycles:
         raise ValidationError("at least one cycle is required")
     for i, cycle in enumerate(cycles):
-        if cycle.shape[0] != len(CHANNELS):
-            raise ValidationError(
-                f"cycle {i}: expected {len(CHANNELS)} channels, got {cycle.shape[0]}")
-        if cycle.shape[1] < 10:
-            raise ValidationError(
-                f"cycle {i}: length {cycle.shape[1]} < 10 samples")
-        if not np.all(np.isfinite(cycle)):
-            raise ValidationError(f"cycle {i}: non-finite values")
+        try:
+            check_cycle(cycle)
+        except ValidationError as exc:
+            raise ValidationError(f"cycle {i}: {exc}") from None
 
     resampled = np.array([[_resample_cyclic(row, num_points) for row in cycle]
                           for cycle in cycles])
@@ -201,8 +213,7 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
 
 def detect_events(values, grid=None,
                   prominence_fraction: float = PROMINENCE_FRACTION,
-                  min_spacing: float = MIN_EVENT_SPACING,
-                  side: str | None = None) -> GaitEvents:
+                  min_spacing: float = MIN_EVENT_SPACING) -> GaitEvents:
     """Heel strikes (local minima) and toe-offs (local maxima) of an
     ankle height signal over one normalized cycle.
 
@@ -228,7 +239,7 @@ def detect_events(values, grid=None,
 
     ptp = float(np.max(values) - np.min(values))
     if ptp < FLAT_SIGNAL_PTP:
-        return GaitEvents(heel_strikes=[], toe_offs=[], side=side)
+        return GaitEvents(heel_strikes=[], toe_offs=[])
 
     n = values.shape[0]
     step = float(grid[1] - grid[0])
@@ -260,7 +271,7 @@ def detect_events(values, grid=None,
 
     heel = [grid[i] for i, kind in kept if kind == 0]
     toe = [grid[i] for i, kind in kept if kind == 1]
-    return GaitEvents(heel_strikes=heel, toe_offs=toe, side=side)
+    return GaitEvents(heel_strikes=heel, toe_offs=toe)
 
 
 def phase_durations(events: GaitEvents) -> PhaseDurations:
@@ -288,7 +299,7 @@ def phase_durations(events: GaitEvents) -> PhaseDurations:
     if not stance:
         raise ValidationError(
             "no heel-strike -> toe-off pair found; cannot compute phases")
-    return PhaseDurations(stance=stance, swing=swing, side=events.side)
+    return PhaseDurations(stance=stance, swing=swing)
 
 
 def knee_angle(hip, knee, ankle) -> np.ndarray:

@@ -9,6 +9,8 @@ re-estimates them is a config switch (frozen by default).
 Likelihoods and EM statistics come from one scaled forward-backward
 with a per-step emission shift (Rabiner 1989, section V.A), which stays
 finite for observations far from every state mean; log-space Viterbi.
+An observation sequence is only its (T, 2) steps; where its curves come
+from is the caller's setting (OBSERVATION_SOURCES lists the CLI's).
 Models are immutable after fitting; decoding is pure.
 """
 
@@ -27,7 +29,7 @@ NUM_STATES = 4
 OBS_DIM = 2
 # 1-based indices of the abnormal stance/swing states.
 ABNORMAL_STATES = (3, 4)
-# Where an observation sequence's ankle curves come from.
+# Where the CLI takes an observation sequence's ankle curves from.
 OBSERVATION_SOURCES = ("raw", "mogp-predicted")
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -108,7 +110,6 @@ class ObservationSequence:
     """Bilateral ankle observations o(t) = [right y, left y] on a uniform grid."""
 
     steps: np.ndarray
-    source: str = "raw"
 
     def __post_init__(self):
         self.steps = np.atleast_2d(np.asarray(self.steps, dtype=float))
@@ -118,10 +119,6 @@ class ObservationSequence:
             raise ValidationError("observation sequence must have length >= 1")
         if not np.all(np.isfinite(self.steps)):
             raise ValidationError("observations must be finite")
-        if self.source not in OBSERVATION_SOURCES:
-            raise ValidationError(
-                f"source must be one of {OBSERVATION_SOURCES}, "
-                f"got {self.source!r}")
 
     def __len__(self) -> int:
         return self.steps.shape[0]

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ValidationError
 from .serialize import format_float
 
-REPORT_SCHEMA = "metrics-v1"
-
 
 def _as_sequence(name: str, values, min_length: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
@@ -137,7 +135,6 @@ class MetricReport:
     def as_document(self) -> dict[str, str]:
         """Machine-readable key/value form."""
         doc = {
-            "schema": REPORT_SCHEMA,
             "mae": format_float(self.mae),
             "r_squared": format_float(self.r_squared),
             "adtw": format_float(self.adtw),

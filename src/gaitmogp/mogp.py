@@ -11,10 +11,10 @@ Fitting is one loop over up to ``iterations + 1`` iterates, each with
 one LML trace entry (one at ``iterations = 0``) and each raising
 NumericError on a non-finite LML; an iterate evaluates the kernel
 components once, for both the LML and its contracted gradient (see
-lml_gradient). The Cholesky cache that predict reads is kept by fit
-from its best iterate, or filled by log_marginal_likelihood; the
-gradient leaves the model untouched.
-Fitting owns a private parameter state.
+lml_gradient). fit is the only code that writes a model's Cholesky
+cache, from its best iterate; log_marginal_likelihood, lml_gradient and
+predict leave the model untouched. Fitting owns a private parameter
+state.
 """
 
 from __future__ import annotations
@@ -154,10 +154,12 @@ class OptimizerConfig:
 class MoGPModel:
     """Kernel spec, coregionalization, means and noise plus training data.
 
-    The Cholesky cache (factor of K + noise I and the solve against
-    centered targets) comes from fit's best iterate or is built lazily,
-    and is never serialized; rebuilding it reproduces identical
-    predictions.
+    The Cholesky cache (factor of K + noise I, the solve against
+    centered targets and the jitter the factor took) is written only by
+    fit, from its best iterate, and is never serialized. A model without
+    it (loaded, or built by model_from_parameters or initialize_model) is
+    factored afresh by every predict, which gives identical predictions
+    and leaves the model unchanged.
     """
 
     kernel: CompositeKernelSpec
@@ -199,22 +201,19 @@ class MoGPModel:
 
 @dataclass
 class PosteriorPrediction:
-    """Posterior mean/std curves, one row per output."""
+    """Posterior mean/std curves, one row per output and one column per
+    query time."""
 
-    times: np.ndarray
     mean: np.ndarray
     std: np.ndarray
     clamped_variances: int = 0
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float).ravel()
         self.mean = np.atleast_2d(np.asarray(self.mean, dtype=float))
         self.std = np.atleast_2d(np.asarray(self.std, dtype=float))
         if self.mean.shape != self.std.shape:
             raise ValidationError("mean and std grids must match")
-        if self.mean.shape[1] != self.times.shape[0]:
-            raise ValidationError("curve length must match query grid")
         if np.any(self.std < 0.0):
             raise ValidationError("standard deviations must be >= 0")
 
@@ -298,11 +297,8 @@ class _Evaluation:
 
 def log_marginal_likelihood(model: MoGPModel) -> float:
     """Exact LML: -1/2 y_c^T (K+s I)^-1 y_c - 1/2 log det(K+s I) - n/2 log 2pi.
-    Also stores the Cholesky factor and alpha that predict reads."""
-    evaluation = _Evaluation(model, _Geometry(model.training))
-    model._chol, model._alpha = evaluation.chol, evaluation.alpha
-    model.jitter_used = evaluation.jitter
-    return evaluation.lml
+    The model is not modified."""
+    return _Evaluation(model, _Geometry(model.training)).lml
 
 
 def parameter_names(num_outputs: int, rank: int) -> list[str]:
@@ -460,6 +456,8 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
     Predictive variance includes the observation noise. Negative
     variances from the numerical subtraction are clamped at zero and
     counted; queries outside [0, 1] are allowed but flagged in notes.
+    A model without fit's Cholesky cache is factored into local
+    variables; the model is not modified.
     """
     query = np.asarray(query_times, dtype=float).ravel()
     if query.shape[0] == 0:
@@ -467,7 +465,10 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
     if not np.all(np.isfinite(query)):
         raise ValidationError("query times must be finite")
     if model._chol is None:
-        log_marginal_likelihood(model)
+        evaluation = _Evaluation(model, _Geometry(model.training))
+        chol, alpha = evaluation.chol, evaluation.alpha
+    else:
+        chol, alpha = model._chol, model._alpha
 
     notes: list[str] = []
     outside = int(np.sum((query < 0.0) | (query > 1.0)))
@@ -485,15 +486,15 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
     var = np.empty((num_m, query.shape[0]))
     for m in range(num_m):
         k_star = b[m, model.training.outputs][None, :] * temporal
-        mean[m] = model.means[m] + k_star @ model._alpha
-        v = solve_triangular(model._chol, k_star.T, lower=True)
+        mean[m] = model.means[m] + k_star @ alpha
+        v = solve_triangular(chol, k_star.T, lower=True)
         var[m] = b[m, m] * prior_var + noise - np.sum(v * v, axis=0)
 
     clamped = int(np.sum(var < 0.0))
     if clamped:
         notes.append(f"clamped {clamped} negative predictive variances")
     var = np.maximum(var, 0.0)
-    return PosteriorPrediction(times=query, mean=mean, std=np.sqrt(var),
+    return PosteriorPrediction(mean=mean, std=np.sqrt(var),
                                clamped_variances=clamped, notes=notes)
 
 

@@ -104,6 +104,20 @@ class TestConfigPrecedence:
         assert err["exit_code"] == 2
         assert "unknown config key" in err["error"]
 
+    @pytest.mark.parametrize("key", ["metrics_raw", "metrics_normalized"])
+    def test_removed_metric_toggles_are_unknown_keys(self, pipeline, tmp_path,
+                                                     capsys, key):
+        # evaluate always writes both unit systems.
+        settings = tmp_path / "run.cfg"
+        settings.write_text(f"{key} = false\n")
+        assert cli.main(["evaluate", "--input", str(pipeline["corpus"]),
+                         "--output", str(tmp_path / "eval"),
+                         "--config", str(settings)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert f"unknown config key {key!r}" in json.loads(captured.err)["error"]
+        assert not (tmp_path / "eval").exists()
+
     def test_non_numeric_config_value_is_rejected(self, tmp_path, capsys):
         settings = tmp_path / "run.cfg"
         settings.write_text("noise_level = loud\n")
@@ -365,7 +379,7 @@ _CONFIG_KEYS = {
     "cycles_per_subject", "noise_level", "anomaly_side", "anomaly_phase",
     "anomaly_shift", "anomaly_duration", "em_iterations", "em_tol",
     "update_initial_probs", "update_transitions", "observation_source",
-    "segment_threshold", "metrics_normalized", "metrics_raw", "verbose"}
+    "segment_threshold", "verbose"}
 
 # A small valid run configuration, and what a fuzzed one may set a key to.
 _BASE_CONFIG = {"subjects_per_cohort": "1", "cycles_per_subject": "2",
@@ -565,6 +579,63 @@ class TestPipelineArtifacts:
         diagonal = [float(row.split(",")[1 + m])
                     for m, row in enumerate(rows)]
         assert diagonal == pytest.approx([1.0] * 6)
+
+
+def _renumber_cycles(source, target, ids: dict[int, int],
+                     max_frames: dict[tuple[str, int], int] | None = None
+                     ) -> None:
+    """Copy a corpus with cycle c renamed ids[c], keeping only the first
+    max_frames[(subject, new id)] frames of the cycles named there."""
+    max_frames = max_frames or {}
+    lines = source.read_text().splitlines()
+    kept = [lines[0]]
+    for line in lines[1:]:
+        fields = line.split(",")
+        fields[2] = str(ids[int(fields[2])])
+        limit = max_frames.get((fields[0], int(fields[2])))
+        if limit is None or int(fields[3]) < limit:
+            kept.append(",".join(fields))
+    target.write_text("\n".join(kept) + "\n")
+
+
+class TestCorpusCycleIds:
+    IDS = {0: 0, 1: 2, 2: 7}
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cycle_ids") / "corpus.csv"
+        assert _synth(path, "--subjects-per-cohort", "2",
+                      "--cycles-per-subject", "3", "--seed", "5") == 0
+        return path
+
+    def test_preprocess_writes_corpus_cycle_ids(self, corpus, tmp_path):
+        renamed = tmp_path / "renamed.csv"
+        _renumber_cycles(corpus, renamed, self.IDS)
+        for source, out in ((corpus, "plain.csv"), (renamed, "renamed.csv")):
+            assert cli.main(["preprocess", "--input", str(source),
+                             "--output", str(tmp_path / out),
+                             "--grid-points", "20",
+                             "--filter-cutoff", "none"]) == 0
+        plain = (tmp_path / "plain.csv").read_text().splitlines()
+        got = (tmp_path / "renamed.csv").read_text().splitlines()
+        assert {line.split(",")[2] for line in got[2:]} == {"0", "2", "7"}
+        expected = plain[:2]
+        for line in plain[2:]:
+            fields = line.split(",")
+            fields[2] = str(self.IDS[int(fields[2])])
+            expected.append(",".join(fields))
+        assert got == expected
+
+    def test_short_cycle_error_names_subject_and_cycle_id(self, corpus,
+                                                          tmp_path, capsys):
+        renamed = tmp_path / "renamed.csv"
+        _renumber_cycles(corpus, renamed, self.IDS,
+                         max_frames={("D02", 7): 8})
+        assert cli.main(["preprocess", "--input", str(renamed),
+                         "--output", str(tmp_path / "p.csv"),
+                         "--filter-cutoff", "none"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "subject D02, cycle 7: length 8 < 10 samples"
 
 
 class TestDeterminism:

@@ -185,11 +185,6 @@ class TestDetectEvents:
         events = detect_events(_template(t))
         assert abs(events.heel_strikes[0] - TEMPLATE_MIN) <= 1 / 400 + 1e-12
 
-    def test_side_is_carried_through(self):
-        t = np.arange(400) / 400.0
-        events = detect_events(_template(t), t, side="left")
-        assert events.side == "left"
-
     def test_input_validation(self):
         with pytest.raises(ValidationError, match="at least 5"):
             detect_events([1.0, 2.0])
@@ -215,11 +210,10 @@ class TestDetectEvents:
 class TestPhaseDurations:
     def test_stance_and_swing_from_alternating_events(self):
         events = GaitEvents(heel_strikes=[0.10, 0.60],
-                            toe_offs=[0.35, 0.90], side="right")
+                            toe_offs=[0.35, 0.90])
         phases = phase_durations(events)
         np.testing.assert_allclose(phases.stance, [0.25, 0.30])
         np.testing.assert_allclose(phases.swing, [0.25])
-        assert phases.side == "right"
 
     def test_leading_toe_off_contributes_swing_only(self):
         events = GaitEvents(heel_strikes=[0.50], toe_offs=[0.20, 0.80])

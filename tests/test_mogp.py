@@ -56,13 +56,17 @@ def _random_model(rng: np.random.Generator, num_outputs: int = 3,
     return model_from_parameters(theta, training, config)
 
 
+def _fresh_evaluation(model: MoGPModel) -> mogp._Evaluation:
+    return mogp._Evaluation(model, mogp._Geometry(model.training))
+
+
 class TestExactness:
     def test_lml_matches_dense_inversion(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             model = _random_model(rng)
             got = log_marginal_likelihood(model)
-            assert model.jitter_used == 0.0
+            assert _fresh_evaluation(model).jitter == 0.0
             expected = oracles.dense_lml(model)
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-8)
 
@@ -72,7 +76,7 @@ class TestExactness:
             model = _random_model(rng)
             query = rng.uniform(0.0, 1.0, size=6)
             prediction = predict(model, query)
-            assert model.jitter_used == 0.0
+            assert _fresh_evaluation(model).jitter == 0.0
             for m in range(model.num_outputs):
                 mean, var = oracles.dense_posterior(model, query, m)
                 np.testing.assert_allclose(prediction.mean[m], mean,
@@ -163,12 +167,13 @@ class TestFit:
         model = fit(training, OptimizerConfig(iterations=40, seed=0))
         # fit keeps the factor of the best iterate; evaluating afresh
         # rebuilds the same one.
-        kept = model._chol, model._alpha, model.jitter_used
+        fresh = _fresh_evaluation(model)
         assert log_marginal_likelihood(model) == max(model.lml_trace)
         assert log_marginal_likelihood(model) >= model.lml_trace[0]
-        np.testing.assert_array_equal(kept[0], model._chol)
-        np.testing.assert_array_equal(kept[1], model._alpha)
-        assert kept[2] == model.jitter_used
+        assert fresh.lml == max(model.lml_trace)
+        np.testing.assert_array_equal(model._chol, fresh.chol)
+        np.testing.assert_array_equal(model._alpha, fresh.alpha)
+        assert model.jitter_used == fresh.jitter
 
     def test_early_stop_evaluates_one_iterate_past_the_trigger(self):
         rng = np.random.default_rng(7)
@@ -360,6 +365,22 @@ class TestSerialization:
         second = predict(loaded, query)
         np.testing.assert_array_equal(first.mean, second.mean)
         np.testing.assert_array_equal(first.std, second.std)
+
+    def test_predict_leaves_a_loaded_model_unfactored(self, tmp_path):
+        rng = np.random.default_rng(14)
+        training = _random_training(rng, num_outputs=2, points_per_output=5)
+        model = fit(training, OptimizerConfig(iterations=10, seed=0))
+        path = tmp_path / "model.mogp"
+        save_model(model, path)
+        loaded = load_model(path)
+        query = np.linspace(0.0, 1.0, 7)
+        first = predict(loaded, query)
+        second = predict(loaded, query)
+        assert loaded._chol is None and loaded._alpha is None
+        assert loaded.jitter_used == 0.0
+        for got in (second, predict(model, query)):
+            np.testing.assert_array_equal(first.mean, got.mean)
+            np.testing.assert_array_equal(first.std, got.std)
 
     def test_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "model.mogp"
