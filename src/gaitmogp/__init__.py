@@ -24,8 +24,7 @@ from .gait_signal import (CHANNELS, GaitEvents, PhaseDurations,
                           detect_events, impute_missing, knee_angle,
                           lowpass_filter, normalize_and_align,
                           phase_durations)
-from .metrics import (MetricReport, adtw, compute_report, dtw, mae,
-                      r_squared)
+from .metrics import MetricReport, compute_report, dtw, mae, r_squared
 from .dataio import (AnomalySpec, SubjectRecord, SynthConfig,
                      generate_synthetic, load_corpus, loso_splits,
                      save_corpus)
@@ -46,7 +45,7 @@ __all__ = [
     "CHANNELS", "GaitEvents", "PhaseDurations", "detect_events",
     "impute_missing", "knee_angle", "lowpass_filter", "normalize_and_align",
     "phase_durations",
-    "MetricReport", "adtw", "compute_report", "dtw", "mae", "r_squared",
+    "MetricReport", "compute_report", "dtw", "mae", "r_squared",
     "AnomalySpec", "SubjectRecord", "SynthConfig",
     "generate_synthetic", "load_corpus", "loso_splits", "save_corpus",
     "__version__",

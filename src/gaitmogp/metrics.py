@@ -1,10 +1,10 @@
-"""Prediction-quality metrics: MAE, R², DTW and averaged DTW.
+"""Prediction-quality metrics: MAE, R² and DTW.
 
-DTW is the classical dynamic-programming construction with
-absolute-difference local cost, unconstrained (no band), and
-boundary-anchored monotone warping paths. aDTW averages DTW over the
-output channels of one subject; averaging over subjects is done by the
-caller so both levels of the mean stay explicit.
+DTW is the classical Sakoe & Chiba (1978) dynamic program with
+absolute-difference local cost, no band, and boundary-anchored monotone
+warping paths, evaluated one anti-diagonal at a time in O(n + m) memory
+with results bit-identical to the row-by-row recurrence. A report's aDTW
+is the mean DTW over its output channels.
 
 All functions are pure and concurrent-safe.
 """
@@ -57,31 +57,32 @@ def r_squared(pred, truth) -> float:
 
 
 def dtw(a, b) -> float:
-    """Dynamic Time Warping distance with |a_i - b_j| local cost."""
+    """Dynamic Time Warping distance with |a_i - b_j| local cost.
+
+    A Python loop over the n + m - 1 anti-diagonals i + j = d. Each cell
+    takes the same subtraction, minimum and addition as in the row-by-row
+    recurrence, so the result is bit-identical to it. Diagonal d reads
+    only diagonals d - 1 and d - 2, kept in buffers indexed by i + 1 whose
+    indices outside the table are never written and stay ``inf``. ``b`` is
+    reversed once, ``b_rev[m - 1 - d + i] = b[d - i]``, so each diagonal's
+    costs come from contiguous slices.
+    """
     a = _as_sequence("a", a)
     b = _as_sequence("b", b)
     n, m = a.size, b.size
-    cost = np.abs(a[:, None] - b[None, :])
-    acc = np.empty((n, m))
-    acc[0, :] = np.cumsum(cost[0, :])
-    acc[:, 0] = np.cumsum(cost[:, 0])
-    for i in range(1, n):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, m):
-            row[j] = cost[i, j] + min(prev[j], row[j - 1], prev[j - 1])
-    return float(acc[-1, -1])
-
-
-def adtw(pred_set, truth_set) -> float:
-    """Mean DTW over matched output channels."""
-    pred_list = [np.asarray(p, dtype=float).ravel() for p in pred_set]
-    truth_list = [np.asarray(t, dtype=float).ravel() for t in truth_set]
-    if not pred_list or len(pred_list) != len(truth_list):
-        raise ValidationError(
-            f"channel mismatch: pred has {len(pred_list)}, "
-            f"truth has {len(truth_list)}")
-    return float(np.mean([dtw(p, t) for p, t in zip(pred_list, truth_list)]))
+    b_rev = b[::-1].copy()
+    older, prev, cur = (np.full(n + 2, np.inf) for _ in range(3))
+    prev[1] = abs(a[0] - b[0])
+    best = np.empty(n)
+    for d in range(1, n + m - 1):
+        lo, hi = max(0, d - m + 1), min(n - 1, d) + 1
+        cost = np.abs(a[lo:hi] - b_rev[m - 1 - d + lo:m - 1 - d + hi])
+        step = best[:hi - lo]
+        np.minimum(prev[lo:hi], prev[lo + 1:hi + 1], out=step)
+        np.minimum(step, older[lo:hi], out=step)
+        np.add(cost, step, out=cur[lo + 1:hi + 1])
+        older, prev, cur = prev, cur, older
+    return float(prev[n])
 
 
 @dataclass

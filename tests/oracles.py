@@ -3,8 +3,8 @@
 Everything here is written the slow, obvious way on purpose: arbitrary
 precision arithmetic for kernel values, one dense dK/dtheta matrix per
 kernel parameter, dense matrix inversion for GP posteriors, exhaustive
-path enumeration for HMM likelihoods and DTW, and one channel at a time
-for the preprocessing chain.
+path enumeration for HMM likelihoods and DTW, the row-by-row DTW
+recurrence, and one channel at a time for the preprocessing chain.
 None of it shares code with the package beyond reading plain parameter
 values off the public dataclasses, so agreement is meaningful.
 """
@@ -329,7 +329,7 @@ def sample_hmm(initial, transitions, means, covariance, length: int,
 
 
 # ---------------------------------------------------------------------------
-# DTW by path enumeration.
+# DTW by path enumeration and by the row-by-row recurrence.
 
 def dtw_enumerate(a, b) -> float:
     """Minimum warping cost over every monotone alignment path."""
@@ -354,6 +354,27 @@ def dtw_enumerate(a, b) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def dtw_recurrence(a, b) -> float:
+    """DTW by the Sakoe & Chiba recurrence, one cell at a time, row by row.
+
+    ``metrics.dtw`` evaluates the same recurrence by anti-diagonals, with
+    the same operations per cell, so the two must agree exactly.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    n, m = a.size, b.size
+    cost = np.abs(a[:, None] - b[None, :])
+    acc = np.empty((n, m))
+    acc[0, :] = np.cumsum(cost[0, :])
+    acc[:, 0] = np.cumsum(cost[:, 0])
+    for i in range(1, n):
+        row = acc[i]
+        prev = acc[i - 1]
+        for j in range(1, m):
+            row[j] = cost[i, j] + min(prev[j], row[j - 1], prev[j - 1])
+    return float(acc[-1, -1])
 
 
 # ---------------------------------------------------------------------------

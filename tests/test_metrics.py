@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from gaitmogp.errors import ValidationError
 from gaitmogp.metrics import (
     MetricReport,
-    adtw,
     compute_report,
     dtw,
     mae,
@@ -20,6 +21,9 @@ import oracles
 
 short_series = arrays(np.float64, st.integers(min_value=1, max_value=6),
                       elements=st.floats(-50, 50))
+# Few distinct values, so that the three predecessors of a cell often tie.
+tied_series = arrays(np.float64, st.integers(min_value=1, max_value=60),
+                     elements=st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0]))
 
 
 class TestMae:
@@ -92,19 +96,31 @@ class TestDtw:
     def test_handles_unequal_lengths(self):
         assert dtw([0.0], [5.0, 5.0, 5.0]) == pytest.approx(15.0)
 
+    @given(tied_series, tied_series)
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_recurrence(self, a, b):
+        assert dtw(a, b) == oracles.dtw_recurrence(a, b)
+        assert dtw(b, a) == oracles.dtw_recurrence(b, a)
 
-class TestAdtw:
-    def test_mean_over_channels(self):
-        pred = [[1.0, 2.0], [0.0, 0.0]]
-        truth = [[1.0, 2.0], [1.0, 1.0]]
-        assert adtw(pred, truth) == pytest.approx(
-            (dtw(pred[0], truth[0]) + dtw(pred[1], truth[1])) / 2.0)
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 60), (60, 1), (400, 400)])
+    def test_bit_identical_to_recurrence_on_edge_shapes(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        a = rng.normal(0.0, 2.0, n)
+        b = rng.normal(0.0, 2.0, m)
+        assert dtw(a, b) == oracles.dtw_recurrence(a, b)
+        assert dtw(b, a) == oracles.dtw_recurrence(b, a)
 
-    def test_channel_mismatch(self):
-        with pytest.raises(ValidationError, match="channel mismatch"):
-            adtw([[1.0]], [[1.0], [2.0]])
-        with pytest.raises(ValidationError, match="channel mismatch"):
-            adtw([], [])
+    def test_memory_is_linear_in_the_lengths(self):
+        rng = np.random.default_rng(52)
+        a, b = rng.normal(size=2000), rng.normal(size=1500)
+        tracemalloc.start()
+        try:
+            dtw(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A full n x m table of floats would be 23 MiB.
+        assert peak < 1 << 20
 
 
 class TestReport:
