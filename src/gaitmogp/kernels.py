@@ -9,8 +9,10 @@ a Matern-3/2 term for rougher local structure,
 
 Each part depends on the lag r = |t - t'| alone (stationarity), so
 TemporalKernel takes one lag array of any shape and holds the only copy
-of the closed forms; gram_matrix, the MoGP's Gram matrix and gradient
-and its posterior all evaluate it.
+of the closed forms. lag_table reduces a pair of time sets to their
+distinct lags and an integer index into them; gram_matrix, the MoGP's
+Gram matrix and gradient and its posterior evaluate TemporalKernel once
+per distinct lag and gather the full matrix from that index.
 
 Cross-output structure follows the intrinsic coregionalization model:
 for outputs m, m' the covariance is B[m, m'] * k_t(t, t') with
@@ -19,8 +21,9 @@ B = W W^T + diag(kappa) positive semi-definite by construction.
 All positive hyperparameters (variances, length-scales, period, kappa)
 are stored in log-space so optimization is unconstrained; values are
 floored at PARAM_FLOOR after exponentiation to avoid degenerate kernels.
-Gradients are contracted (TemporalKernel.gradient,
-CoregionalizationFactor.gradient), never one n x n matrix per parameter.
+Gradients are contracted (TemporalKernel.gradient takes one weight per
+lag, CoregionalizationFactor.gradient one per entry of B), never one
+n x n matrix per parameter.
 Functions here are pure and safe for concurrent use.
 """
 
@@ -215,6 +218,8 @@ class TemporalKernel:
 
     The components and their intermediates are kept, and the lag array is
     referenced (not copied), so the same evaluation serves :meth:`gradient`.
+    Callers pass the distinct lags of a lag_table and gather k_t by its
+    index; :meth:`gradient` then takes weights binned by lag.
     """
 
     def __init__(self, spec: CompositeKernelSpec, lag):
@@ -239,8 +244,10 @@ class TemporalKernel:
         self.k_t = self.k_per + self.k_se + self.k_mat
 
     def gradient(self, weights) -> np.ndarray:
-        """sum_ij weights[i, j] * d k_t[i, j] / d theta for the seven
-        log-space parameters, in kernel_parameter_names order.
+        """sum_l weights[l] * d k_t[l] / d theta for the seven log-space
+        parameters, in kernel_parameter_names order; weights has the lag
+        array's shape (one weight per lag, e.g. summed over the pairs
+        that share it).
 
         A partial is zero where its parameter's floor is active.
         """
@@ -296,6 +303,24 @@ def _validate_points(num_outputs: int, times, outputs):
     return times, outputs.astype(int)
 
 
+def lag_table(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of |a_i - b_j| for 1-d time arrays a and b and the
+    (len(a), len(b)) index into them, so that
+    ``lags[index] == abs(a[:, None] - b[None, :])``.
+
+    Each lag is taken between distinct values of a and b, which is the
+    same float subtraction as the full difference, so the gathered
+    matrix is bit-identical to it.
+    """
+    a_values, a_index = np.unique(a, return_inverse=True)
+    b_values, b_index = np.unique(b, return_inverse=True)
+    lags, inverse = np.unique(
+        np.abs(a_values[:, None] - b_values[None, :]).ravel(),
+        return_inverse=True)
+    index = inverse.reshape(a_values.size, b_values.size)
+    return lags, index[np.ix_(a_index, b_index)]
+
+
 def gram_matrix(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
                 times, outputs) -> np.ndarray:
     """Dense Gram matrix of the ICM kernel at stacked (time, output) points.
@@ -312,9 +337,9 @@ def gram_matrix(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
     (n, n) symmetric PSD matrix.
     """
     times, outputs = _validate_points(coreg.num_outputs, times, outputs)
-    temporal = TemporalKernel(spec, np.abs(times[:, None] - times[None, :]))
+    lags, index = lag_table(times, times)
     b_oo = coreg.matrix()[np.ix_(outputs, outputs)]
-    return b_oo * temporal.k_t
+    return b_oo * TemporalKernel(spec, lags).k_t[index]
 
 
 def kernel_parameter_names(num_outputs: int, rank: int) -> list[str]:

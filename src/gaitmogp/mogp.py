@@ -10,11 +10,11 @@ included; nothing here measures their calibration).
 Fitting is one loop over up to ``iterations + 1`` iterates, each with
 one LML trace entry (one at ``iterations = 0``) and each raising
 NumericError on a non-finite LML; an iterate evaluates the kernel
-components once, for both the LML and its contracted gradient (see
-lml_gradient). fit is the only code that writes a model's Cholesky
-cache, from its best iterate; log_marginal_likelihood, lml_gradient and
-predict leave the model untouched. Fitting owns a private parameter
-state.
+components once per distinct training lag, for both the LML and its
+contracted gradient (see lml_gradient). fit is the only code that
+writes a model's Cholesky cache, from its best iterate;
+log_marginal_likelihood, lml_gradient and predict leave the model
+untouched. Fitting owns a private parameter state.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .kernels import (
     _floored_exp_with_grad,
     _validate_points,
     kernel_parameter_names,
+    lag_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -245,25 +246,30 @@ def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 class _Geometry:
     """What a training set fixes for every parameter setting: the
-    pairwise lags |t_i - t_j| and the (n, M) one-hot output indicator E."""
+    distinct pairwise lags |t_i - t_j| (``lags``), the (n, n) integer
+    ``lag_index`` into them (kernels.lag_table) and the (n, M) one-hot
+    output indicator E. Grid times repeat, so ``lags`` is far shorter
+    than n^2."""
 
     def __init__(self, training: TrainingSet):
         training.validate()
         times, self.outputs = training.times, training.outputs
-        self.lag = np.abs(times[:, None] - times[None, :])
+        self.lags, self.lag_index = lag_table(times, times)
         self.indicator = np.eye(training.num_outputs)[self.outputs]
 
 
 class _Evaluation:
     """LML of one parameter setting; the Gram matrix, its Cholesky factor
-    and the gradient all read one evaluation of the kernel components."""
+    and the gradient all read one evaluation of the kernel components on
+    the distinct lags, gathered to (n, n) ``k_t`` by the lag index."""
 
     def __init__(self, model: MoGPModel, geometry: _Geometry):
         self.model, self.geometry = model, geometry
-        self.temporal = TemporalKernel(model.kernel, geometry.lag)
+        self.temporal = TemporalKernel(model.kernel, geometry.lags)
+        self.k_t = self.temporal.k_t[geometry.lag_index]
         self.b_oo = model.coreg.matrix()[np.ix_(geometry.outputs,
                                                 geometry.outputs)]
-        k = self.b_oo * self.temporal.k_t
+        k = self.b_oo * self.k_t
         k[np.diag_indices_from(k)] += model.noise_variance
         self.chol, self.jitter = _chol_with_jitter(k)
         y_c = model.centered_values()
@@ -273,7 +279,8 @@ class _Evaluation:
                          - 0.5 * y_c.shape[0] * LOG_2PI)
 
     def gradient(self) -> np.ndarray:
-        """d LML / d theta in parameter_names order (see lml_gradient)."""
+        """d LML / d theta in parameter_names order (see lml_gradient);
+        A o B_oo is summed per distinct lag before the kernel partials."""
         model, geometry, alpha = self.model, self.geometry, self.alpha
         kinv, info = dpotri(self.chol, lower=1)
         if info != 0:
@@ -284,10 +291,14 @@ class _Evaluation:
         a_mat = np.outer(alpha, alpha)
         a_mat -= kinv
         e = geometry.indicator
-        s = e.T @ ((a_mat * self.temporal.k_t) @ e)
+        s = e.T @ ((a_mat * self.k_t) @ e)
+        a_mat *= self.b_oo
+        per_lag = np.bincount(geometry.lag_index.ravel(),
+                              weights=a_mat.ravel(),
+                              minlength=geometry.lags.size)
         _, dnoise = _floored_exp_with_grad(model.log_noise_variance)
         return np.concatenate([
-            0.5 * self.temporal.gradient(a_mat * self.b_oo),
+            0.5 * self.temporal.gradient(per_lag),
             model.coreg.gradient(0.5 * s),
             np.bincount(geometry.outputs, weights=alpha,
                         minlength=model.num_outputs),
@@ -351,8 +362,9 @@ def lml_gradient(model: MoGPModel) -> np.ndarray:
 
     Each entry is 1/2 tr(A dK/dtheta) with A = alpha alpha^T - K^-1
     (Rasmussen & Williams 2006, eq. 5.9), contracted without forming
-    dK/dtheta: kernel entries are 1/2 sum (A o B_oo) o dk_t/dtheta; with
-    S = E^T (A o k_t) E, W gets S W and log kappa 1/2 diag(S) kappa'.
+    dK/dtheta: kernel entries are 1/2 sum_l w_l dk_t(r_l)/dtheta over the
+    distinct lags r_l, where w_l sums A o B_oo over the pairs at lag r_l;
+    with S = E^T (A o k_t) E, W gets S W and log kappa 1/2 diag(S) kappa'.
     K^-1 comes from LAPACK potri on the Cholesky factor. The model is
     not modified.
     """
@@ -475,8 +487,8 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
     if outside:
         notes.append(f"extrapolation: {outside} query times outside [0, 1]")
 
-    temporal = TemporalKernel(model.kernel, np.abs(
-        query[:, None] - model.training.times[None, :])).k_t
+    lags, lag_index = lag_table(query, model.training.times)
+    temporal = TemporalKernel(model.kernel, lags).k_t[lag_index]
     b = model.coreg.matrix()
     prior_var = model.kernel.prior_variance()
     noise = model.noise_variance

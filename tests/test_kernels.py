@@ -17,6 +17,7 @@ from gaitmogp.kernels import (
     TemporalKernel,
     gram_matrix,
     kernel_parameter_names,
+    lag_table,
 )
 
 import oracles
@@ -172,6 +173,40 @@ class TestKernelProperties:
             assert np.max(np.abs(gram - gram.T)) < 1e-12
             min_eig = float(np.min(np.linalg.eigvalsh(gram)))
             assert min_eig >= -1e-8 * float(np.trace(gram))
+
+
+class TestLagTable:
+    # Grid times k / T repeat; uniform ones make every lag distinct.
+    time_sets = st.one_of(
+        st.integers(2, 50).flatmap(lambda size: st.lists(
+            st.integers(0, size - 1).map(lambda k: k / size),
+            min_size=1, max_size=40)),
+        st.lists(finite_times, min_size=1, max_size=40))
+
+    @given(a=time_sets, b=time_sets, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_table_gathers_the_full_lag_evaluation(self, a, b, seed):
+        a, b = np.array(a), np.array(b)
+        full = _lag(a[:, None], b[None, :])
+        lags, index = lag_table(a, b)
+        assert lags.size == np.unique(full).size
+        np.testing.assert_array_equal(lags[index], full)
+        spec = _random_spec(np.random.default_rng(seed))
+        np.testing.assert_array_equal(TemporalKernel(spec, lags).k_t[index],
+                                      TemporalKernel(spec, full).k_t)
+
+    @given(times=time_sets, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gram_matrix_equals_the_full_lag_evaluation(self, times, seed):
+        rng = np.random.default_rng(seed)
+        times = np.array(times)
+        outputs = rng.integers(0, 3, size=times.size)
+        spec = _random_spec(rng)
+        coreg = _random_coreg(rng, num_outputs=3, rank=2)
+        full = TemporalKernel(spec, _lag(times[:, None], times[None, :])).k_t
+        np.testing.assert_array_equal(
+            gram_matrix(spec, coreg, times, outputs),
+            coreg.matrix()[np.ix_(outputs, outputs)] * full)
 
 
 class TestKernelGradients:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitmogp import mogp
 from gaitmogp.errors import NumericError, ValidationError
+from gaitmogp.kernels import TemporalKernel
 from gaitmogp.mogp import (
     MoGPModel,
     OptimizerConfig,
@@ -28,11 +32,19 @@ import oracles
 
 
 def _random_training(rng: np.random.Generator, num_outputs: int,
-                     points_per_output: int) -> TrainingSet:
+                     points_per_output: int,
+                     grid_points: int | None = None) -> TrainingSet:
+    """Uniform times, or with ``grid_points`` times drawn with repeats
+    from the grid k / grid_points (as the CLI draws cycle-grid times)."""
     times = []
     outputs = []
     for m in range(num_outputs):
-        times.append(np.sort(rng.uniform(0.0, 1.0, size=points_per_output)))
+        if grid_points is None:
+            draw = rng.uniform(0.0, 1.0, size=points_per_output)
+        else:
+            draw = rng.integers(0, grid_points, size=points_per_output) \
+                / grid_points
+        times.append(np.sort(draw))
         outputs.append(np.full(points_per_output, m))
     times = np.concatenate(times)
     outputs = np.concatenate(outputs)
@@ -43,8 +55,10 @@ def _random_training(rng: np.random.Generator, num_outputs: int,
 
 
 def _random_model(rng: np.random.Generator, num_outputs: int = 3,
-                  points_per_output: int = 3, rank: int = 2) -> MoGPModel:
-    training = _random_training(rng, num_outputs, points_per_output)
+                  points_per_output: int = 3, rank: int = 2,
+                  grid_points: int | None = None) -> MoGPModel:
+    training = _random_training(rng, num_outputs, points_per_output,
+                                grid_points)
     config = OptimizerConfig(rank=rank, seed=int(rng.integers(0, 1000)))
     theta = np.concatenate([
         rng.uniform(-1.5, 0.5, size=7),
@@ -61,10 +75,13 @@ def _fresh_evaluation(model: MoGPModel) -> mogp._Evaluation:
 
 
 class TestExactness:
+    # Uniform times: every off-diagonal lag is distinct.
+    GRID_POINTS = None
+
     def test_lml_matches_dense_inversion(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            model = _random_model(rng)
+            model = _random_model(rng, grid_points=self.GRID_POINTS)
             got = log_marginal_likelihood(model)
             assert _fresh_evaluation(model).jitter == 0.0
             expected = oracles.dense_lml(model)
@@ -73,7 +90,7 @@ class TestExactness:
     def test_posterior_matches_dense_inversion(self):
         rng = np.random.default_rng(43)
         for _ in range(5):
-            model = _random_model(rng)
+            model = _random_model(rng, grid_points=self.GRID_POINTS)
             query = rng.uniform(0.0, 1.0, size=6)
             prediction = predict(model, query)
             assert _fresh_evaluation(model).jitter == 0.0
@@ -87,7 +104,7 @@ class TestExactness:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(44)
         for _ in range(3):
-            model = _random_model(rng)
+            model = _random_model(rng, grid_points=self.GRID_POINTS)
             theta = pack_parameters(model)
 
             def lml_at(vector: np.ndarray) -> float:
@@ -106,7 +123,8 @@ class TestExactness:
         # Every entry is 1/2 sum A o dK/dtheta (dK = s' I for the noise)
         # except the means, which are per-output sums of alpha.
         rng = np.random.default_rng(46)
-        model = _random_model(rng, num_outputs=6, points_per_output=10)
+        model = _random_model(rng, num_outputs=6, points_per_output=10,
+                              grid_points=self.GRID_POINTS)
         if floored:
             model.kernel.se.log_variance = -60.0
             model.coreg.log_kappa[2] = -60.0
@@ -136,12 +154,49 @@ class TestExactness:
 
     def test_mean_gradient_entries_are_analytic(self):
         rng = np.random.default_rng(45)
-        model = _random_model(rng, num_outputs=2)
+        model = _random_model(rng, num_outputs=2,
+                              grid_points=self.GRID_POINTS)
         names = parameter_names(2, model.config.rank)
         grad = lml_gradient(model)
         assert grad.shape[0] == len(names)
         assert names[-1] == "log_noise_variance"
         assert names[-3:-1] == ["mean[0]", "mean[1]"]
+
+
+class TestExactnessOnGridTimes(TestExactness):
+    # Times repeat within and across outputs, so many pairs share a lag
+    # and the gradient's per-lag sums bin more than one pair.
+    GRID_POINTS = 7
+
+
+class TestDistinctLags:
+    @given(seed=st.integers(0, 2**32 - 1),
+           grid_points=st.sampled_from([None, 3, 10, 100]),
+           num_outputs=st.integers(1, 4), points=st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_k_t_equals_the_full_lag_evaluation(self, seed, grid_points,
+                                                num_outputs, points):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, num_outputs, points, rank=1,
+                              grid_points=grid_points)
+        times = model.training.times
+        full = TemporalKernel(model.kernel,
+                              np.abs(times[:, None] - times[None, :])).k_t
+        np.testing.assert_array_equal(_fresh_evaluation(model).k_t, full)
+
+    def test_memory_stays_below_ten_gram_matrices(self):
+        # n = 720 on a 100-point cycle grid, the size of a pooled fit.
+        rng = np.random.default_rng(47)
+        model = _random_model(rng, num_outputs=6, points_per_output=120,
+                              grid_points=100)
+        n = model.training.size
+        tracemalloc.start()
+        try:
+            _fresh_evaluation(model).gradient()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * n * 8
 
 
 class TestFit:
