@@ -21,9 +21,8 @@ from .hmm import (AnomalousSegment, BaumWelchConfig, DecodedStates, HmmModel,
                   default_model, emission_logpdf, forward_log_likelihood,
                   init_emissions_from_data, viterbi_decode)
 from .gait_signal import (CHANNELS, GaitEvents, PhaseDurations,
-                          detect_events, impute_missing, knee_angle,
-                          lowpass_filter, normalize_and_align,
-                          phase_durations)
+                          detect_events, impute_missing, lowpass_filter,
+                          normalize_and_align, phase_durations)
 from .metrics import MetricReport, compute_report, dtw, mae, r_squared
 from .dataio import (AnomalySpec, SubjectRecord, SynthConfig,
                      generate_synthetic, load_corpus, loso_splits,
@@ -43,7 +42,7 @@ __all__ = [
     "default_model", "emission_logpdf", "forward_log_likelihood",
     "init_emissions_from_data", "viterbi_decode",
     "CHANNELS", "GaitEvents", "PhaseDurations", "detect_events",
-    "impute_missing", "knee_angle", "lowpass_filter", "normalize_and_align",
+    "impute_missing", "lowpass_filter", "normalize_and_align",
     "phase_durations",
     "MetricReport", "compute_report", "dtw", "mae", "r_squared",
     "AnomalySpec", "SubjectRecord", "SynthConfig",

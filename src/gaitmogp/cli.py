@@ -416,7 +416,7 @@ def _bilateral_deviation(obs: np.ndarray) -> np.ndarray:
     return np.abs(total - center) / max(scale, 1e-12)
 
 
-def _apply_decision_rule(decoded: hmm.DecodedStates, grid: np.ndarray,
+def _apply_decision_rule(states: np.ndarray, grid: np.ndarray,
                          deviation: np.ndarray, threshold: float):
     """Reported segments under the default decision rule.
 
@@ -425,14 +425,10 @@ def _apply_decision_rule(decoded: hmm.DecodedStates, grid: np.ndarray,
     runs of surviving steps. Threshold 0 reports every decoded
     abnormal run unchanged.
     """
-    if threshold == 0.0:
-        return hmm.anomalous_segments(decoded, grid)
-    keep = np.isin(decoded.states, hmm.ABNORMAL_STATES) \
-        & (deviation > threshold)
-    # Re-use the run extraction by masking suppressed steps to state 1.
-    masked = np.where(keep, decoded.states, 1)
-    gated = hmm.DecodedStates(states=masked, log_joint=decoded.log_joint)
-    return hmm.anomalous_segments(gated, grid)
+    if threshold > 0.0:
+        # Suppressed steps are masked to normal state 1.
+        states = np.where(deviation > threshold, states, 1)
+    return hmm.anomalous_segments(states, grid)
 
 
 def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
@@ -469,7 +465,7 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
         hmm_model = hmm.baum_welch_fit(init, [obs], _em_config(cfg))
     decoded = hmm.viterbi_decode(hmm_model, obs)
     segments = _apply_decision_rule(
-        decoded, grid, _bilateral_deviation(obs.steps),
+        decoded.states, grid, _bilateral_deviation(obs.steps),
         cfg.segment_threshold)
 
     events_doc, phases_doc = {}, {}

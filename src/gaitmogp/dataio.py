@@ -15,9 +15,10 @@ byte-for-byte.
 Each subject becomes one ``SubjectRecord`` of plain arrays and nothing
 else: its raw cycles as (L, 6, 3) arrays keyed by corpus cycle id (NaN
 marks a gap), and the preprocessed cycles as one (C, 6, T) array on the
-T-point grid. A cycle that cannot be preprocessed (too short to filter
-or to align, a gap run too long to impute) is reported with its subject
-id and corpus cycle id.
+T-point grid. Preprocessing reads only the y (height) axis, so a gap in
+x or z is carried through and never rejected. A cycle that cannot be
+preprocessed (too short to filter or to align, a gap run too long to
+impute) is reported with its subject id and corpus cycle id.
 
 Synthetic subjects are built from a shared two-harmonic template
 
@@ -65,9 +66,10 @@ class SubjectRecord:
 
     ``raw_cycles`` maps each corpus cycle id, in increasing order, to an
     (L, 6, 3) array of (x, y, z) samples per frame and channel (CHANNELS
-    order), NaN marking a gap. ``cycles[c]`` is the c-th of them imputed,
-    filtered, resampled onto ``grid`` (T points) and z-scored per channel
-    with ``channel_means``/``channel_stds``, giving a (C, 6, T) array.
+    order), NaN marking a gap. ``cycles[c]`` is the y axis of the c-th of
+    them imputed, filtered, resampled onto ``grid`` (T points) and
+    z-scored per channel with ``channel_means``/``channel_stds``, giving a
+    (C, 6, T) array.
     """
 
     subject_id: str
@@ -141,16 +143,17 @@ def _build_record(subject_id: str, cohort: str,
                   raw_cycles: dict[int, np.ndarray],
                   filter_cutoff_hz: float | None,
                   filter_order: int, num_points: int) -> SubjectRecord:
-    """Run the preprocessing chain (impute -> filter -> normalize/align);
-    an error names the subject and the corpus cycle id."""
+    """Run the preprocessing chain (impute -> filter -> normalize/align)
+    on the y axis of each raw cycle; an error names the subject and the
+    corpus cycle id."""
     heights = []
     for cycle_id, raw in raw_cycles.items():
         try:
-            samples = impute_missing(raw)
+            samples = impute_missing(raw[:, :, 1])
             if filter_cutoff_hz is not None:
                 samples = lowpass_filter(samples, filter_cutoff_hz,
                                          filter_order)
-            heights.append(check_cycle(samples[:, :, 1].T))
+            heights.append(check_cycle(samples.T))
         except ValidationError as exc:
             raise ValidationError(
                 f"subject {subject_id}, cycle {cycle_id}: {exc}") from None
@@ -182,7 +185,9 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
 
     Preprocessing applies gap imputation, the zero-phase Butterworth
     filter (skipped when ``filter_cutoff_hz`` is None) and per-subject
-    normalization onto the ``num_points`` cycle grid.
+    normalization onto the ``num_points`` cycle grid, to the y axis only.
+    Subject ids name output files, so they may not contain a path
+    separator (``/`` or ``\\``) or NUL.
     """
     if not os.path.exists(path):
         raise ValidationError(f"corpus file not found: {path}")
@@ -202,7 +207,7 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
             raise ValidationError(
                 f"line {line_no}: expected 9 fields, got {len(fields)}")
         subject, cohort, cycle_s, frame_s, joint, side, xs, ys, zs = fields
-        if not subject or any(c in subject for c in ",\r\n"):
+        if not subject or any(c in subject for c in ",\r\n/\\\0"):
             raise ValidationError(
                 f"line {line_no}, column subject_id: invalid id {subject!r}")
         if cohort not in COHORTS:

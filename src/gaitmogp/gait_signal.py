@@ -3,20 +3,19 @@
 Covers the preprocessing chain (zero-phase Butterworth smoothing, linear
 gap imputation, per-subject normalization with temporal alignment onto a
 T-point cycle grid) and the downstream features: heel-strike/toe-off
-detection, stance/swing phase durations, and knee angles.
+detection and stance/swing phase durations.
 
 Conventions
 -----------
 - Signals are plain arrays with time along axis 0. A raw cycle is an
   (L, 6, 3) array: L frames at 30 FPS, the six channels in CHANNELS
   order, and (x, y, z) joint displacements, with NaN marking a gap. Only
-  the y (vertical) axis enters modeling; x/z are kept for knee angles.
+  the y (vertical) axis is preprocessed and modeled, as an (L, 6) array
+  of channel heights; x/z are kept only so the corpus round-trips.
 - The normalized cycle grid is t_k = k / T for k = 0..T-1: a gait cycle
   is periodic, so the grid excludes the duplicate endpoint t = 1 and
   resampling interpolates cyclically. A cycle needs MIN_CYCLE_SAMPLES
   samples to be aligned (``check_cycle``).
-- Knee angle is the inner angle at the knee, arccos of the normalized
-  dot product of (hip - knee) and (ankle - knee), reported in degrees.
 
 All operations are pure and safe for concurrent use.
 """
@@ -89,8 +88,8 @@ def lowpass_filter(samples, cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
                    frame_rate: float = FRAME_RATE) -> np.ndarray:
     """Zero-phase Butterworth low-pass along axis 0 (DC gain 1).
 
-    Every other axis is filtered independently, so one call filters a
-    whole (L, 6, 3) cycle.
+    Every other axis is filtered independently, so one call filters all
+    six channel heights of an (L, 6) cycle.
     """
     samples = np.asarray(samples, dtype=float)
     nyquist = frame_rate / 2.0
@@ -116,7 +115,7 @@ def impute_missing(samples) -> np.ndarray:
 
     Gap runs must be shorter than one third of the sequence; longer runs
     raise, recommending the cycle be excluded. The error names the
-    channel when ``samples`` is an (L, 6, 3) cycle.
+    channel when ``samples`` is an (L, 6) cycle of channel heights.
     """
     filled = np.array(samples, dtype=float)
     n = filled.shape[0]
@@ -127,8 +126,7 @@ def impute_missing(samples) -> np.ndarray:
         gap = gaps[:, col]
         run = _longest_run(gap)
         if 3 * run >= n:
-            label = (CHANNELS[col // 3]
-                     if filled.shape[1:] == (len(CHANNELS), 3)
+            label = (CHANNELS[col] if filled.shape[1:] == (len(CHANNELS),)
                      else f"column {col}")
             raise ValidationError(
                 f"{label}: gap run of {run} samples is >= 1/3 of the "
@@ -300,26 +298,3 @@ def phase_durations(events: GaitEvents) -> PhaseDurations:
         raise ValidationError(
             "no heel-strike -> toe-off pair found; cannot compute phases")
     return PhaseDurations(stance=stance, swing=swing)
-
-
-def knee_angle(hip, knee, ankle) -> np.ndarray:
-    """Inner knee angle per sample, in degrees within [0, 180], from three
-    (L, 3) position arrays.
-
-    angle(t) = arccos( <hip-knee, ankle-knee> / (|hip-knee| |ankle-knee|) ).
-    """
-    hip, knee, ankle = (np.asarray(a, dtype=float) for a in (hip, knee, ankle))
-    if not (hip.shape == knee.shape == ankle.shape):
-        raise ValidationError(
-            f"hip, knee and ankle must have equal lengths, got shapes "
-            f"{hip.shape}, {knee.shape}, {ankle.shape}")
-    thigh = hip - knee
-    shank = ankle - knee
-    norm_t = np.linalg.norm(thigh, axis=-1)
-    norm_s = np.linalg.norm(shank, axis=-1)
-    bad = np.nonzero((norm_t <= 1e-9) | (norm_s <= 1e-9))[0]
-    if bad.size:
-        raise ValidationError(
-            f"degenerate leg segment at sample index {int(bad[0])}")
-    cos = np.sum(thigh * shank, axis=-1) / (norm_t * norm_s)
-    return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))

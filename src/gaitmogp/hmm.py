@@ -392,15 +392,17 @@ def baum_welch_fit(init: HmmModel, sequences,
     return model
 
 
-def anomalous_segments(decoded: DecodedStates, time_grid) -> list[AnomalousSegment]:
+def anomalous_segments(states, time_grid) -> list[AnomalousSegment]:
     """Maximal runs of abnormal states as (start, end, dominant label).
 
-    Contiguous steps decoded to state 3 or 4 merge into one segment;
-    start/end are the grid times of the first and last step of the run
-    and the label is the majority state within it ("s3" on ties).
+    ``states`` is a (T,) path of 1-based state indices, such as
+    ``DecodedStates.states``. Contiguous steps in state 3 or 4 merge into
+    one segment; start/end are the grid times of the first and last step
+    of the run and the label is the majority state within it ("s3" on
+    ties).
     """
     grid = np.asarray(time_grid, dtype=float).ravel()
-    states = decoded.states
+    states = np.asarray(states).ravel()
     if grid.shape[0] != states.shape[0]:
         raise ValidationError(
             f"time grid length {grid.shape[0]} does not match decoded "

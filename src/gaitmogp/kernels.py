@@ -176,14 +176,6 @@ class CoregionalizationFactor:
                 and np.all(np.isfinite(self.log_kappa))):
             raise ValidationError("coregionalization parameters must be finite")
 
-    @classmethod
-    def from_values(cls, w: np.ndarray, kappa: np.ndarray) -> "CoregionalizationFactor":
-        kappa = np.asarray(kappa, dtype=float).ravel()
-        if np.any(kappa < 0.0):
-            raise ValidationError("kappa entries must be non-negative")
-        return cls(w=np.asarray(w, dtype=float),
-                   log_kappa=np.log(np.maximum(kappa, PARAM_FLOOR)))
-
     @property
     def num_outputs(self) -> int:
         return self.w.shape[0]

@@ -148,26 +148,23 @@ class MetricReport:
         return doc
 
 
-def compute_report(pred_set, truth_set, output_names=None,
-                   per_output_dtw=None) -> MetricReport:
-    """Build a MetricReport from (M, Q) prediction/truth arrays; DTWs
-    the caller already has may be passed as ``per_output_dtw``."""
+def compute_report(pred_set, truth_set, output_names,
+                   per_output_dtw) -> MetricReport:
+    """Build a MetricReport from (M, Q) prediction/truth arrays, one
+    name per row, and the (M,) per-row DTWs, which the caller computes
+    (evaluate derives raw-unit DTWs from the normalized ones)."""
     pred = np.atleast_2d(np.asarray(pred_set, dtype=float))
     truth = np.atleast_2d(np.asarray(truth_set, dtype=float))
     if pred.shape != truth.shape:
         raise ValidationError(
             f"shape mismatch: pred {pred.shape}, truth {truth.shape}")
     num_outputs = pred.shape[0]
-    if output_names is None:
-        output_names = tuple(f"output_{m}" for m in range(num_outputs))
     if len(output_names) != num_outputs:
         raise ValidationError("output_names must match the number of rows")
     per_mae = np.array([mae(pred[m], truth[m]) for m in range(num_outputs)])
     per_r2 = np.array([r_squared(pred[m], truth[m])
                        for m in range(num_outputs)])
-    per_dtw = np.array(
-        [dtw(pred[m], truth[m]) for m in range(num_outputs)]
-        if per_output_dtw is None else per_output_dtw, dtype=float)
+    per_dtw = np.asarray(per_output_dtw, dtype=float)
     return MetricReport(
         mae=mae(pred.ravel(), truth.ravel()),
         r_squared=r_squared(pred.ravel(), truth.ravel()),

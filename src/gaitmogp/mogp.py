@@ -207,8 +207,6 @@ class PosteriorPrediction:
 
     mean: np.ndarray
     std: np.ndarray
-    clamped_variances: int = 0
-    notes: list = field(default_factory=list)
 
     def __post_init__(self):
         self.mean = np.atleast_2d(np.asarray(self.mean, dtype=float))
@@ -465,11 +463,11 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
 def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
     """Posterior mean and standard deviation for every output.
 
-    Predictive variance includes the observation noise. Negative
-    variances from the numerical subtraction are clamped at zero and
-    counted; queries outside [0, 1] are allowed but flagged in notes.
-    A model without fit's Cholesky cache is factored into local
-    variables; the model is not modified.
+    Predictive variance includes the observation noise. A variance that
+    the numerical subtraction leaves negative is clamped at zero before
+    the square root. Query times outside [0, 1] are allowed. A model
+    without fit's Cholesky cache is factored into local variables; the
+    model is not modified.
     """
     query = np.asarray(query_times, dtype=float).ravel()
     if query.shape[0] == 0:
@@ -481,11 +479,6 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
         chol, alpha = evaluation.chol, evaluation.alpha
     else:
         chol, alpha = model._chol, model._alpha
-
-    notes: list[str] = []
-    outside = int(np.sum((query < 0.0) | (query > 1.0)))
-    if outside:
-        notes.append(f"extrapolation: {outside} query times outside [0, 1]")
 
     lags, lag_index = lag_table(query, model.training.times)
     temporal = TemporalKernel(model.kernel, lags).k_t[lag_index]
@@ -502,12 +495,7 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
         v = solve_triangular(chol, k_star.T, lower=True)
         var[m] = b[m, m] * prior_var + noise - np.sum(v * v, axis=0)
 
-    clamped = int(np.sum(var < 0.0))
-    if clamped:
-        notes.append(f"clamped {clamped} negative predictive variances")
-    var = np.maximum(var, 0.0)
-    return PosteriorPrediction(mean=mean, std=np.sqrt(var),
-                               clamped_variances=clamped, notes=notes)
+    return PosteriorPrediction(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
 
 
 def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:

@@ -180,8 +180,8 @@ def test_criterion_04_gp_generate_and_refit():
         periodic=SubKernelParams.from_values(1.0, 0.45, period=1.0),
         se=SubKernelParams.from_values(0.6, 0.3),
         matern32=SubKernelParams.from_values(0.2, 0.25))
-    coreg = CoregionalizationFactor.from_values(
-        0.5 * rng.standard_normal((m, 2)), np.full(m, 0.3))
+    coreg = CoregionalizationFactor(w=0.5 * rng.standard_normal((m, 2)),
+                                    log_kappa=np.log(np.full(m, 0.3)))
     means = rng.normal(0.0, 0.5, m)
 
     train_times = np.concatenate(

@@ -638,6 +638,49 @@ class TestCorpusCycleIds:
         assert err["error"] == "subject D02, cycle 7: length 8 < 10 samples"
 
 
+class TestSubjectIdsNameFiles:
+    """Subject ids become file names, so an id that is not a plain file
+    name is rejected before anything is written."""
+
+    @pytest.mark.parametrize("subject_id", ["../../escaped", "a\\b", "nul\0"])
+    def test_unsafe_subject_id_writes_nothing(self, pipeline, tmp_path,
+                                              capsys, subject_id):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(pipeline["corpus"].read_text().replace(
+            "\nC01,", f"\n{subject_id},"))
+        out = tmp_path / "out"
+        for argv in (["fit", "--output", str(out / "models"),
+                      "--scope", "subject"],
+                     ["evaluate", "--output", str(out / "eval")]):
+            assert cli.main([*argv, "--input", str(corpus), *FAST_FIT]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "invalid id" in json.loads(err)["error"]
+        assert [p.name for p in tmp_path.rglob("*")] == ["corpus.csv"]
+
+
+class TestPreprocessYAxis:
+    def test_gap_in_x_does_not_change_the_output(self, pipeline, tmp_path):
+        # Blank x for 30 frames of one channel: a gap run that would be
+        # too long to impute, on an axis that preprocessing never reads.
+        lines = pipeline["corpus"].read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            fields = line.split(",")
+            if (fields[0], fields[2], fields[4], fields[5]) == (
+                    "C01", "0", "ankle", "left") and 10 <= int(fields[3]) < 40:
+                fields[6] = ""
+                lines[i] = ",".join(fields)
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(lines) + "\n")
+        assert gapped.read_text().count(",ankle,left,,") == 30
+        for source, out in ((pipeline["corpus"], "plain.csv"),
+                            (gapped, "gapped.csv")):
+            assert cli.main(["preprocess", "--input", str(source),
+                             "--output", str(tmp_path / out)]) == 0
+        assert (tmp_path / "gapped.csv").read_bytes() == \
+            (tmp_path / "plain.csv").read_bytes()
+
+
 class TestDeterminism:
     def test_fit_is_deterministic(self, pipeline, tmp_path):
         first = tmp_path / "first"

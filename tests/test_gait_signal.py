@@ -14,7 +14,6 @@ from gaitmogp.gait_signal import (
     PhaseDurations,
     detect_events,
     impute_missing,
-    knee_angle,
     lowpass_filter,
     normalize_and_align,
     phase_durations,
@@ -240,41 +239,6 @@ class TestPhaseDurations:
     def test_durations_must_be_positive(self):
         with pytest.raises(ValidationError, match="positive"):
             PhaseDurations(stance=[0.0], swing=[0.2])
-
-
-class TestKneeAngle:
-    def test_right_angle(self):
-        hip = np.array([[0.0, 1.0, 0.0]] * 2)
-        knee = np.array([[0.0, 0.0, 0.0]] * 2)
-        ankle = np.array([[1.0, 0.0, 0.0]] * 2)
-        np.testing.assert_allclose(knee_angle(hip, knee, ankle), 90.0)
-
-    def test_straight_leg(self):
-        hip = np.array([[0.0, 2.0, 0.0]] * 2)
-        knee = np.array([[0.0, 1.0, 0.0]] * 2)
-        ankle = np.array([[0.0, 0.0, 0.0]] * 2)
-        np.testing.assert_allclose(knee_angle(hip, knee, ankle), 180.0)
-
-    def test_sixty_degree_flexion(self):
-        hip = np.array([[0.0, 1.0, 0.0]] * 2)
-        knee = np.array([[0.0, 0.0, 0.0]] * 2)
-        ankle = np.array([[np.sin(np.pi / 3.0), np.cos(np.pi / 3.0), 0.0]] * 2)
-        np.testing.assert_allclose(knee_angle(hip, knee, ankle), 60.0,
-                                   rtol=1e-10)
-
-    def test_degenerate_segment_is_reported_with_index(self):
-        hip = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        knee = np.array([[0.0, 0.0, 0.0]] * 2)
-        ankle = np.array([[1.0, 0.0, 0.0]] * 2)
-        with pytest.raises(ValidationError, match="sample index 1"):
-            knee_angle(hip, knee, ankle)
-
-    def test_length_mismatch(self):
-        hip = np.array([[0.0, 1.0, 0.0]] * 3)
-        knee = np.array([[0.0, 0.0, 0.0]] * 2)
-        ankle = np.array([[1.0, 0.0, 0.0]] * 2)
-        with pytest.raises(ValidationError, match="equal lengths"):
-            knee_angle(hip, knee, ankle)
 
 
 class TestJointTrajectoryValidation:

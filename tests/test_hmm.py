@@ -273,36 +273,29 @@ class TestInitialization:
 class TestSegments:
     def test_runs_merge_into_segments(self):
         grid = np.arange(8) / 8.0
-        decoded = DecodedStates(
-            states=np.array([1, 3, 3, 2, 4, 4, 4, 1]), log_joint=0.0)
-        segments = anomalous_segments(decoded, grid)
+        segments = anomalous_segments(np.array([1, 3, 3, 2, 4, 4, 4, 1]),
+                                      grid)
         assert len(segments) == 2
         assert segments[0] == (pytest.approx(1 / 8), pytest.approx(2 / 8), "s3")
         assert segments[1] == (pytest.approx(4 / 8), pytest.approx(6 / 8), "s4")
 
     def test_majority_label_with_tie_prefers_s3(self):
         grid = np.arange(4) / 4.0
-        decoded = DecodedStates(states=np.array([3, 4, 1, 1]), log_joint=0.0)
-        segments = anomalous_segments(decoded, grid)
+        segments = anomalous_segments(np.array([3, 4, 1, 1]), grid)
         assert [s.state_label for s in segments] == ["s3"]
 
     def test_trailing_run_is_closed(self):
         grid = np.arange(5) / 5.0
-        decoded = DecodedStates(states=np.array([1, 1, 1, 4, 4]),
-                                log_joint=0.0)
-        segments = anomalous_segments(decoded, grid)
+        segments = anomalous_segments(np.array([1, 1, 1, 4, 4]), grid)
         assert segments == [(pytest.approx(3 / 5), pytest.approx(4 / 5), "s4")]
 
     def test_all_normal_path_yields_no_segments(self):
         grid = np.arange(6) / 6.0
-        decoded = DecodedStates(states=np.array([1, 2, 1, 2, 1, 2]),
-                                log_joint=0.0)
-        assert anomalous_segments(decoded, grid) == []
+        assert anomalous_segments(np.array([1, 2, 1, 2, 1, 2]), grid) == []
 
     def test_grid_length_mismatch(self):
-        decoded = DecodedStates(states=np.array([1, 2]), log_joint=0.0)
         with pytest.raises(ValidationError, match="does not match"):
-            anomalous_segments(decoded, np.zeros(3))
+            anomalous_segments(np.array([1, 2]), np.zeros(3))
 
     def test_abnormal_state_labels(self):
         assert ABNORMAL_STATES == (3, 4)

@@ -51,9 +51,9 @@ def _random_spec(rng: np.random.Generator) -> CompositeKernelSpec:
 
 def _random_coreg(rng: np.random.Generator, num_outputs: int,
                   rank: int) -> CoregionalizationFactor:
-    return CoregionalizationFactor.from_values(
+    return CoregionalizationFactor(
         w=rng.normal(0.0, 0.7, size=(num_outputs, rank)),
-        kappa=rng.uniform(0.05, 1.0, size=num_outputs))
+        log_kappa=np.log(rng.uniform(0.05, 1.0, size=num_outputs)))
 
 
 class TestClosedFormValues:
@@ -318,15 +318,15 @@ class TestParameterHandling:
         rng = np.random.default_rng(13)
         w = rng.normal(size=(4, 2))
         kappa = rng.uniform(0.1, 1.0, size=4)
-        coreg = CoregionalizationFactor.from_values(w=w, kappa=kappa)
+        coreg = CoregionalizationFactor(w=w, log_kappa=np.log(kappa))
         expected = w @ w.T + np.diag(kappa)
         assert np.allclose(coreg.matrix(), expected, rtol=1e-12)
         assert float(np.min(np.linalg.eigvalsh(coreg.matrix()))) >= 0.0
 
-    def test_coregionalization_rejects_negative_kappa(self):
-        with pytest.raises(ValidationError, match="non-negative"):
-            CoregionalizationFactor.from_values(
-                w=np.ones((2, 1)), kappa=np.array([0.5, -0.1]))
+    def test_coregionalization_rejects_non_finite_parameters(self):
+        with pytest.raises(ValidationError, match="finite"):
+            CoregionalizationFactor(w=np.ones((2, 1)),
+                                    log_kappa=np.array([0.5, np.nan]))
 
     def test_coregionalization_shape_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
@@ -335,19 +335,19 @@ class TestParameterHandling:
 
 class TestPointValidation:
     def test_output_index_out_of_range(self):
-        coreg = CoregionalizationFactor.from_values(
-            w=np.ones((2, 1)), kappa=np.ones(2))
+        coreg = CoregionalizationFactor(w=np.ones((2, 1)),
+                                        log_kappa=np.zeros(2))
         with pytest.raises(ValidationError, match=r"\[0, 2\)"):
             gram_matrix(BASE_SPEC, coreg, [0.1, 0.2], [0, 2])
 
     def test_empty_points_rejected(self):
-        coreg = CoregionalizationFactor.from_values(
-            w=np.ones((2, 1)), kappa=np.ones(2))
+        coreg = CoregionalizationFactor(w=np.ones((2, 1)),
+                                        log_kappa=np.zeros(2))
         with pytest.raises(ValidationError, match="at least one"):
             gram_matrix(BASE_SPEC, coreg, [], [])
 
     def test_fractional_output_indices_rejected(self):
-        coreg = CoregionalizationFactor.from_values(
-            w=np.ones((2, 1)), kappa=np.ones(2))
+        coreg = CoregionalizationFactor(w=np.ones((2, 1)),
+                                        log_kappa=np.zeros(2))
         with pytest.raises(ValidationError, match="integers"):
             gram_matrix(BASE_SPEC, coreg, [0.1, 0.2], [0.0, 0.5])

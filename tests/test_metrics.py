@@ -123,7 +123,13 @@ class TestDtw:
         assert peak < 1 << 20
 
 
+def _row_dtws(pred, truth) -> np.ndarray:
+    return np.array([dtw(p, t) for p, t in zip(pred, truth)])
+
+
 class TestReport:
+    NAMES = ("a", "b", "c")
+
     @staticmethod
     def _example():
         rng = np.random.default_rng(51)
@@ -131,9 +137,13 @@ class TestReport:
         pred = truth + 0.1 * rng.normal(size=(3, 20))
         return pred, truth
 
+    def _report(self, pred, truth):
+        return compute_report(pred, truth, self.NAMES,
+                              _row_dtws(pred, truth))
+
     def test_compute_report_aggregates(self):
         pred, truth = self._example()
-        report = compute_report(pred, truth, output_names=("a", "b", "c"))
+        report = self._report(pred, truth)
         assert report.mae == pytest.approx(mae(pred.ravel(), truth.ravel()))
         assert report.r_squared == pytest.approx(
             r_squared(pred.ravel(), truth.ravel()))
@@ -148,24 +158,19 @@ class TestReport:
         pred, truth = self._example()
         stds = np.array([0.3, 2.5, 17.0])[:, None]
         means = np.array([-1.0, 0.2, 40.0])[:, None]
-        normalized = compute_report(pred, truth)
-        raw = compute_report(pred * stds + means, truth * stds + means)
+        normalized = self._report(pred, truth)
+        raw = self._report(pred * stds + means, truth * stds + means)
         rescaled = compute_report(
-            pred * stds + means, truth * stds + means,
+            pred * stds + means, truth * stds + means, self.NAMES,
             per_output_dtw=stds[:, 0] * normalized.per_output_dtw)
         np.testing.assert_allclose(rescaled.per_output_dtw,
                                    raw.per_output_dtw, rtol=1e-12)
         assert rescaled.mae == raw.mae
         assert rescaled.r_squared == raw.r_squared
 
-    def test_default_output_names(self):
-        pred, truth = self._example()
-        report = compute_report(pred, truth)
-        assert report.output_names == ("output_0", "output_1", "output_2")
-
     def test_as_document_round_trips_through_float(self):
         pred, truth = self._example()
-        report = compute_report(pred, truth, output_names=("a", "b", "c"))
+        report = self._report(pred, truth)
         doc = report.as_document()
         assert float(doc["mae"]) == report.mae
         assert float(doc["r_squared.b"]) == report.per_output_r_squared[1]
@@ -173,7 +178,7 @@ class TestReport:
 
     def test_as_table_layout(self):
         pred, truth = self._example()
-        report = compute_report(pred, truth, output_names=("a", "b", "c"))
+        report = self._report(pred, truth)
         lines = report.as_table().splitlines()
         assert len(lines) == 5
         assert lines[0].split() == ["output", "mae", "r_squared", "dtw"]
@@ -181,12 +186,14 @@ class TestReport:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape mismatch"):
-            compute_report(np.zeros((2, 5)), np.zeros((3, 5)))
+            compute_report(np.zeros((2, 5)), np.zeros((3, 5)), ("a", "b"),
+                           np.zeros(2))
 
     def test_output_names_must_match(self):
         with pytest.raises(ValidationError, match="output_names"):
             compute_report(np.zeros((2, 5)), np.ones((2, 5)),
-                           output_names=("only_one",))
+                           output_names=("only_one",),
+                           per_output_dtw=np.ones(2))
 
     def test_invariants_are_enforced(self):
         with pytest.raises(ValidationError, match="invariants"):

@@ -311,11 +311,36 @@ class TestPredict:
         assert prediction.std[0, 0] <= prior_std + 1e-9
         assert prediction.std[0, 0] > 0.5 * prior_std
 
-    def test_flags_extrapolation_queries(self):
+    def test_allows_extrapolation_queries(self):
         rng = np.random.default_rng(7)
         model = _random_model(rng, num_outputs=1, points_per_output=4, rank=1)
         prediction = predict(model, [-0.2, 0.5, 1.3])
-        assert any("extrapolation: 2" in note for note in prediction.notes)
+        assert prediction.mean.shape == (1, 3)
+        assert np.all(np.isfinite(prediction.mean))
+        assert np.all(np.isfinite(prediction.std))
+
+    def test_negative_variance_is_clamped_to_zero(self):
+        # At a training time the exact predictive variance is about twice
+        # the floored noise (1e-10), while the subtraction that computes it
+        # cancels terms of ~1e9 and so errs by ~1e-7 either way. The
+        # variance is at least the noise, so a std of exactly 0 can only
+        # come from the clamp; without it the std would be NaN.
+        times = np.arange(20) / 20.0
+        training = TrainingSet(times=times, outputs=np.zeros(20, dtype=int),
+                               values=np.sin(2.0 * np.pi * times),
+                               num_outputs=1)
+        config = OptimizerConfig(rank=1, seed=0)
+        names = parameter_names(1, 1)
+        theta = pack_parameters(initialize_model(training, config))
+        for name in names:
+            if name.endswith("log_variance"):
+                theta[names.index(name)] = 20.0
+        theta[names.index("log_noise_variance")] = -60.0
+        model = model_from_parameters(theta, training, config)
+        prediction = predict(model, times)
+        assert np.all(np.isfinite(prediction.std))
+        assert np.all(prediction.std >= 0.0)
+        assert np.any(prediction.std == 0.0)
 
     def test_overflowing_kernel_variance_is_a_numeric_error(self):
         rng = np.random.default_rng(24)
