@@ -146,18 +146,10 @@ class RunConfig:
     learning_rate: float = mogp.OptimizerConfig.learning_rate
     weight_decay: float = mogp.OptimizerConfig.weight_decay
     seed: int = mogp.OptimizerConfig.seed
-    # kernel / initialization
     rank: int = mogp.OptimizerConfig.rank
-    init_variance: float = mogp.OptimizerConfig.init_variance
-    init_lengthscale: float = mogp.OptimizerConfig.init_lengthscale
-    init_period: float = mogp.OptimizerConfig.init_period
-    init_w_std: float = mogp.OptimizerConfig.init_w_std
-    init_kappa: float = mogp.OptimizerConfig.init_kappa
-    init_noise_variance: float = mogp.OptimizerConfig.init_noise_variance
     # preprocessing / data
     grid_points: int = gait_signal.DEFAULT_GRID_POINTS
     filter_cutoff_hz: float | None = gait_signal.DEFAULT_FILTER_CUTOFF_HZ
-    filter_order: int = gait_signal.DEFAULT_FILTER_ORDER
     points_per_channel: int = 50
     scope: str = "subject"
     # synthetic corpus
@@ -171,11 +163,8 @@ class RunConfig:
     # HMM
     em_iterations: int = hmm.BaumWelchConfig.max_iterations
     em_tol: float = hmm.BaumWelchConfig.tol
-    update_initial_probs: bool = hmm.BaumWelchConfig.update_initial_probs
-    update_transitions: bool = hmm.BaumWelchConfig.update_transitions
     observation_source: str = "mogp-predicted"
     segment_threshold: float = 1.5
-    verbose: bool = False
 
     def validate(self) -> None:
         _optimizer_config(self).validate()
@@ -187,9 +176,6 @@ class RunConfig:
             raise ValidationError("scope must be 'subject' or 'pooled'")
         if self.filter_cutoff_hz is not None and not self.filter_cutoff_hz > 0:
             raise ValidationError("filter_cutoff_hz must be positive or none")
-        if self.filter_order not in gait_signal.ALLOWED_FILTER_ORDERS:
-            raise ValidationError("filter_order must be one of "
-                                  f"{gait_signal.ALLOWED_FILTER_ORDERS}")
         _em_config(self).validate()
         if self.observation_source not in hmm.OBSERVATION_SOURCES:
             raise ValidationError("observation_source must be one of "
@@ -219,12 +205,6 @@ def _config_value_from_text(key: str, text: str, what: str):
     kind = _KINDS[key]
     if key == "filter_cutoff_hz" and text.lower() in ("none", "off"):
         return None
-    if kind is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValidationError(f"{what}: not a boolean: {text!r}")
     if kind in (int, float):
         return parse_number(text, what, kind)
     return text
@@ -261,7 +241,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _load_corpus(cfg: RunConfig) -> list[dataio.SubjectRecord]:
     return dataio.load_corpus(
         cfg.input_path, filter_cutoff_hz=cfg.filter_cutoff_hz,
-        filter_order=cfg.filter_order, num_points=cfg.grid_points)
+        num_points=cfg.grid_points)
 
 
 # The optimizer settings a run can set: the fields the two configs share.
@@ -276,9 +256,7 @@ def _optimizer_config(cfg: RunConfig) -> mogp.OptimizerConfig:
 
 def _em_config(cfg: RunConfig) -> hmm.BaumWelchConfig:
     return hmm.BaumWelchConfig(
-        max_iterations=cfg.em_iterations, tol=cfg.em_tol,
-        update_initial_probs=cfg.update_initial_probs,
-        update_transitions=cfg.update_transitions)
+        max_iterations=cfg.em_iterations, tol=cfg.em_tol)
 
 
 def _synth_config(cfg: RunConfig) -> dataio.SynthConfig:
@@ -498,6 +476,9 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
 
 
 def cmd_segment(cfg: RunConfig) -> int:
+    if cfg.grid_points < gait_signal.MIN_EVENT_SAMPLES:
+        raise ValidationError(f"grid_points must be >= "
+                              f"{gait_signal.MIN_EVENT_SAMPLES} for segment")
     records = _load_corpus(cfg)
     shared_hmm = (hmm.load_model(cfg.hmm_path)
                   if cfg.hmm_path is not None else None)
@@ -547,9 +528,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
                 per_output_dtw=held.channel_stds * normalized_dtw)))
         items: list[tuple[str, str]] = []
         for unit, report in reports:
-            if cfg.verbose:
-                print(f"== {held.subject_id} ({unit})")
-                print(report.as_table(), end="")
             items += [(f"{unit}.{key}", text)
                       for key, text in report.as_document().items()]
         values = {key: float(text) for key, text in items}
@@ -594,11 +572,10 @@ def cmd_export_plots(cfg: RunConfig) -> int:
     return 0
 
 
-_CORPUS_KEYS = ("input_path", "filter_cutoff_hz", "filter_order",
-                "grid_points")
+_CORPUS_KEYS = ("input_path", "filter_cutoff_hz", "grid_points")
 
 # Subcommand -> (handler, help, the settings it takes as flags besides
-# --config, --seed and --verbose).
+# --config and --seed).
 _SUBCOMMANDS = {
     "synth": (cmd_synth, "generate a synthetic corpus", (
         "output_path", "subjects_per_cohort", "cycles_per_subject",
@@ -623,7 +600,6 @@ _SUBCOMMANDS = {
 
 _FLAG_HELP = {
     "seed": "master RNG seed",
-    "verbose": "chatty output",
     "input_path": "corpus CSV path",
     "output_path": "output file, or directory for several files",
     "filter_cutoff_hz": "Butterworth cutoff in Hz, or 'none'",
@@ -646,12 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
         # Python 3.13 on; before, it took only "-5" and "-.01" for numbers.
         sub._negative_number_matcher = re.compile(r"-\.?\d")
         sub.add_argument("--config", help="flat key=value settings file")
-        for key in ("seed", "verbose", *keys):
-            # A boolean setting is a switch that sets it true.
-            switch = ({"action": "store_const", "const": "true"}
-                      if _KINDS[key] is bool else {})
+        for key in ("seed", *keys):
             sub.add_argument(_flag(key), dest=key, help=_FLAG_HELP.get(key),
-                             required=key in _REQUIRED_KEYS, **switch)
+                             required=key in _REQUIRED_KEYS)
     return parser
 
 

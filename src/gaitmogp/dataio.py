@@ -43,8 +43,7 @@ import numpy as np
 from .errors import ValidationError
 from .gait_signal import (CHANNELS, JOINTS, SIDES, check_cycle,
                           impute_missing, lowpass_filter, normalize_and_align,
-                          DEFAULT_GRID_POINTS, DEFAULT_FILTER_CUTOFF_HZ,
-                          DEFAULT_FILTER_ORDER)
+                          DEFAULT_GRID_POINTS, DEFAULT_FILTER_CUTOFF_HZ)
 from .serialize import atomic_write_text, format_float, read_text
 
 CSV_HEADER = "subject_id,cohort,cycle,frame,joint,side,x,y,z"
@@ -142,7 +141,7 @@ class SynthConfig:
 def _build_record(subject_id: str, cohort: str,
                   raw_cycles: dict[int, np.ndarray],
                   filter_cutoff_hz: float | None,
-                  filter_order: int, num_points: int) -> SubjectRecord:
+                  num_points: int) -> SubjectRecord:
     """Run the preprocessing chain (impute -> filter -> normalize/align)
     on the y axis of each raw cycle; an error names the subject and the
     corpus cycle id."""
@@ -151,8 +150,7 @@ def _build_record(subject_id: str, cohort: str,
         try:
             samples = impute_missing(raw[:, :, 1])
             if filter_cutoff_hz is not None:
-                samples = lowpass_filter(samples, filter_cutoff_hz,
-                                         filter_order)
+                samples = lowpass_filter(samples, filter_cutoff_hz)
             heights.append(check_cycle(samples.T))
         except ValidationError as exc:
             raise ValidationError(
@@ -179,12 +177,12 @@ def _parse_coordinate(text: str, line_no: int, column: str) -> float:
 
 
 def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_HZ,
-                filter_order: int = DEFAULT_FILTER_ORDER,
                 num_points: int = DEFAULT_GRID_POINTS) -> list[SubjectRecord]:
     """Load, validate and preprocess a corpus CSV.
 
     Preprocessing applies gap imputation, the zero-phase Butterworth
-    filter (skipped when ``filter_cutoff_hz`` is None) and per-subject
+    filter of order ``gait_signal.FILTER_ORDER`` (skipped when
+    ``filter_cutoff_hz`` is None) and per-subject
     normalization onto the ``num_points`` cycle grid, to the y axis only.
     Subject ids name output files, so they may not contain a path
     separator (``/`` or ``\\``) or NUL.
@@ -269,8 +267,7 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
             raw_cycles[cycle_id] = raw
         records.append(_build_record(
             subject, cohorts[subject], raw_cycles,
-            filter_cutoff_hz=filter_cutoff_hz, filter_order=filter_order,
-            num_points=num_points))
+            filter_cutoff_hz=filter_cutoff_hz, num_points=num_points))
     return records
 
 
@@ -319,7 +316,6 @@ def _template_x(t: np.ndarray, amplitude: float, offset: float) -> np.ndarray:
 
 def generate_synthetic(config: SynthConfig, *,
                        filter_cutoff_hz: float | None = None,
-                       filter_order: int = DEFAULT_FILTER_ORDER,
                        num_points: int = DEFAULT_GRID_POINTS
                        ) -> list[SubjectRecord]:
     """Generate a deterministic two-cohort corpus from ``config``.
@@ -373,6 +369,5 @@ def generate_synthetic(config: SynthConfig, *,
 
             records.append(_build_record(
                 subject_id, cohort, raw_cycles,
-                filter_cutoff_hz=filter_cutoff_hz,
-                filter_order=filter_order, num_points=num_points))
+                filter_cutoff_hz=filter_cutoff_hz, num_points=num_points))
     return records

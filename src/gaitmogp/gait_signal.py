@@ -39,12 +39,13 @@ CHANNELS = ("hip_right", "hip_left", "knee_right", "knee_left",
             "ankle_right", "ankle_left")
 
 DEFAULT_FILTER_CUTOFF_HZ = 6.0
-DEFAULT_FILTER_ORDER = 4
-ALLOWED_FILTER_ORDERS = (2, 4, 6)
+FILTER_ORDER = 4
 
 # Fewest samples a cycle may have to be resampled onto the grid.
 MIN_CYCLE_SAMPLES = 10
 
+# Fewest samples a signal may have for event detection.
+MIN_EVENT_SAMPLES = 5
 PROMINENCE_FRACTION = 0.2
 MIN_EVENT_SPACING = 0.15
 FLAT_SIGNAL_PTP = 1e-9
@@ -84,24 +85,21 @@ class PhaseDurations:
 
 
 def lowpass_filter(samples, cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
-                   order: int = DEFAULT_FILTER_ORDER,
                    frame_rate: float = FRAME_RATE) -> np.ndarray:
-    """Zero-phase Butterworth low-pass along axis 0 (DC gain 1).
+    """Zero-phase Butterworth low-pass of order FILTER_ORDER along axis 0
+    (DC gain 1).
 
     Every other axis is filtered independently, so one call filters all
-    six channel heights of an (L, 6) cycle.
+    six channel heights of an (L, 6) cycle. The signal needs more than
+    3 * (FILTER_ORDER + 1) samples, the padding filtfilt adds each side.
     """
     samples = np.asarray(samples, dtype=float)
     nyquist = frame_rate / 2.0
     if not 0.0 < cutoff_hz < nyquist:
         raise ValidationError(
             f"cutoff must lie in (0, {nyquist}) Hz, got {cutoff_hz}")
-    if order not in ALLOWED_FILTER_ORDERS:
-        raise ValidationError(
-            f"order must be one of {ALLOWED_FILTER_ORDERS}, got {order}")
-    b, a = butter(order, cutoff_hz, btype="low", fs=frame_rate)
-    # filtfilt pads with 3 * (order + 1) samples on each side.
-    min_len = 3 * (order + 1) + 1
+    b, a = butter(FILTER_ORDER, cutoff_hz, btype="low", fs=frame_rate)
+    min_len = 3 * (FILTER_ORDER + 1) + 1
     if samples.shape[0] < min_len:
         raise ValidationError(
             f"signal too short to filter: {samples.shape[0]} < {min_len} "
@@ -209,23 +207,23 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
     return grid, (resampled - means[:, None]) / stds[:, None], means, stds
 
 
-def detect_events(values, grid=None,
-                  prominence_fraction: float = PROMINENCE_FRACTION,
-                  min_spacing: float = MIN_EVENT_SPACING) -> GaitEvents:
+def detect_events(values, grid=None) -> GaitEvents:
     """Heel strikes (local minima) and toe-offs (local maxima) of an
     ankle height signal over one normalized cycle.
 
-    The cycle is treated as periodic: extrema sitting near the grid
-    boundary get their prominence from the wrapped-around signal, not
-    from the truncated window. Peaks must reach a prominence of
-    ``prominence_fraction`` times the signal's peak-to-peak range and be
-    at least ``min_spacing`` normalized-time apart. When the merged
-    event sequence fails to alternate, the more extreme event of each
-    same-type run is kept. A flat signal yields empty lists.
+    The signal needs MIN_EVENT_SAMPLES samples. The cycle is treated as
+    periodic: extrema sitting near the grid boundary get their prominence
+    from the wrapped-around signal, not from the truncated window. Peaks
+    must reach a prominence of PROMINENCE_FRACTION times the signal's
+    peak-to-peak range and be at least MIN_EVENT_SPACING normalized-time
+    apart. When the merged event sequence fails to alternate, the more
+    extreme event of each same-type run is kept. A flat signal yields
+    empty lists.
     """
     values = np.asarray(values, dtype=float).ravel()
-    if values.shape[0] < 5:
-        raise ValidationError("signal must have at least 5 samples")
+    if values.shape[0] < MIN_EVENT_SAMPLES:
+        raise ValidationError(
+            f"signal must have at least {MIN_EVENT_SAMPLES} samples")
     if not np.all(np.isfinite(values)):
         raise ValidationError("signal must be finite")
     if grid is None:
@@ -241,8 +239,8 @@ def detect_events(values, grid=None,
 
     n = values.shape[0]
     step = float(grid[1] - grid[0])
-    distance = max(1.0, min_spacing / step)
-    prominence = prominence_fraction * ptp
+    distance = max(1.0, MIN_EVENT_SPACING / step)
+    prominence = PROMINENCE_FRACTION * ptp
 
     def periodic_peaks(signal: np.ndarray) -> np.ndarray:
         tiled = np.concatenate([signal, signal, signal])

@@ -117,22 +117,6 @@ class MetricReport:
                 np.any(self.per_output_r_squared > 1.0):
             raise ValidationError("metric invariants violated")
 
-    def as_table(self) -> str:
-        """Flat fixed-width text table, one row per output plus totals."""
-        width = max(len("output"), *(len(n) for n in self.output_names))
-        header = (f"{'output':<{width}}  {'mae':>14}  "
-                  f"{'r_squared':>14}  {'dtw':>14}")
-        lines = [header]
-        for i, name in enumerate(self.output_names):
-            lines.append(
-                f"{name:<{width}}  {self.per_output_mae[i]:>14.6f}  "
-                f"{self.per_output_r_squared[i]:>14.6f}  "
-                f"{self.per_output_dtw[i]:>14.6f}")
-        lines.append(
-            f"{'(all)':<{width}}  {self.mae:>14.6f}  "
-            f"{self.r_squared:>14.6f}  {self.adtw:>14.6f}")
-        return "\n".join(lines) + "\n"
-
     def as_document(self) -> dict[str, str]:
         """Machine-readable key/value form."""
         doc = {

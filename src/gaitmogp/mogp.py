@@ -203,7 +203,7 @@ class MoGPModel:
 @dataclass
 class PosteriorPrediction:
     """Posterior mean/std curves, one row per output and one column per
-    query time."""
+    query time; a non-finite value raises NumericError."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -213,6 +213,8 @@ class PosteriorPrediction:
         self.std = np.atleast_2d(np.asarray(self.std, dtype=float))
         if self.mean.shape != self.std.shape:
             raise ValidationError("mean and std grids must match")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise NumericError("posterior mean or std is not finite")
         if np.any(self.std < 0.0):
             raise ValidationError("standard deviations must be >= 0")
 

@@ -30,12 +30,12 @@ def format_int_list(xs) -> str:
 
 
 def field_kinds(cls) -> dict:
-    """Field name -> int, float, bool or str, from a dataclass's annotations.
+    """Field name -> int, float or str, from a dataclass's annotations.
 
     Annotations are strings under postponed evaluation; ``float | None``
-    reads as float and anything unlisted as str.
+    reads as float and any other annotation as str.
     """
-    kinds = {"int": int, "float": float, "float | None": float, "bool": bool}
+    kinds = {"int": int, "float": float, "float | None": float}
     return {f.name: kinds.get(f.type, str) for f in fields(cls)}
 
 

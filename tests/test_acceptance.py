@@ -368,7 +368,7 @@ def test_criterion_08_event_detection():
         noisy = _template((grid - phase) % 1.0) + rng.normal(0.0, 0.05, n)
         tiled = np.tile(noisy, 3)
         traj = np.column_stack([np.zeros(3 * n), tiled, np.ones(3 * n)])
-        smoothed = lowpass_filter(traj, cutoff_hz=4.0, order=4,
+        smoothed = lowpass_filter(traj, cutoff_hz=4.0,
                                   frame_rate=float(n))[n:2 * n, 1]
         events = detect_events(smoothed, grid)
         noisy_hits += int(

@@ -118,6 +118,33 @@ class TestConfigPrecedence:
         assert f"unknown config key {key!r}" in json.loads(captured.err)["error"]
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "config init_variance = 1.0", "config init_lengthscale = 0.2",
+        "config init_period = 1.0", "config init_w_std = 0.5",
+        "config init_kappa = 0.5", "config init_noise_variance = 0.1",
+        "config update_initial_probs = true",
+        "config update_transitions = true", "config verbose = true",
+        "config filter_order = 4", "flag --verbose", "flag --filter-order 4"])
+    def test_removed_settings_are_rejected(self, pipeline, tmp_path, capsys,
+                                           setting):
+        how, text = setting.split(" ", 1)
+        argv = ["preprocess", "--input", str(pipeline["corpus"]),
+                "--output", str(tmp_path / "p.csv")]
+        if how == "flag":
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([*argv, *text.split()])
+            assert excinfo.value.code == 2
+        else:
+            settings = tmp_path / "run.cfg"
+            settings.write_text(text + "\n")
+            assert cli.main([*argv, "--config", str(settings)]) == 2
+            captured = capsys.readouterr()
+            assert len(captured.err.splitlines()) == 1
+            key = text.split(" = ")[0]
+            assert (f"unknown config key {key!r}"
+                    in json.loads(captured.err)["error"])
+        assert not (tmp_path / "p.csv").exists()
+
     def test_non_numeric_config_value_is_rejected(self, tmp_path, capsys):
         settings = tmp_path / "run.cfg"
         settings.write_text("noise_level = loud\n")
@@ -156,11 +183,19 @@ class TestErrorReporting:
         assert err == {"error": err["error"], "type": "validation",
                        "exit_code": 2}
 
-    def test_invalid_filter_order(self, pipeline, tmp_path, capsys):
-        assert cli.main(["preprocess", "--input", str(pipeline["corpus"]),
-                         "--output", str(tmp_path / "p.csv"),
-                         "--filter-order", "3"]) == 2
-        assert "filter_order" in json.loads(capsys.readouterr().err)["error"]
+    def test_segment_grid_too_small_for_events(self, pipeline, tmp_path,
+                                               capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("mogp.fit called")
+
+        monkeypatch.setattr(cli.mogp, "fit", no_fit)
+        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
+                         "--output", str(tmp_path / "report.json"),
+                         "--grid-points", "4"]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "grid_points" in json.loads(captured.err)["error"]
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert cli.main(["preprocess", "--input",
@@ -373,13 +408,10 @@ class TestCorruptedModelFiles:
 # Every key a --config file accepts, written out.
 _CONFIG_KEYS = {
     "iterations", "learning_rate", "weight_decay", "seed", "rank",
-    "init_variance", "init_lengthscale", "init_period", "init_w_std",
-    "init_kappa", "init_noise_variance", "grid_points", "filter_cutoff_hz",
-    "filter_order", "points_per_channel", "scope", "subjects_per_cohort",
-    "cycles_per_subject", "noise_level", "anomaly_side", "anomaly_phase",
-    "anomaly_shift", "anomaly_duration", "em_iterations", "em_tol",
-    "update_initial_probs", "update_transitions", "observation_source",
-    "segment_threshold", "verbose"}
+    "grid_points", "filter_cutoff_hz", "points_per_channel", "scope",
+    "subjects_per_cohort", "cycles_per_subject", "noise_level",
+    "anomaly_side", "anomaly_phase", "anomaly_shift", "anomaly_duration",
+    "em_iterations", "em_tol", "observation_source", "segment_threshold"}
 
 # A small valid run configuration, and what a fuzzed one may set a key to.
 _BASE_CONFIG = {"subjects_per_cohort": "1", "cycles_per_subject": "2",
@@ -441,8 +473,8 @@ class TestCorruptedConfigFiles:
 
 
 # Every subcommand's flags, written out: (required, optional).
-_COMMON_FLAGS = {"--config", "--seed", "--verbose"}
-_CORPUS_FLAGS = {"--filter-cutoff", "--filter-order", "--grid-points"}
+_COMMON_FLAGS = {"--config", "--seed"}
+_CORPUS_FLAGS = {"--filter-cutoff", "--grid-points"}
 _EXPECTED_FLAGS = {
     "synth": ({"--output"}, {
         "--subjects-per-cohort", "--cycles-per-subject", "--noise-level",

@@ -38,7 +38,7 @@ def _trajectory(y: np.ndarray) -> np.ndarray:
 class TestLowpassFilter:
     def test_preserves_constant_signal(self):
         traj = _trajectory(np.full(80, 3.25))
-        filtered = lowpass_filter(traj, cutoff_hz=6.0, order=4)
+        filtered = lowpass_filter(traj, cutoff_hz=6.0)
         np.testing.assert_allclose(filtered[:, 1], 3.25, atol=1e-9)
 
     def test_separates_pass_band_from_stop_band(self):
@@ -57,15 +57,10 @@ class TestLowpassFilter:
         with pytest.raises(ValidationError, match="cutoff"):
             lowpass_filter(traj, cutoff_hz=0.0)
 
-    def test_rejects_unknown_order(self):
-        traj = _trajectory(np.zeros(40))
-        with pytest.raises(ValidationError, match="order"):
-            lowpass_filter(traj, order=3)
-
     def test_rejects_short_signals(self):
         traj = _trajectory(np.zeros(10))
         with pytest.raises(ValidationError, match="too short"):
-            lowpass_filter(traj, order=4)
+            lowpass_filter(traj)
 
 
 class TestImputeMissing:

@@ -176,14 +176,6 @@ class TestReport:
         assert float(doc["r_squared.b"]) == report.per_output_r_squared[1]
         assert float(doc["dtw.c"]) == report.per_output_dtw[2]
 
-    def test_as_table_layout(self):
-        pred, truth = self._example()
-        report = self._report(pred, truth)
-        lines = report.as_table().splitlines()
-        assert len(lines) == 5
-        assert lines[0].split() == ["output", "mae", "r_squared", "dtw"]
-        assert lines[-1].startswith("(all)")
-
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape mismatch"):
             compute_report(np.zeros((2, 5)), np.zeros((3, 5)), ("a", "b"),

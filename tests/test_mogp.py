@@ -352,6 +352,13 @@ class TestPredict:
         with pytest.raises(NumericError, match="non-finite"):
             predict(overflowing, np.linspace(0.0, 1.0, 5))
 
+    @pytest.mark.parametrize("mean, std", [
+        ([[math.nan, 1.0]], [[0.1, 0.0]]), ([[0.0, 1.0]], [[math.inf, 0.0]]),
+        ([[-math.inf, 1.0]], [[0.1, math.nan]])])
+    def test_posterior_rejects_non_finite_values(self, mean, std):
+        with pytest.raises(NumericError, match="not finite"):
+            mogp.PosteriorPrediction(mean=mean, std=std)
+
     def test_rejects_empty_or_nonfinite_queries(self):
         rng = np.random.default_rng(8)
         model = _random_model(rng, num_outputs=1, points_per_output=4, rank=1)
