@@ -17,6 +17,12 @@ Conventions
   resampling interpolates cyclically. A cycle needs MIN_CYCLE_SAMPLES
   samples to be aligned (``check_cycle``).
 
+Importing this module imports no part of scipy. ``scipy.signal`` (about
+0.7 s of start-up on a 2-vCPU VM) is imported by the first
+``lowpass_filter`` call, so a process that never filters, such as a
+``--filter-cutoff none`` run, never pays for it; ``detect_events`` finds
+peaks with numpy alone.
+
 All operations are pure and safe for concurrent use.
 """
 
@@ -25,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, filtfilt, find_peaks
 
 from .errors import ValidationError
 
@@ -63,6 +68,8 @@ class GaitEvents:
         self.toe_offs = np.asarray(self.toe_offs, dtype=float).ravel()
         for name, arr in (("heel_strikes", self.heel_strikes),
                           ("toe_offs", self.toe_offs)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} must be finite")
             if arr.size and np.any(np.diff(arr) <= 0.0):
                 raise ValidationError(f"{name} must be strictly increasing")
             if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
@@ -91,19 +98,27 @@ def lowpass_filter(samples, cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
 
     Every other axis is filtered independently, so one call filters all
     six channel heights of an (L, 6) cycle. The signal needs more than
-    3 * (FILTER_ORDER + 1) samples, the padding filtfilt adds each side.
+    3 * (FILTER_ORDER + 1) samples, the padding filtfilt adds each side,
+    and only finite values.
+
+    ``scipy.signal`` is imported here, after the input checks, so the
+    first call in a process pays its import and a process that never
+    filters does not.
     """
     samples = np.asarray(samples, dtype=float)
     nyquist = frame_rate / 2.0
     if not 0.0 < cutoff_hz < nyquist:
         raise ValidationError(
             f"cutoff must lie in (0, {nyquist}) Hz, got {cutoff_hz}")
-    b, a = butter(FILTER_ORDER, cutoff_hz, btype="low", fs=frame_rate)
     min_len = 3 * (FILTER_ORDER + 1) + 1
     if samples.shape[0] < min_len:
         raise ValidationError(
             f"signal too short to filter: {samples.shape[0]} < {min_len} "
             f"samples")
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError("signal to filter must be finite")
+    from scipy.signal import butter, filtfilt
+    b, a = butter(FILTER_ORDER, cutoff_hz, btype="low", fs=frame_rate)
     return filtfilt(b, a, samples, axis=0)
 
 
@@ -211,7 +226,8 @@ def detect_events(values, grid=None) -> GaitEvents:
     """Heel strikes (local minima) and toe-offs (local maxima) of an
     ankle height signal over one normalized cycle.
 
-    The signal needs MIN_EVENT_SAMPLES samples. The cycle is treated as
+    The signal needs MIN_EVENT_SAMPLES samples, and a given grid must be
+    finite and strictly increasing. The cycle is treated as
     periodic: extrema sitting near the grid boundary get their prominence
     from the wrapped-around signal, not from the truncated window. Peaks
     must reach a prominence of PROMINENCE_FRACTION times the signal's
@@ -232,6 +248,9 @@ def detect_events(values, grid=None) -> GaitEvents:
         grid = np.asarray(grid, dtype=float).ravel()
         if grid.shape != values.shape:
             raise ValidationError("grid length must match signal length")
+        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+            raise ValidationError(
+                "grid must be finite and strictly increasing")
 
     ptp = float(np.max(values) - np.min(values))
     if ptp < FLAT_SIGNAL_PTP:
@@ -244,8 +263,7 @@ def detect_events(values, grid=None) -> GaitEvents:
 
     def periodic_peaks(signal: np.ndarray) -> np.ndarray:
         tiled = np.concatenate([signal, signal, signal])
-        peaks, _ = find_peaks(tiled, prominence=prominence,
-                              distance=distance)
+        peaks = _find_peaks(tiled, prominence, distance)
         middle = peaks[(peaks >= n) & (peaks < 2 * n)]
         return middle - n
 
@@ -268,6 +286,69 @@ def detect_events(values, grid=None) -> GaitEvents:
     heel = [grid[i] for i, kind in kept if kind == 0]
     toe = [grid[i] for i, kind in kept if kind == 1]
     return GaitEvents(heel_strikes=heel, toe_offs=toe)
+
+
+def _find_peaks(signal: np.ndarray, prominence: float,
+                distance: float) -> np.ndarray:
+    """Indices of the peaks of a finite 1-D float signal, the same as
+    ``scipy.signal.find_peaks(signal, prominence=prominence,
+    distance=distance)[0]``.
+
+    A peak is the midpoint (rounded down) of a run of equal samples whose
+    neighbours on both sides are lower, so the first and last samples
+    never count. Peaks are then visited from the highest value down, in
+    reverse ``np.argsort`` order of their values as scipy does, and each
+    one still kept drops every peak closer than ceil(distance) samples.
+    Last, a peak is kept if its prominence is at least ``prominence``:
+    its value minus the larger of the minima on each side, where each
+    side runs up to the first strictly higher sample or the edge.
+    """
+    # Runs of equal samples start after each change of value. A run where
+    # the signal turns is a local extremum, and a maximum if a rise enters
+    # it. Between turning points (the extrema and the two ends) the signal
+    # is monotone, so the prominence walks need only their values: a
+    # side's minimum is a turning value, and the first higher sample lies
+    # just past the first higher turning point.
+    changes = np.flatnonzero(signal[1:] != signal[:-1])
+    rises = signal[changes + 1] > signal[changes]
+    turns = np.flatnonzero(rises[:-1] != rises[1:])
+    turn_values = [float(signal[0]), *signal[changes[turns] + 1].tolist(),
+                   float(signal[-1])]
+    is_peak = rises[turns]
+    peaks = (changes[turns[is_peak]] + 1 + changes[turns[is_peak] + 1]) // 2
+    peak_turns = (np.flatnonzero(is_peak) + 1).tolist()
+
+    # For a whole number of samples, gap < ceil(distance) iff
+    # gap < distance.
+    positions = peaks.tolist()
+    count = len(positions)
+    keep = [True] * count
+    for j in np.argsort(signal[peaks])[::-1].tolist():
+        if keep[j]:
+            k = j - 1
+            while k >= 0 and positions[j] - positions[k] < distance:
+                keep[k] = False
+                k -= 1
+            k = j + 1
+            while k < count and positions[k] - positions[j] < distance:
+                keep[k] = False
+                k += 1
+
+    for j, turn in enumerate(peak_turns):
+        if not keep[j]:
+            continue
+        height = turn_values[turn]
+        left_min = right_min = height
+        k = turn - 1
+        while k >= 0 and turn_values[k] <= height:
+            left_min = min(left_min, turn_values[k])
+            k -= 1
+        k = turn + 1
+        while k < len(turn_values) and turn_values[k] <= height:
+            right_min = min(right_min, turn_values[k])
+            k += 1
+        keep[j] = height - max(left_min, right_min) >= prominence
+    return peaks[np.array(keep, dtype=bool)]
 
 
 def phase_durations(events: GaitEvents) -> PhaseDurations:

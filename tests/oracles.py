@@ -4,7 +4,8 @@ Everything here is written the slow, obvious way on purpose: arbitrary
 precision arithmetic for kernel values, one dense dK/dtheta matrix per
 kernel parameter, dense matrix inversion for GP posteriors, exhaustive
 path enumeration for HMM likelihoods and DTW, the row-by-row DTW
-recurrence, and one channel at a time for the preprocessing chain.
+recurrence, and one channel at a time for the preprocessing chain;
+peak finding is checked against ``scipy.signal.find_peaks`` itself.
 None of it shares code with the package beyond reading plain parameter
 values off the public dataclasses, so agreement is meaningful.
 """
@@ -16,6 +17,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.signal import butter, filtfilt
+from scipy.signal import find_peaks as scipy_find_peaks
 from scipy.stats import multivariate_normal
 
 mp.mp.dps = 50
@@ -375,6 +377,15 @@ def dtw_recurrence(a, b) -> float:
         for j in range(1, m):
             row[j] = cost[i, j] + min(prev[j], row[j - 1], prev[j - 1])
     return float(acc[-1, -1])
+
+
+# ---------------------------------------------------------------------------
+# Peak finding.
+
+def find_peaks(signal, prominence: float, distance: float) -> np.ndarray:
+    """Peak indices as ``scipy.signal.find_peaks`` returns them."""
+    return scipy_find_peaks(signal, prominence=prominence,
+                            distance=distance)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from gaitmogp.dataio import CSV_HEADER, load_corpus
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import (
     CHANNELS,
     GaitEvents,
     PhaseDurations,
+    _find_peaks,
     detect_events,
     impute_missing,
     lowpass_filter,
@@ -61,6 +63,15 @@ class TestLowpassFilter:
         traj = _trajectory(np.zeros(10))
         with pytest.raises(ValidationError, match="too short"):
             lowpass_filter(traj)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            lowpass_filter(np.full((40, 6), bad))
+        samples = np.zeros((40, 6))
+        samples[17, 4] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            lowpass_filter(samples)
 
 
 class TestImputeMissing:
@@ -187,6 +198,18 @@ class TestDetectEvents:
         with pytest.raises(ValidationError, match="grid length"):
             detect_events(np.zeros(10), np.zeros(4))
 
+    @pytest.mark.parametrize("grid", [
+        np.zeros(50),
+        np.full(50, np.nan),
+        np.concatenate([np.arange(49) / 50.0, [np.inf]]),
+        np.repeat(np.arange(25) / 25.0, 2),
+        np.arange(50)[::-1] / 50.0,
+    ], ids=["zeros", "nan", "inf", "repeated", "decreasing"])
+    def test_rejects_grid_not_finite_and_increasing(self, grid):
+        y = _template(np.arange(50) / 50.0)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            detect_events(y, grid)
+
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=25, deadline=None)
     def test_events_live_on_the_grid(self, seed):
@@ -199,6 +222,32 @@ class TestDetectEvents:
         events = detect_events(y, t)
         for value in np.concatenate([events.heel_strikes, events.toe_offs]):
             assert value in t
+
+
+@st.composite
+def _peak_signals(draw):
+    """Length 3-200; small integers give plateaus and ties."""
+    if draw(st.booleans()):
+        elements = st.integers(-3, 3).map(float)
+    else:
+        elements = st.floats(-1e6, 1e6, allow_nan=False)
+    return draw(arrays(np.float64, st.integers(3, 200), elements=elements))
+
+
+class TestFindPeaks:
+    # scipy casts ceil(distance) to a C integer, so from 2**63 on its
+    # distance wraps; below that any distance >= 1 is fair.
+    @given(_peak_signals(),
+           st.one_of(st.floats(0.0, 8.0),
+                     st.floats(min_value=0.0, allow_nan=False)),
+           st.one_of(st.floats(1.0, 250.0),
+                     st.floats(1.0, 2.0 ** 63, exclude_max=True)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_find_peaks(self, signal, prominence, distance):
+        got = _find_peaks(signal, prominence, distance)
+        expected = oracles.find_peaks(signal, prominence, distance)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestPhaseDurations:
@@ -230,6 +279,13 @@ class TestPhaseDurations:
             GaitEvents(heel_strikes=[0.5, 0.2], toe_offs=[])
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             GaitEvents(heel_strikes=[1.5], toe_offs=[])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_event_times_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            GaitEvents(heel_strikes=[bad], toe_offs=[])
+        with pytest.raises(ValidationError, match="finite"):
+            GaitEvents(heel_strikes=[0.2], toe_offs=[0.5, bad])
 
     def test_durations_must_be_positive(self):
         with pytest.raises(ValidationError, match="positive"):
