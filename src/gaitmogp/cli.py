@@ -271,29 +271,28 @@ def _synth_config(cfg: RunConfig) -> dataio.SynthConfig:
 
 
 def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
-    """A MoGP fitted to a subsample of every cycle of ``records``.
+    """A MoGP fitted to a subsample of the frames of every cycle of
+    ``records``.
 
-    Each channel keeps ``points_per_channel`` of its pooled points, drawn
-    from the seed stream ``(seed, index)`` so that each job of a run
-    (subject, pooled fit or LOSO split) has its own reproducible draw.
+    One draw of ``points_per_channel`` (cycle, grid-time) frames, from
+    the seed stream ``(seed, index)``, serves all six channels, so each
+    job of a run (subject, pooled fit or LOSO split) has its own
+    reproducible draw. Every channel then has the same times, which puts
+    the fit on the MoGP's Kronecker path.
     """
     rng = np.random.default_rng([cfg.seed, index])
     cycles = np.concatenate([record.cycles for record in records])
-    cycle_times = np.tile(records[0].grid, len(cycles))
-    times, outputs, values = [], [], []
-    for m in range(len(CHANNELS)):
-        pool_t, pool_v = cycle_times, cycles[:, m].ravel()
-        if cfg.points_per_channel < pool_t.shape[0]:
-            idx = np.sort(rng.choice(pool_t.shape[0], cfg.points_per_channel,
-                                     replace=False))
-            pool_t, pool_v = pool_t[idx], pool_v[idx]
-        times.append(pool_t)
-        outputs.append(np.full(pool_t.shape[0], m, dtype=int))
-        values.append(pool_v)
-    training = mogp.TrainingSet(times=np.concatenate(times),
-                                outputs=np.concatenate(outputs),
-                                values=np.concatenate(values),
-                                num_outputs=len(CHANNELS))
+    times = np.tile(records[0].grid, len(cycles))
+    # (6, C * T): each channel's pooled values in the order of ``times``.
+    values = cycles.transpose(1, 0, 2).reshape(len(CHANNELS), -1)
+    if cfg.points_per_channel < times.shape[0]:
+        idx = np.sort(rng.choice(times.shape[0], cfg.points_per_channel,
+                                 replace=False))
+        times, values = times[idx], values[:, idx]
+    training = mogp.TrainingSet(
+        times=np.tile(times, len(CHANNELS)),
+        outputs=np.repeat(np.arange(len(CHANNELS)), times.shape[0]),
+        values=values, num_outputs=len(CHANNELS))
     return mogp.fit(training, _optimizer_config(cfg))
 
 

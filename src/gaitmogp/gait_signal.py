@@ -105,7 +105,7 @@ def lowpass_filter(samples, cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
     first call in a process pays its import and a process that never
     filters does not.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.atleast_1d(np.asarray(samples, dtype=float))
     nyquist = frame_rate / 2.0
     if not 0.0 < cutoff_hz < nyquist:
         raise ValidationError(
@@ -227,7 +227,8 @@ def detect_events(values, grid=None) -> GaitEvents:
     ankle height signal over one normalized cycle.
 
     The signal needs MIN_EVENT_SAMPLES samples, and a given grid must be
-    finite and strictly increasing. The cycle is treated as
+    finite, strictly increasing and in normalized cycle time [0, 1] (not
+    frame indices), the unit of MIN_EVENT_SPACING. The cycle is treated as
     periodic: extrema sitting near the grid boundary get their prominence
     from the wrapped-around signal, not from the truncated window. Peaks
     must reach a prominence of PROMINENCE_FRACTION times the signal's
@@ -248,9 +249,11 @@ def detect_events(values, grid=None) -> GaitEvents:
         grid = np.asarray(grid, dtype=float).ravel()
         if grid.shape != values.shape:
             raise ValidationError("grid length must match signal length")
-        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
+                and grid[0] >= 0.0 and grid[-1] <= 1.0):
             raise ValidationError(
-                "grid must be finite and strictly increasing")
+                "grid must be finite, strictly increasing and within "
+                "[0, 1] (normalized cycle time)")
 
     ptp = float(np.max(values) - np.min(values))
     if ptp < FLAT_SIGNAL_PTP:

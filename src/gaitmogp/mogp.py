@@ -7,14 +7,28 @@ marginal likelihood with Adam plus weight decay; predictions are the
 standard closed-form posterior mean and variance (observation noise
 included; nothing here measures their calibration).
 
+Two exact evaluations serve the LML, its gradient and the posterior, and
+the training data choose between them (_Geometry):
+
+- **Kronecker.** When the points are one block per output, in output
+  order, and every block has the same P times, the covariance is
+  exactly ``B (x) K_t + s I``. ``eigh`` of the P x P K_t and of the
+  M x M B then give the LML, its gradient and the posterior in
+  O(P^3 + M^3 + M P^2) (Bonilla, Chai & Williams 2008; Stegle et al.
+  2011). Eigenvalues that rounding leaves negative are clamped to 0,
+  the path's only numerical fallback; every eigenvalue of the
+  covariance stays >= s >= PARAM_FLOOR.
+- **Dense.** Any other set (each output at its own times) is factored by
+  Cholesky of the (n, n) Gram matrix, with escalating diagonal jitter
+  as its fallback.
+
+Both evaluate the kernel components once per distinct training lag.
 Fitting is one loop over up to ``iterations + 1`` iterates, each with
 one LML trace entry (one at ``iterations = 0``) and each raising
-NumericError on a non-finite LML; an iterate evaluates the kernel
-components once per distinct training lag, for both the LML and its
-contracted gradient (see lml_gradient). fit is the only code that
-writes a model's Cholesky cache, from its best iterate;
-log_marginal_likelihood, lml_gradient and predict leave the model
-untouched. Fitting owns a private parameter state.
+NumericError on a non-finite LML. fit is the only code that caches an
+evaluation on a model, its best iterate's; log_marginal_likelihood,
+lml_gradient and predict leave the model untouched. Fitting owns a
+private parameter state.
 """
 
 from __future__ import annotations
@@ -155,12 +169,17 @@ class OptimizerConfig:
 class MoGPModel:
     """Kernel spec, coregionalization, means and noise plus training data.
 
-    The Cholesky cache (factor of K + noise I, the solve against
-    centered targets and the jitter the factor took) is written only by
-    fit, from its best iterate, and is never serialized. A model without
-    it (loaded, or built by model_from_parameters or initialize_model) is
-    factored afresh by every predict, which gives identical predictions
-    and leaves the model unchanged.
+    The cache is one evaluation of the model's parameters on its training
+    data: the Kronecker one (eigenvectors and eigenvalues of K_t and B)
+    when every output shares its times, the dense one (Cholesky factor
+    and jitter) otherwise; see the module docstring. Only fit writes it,
+    from its best iterate, and it is never serialized. predict reads the
+    posterior from it; a model without it (loaded, or built by
+    model_from_parameters or initialize_model) gets a local evaluation,
+    chosen and built the same way, on every predict. That gives identical
+    predictions and leaves the model unchanged. ``jitter_used`` is the
+    cached evaluation's jitter (always 0 on the Kronecker path, and 0
+    without a cache).
     """
 
     kernel: CompositeKernelSpec
@@ -170,9 +189,8 @@ class MoGPModel:
     training: TrainingSet
     config: OptimizerConfig = field(default_factory=OptimizerConfig)
     lml_trace: list = field(default_factory=list, repr=False)
-    _chol: np.ndarray | None = field(default=None, repr=False)
-    _alpha: np.ndarray | None = field(default=None, repr=False)
-    jitter_used: float = 0.0
+    _evaluation: _Evaluation | _KroneckerEvaluation | None = field(
+        default=None, repr=False)
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float).ravel()
@@ -190,6 +208,10 @@ class MoGPModel:
     @property
     def num_outputs(self) -> int:
         return self.coreg.num_outputs
+
+    @property
+    def jitter_used(self) -> float:
+        return 0.0 if self._evaluation is None else self._evaluation.jitter
 
     @property
     def noise_variance(self) -> float:
@@ -219,12 +241,18 @@ class PosteriorPrediction:
             raise ValidationError("standard deviations must be >= 0")
 
 
-def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter; a matrix
-    with an inf or NaN entry raises NumericError (the only scan for them)."""
+def _require_finite(matrix: np.ndarray) -> None:
+    """NumericError for a kernel matrix with an inf or NaN entry."""
     if not np.isfinite(matrix).all():
         raise NumericError("kernel matrix has non-finite entries: a "
                            "parameter is NaN or overflows")
+
+
+def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor with escalating diagonal jitter; a matrix
+    with an inf or NaN entry raises NumericError (the only scan for them
+    on the dense path)."""
+    _require_finite(matrix)
     mean_diag = max(float(np.mean(np.diag(matrix))), PARAM_FLOOR)
     try:
         return cholesky(matrix, lower=True, check_finite=False), 0.0
@@ -244,24 +272,69 @@ def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
         f"{cap:.3e}: kernel matrix is ill-conditioned")
 
 
+def _shared_times(training: TrainingSet) -> np.ndarray | None:
+    """The P times every output shares when the points are num_outputs
+    blocks of P in output order, each block at the same times; else None."""
+    m, n = training.num_outputs, training.size
+    if n % m:
+        return None
+    blocks = training.times.reshape(m, n // m)
+    if not (np.array_equal(training.outputs, np.repeat(np.arange(m), n // m))
+            and (blocks == blocks[0]).all()):
+        return None
+    return blocks[0]
+
+
 class _Geometry:
-    """What a training set fixes for every parameter setting: the
-    distinct pairwise lags |t_i - t_j| (``lags``), the (n, n) integer
-    ``lag_index`` into them (kernels.lag_table) and the (n, M) one-hot
-    output indicator E. Grid times repeat, so ``lags`` is far shorter
-    than n^2."""
+    """What a training set fixes for every parameter setting, and which
+    evaluation it takes. ``times`` are the shared block times (Kronecker)
+    or all n times (dense); ``lags`` are their distinct pairwise lags
+    |t_i - t_j| and ``lag_index`` the square integer index into them
+    (kernels.lag_table). The dense path also keeps the output indices
+    and the (n, M) one-hot output indicator E. Grid times repeat, so
+    ``lags`` is far shorter than the index."""
 
     def __init__(self, training: TrainingSet):
         training.validate()
-        times, self.outputs = training.times, training.outputs
-        self.lags, self.lag_index = lag_table(times, times)
-        self.indicator = np.eye(training.num_outputs)[self.outputs]
+        self.times = _shared_times(training)
+        if self.times is None:
+            self.evaluation_type = _Evaluation
+            self.times, self.outputs = training.times, training.outputs
+            self.indicator = np.eye(training.num_outputs)[self.outputs]
+        else:
+            self.evaluation_type = _KroneckerEvaluation
+        self.lags, self.lag_index = lag_table(self.times, self.times)
+
+    def evaluate(self, model: MoGPModel):
+        """The evaluation of ``model``'s parameters on this data."""
+        return self.evaluation_type(model, self)
+
+    def cross_kernel(self, model: MoGPModel, query: np.ndarray) -> np.ndarray:
+        """k_t between the query times and ``times``, (len(query), len(times))."""
+        lags, lag_index = lag_table(query, self.times)
+        return TemporalKernel(model.kernel, lags).k_t[lag_index]
+
+
+def _packed_gradient(model: MoGPModel, temporal: TemporalKernel,
+                     per_lag: np.ndarray, s: np.ndarray,
+                     alpha_sums: np.ndarray, noise_term: float) -> np.ndarray:
+    """The LML gradient in parameter_names order from its contractions:
+    per-lag sums of A o B_oo, S = E^T (A o k_t) E, per-output sums of
+    alpha and alpha^T alpha - tr K^-1 (see lml_gradient)."""
+    _, dnoise = _floored_exp_with_grad(model.log_noise_variance)
+    return np.concatenate([
+        0.5 * temporal.gradient(per_lag),
+        model.coreg.gradient(0.5 * s),
+        alpha_sums,
+        [0.5 * dnoise * noise_term],
+    ])
 
 
 class _Evaluation:
-    """LML of one parameter setting; the Gram matrix, its Cholesky factor
-    and the gradient all read one evaluation of the kernel components on
-    the distinct lags, gathered to (n, n) ``k_t`` by the lag index."""
+    """Dense LML of one parameter setting; the Gram matrix, its Cholesky
+    factor and the gradient all read one evaluation of the kernel
+    components on the distinct lags, gathered to (n, n) ``k_t`` by the
+    lag index."""
 
     def __init__(self, model: MoGPModel, geometry: _Geometry):
         self.model, self.geometry = model, geometry
@@ -296,20 +369,95 @@ class _Evaluation:
         per_lag = np.bincount(geometry.lag_index.ravel(),
                               weights=a_mat.ravel(),
                               minlength=geometry.lags.size)
-        _, dnoise = _floored_exp_with_grad(model.log_noise_variance)
-        return np.concatenate([
-            0.5 * self.temporal.gradient(per_lag),
-            model.coreg.gradient(0.5 * s),
+        return _packed_gradient(
+            model, self.temporal, per_lag, s,
             np.bincount(geometry.outputs, weights=alpha,
                         minlength=model.num_outputs),
-            [0.5 * dnoise * (alpha @ alpha - np.trace(kinv))],
-        ])
+            alpha @ alpha - np.trace(kinv))
+
+    def posterior(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, Q) k_*^T alpha and k_*^T (K + s I)^-1 k_* at the query times."""
+        model = self.model
+        temporal = self.geometry.cross_kernel(model, query)
+        b = model.coreg.matrix()
+        mean = np.empty((model.num_outputs, query.shape[0]))
+        explained = np.empty_like(mean)
+        for m in range(model.num_outputs):
+            k_star = b[m, self.geometry.outputs][None, :] * temporal
+            mean[m] = k_star @ self.alpha
+            v = solve_triangular(self.chol, k_star.T, lower=True)
+            explained[m] = np.sum(v * v, axis=0)
+        return mean, explained
+
+
+def _clamped_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, negative rounding clamped to 0, and eigenvectors of a
+    symmetric PSD kernel factor; a matrix with an inf or NaN entry, or
+    one LAPACK cannot decompose, raises NumericError."""
+    _require_finite(matrix)
+    try:
+        values, vectors = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    return np.maximum(values, 0.0), vectors
+
+
+class _KroneckerEvaluation:
+    """LML of one parameter setting when every output shares its P times:
+    K + s I = B (x) K_t + s I = (U_B (x) U_t) diag(D) (U_B (x) U_t)^T with
+    D = lambda_B lambda_t^T + s, from eigh of the M x M B and of the
+    P x P K_t. Targets and alpha are (M, P) arrays, one row per output."""
+
+    jitter = 0.0
+
+    def __init__(self, model: MoGPModel, geometry: _Geometry):
+        self.model, self.geometry = model, geometry
+        self.temporal = TemporalKernel(model.kernel, geometry.lags)
+        self.k_t = self.temporal.k_t[geometry.lag_index]
+        self.b = model.coreg.matrix()
+        self.lam_b, self.u_b = _clamped_eigh(self.b)
+        self.lam_t, self.u_t = _clamped_eigh(self.k_t)
+        self.d = np.outer(self.lam_b, self.lam_t) + model.noise_variance
+        y_c = model.centered_values().reshape(model.num_outputs, -1)
+        rotated = self.u_b.T @ y_c @ self.u_t
+        scaled = rotated / self.d
+        self.alpha = self.u_b @ scaled @ self.u_t.T
+        self.lml = float(-0.5 * np.vdot(rotated, scaled)
+                         - 0.5 * np.sum(np.log(self.d))
+                         - 0.5 * y_c.size * LOG_2PI)
+
+    def gradient(self) -> np.ndarray:
+        """d LML / d theta in parameter_names order (see lml_gradient).
+        With A = alpha alpha^T - (K + s I)^-1, the weight on K_t is
+        alpha^T B alpha - U_t diag(g) U_t^T, g_j = sum_i lambda_B,i / D_ij,
+        and S = alpha K_t alpha^T - U_B diag(h) U_B^T, h_i = sum_j
+        lambda_t,j / D_ij."""
+        alpha, inv_d = self.alpha, 1.0 / self.d
+        weight_t = alpha.T @ self.b @ alpha
+        weight_t -= (self.u_t * (self.lam_b @ inv_d)) @ self.u_t.T
+        s = alpha @ self.k_t @ alpha.T
+        s -= (self.u_b * (inv_d @ self.lam_t)) @ self.u_b.T
+        per_lag = np.bincount(self.geometry.lag_index.ravel(),
+                              weights=weight_t.ravel(),
+                              minlength=self.geometry.lags.size)
+        return _packed_gradient(self.model, self.temporal, per_lag, s,
+                                alpha.sum(axis=1),
+                                np.vdot(alpha, alpha) - inv_d.sum())
+
+    def posterior(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, Q) B alpha K_*^T and the explained variance
+        ((U_B o lambda_B)^2) D^-1 (U_t^T K_*^T)^2 at the query times."""
+        k_star = self.geometry.cross_kernel(self.model, query)
+        projected = self.u_t.T @ k_star.T
+        explained = ((self.u_b * self.lam_b) ** 2) @ (
+            (1.0 / self.d) @ (projected * projected))
+        return self.b @ self.alpha @ k_star.T, explained
 
 
 def log_marginal_likelihood(model: MoGPModel) -> float:
     """Exact LML: -1/2 y_c^T (K+s I)^-1 y_c - 1/2 log det(K+s I) - n/2 log 2pi.
     The model is not modified."""
-    return _Evaluation(model, _Geometry(model.training)).lml
+    return _Geometry(model.training).evaluate(model).lml
 
 
 def parameter_names(num_outputs: int, rank: int) -> list[str]:
@@ -365,10 +513,12 @@ def lml_gradient(model: MoGPModel) -> np.ndarray:
     dK/dtheta: kernel entries are 1/2 sum_l w_l dk_t(r_l)/dtheta over the
     distinct lags r_l, where w_l sums A o B_oo over the pairs at lag r_l;
     with S = E^T (A o k_t) E, W gets S W and log kappa 1/2 diag(S) kappa'.
-    K^-1 comes from LAPACK potri on the Cholesky factor. The model is
+    On the dense path K^-1 comes from LAPACK potri on the Cholesky
+    factor; on the Kronecker path A is contracted through the two
+    eigendecompositions without forming any n x n matrix. The model is
     not modified.
     """
-    return _Evaluation(model, _Geometry(model.training)).gradient()
+    return _Geometry(model.training).evaluate(model).gradient()
 
 
 def initialize_model(training: TrainingSet, config: OptimizerConfig) -> MoGPModel:
@@ -406,8 +556,7 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     It stops early after the iterate that follows |delta LML| staying
     below early_stop_tol for early_stop_patience consecutive iterations.
     The best-scoring iterate is returned, so the final LML never falls
-    below the initial one, together with the Cholesky cache its
-    evaluation already built.
+    below the initial one, with its evaluation cached for predict.
     """
     config = config or OptimizerConfig()
     config.validate()
@@ -423,18 +572,17 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     stall = 0
     last = config.iterations
     for iteration in range(config.iterations + 1):
-        step = _Evaluation(model_from_parameters(theta, training, config),
-                           geometry)
+        step = geometry.evaluate(
+            model_from_parameters(theta, training, config))
         lml = step.lml
         if not math.isfinite(lml):
             raise NumericError(
                 f"non-finite log marginal likelihood at iteration {iteration}; "
                 f"parameter snapshot: {theta.tolist()}")
         trace.append(lml)
-        # Keep the best iterate's factor, solve and jitter for predict,
-        # not its kernel intermediates; theta is rebound, never mutated.
-        if iteration == 0 or lml > best[0]:
-            best = lml, theta, step.chol, step.alpha, step.jitter
+        # best.model views theta, which is rebound, never mutated.
+        if iteration == 0 or lml > best.lml:
+            best = step
         if iteration == last:
             break
 
@@ -455,10 +603,8 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
                          iteration + 1, lml)
             last = iteration + 1
 
-    _, theta, chol, alpha, jitter = best
-    result = model_from_parameters(theta, training, config)
-    result.lml_trace = trace
-    result._chol, result._alpha, result.jitter_used = chol, alpha, jitter
+    result = best.model
+    result.lml_trace, result._evaluation = trace, best
     return result
 
 
@@ -467,37 +613,24 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
 
     Predictive variance includes the observation noise. A variance that
     the numerical subtraction leaves negative is clamped at zero before
-    the square root. Query times outside [0, 1] are allowed. A model
-    without fit's Cholesky cache is factored into local variables; the
-    model is not modified.
+    the square root. Query times outside [0, 1] are allowed. The
+    posterior comes from the model's cached evaluation, or from a local
+    one when it has none; the model is not modified.
     """
     query = np.asarray(query_times, dtype=float).ravel()
     if query.shape[0] == 0:
         raise ValidationError("query grid is empty")
     if not np.all(np.isfinite(query)):
         raise ValidationError("query times must be finite")
-    if model._chol is None:
-        evaluation = _Evaluation(model, _Geometry(model.training))
-        chol, alpha = evaluation.chol, evaluation.alpha
-    else:
-        chol, alpha = model._chol, model._alpha
-
-    lags, lag_index = lag_table(query, model.training.times)
-    temporal = TemporalKernel(model.kernel, lags).k_t[lag_index]
-    b = model.coreg.matrix()
-    prior_var = model.kernel.prior_variance()
-    noise = model.noise_variance
-
-    num_m = model.num_outputs
-    mean = np.empty((num_m, query.shape[0]))
-    var = np.empty((num_m, query.shape[0]))
-    for m in range(num_m):
-        k_star = b[m, model.training.outputs][None, :] * temporal
-        mean[m] = model.means[m] + k_star @ alpha
-        v = solve_triangular(chol, k_star.T, lower=True)
-        var[m] = b[m, m] * prior_var + noise - np.sum(v * v, axis=0)
-
-    return PosteriorPrediction(mean=mean, std=np.sqrt(np.maximum(var, 0.0)))
+    evaluation = model._evaluation
+    if evaluation is None:
+        evaluation = _Geometry(model.training).evaluate(model)
+    mean, explained = evaluation.posterior(query)
+    prior = (np.diag(model.coreg.matrix())[:, None]
+             * model.kernel.prior_variance() + model.noise_variance)
+    return PosteriorPrediction(
+        mean=model.means[:, None] + mean,
+        std=np.sqrt(np.maximum(prior - explained, 0.0)))
 
 
 def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import pathlib
 import re
 import warnings
 
@@ -711,6 +712,50 @@ class TestPreprocessYAxis:
                              "--output", str(tmp_path / out)]) == 0
         assert (tmp_path / "gapped.csv").read_bytes() == \
             (tmp_path / "plain.csv").read_bytes()
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+class TestMoGPPaths:
+    def test_fit_records_keeps_whole_frames(self, pipeline):
+        cfg = cli.RunConfig(input_path=str(pipeline["corpus"]),
+                            grid_points=40, points_per_channel=12,
+                            iterations=0, seed=5)
+        records = cli._load_corpus(cfg)
+        model = cli._fit_records(cfg, records, 3)
+        training = model.training
+        times = training.times.reshape(len(CHANNELS), -1)
+        values = training.values.reshape(len(CHANNELS), -1)
+        np.testing.assert_array_equal(
+            training.outputs, np.repeat(np.arange(len(CHANNELS)), 12))
+        # One draw of (cycle, grid-time) frames from the job's stream.
+        cycles = np.concatenate([r.cycles for r in records])
+        idx = np.sort(np.random.default_rng([5, 3]).choice(
+            cycles.shape[0] * 40, 12, replace=False))
+        for m in range(len(CHANNELS)):
+            np.testing.assert_array_equal(
+                times[m], np.tile(records[0].grid, len(cycles))[idx])
+            np.testing.assert_array_equal(values[m],
+                                          cycles[:, m].ravel()[idx])
+        assert type(model._evaluation) is mogp._KroneckerEvaluation
+
+    def test_per_channel_model_predicts_as_before(self, tmp_path):
+        # per_channel.mogp was fitted when each channel drew its own
+        # times; per_channel_predict.csv is what predict wrote for it then.
+        model = mogp.load_model(DATA / "per_channel.mogp")
+        assert type(mogp._Geometry(model.training).evaluate(model)) \
+            is mogp._Evaluation
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", str(DATA / "per_channel.mogp"),
+                         "--output", str(out), "--grid-points", "16"]) == 0
+        got, expected = (path.read_text().splitlines() for path in
+                         (out, DATA / "per_channel_predict.csv"))
+        assert got[:2] == expected[:2]
+        np.testing.assert_allclose(
+            np.array([line.split(",") for line in got[2:]], dtype=float),
+            np.array([line.split(",") for line in expected[2:]], dtype=float),
+            rtol=1e-12, atol=1e-12)
 
 
 class TestDeterminism:

@@ -63,6 +63,8 @@ class TestLowpassFilter:
         traj = _trajectory(np.zeros(10))
         with pytest.raises(ValidationError, match="too short"):
             lowpass_filter(traj)
+        with pytest.raises(ValidationError, match="too short"):
+            lowpass_filter(5.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_samples(self, bad):
@@ -204,10 +206,12 @@ class TestDetectEvents:
         np.concatenate([np.arange(49) / 50.0, [np.inf]]),
         np.repeat(np.arange(25) / 25.0, 2),
         np.arange(50)[::-1] / 50.0,
-    ], ids=["zeros", "nan", "inf", "repeated", "decreasing"])
+        np.arange(50, dtype=float),
+    ], ids=["zeros", "nan", "inf", "repeated", "decreasing", "frames"])
     def test_rejects_grid_not_finite_and_increasing(self, grid):
         y = _template(np.arange(50) / 50.0)
-        with pytest.raises(ValidationError, match="strictly increasing"):
+        with pytest.raises(ValidationError,
+                           match=r"grid must be .*strictly increasing"):
             detect_events(y, grid)
 
     @given(st.integers(min_value=0, max_value=500))

@@ -33,13 +33,18 @@ import oracles
 
 def _random_training(rng: np.random.Generator, num_outputs: int,
                      points_per_output: int,
-                     grid_points: int | None = None) -> TrainingSet:
+                     grid_points: int | None = None,
+                     shared_times: bool = False) -> TrainingSet:
     """Uniform times, or with ``grid_points`` times drawn with repeats
-    from the grid k / grid_points (as the CLI draws cycle-grid times)."""
+    from the grid k / grid_points (as the CLI draws cycle-grid times).
+    Each output draws its own times, or with ``shared_times`` every
+    output takes the first output's draw (as the CLI draws frames)."""
     times = []
     outputs = []
     for m in range(num_outputs):
-        if grid_points is None:
+        if shared_times and m > 0:
+            draw = times[0]
+        elif grid_points is None:
             draw = rng.uniform(0.0, 1.0, size=points_per_output)
         else:
             draw = rng.integers(0, grid_points, size=points_per_output) \
@@ -56,9 +61,10 @@ def _random_training(rng: np.random.Generator, num_outputs: int,
 
 def _random_model(rng: np.random.Generator, num_outputs: int = 3,
                   points_per_output: int = 3, rank: int = 2,
-                  grid_points: int | None = None) -> MoGPModel:
+                  grid_points: int | None = None,
+                  shared_times: bool = False) -> MoGPModel:
     training = _random_training(rng, num_outputs, points_per_output,
-                                grid_points)
+                                grid_points, shared_times)
     config = OptimizerConfig(rank=rank, seed=int(rng.integers(0, 1000)))
     theta = np.concatenate([
         rng.uniform(-1.5, 0.5, size=7),
@@ -70,27 +76,36 @@ def _random_model(rng: np.random.Generator, num_outputs: int = 3,
     return model_from_parameters(theta, training, config)
 
 
-def _fresh_evaluation(model: MoGPModel) -> mogp._Evaluation:
-    return mogp._Evaluation(model, mogp._Geometry(model.training))
+def _fresh_evaluation(model: MoGPModel):
+    return mogp._Geometry(model.training).evaluate(model)
 
 
 class TestExactness:
     # Uniform times: every off-diagonal lag is distinct.
     GRID_POINTS = None
+    # Each output at its own times: the dense path.
+    SHARED_TIMES = False
+    EVALUATION = mogp._Evaluation
+
+    def _model(self, rng: np.random.Generator, **kwargs) -> MoGPModel:
+        return _random_model(rng, grid_points=self.GRID_POINTS,
+                             shared_times=self.SHARED_TIMES, **kwargs)
 
     def test_lml_matches_dense_inversion(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            model = _random_model(rng, grid_points=self.GRID_POINTS)
+            model = self._model(rng)
             got = log_marginal_likelihood(model)
-            assert _fresh_evaluation(model).jitter == 0.0
+            evaluation = _fresh_evaluation(model)
+            assert type(evaluation) is self.EVALUATION
+            assert evaluation.jitter == 0.0
             expected = oracles.dense_lml(model)
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-8)
 
     def test_posterior_matches_dense_inversion(self):
         rng = np.random.default_rng(43)
         for _ in range(5):
-            model = _random_model(rng, grid_points=self.GRID_POINTS)
+            model = self._model(rng)
             query = rng.uniform(0.0, 1.0, size=6)
             prediction = predict(model, query)
             assert _fresh_evaluation(model).jitter == 0.0
@@ -104,7 +119,7 @@ class TestExactness:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(44)
         for _ in range(3):
-            model = _random_model(rng, grid_points=self.GRID_POINTS)
+            model = self._model(rng)
             theta = pack_parameters(model)
 
             def lml_at(vector: np.ndarray) -> float:
@@ -123,8 +138,7 @@ class TestExactness:
         # Every entry is 1/2 sum A o dK/dtheta (dK = s' I for the noise)
         # except the means, which are per-output sums of alpha.
         rng = np.random.default_rng(46)
-        model = _random_model(rng, num_outputs=6, points_per_output=10,
-                              grid_points=self.GRID_POINTS)
+        model = self._model(rng, num_outputs=6, points_per_output=10)
         if floored:
             model.kernel.se.log_variance = -60.0
             model.coreg.log_kappa[2] = -60.0
@@ -154,8 +168,7 @@ class TestExactness:
 
     def test_mean_gradient_entries_are_analytic(self):
         rng = np.random.default_rng(45)
-        model = _random_model(rng, num_outputs=2,
-                              grid_points=self.GRID_POINTS)
+        model = self._model(rng, num_outputs=2)
         names = parameter_names(2, model.config.rank)
         grad = lml_gradient(model)
         assert grad.shape[0] == len(names)
@@ -169,6 +182,13 @@ class TestExactnessOnGridTimes(TestExactness):
     GRID_POINTS = 7
 
 
+class TestExactnessOnSharedTimes(TestExactnessOnGridTimes):
+    # Every output at the same times, repeats included (K_t is then
+    # singular): the Kronecker path, against the same dense oracles.
+    SHARED_TIMES = True
+    EVALUATION = mogp._KroneckerEvaluation
+
+
 class TestDistinctLags:
     @given(seed=st.integers(0, 2**32 - 1),
            grid_points=st.sampled_from([None, 3, 10, 100]),
@@ -179,10 +199,11 @@ class TestDistinctLags:
         rng = np.random.default_rng(seed)
         model = _random_model(rng, num_outputs, points, rank=1,
                               grid_points=grid_points)
-        times = model.training.times
+        geometry = mogp._Geometry(model.training)
+        times = geometry.times
         full = TemporalKernel(model.kernel,
                               np.abs(times[:, None] - times[None, :])).k_t
-        np.testing.assert_array_equal(_fresh_evaluation(model).k_t, full)
+        np.testing.assert_array_equal(geometry.evaluate(model).k_t, full)
 
     def test_memory_stays_below_ten_gram_matrices(self):
         # n = 720 on a 100-point cycle grid, the size of a pooled fit.
@@ -226,9 +247,26 @@ class TestFit:
         assert log_marginal_likelihood(model) == max(model.lml_trace)
         assert log_marginal_likelihood(model) >= model.lml_trace[0]
         assert fresh.lml == max(model.lml_trace)
-        np.testing.assert_array_equal(model._chol, fresh.chol)
-        np.testing.assert_array_equal(model._alpha, fresh.alpha)
+        assert type(model._evaluation) is type(fresh)
+        assert model._evaluation.lml == fresh.lml
+        np.testing.assert_array_equal(model._evaluation.chol, fresh.chol)
+        np.testing.assert_array_equal(model._evaluation.alpha, fresh.alpha)
         assert model.jitter_used == fresh.jitter
+
+    def test_shared_times_cache_the_kronecker_evaluation(self, tmp_path):
+        rng = np.random.default_rng(17)
+        training = _random_training(rng, num_outputs=3, points_per_output=6,
+                                    grid_points=7, shared_times=True)
+        model = fit(training, OptimizerConfig(iterations=10, seed=0))
+        assert type(model._evaluation) is mogp._KroneckerEvaluation
+        assert model._evaluation.lml == max(model.lml_trace)
+        assert model.jitter_used == 0.0
+        path = tmp_path / "model.mogp"
+        save_model(model, path)
+        query = np.linspace(0.0, 1.0, 9)
+        cached, loaded = predict(model, query), predict(load_model(path), query)
+        np.testing.assert_array_equal(cached.mean, loaded.mean)
+        np.testing.assert_array_equal(cached.std, loaded.std)
 
     def test_early_stop_evaluates_one_iterate_past_the_trigger(self):
         rng = np.random.default_rng(7)
@@ -344,13 +382,14 @@ class TestPredict:
 
     def test_overflowing_kernel_variance_is_a_numeric_error(self):
         rng = np.random.default_rng(24)
-        model = _random_model(rng)
-        theta = pack_parameters(model)
-        theta[parameter_names(3, 2).index("se.log_variance")] = 1000.0
-        overflowing = model_from_parameters(theta, model.training,
-                                            model.config)
-        with pytest.raises(NumericError, match="non-finite"):
-            predict(overflowing, np.linspace(0.0, 1.0, 5))
+        for shared_times in (False, True):
+            model = _random_model(rng, shared_times=shared_times)
+            theta = pack_parameters(model)
+            theta[parameter_names(3, 2).index("se.log_variance")] = 1000.0
+            overflowing = model_from_parameters(theta, model.training,
+                                                model.config)
+            with pytest.raises(NumericError, match="non-finite"):
+                predict(overflowing, np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("mean, std", [
         ([[math.nan, 1.0]], [[0.1, 0.0]]), ([[0.0, 1.0]], [[math.inf, 0.0]]),
@@ -463,7 +502,7 @@ class TestSerialization:
         query = np.linspace(0.0, 1.0, 7)
         first = predict(loaded, query)
         second = predict(loaded, query)
-        assert loaded._chol is None and loaded._alpha is None
+        assert loaded._evaluation is None
         assert loaded.jitter_used == 0.0
         for got in (second, predict(model, query)):
             np.testing.assert_array_equal(first.mean, got.mean)
