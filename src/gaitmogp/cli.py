@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -41,6 +40,8 @@ from .serialize import (atomic_write_text, field_kinds, format_float,
                         parse_number, read_document, write_document)
 
 SEGMENT_SCHEMA_ID = "segment-report-v1"
+# Where segment takes an observation sequence's ankle curves from.
+OBSERVATION_SOURCES = ("raw", "mogp-predicted")
 
 _EVENTS_SCHEMA = {
     "type": "object",
@@ -72,7 +73,7 @@ SEGMENT_REPORT_JSONSCHEMA = {
     "properties": {
         "schema": {"const": SEGMENT_SCHEMA_ID},
         "grid_points": {"type": "integer", "minimum": 2},
-        "observation_source": {"enum": list(hmm.OBSERVATION_SOURCES)},
+        "observation_source": {"enum": list(OBSERVATION_SOURCES)},
         "segment_threshold": {"type": "number", "minimum": 0},
         "subjects": {
             "type": "array",
@@ -177,9 +178,9 @@ class RunConfig:
         if self.filter_cutoff_hz is not None and not self.filter_cutoff_hz > 0:
             raise ValidationError("filter_cutoff_hz must be positive or none")
         _em_config(self).validate()
-        if self.observation_source not in hmm.OBSERVATION_SOURCES:
+        if self.observation_source not in OBSERVATION_SOURCES:
             raise ValidationError("observation_source must be one of "
-                                  f"{hmm.OBSERVATION_SOURCES}")
+                                  f"{OBSERVATION_SOURCES}")
         if self.segment_threshold < 0.0:
             raise ValidationError("segment_threshold must be >= 0")
         _synth_config(self).validate()
@@ -244,9 +245,8 @@ def _load_corpus(cfg: RunConfig) -> list[dataio.SubjectRecord]:
         num_points=cfg.grid_points)
 
 
-# The optimizer settings a run can set: the fields the two configs share.
-_OPTIMIZER_KEYS = tuple(
-    key for key in field_kinds(mogp.OptimizerConfig) if key in _KINDS)
+# Every optimizer setting is also a RunConfig field.
+_OPTIMIZER_KEYS = tuple(field_kinds(mogp.OptimizerConfig))
 
 
 def _optimizer_config(cfg: RunConfig) -> mogp.OptimizerConfig:

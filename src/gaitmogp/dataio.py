@@ -315,13 +315,12 @@ def _template_x(t: np.ndarray, amplitude: float, offset: float) -> np.ndarray:
 
 
 def generate_synthetic(config: SynthConfig, *,
-                       filter_cutoff_hz: float | None = None,
                        num_points: int = DEFAULT_GRID_POINTS
                        ) -> list[SubjectRecord]:
     """Generate a deterministic two-cohort corpus from ``config``.
 
-    The synthetic signals are band-limited by construction, so no
-    Butterworth filtering is applied by default.
+    The synthetic signals are band-limited by construction, so the
+    returned records are not Butterworth filtered.
     """
     config.validate()
     width = max(2, len(str(config.subjects_per_cohort)))
@@ -369,5 +368,5 @@ def generate_synthetic(config: SynthConfig, *,
 
             records.append(_build_record(
                 subject_id, cohort, raw_cycles,
-                filter_cutoff_hz=filter_cutoff_hz, num_points=num_points))
+                filter_cutoff_hz=None, num_points=num_points))
     return records

@@ -227,15 +227,16 @@ def detect_events(values, grid=None) -> GaitEvents:
     ankle height signal over one normalized cycle.
 
     The signal needs MIN_EVENT_SAMPLES samples, and a given grid must be
-    finite, strictly increasing and in normalized cycle time [0, 1] (not
-    frame indices), the unit of MIN_EVENT_SPACING. The cycle is treated as
-    periodic: extrema sitting near the grid boundary get their prominence
-    from the wrapped-around signal, not from the truncated window. Peaks
-    must reach a prominence of PROMINENCE_FRACTION times the signal's
-    peak-to-peak range and be at least MIN_EVENT_SPACING normalized-time
-    apart. When the merged event sequence fails to alternate, the more
-    extreme event of each same-type run is kept. A flat signal yields
-    empty lists.
+    finite, strictly increasing, uniformly spaced (to a relative 1e-9)
+    and in normalized cycle time [0, 1] (not frame indices):
+    MIN_EVENT_SPACING is in that unit and becomes a sample count through
+    the grid step. The cycle is treated as periodic: extrema sitting near
+    the grid boundary get their prominence from the wrapped-around
+    signal, not from the truncated window. Peaks must reach a prominence
+    of PROMINENCE_FRACTION times the signal's peak-to-peak range and be
+    at least MIN_EVENT_SPACING normalized-time apart. When the merged
+    event sequence fails to alternate, the more extreme event of each
+    same-type run is kept. A flat signal yields empty lists.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.shape[0] < MIN_EVENT_SAMPLES:
@@ -249,11 +250,13 @@ def detect_events(values, grid=None) -> GaitEvents:
         grid = np.asarray(grid, dtype=float).ravel()
         if grid.shape != values.shape:
             raise ValidationError("grid length must match signal length")
-        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
+        steps = np.diff(grid)
+        if not (np.all(np.isfinite(grid)) and np.all(steps > 0.0)
+                and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
                 and grid[0] >= 0.0 and grid[-1] <= 1.0):
             raise ValidationError(
-                "grid must be finite, strictly increasing and within "
-                "[0, 1] (normalized cycle time)")
+                "grid must be finite, strictly increasing, uniformly "
+                "spaced and within [0, 1] (normalized cycle time)")
 
     ptp = float(np.max(values) - np.min(values))
     if ptp < FLAT_SIGNAL_PTP:

@@ -3,15 +3,15 @@
 States 1 and 2 model normal stance/swing, states 3 and 4 their abnormal
 counterparts. Emissions are bivariate Gaussians N(mu_i, Sigma) with one
 covariance shared across states. Initial and transition probabilities
-default to expert values favoring the normal states; whether EM
-re-estimates them is a config switch (frozen by default).
+are expert values favoring the normal states; EM refines the emissions
+only.
 
 Likelihoods and EM statistics come from one scaled forward-backward
 with a per-step emission shift (Rabiner 1989, section V.A), which stays
 finite for observations far from every state mean; log-space Viterbi.
 An observation sequence is only its (T, 2) steps; where its curves come
-from is the caller's setting (OBSERVATION_SOURCES lists the CLI's).
-Models are immutable after fitting; decoding is pure.
+from is the caller's setting. Models are immutable after fitting;
+decoding is pure.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ NUM_STATES = 4
 OBS_DIM = 2
 # 1-based indices of the abnormal stance/swing states.
 ABNORMAL_STATES = (3, 4)
-# Where the CLI takes an observation sequence's ankle curves from.
-OBSERVATION_SOURCES = ("raw", "mogp-predicted")
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -143,8 +141,6 @@ class DecodedStates:
 class BaumWelchConfig:
     max_iterations: int = 100
     tol: float = 1e-6          # relative change of total log-likelihood
-    update_initial_probs: bool = False
-    update_transitions: bool = False
 
     def validate(self) -> None:
         if self.max_iterations < 0:
@@ -228,7 +224,7 @@ def emission_logpdf(model: HmmModel, obs, state: int) -> float:
 
 
 def _forward_backward(model: HmmModel, steps: np.ndarray):
-    """Rabiner-scaled forward-backward: (gamma, summed xi, log p(O | theta)).
+    """Rabiner-scaled forward-backward: (gamma, log p(O | theta)).
 
     Each step's emission densities are divided by their largest one, so
     an observation far from every state mean does not underflow; that
@@ -249,23 +245,21 @@ def _forward_backward(model: HmmModel, steps: np.ndarray):
         alpha[t] = prior * b[t]
         scale[t] = alpha[t].sum()
         if scale[t] == 0.0:
-            return (np.zeros((t_len, NUM_STATES)),
-                    np.zeros((NUM_STATES, NUM_STATES)), -math.inf)
+            return np.zeros((t_len, NUM_STATES)), -math.inf
         alpha[t] /= scale[t]
         prior = alpha[t] @ a
 
     beta = np.ones((t_len, NUM_STATES))
     for t in range(t_len - 2, -1, -1):
         beta[t] = a @ (b[t + 1] * beta[t + 1] / scale[t + 1])
-    xi_sum = a * (alpha[:-1].T @ (b[1:] * beta[1:] / scale[1:, None]))
     log_likelihood = float(np.sum(np.log(scale)) + np.sum(shift))
-    return alpha * beta, xi_sum, log_likelihood
+    return alpha * beta, log_likelihood
 
 
 def forward_log_likelihood(model: HmmModel, seq: ObservationSequence) -> float:
     """log p(O | theta) via the scaled forward recursion."""
     model.validate()
-    return _forward_backward(model, seq.steps)[2]
+    return _forward_backward(model, seq.steps)[1]
 
 
 def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
@@ -307,22 +301,21 @@ def _validated_sequences(sequences) -> list[ObservationSequence]:
 
 
 def _e_step(model: HmmModel, sequences):
-    """Accumulated posterior statistics and the total log-likelihood."""
+    """Accumulated emission statistics and the total log-likelihood."""
     passes = [_forward_backward(model, seq.steps) for seq in sequences]
-    gamma = np.concatenate([gamma for gamma, _, _ in passes])
+    gamma = np.concatenate([gamma for gamma, _ in passes])
     steps = np.concatenate([seq.steps for seq in sequences])
     stats = {
         "gamma_sum": gamma.sum(axis=0),
         "gamma_obs": gamma.T @ steps,
         "gamma_sq": np.einsum("ti,td,te->ide", gamma, steps, steps),
-        "gamma_first": sum(gamma[0] for gamma, _, _ in passes),
-        "xi_sum": sum(xi_sum for _, xi_sum, _ in passes),
         "total_points": steps.shape[0],
     }
-    return stats, sum(ll for _, _, ll in passes)
+    return stats, sum(ll for _, ll in passes)
 
 
-def _m_step(model: HmmModel, stats, config: BaumWelchConfig) -> HmmModel:
+def _m_step(model: HmmModel, stats) -> HmmModel:
+    """New state means and shared covariance; pi and A are copied."""
     gamma_sum = stats["gamma_sum"]
     gamma_obs = stats["gamma_obs"]
     # Empty-state rule: keep the previous mean below the mass floor.
@@ -342,28 +335,15 @@ def _m_step(model: HmmModel, stats, config: BaumWelchConfig) -> HmmModel:
     if min_eig < MIN_COVARIANCE_EIGENVALUE:
         cov += (MIN_COVARIANCE_EIGENVALUE - min_eig) * np.eye(OBS_DIM)
 
-    new_pi = model.initial_probs.copy()
-    if config.update_initial_probs:
-        total = float(np.sum(stats["gamma_first"]))
-        if total > 0.0:
-            new_pi = stats["gamma_first"] / total
-
-    new_a = model.transitions.copy()
-    if config.update_transitions:
-        xi = stats["xi_sum"]
-        row_mass = xi.sum(axis=1)
-        # Zero rows keep their previous distribution; structural zeros of
-        # A stay zero because xi vanishes wherever A[i, j] = 0.
-        rows = row_mass > 0.0
-        new_a[rows] = xi[rows] / row_mass[rows, None]
-
-    return HmmModel(initial_probs=new_pi, transitions=new_a,
+    return HmmModel(initial_probs=model.initial_probs.copy(),
+                    transitions=model.transitions.copy(),
                     state_means=new_means, shared_covariance=cov)
 
 
 def baum_welch_fit(init: HmmModel, sequences,
                    config: BaumWelchConfig | None = None) -> HmmModel:
-    """EM for the emission parameters (and optionally pi/A).
+    """EM for the emission parameters (state means and shared covariance);
+    the expert pi and A of ``init`` are kept unchanged.
 
     Returns the refined model with the total log-likelihood of every
     E-step in ``log_likelihood_trace``: the initial model's first, then
@@ -386,7 +366,7 @@ def baum_welch_fit(init: HmmModel, sequences,
                 iteration > 0 and abs(trace[-1] - trace[-2])
                 <= config.tol * max(1.0, abs(trace[-2]))):
             break
-        model = _m_step(model, stats, config)
+        model = _m_step(model, stats)
         model.validate()
     model.log_likelihood_trace = trace
     return model

@@ -65,6 +65,20 @@ LOG_2PI = math.log(2.0 * math.pi)
 JITTER_START = 1e-8
 JITTER_CAP = 1e-2
 
+# Adam's moment rates and epsilon (Kingma & Ba 2015), its early stop
+# (see fit) and its starting point (see initialize_model).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+EARLY_STOP_TOL = 1e-6
+EARLY_STOP_PATIENCE = 50
+INIT_VARIANCE = 1.0
+INIT_LENGTHSCALE = 0.2
+INIT_PERIOD = 1.0
+INIT_W_STD = 0.5
+INIT_KAPPA = 0.5
+INIT_NOISE_VARIANCE = 0.1
+
 
 @dataclass
 class TrainingSet:
@@ -122,24 +136,16 @@ class TrainingSet:
 
 @dataclass
 class OptimizerConfig:
-    """Adam settings and initialization constants for :func:`fit`."""
+    """The settings of :func:`fit` a run chooses: Adam's iteration count,
+    step size and weight decay, the seed of W's starting draw and the
+    rank of W. Adam's moment rates, the early stop and the starting
+    point are the module constants above."""
 
     iterations: int = 2000
     learning_rate: float = 7.5e-3
     weight_decay: float = 1e-4
     seed: int = 0
     rank: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    early_stop_tol: float = 1e-6
-    early_stop_patience: int = 50
-    init_variance: float = 1.0
-    init_lengthscale: float = 0.2
-    init_period: float = 1.0
-    init_w_std: float = 0.5
-    init_kappa: float = 0.5
-    init_noise_variance: float = 0.1
 
     def validate(self) -> None:
         for name, kind in _CONFIG_KINDS.items():
@@ -153,14 +159,6 @@ class OptimizerConfig:
             raise ValidationError("learning_rate must be positive")
         if self.weight_decay < 0.0:
             raise ValidationError("weight_decay must be >= 0")
-        if self.early_stop_patience < 1:
-            raise ValidationError("early_stop_patience must be >= 1")
-        for name in ("init_variance", "init_lengthscale", "init_period",
-                     "init_kappa", "init_noise_variance", "early_stop_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive")
-        if self.init_w_std < 0.0:
-            raise ValidationError("init_w_std must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
 
@@ -524,26 +522,27 @@ def lml_gradient(model: MoGPModel) -> np.ndarray:
 def initialize_model(training: TrainingSet, config: OptimizerConfig) -> MoGPModel:
     """Starting point for the optimizer.
 
-    The config's init_* variance, length-scale and period for all three
-    kernel components, W ~ N(0, init_w_std^2) from the config seed,
-    kappa init_kappa, per-output empirical means.
+    INIT_VARIANCE, INIT_LENGTHSCALE and INIT_PERIOD for all three kernel
+    components, W ~ N(0, INIT_W_STD^2) from the config seed, kappa
+    INIT_KAPPA, noise variance INIT_NOISE_VARIANCE and per-output
+    empirical means.
     """
     training.validate()
     config.validate()
     m = training.num_outputs
     rng = np.random.default_rng(config.seed)
-    w = rng.normal(0.0, config.init_w_std, size=(m, config.rank))
+    w = rng.normal(0.0, INIT_W_STD, size=(m, config.rank))
     kernel = CompositeKernelSpec.from_values(
-        config.init_variance, config.init_lengthscale, config.init_period)
+        INIT_VARIANCE, INIT_LENGTHSCALE, INIT_PERIOD)
     means = np.zeros(m)
     for idx in range(m):
         sel = training.outputs == idx
         if np.any(sel):
             means[idx] = float(np.mean(training.values[sel]))
     coreg = CoregionalizationFactor(
-        w=w, log_kappa=np.full(m, math.log(config.init_kappa)))
+        w=w, log_kappa=np.full(m, math.log(INIT_KAPPA)))
     return MoGPModel(kernel=kernel, coreg=coreg, means=means,
-                     log_noise_variance=math.log(config.init_noise_variance),
+                     log_noise_variance=math.log(INIT_NOISE_VARIANCE),
                      training=training, config=config)
 
 
@@ -554,7 +553,7 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     ``iterations + 1`` iterates, each adding its LML to ``lml_trace`` (one
     entry at ``iterations = 0``); a non-finite LML raises NumericError.
     It stops early after the iterate that follows |delta LML| staying
-    below early_stop_tol for early_stop_patience consecutive iterations.
+    below EARLY_STOP_TOL for EARLY_STOP_PATIENCE consecutive iterations.
     The best-scoring iterate is returned, so the final LML never falls
     below the initial one, with its evaluation cached for predict.
     """
@@ -588,17 +587,18 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
 
         grad = step.gradient()
         grad = grad - config.weight_decay * decay_mask * theta
-        m_state = config.beta1 * m_state + (1.0 - config.beta1) * grad
-        v_state = config.beta2 * v_state + (1.0 - config.beta2) * grad * grad
-        m_hat = m_state / (1.0 - config.beta1 ** (iteration + 1))
-        v_hat = v_state / (1.0 - config.beta2 ** (iteration + 1))
-        theta = theta + config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        m_state = ADAM_BETA1 * m_state + (1.0 - ADAM_BETA1) * grad
+        v_state = ADAM_BETA2 * v_state + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m_state / (1.0 - ADAM_BETA1 ** (iteration + 1))
+        v_hat = v_state / (1.0 - ADAM_BETA2 ** (iteration + 1))
+        theta = theta + config.learning_rate * m_hat / (
+            np.sqrt(v_hat) + ADAM_EPSILON)
 
-        if iteration > 0 and abs(lml - trace[-2]) < config.early_stop_tol:
+        if iteration > 0 and abs(lml - trace[-2]) < EARLY_STOP_TOL:
             stall += 1
         else:
             stall = 0
-        if stall >= config.early_stop_patience:
+        if stall >= EARLY_STOP_PATIENCE:
             logger.debug("early stop after %d iterations (LML %.6f)",
                          iteration + 1, lml)
             last = iteration + 1
@@ -649,6 +649,8 @@ def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:
 
 MODEL_SCHEMA = "mogp-v1"
 
+# One config.<name> line per OptimizerConfig field; load_model ignores
+# the lines older files have for values that are now constants.
 _CONFIG_KINDS = serialize.field_kinds(OptimizerConfig)
 _KERNEL_NAMES = kernel_parameter_names(0, 0)
 

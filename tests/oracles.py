@@ -298,8 +298,8 @@ def hmm_enumerate(initial, transitions, means, covariance, steps):
 
 
 def hmm_enumerate_posteriors(initial, transitions, means, covariance, steps):
-    """Posterior state marginals gamma (T, S) and the transition posteriors
-    xi summed over time (S, S), each path weighted by p(path | O)."""
+    """Posterior state marginals gamma (T, S), each path weighted by
+    p(path | O)."""
     paths, scores, log_likelihood = _hmm_path_scores(
         initial, transitions, means, covariance, steps)
     num_states = np.asarray(initial).shape[0]
@@ -308,10 +308,7 @@ def hmm_enumerate_posteriors(initial, transitions, means, covariance, steps):
     for t in range(paths.shape[0]):
         gamma[t] = np.bincount(paths[t], weights=weights,
                                minlength=num_states)
-    xi_sum = np.zeros((num_states, num_states))
-    for t in range(paths.shape[0] - 1):
-        np.add.at(xi_sum, (paths[t], paths[t + 1]), weights)
-    return gamma, xi_sum
+    return gamma
 
 
 def sample_hmm(initial, transitions, means, covariance, length: int,

@@ -207,7 +207,11 @@ class TestDetectEvents:
         np.repeat(np.arange(25) / 25.0, 2),
         np.arange(50)[::-1] / 50.0,
         np.arange(50, dtype=float),
-    ], ids=["zeros", "nan", "inf", "repeated", "decreasing", "frames"])
+        # The event spacing is read from the first step alone, so this
+        # grid would silently lose every event.
+        np.concatenate([[0.0, 1e-4], np.arange(2, 50) / 50.0]),
+    ], ids=["zeros", "nan", "inf", "repeated", "decreasing", "frames",
+            "nonuniform"])
     def test_rejects_grid_not_finite_and_increasing(self, grid):
         y = _template(np.arange(50) / 50.0)
         with pytest.raises(ValidationError,

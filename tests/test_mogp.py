@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -268,25 +270,27 @@ class TestFit:
         np.testing.assert_array_equal(cached.mean, loaded.mean)
         np.testing.assert_array_equal(cached.std, loaded.std)
 
-    def test_early_stop_evaluates_one_iterate_past_the_trigger(self):
+    def test_early_stop_evaluates_one_iterate_past_the_trigger(
+            self, monkeypatch):
         rng = np.random.default_rng(7)
         training = _random_training(rng, num_outputs=2, points_per_output=5)
         # Every change is below the tolerance, so iterate 1 triggers the
         # stop and iterate 2 is the last one evaluated.
-        model = fit(training, OptimizerConfig(
-            iterations=50, seed=0, early_stop_tol=1e300,
-            early_stop_patience=1))
+        monkeypatch.setattr(mogp, "EARLY_STOP_TOL", 1e300)
+        monkeypatch.setattr(mogp, "EARLY_STOP_PATIENCE", 1)
+        model = fit(training, OptimizerConfig(iterations=50, seed=0))
         assert len(model.lml_trace) == 3
         assert log_marginal_likelihood(model) == max(model.lml_trace)
 
-    def test_overflowing_adam_step_is_a_numeric_error(self):
+    def test_overflowing_adam_step_is_a_numeric_error(self, monkeypatch):
         rng = np.random.default_rng(8)
         training = _random_training(rng, num_outputs=2, points_per_output=4)
         # From a tiny signal variance the LML pushes the variances up;
         # one step of size ~1e6 makes them overflow at the last iterate.
+        monkeypatch.setattr(mogp, "INIT_VARIANCE", 1e-4)
         with pytest.raises(NumericError, match="non-finite"):
             fit(training, OptimizerConfig(iterations=1, learning_rate=1e6,
-                                          init_variance=1e-4, seed=0))
+                                          seed=0))
 
     def test_fit_improves_lml(self):
         rng = np.random.default_rng(4)
@@ -316,8 +320,7 @@ class TestFit:
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             fit(training, OptimizerConfig(iterations=1, seed=-1))
 
-    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay",
-                                      "init_period", "early_stop_tol"])
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay"])
     def test_non_finite_setting_is_a_validation_error(self, name):
         for value in (math.inf, math.nan):
             config = OptimizerConfig(**{name: value})
@@ -507,6 +510,35 @@ class TestSerialization:
         for got in (second, predict(model, query)):
             np.testing.assert_array_equal(first.mean, got.mean)
             np.testing.assert_array_equal(first.std, got.std)
+
+    def test_older_file_loads_and_resaves_without_its_constant_lines(
+            self, tmp_path):
+        # per_channel.mogp was written when OptimizerConfig also held the
+        # Adam, early-stop and init values that are now constants.
+        old = pathlib.Path(__file__).parent / "data" / "per_channel.mogp"
+        constants = {"beta1", "beta2", "epsilon", "early_stop_tol",
+                     "early_stop_patience", "init_variance",
+                     "init_lengthscale", "init_period", "init_w_std",
+                     "init_kappa", "init_noise_variance"}
+        old_lines = old.read_text().splitlines()
+        assert sum(line.startswith("config.") for line in old_lines) == 16
+        path = tmp_path / "resaved.mogp"
+        save_model(load_model(old), path)
+        assert path.read_text().splitlines() == [
+            line for line in old_lines
+            if line.partition(" = ")[0].removeprefix("config.")
+            not in constants]
+
+    def test_fit_writes_one_config_line_per_setting(self, tmp_path):
+        rng = np.random.default_rng(17)
+        training = _random_training(rng, num_outputs=2, points_per_output=4)
+        path = tmp_path / "model.mogp"
+        save_model(fit(training, OptimizerConfig(iterations=2)), path)
+        keys = [line.partition(" = ")[0]
+                for line in path.read_text().splitlines()
+                if line.startswith("config.")]
+        assert keys == [f"config.{f.name}"
+                        for f in dataclasses.fields(OptimizerConfig)]
 
     def test_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "model.mogp"
