@@ -6,9 +6,18 @@ covariance shared across states. Initial and transition probabilities
 are expert values favoring the normal states; EM refines the emissions
 only.
 
-Likelihoods and EM statistics come from one scaled forward-backward
-with a per-step emission shift (Rabiner 1989, section V.A), which stays
-finite for observations far from every state mean; log-space Viterbi.
+Likelihoods and EM statistics come from one forward-backward kernel
+with no loop over time: the forward and backward messages are running
+products of the matrices A diag(b_t), taken by a log-depth prefix scan
+(Hassan, Saerkkae & Garcia-Fernandez 2021). Each step's emissions are
+divided by their largest one, and each product in the scan by the sum
+of its entries, whose log is carried beside it (Rabiner 1989, section
+V.A, per product rather than per step). Where those scaled products
+still underflow (an observation far from every state mean whose best
+state A cannot reach, or states more than the float range apart inside
+one product), the kernel sees a zero, non-finite or inconsistent
+normaliser and reruns the same scan in the log semiring, which cannot
+underflow and is slower. Viterbi is a sequential log-space recursion.
 An observation sequence is only its (T, 2) steps; where its curves come
 from is the caller's setting. Models are immutable after fitting;
 decoding is pure.
@@ -49,6 +58,12 @@ MODEL_SCHEMA = "hmm-v1"
 EMPTY_STATE_MASS = 1e-12
 COVARIANCE_JITTER = 1e-6
 MIN_COVARIANCE_EIGENVALUE = 1e-8
+
+# Largest spread of the scaled forward-backward's per-step values of
+# log p(O | theta) that is taken as rounding; a larger one means the
+# scaled products lost mass to underflow (rounding measured below 1e-10
+# at T = 1000 with |log p| near 1e6).
+SPLIT_TOLERANCE = 1e-8
 
 
 @dataclass
@@ -199,16 +214,14 @@ def _emission_log_matrix(model: HmmModel, steps: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise ValidationError("shared covariance is not positive definite")
     log_det_half = float(np.sum(np.log(np.diag(chol))))
-    out = np.empty((steps.shape[0], NUM_STATES))
-    for i in range(NUM_STATES):
-        diff = steps - model.state_means[i]
-        solved = np.linalg.solve(chol, diff.T)
-        # Overflow to inf is fine: it surfaces as -inf log-density, which
-        # the decoders detect and report.
-        with np.errstate(over="ignore"):
-            maha = np.sum(solved * solved, axis=0)
-        out[:, i] = -0.5 * maha - log_det_half - 0.5 * OBS_DIM * LOG_2PI
-    return out
+    # One solve for every (state, step) difference, state-major columns.
+    diff = steps[None, :, :] - model.state_means[:, None, :]
+    solved = np.linalg.solve(chol, diff.reshape(-1, OBS_DIM).T)
+    # Overflow to inf is fine: it surfaces as -inf log-density, which
+    # the decoders detect and report.
+    with np.errstate(over="ignore"):
+        maha = np.sum(solved * solved, axis=0).reshape(NUM_STATES, -1).T
+    return -0.5 * maha - log_det_half - 0.5 * OBS_DIM * LOG_2PI
 
 
 def emission_logpdf(model: HmmModel, obs, state: int) -> float:
@@ -224,40 +237,132 @@ def emission_logpdf(model: HmmModel, obs, state: int) -> float:
 
 
 def _forward_backward(model: HmmModel, steps: np.ndarray):
-    """Rabiner-scaled forward-backward: (gamma, log p(O | theta)).
+    """Forward-backward as one log-depth scan: (gamma, log p(O | theta)).
 
-    Each step's emission densities are divided by their largest one, so
-    an observation far from every state mean does not underflow; that
-    shift and the per-step scale factors c_t give log p(O | theta). An
-    impossible sequence (some c_t = 0) gives -inf and zero statistics.
+    With b_t the emission densities of step t divided by their largest
+    one (the emission shift), the forward message is
+    alpha_t = (pi o b_0) M_1 ... M_t and the backward one
+    beta_t = M_{t+1} ... M_{T-1} 1, where M_t = A diag(b_t). Both are
+    running products of an associative matrix product, so ``_scan``
+    takes all of them in ceil(log2 T) batched matmuls (temporal
+    parallelization, Hassan, Saerkkae & Garcia-Fernandez 2021); see
+    ``_scan_elements`` for how one scan yields both messages. Every
+    product is divided by the sum of its entries and the log of that sum
+    carried beside it (Rabiner 1989 scaling, taken per product rather
+    than per step). gamma_t is alpha_t o beta_t normalized to sum to
+    one, and its normaliser with the two carried log scales and the
+    emission shifts gives log p(O | theta) = log sum_i alpha_t(i)
+    beta_t(i), which holds at every t; it is read at t = T - 1.
+
+    The scaled products can still underflow: the shift may leave only
+    states that A cannot reach with a nonzero b, or a state that matters
+    to alpha_t may sit more than the float range below another inside
+    a product. Then a normaliser is 0 or not finite, or the split values
+    of log p(O | theta) disagree by more than ``SPLIT_TOLERANCE``, and
+    the same scan runs in the log semiring (``_log_forward_backward``),
+    which cannot underflow and is about ten times slower. An impossible
+    sequence gives -inf and zero statistics.
     """
     log_b = _emission_log_matrix(model, steps)
-    t_len = steps.shape[0]
     shift = log_b.max(axis=1)
     shift[np.isinf(shift)] = 0.0     # impossible under every state: b = 0
     b = np.exp(log_b - shift[:, None])
-    a = model.transitions
+    elements = _scan_elements(model.initial_probs * b[0],
+                              model.transitions * b[1:, None, :], 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        products, log_scale = _scan(_normalized(elements), _scaled_matmul)
+        gamma = products[:, 0, 0] * products[::-1, 1, 0]
+        norm = gamma.sum(axis=1)
+        split = np.log(norm) + log_scale[:, 0] + log_scale[::-1, 1]
+        if np.all(np.abs(split - split[-1]) <= SPLIT_TOLERANCE):
+            return gamma / norm[:, None], float(split[-1] + shift.sum())
+    return _log_forward_backward(model, log_b)
 
-    alpha = np.empty((t_len, NUM_STATES))
-    scale = np.empty(t_len)
-    prior = model.initial_probs
-    for t in range(t_len):
-        alpha[t] = prior * b[t]
-        scale[t] = alpha[t].sum()
-        if scale[t] == 0.0:
-            return np.zeros((t_len, NUM_STATES)), -math.inf
-        alpha[t] /= scale[t]
-        prior = alpha[t] @ a
 
-    beta = np.ones((t_len, NUM_STATES))
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = a @ (b[t + 1] * beta[t + 1] / scale[t + 1])
-    log_likelihood = float(np.sum(np.log(scale)) + np.sum(shift))
-    return alpha * beta, log_likelihood
+def _scan_elements(initial: np.ndarray, step: np.ndarray, one: float) -> np.ndarray:
+    """(T, 2, 4, 4) scan input: the forward chain, then the backward one.
+
+    Chain 0 is (1 initial^T, M_1, ..., M_{T-1}): its prefix products
+    have every row alpha_t. Chain 1 is (one, M_{T-1}^T, ..., M_1^T), with
+    ``one`` the unit of the semiring in every entry: its prefix product
+    k is (M_{T-k} ... M_{T-1} 1 1^T)^T, so every row is beta_{T-1-k}.
+    """
+    elements = np.empty((step.shape[0] + 1, 2, NUM_STATES, NUM_STATES))
+    elements[0, 0] = initial
+    elements[0, 1] = one
+    elements[1:, 0] = step
+    elements[1:, 1] = step[::-1].transpose(0, 2, 1)
+    return elements
+
+
+def _scan(elements: tuple, combine) -> tuple:
+    """Inclusive prefix combination of T elements by Hillis-Steele
+    doubling: ceil(log2 T) batched calls of ``combine``.
+
+    ``elements`` is a tuple of arrays indexed by element along axis 0;
+    ``combine(left, right)`` takes two such tuples of equal length, with
+    ``left`` the earlier elements, and must be associative. The arrays
+    of ``elements`` are overwritten with the result and returned.
+    """
+    count = elements[0].shape[0]
+    span = 1
+    while span < count:
+        combined = combine(tuple(part[:-span] for part in elements),
+                           tuple(part[span:] for part in elements))
+        for part, value in zip(elements, combined):
+            part[span:] = value
+        span *= 2
+    return elements
+
+
+def _normalized(matrices: np.ndarray) -> tuple:
+    """(each matrix divided in place by the sum of its entries, log of
+    that sum)."""
+    # A matrix-vector product sums the 16 entries far faster than a
+    # reduction over the two short trailing axes.
+    total = (matrices.reshape(*matrices.shape[:-2], NUM_STATES ** 2)
+             @ np.ones(NUM_STATES ** 2))
+    matrices /= total[..., None, None]
+    return matrices, np.log(total)
+
+
+def _scaled_matmul(left: tuple, right: tuple) -> tuple:
+    """Product of normalized matrices, carrying their log scales."""
+    product, log_total = _normalized(left[0] @ right[0])
+    return product, left[1] + right[1] + log_total
+
+
+def _log_forward_backward(model: HmmModel, log_b: np.ndarray):
+    """``_forward_backward``'s scan in the log semiring: exact where the
+    scaled linear products underflow, and slower."""
+    with np.errstate(divide="ignore"):
+        log_pi, log_a = np.log(model.initial_probs), np.log(model.transitions)
+    elements = _scan_elements(log_pi + log_b[0], log_a + log_b[1:, None, :], 0.0)
+    (products,) = _scan((elements,), _log_matmul)
+    log_alpha, log_beta = products[:, 0, 0], products[::-1, 1, 0]
+    log_likelihood = float(_logsumexp(log_alpha[-1], axis=0))
+    if not math.isfinite(log_likelihood):
+        return np.zeros(log_b.shape), -math.inf
+    return np.exp(log_alpha + log_beta - log_likelihood), log_likelihood
+
+
+def _log_matmul(left: tuple, right: tuple) -> tuple:
+    """Batched matrix product in the log semiring (log-sum-exp over k)."""
+    terms = left[0][..., :, :, None] + right[0][..., None, :, :]
+    return (_logsumexp(terms, axis=-2),)
+
+
+def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(values))) along ``axis``; -inf where every term is."""
+    peak = values.max(axis=axis, keepdims=True)
+    peak[np.isinf(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        total = np.log(np.exp(values - peak).sum(axis=axis))
+    return total + np.squeeze(peak, axis=axis)
 
 
 def forward_log_likelihood(model: HmmModel, seq: ObservationSequence) -> float:
-    """log p(O | theta) via the scaled forward recursion."""
+    """log p(O | theta) from the forward-backward scan."""
     model.validate()
     return _forward_backward(model, seq.steps)[1]
 

@@ -3,7 +3,8 @@
 Everything here is written the slow, obvious way on purpose: arbitrary
 precision arithmetic for kernel values, one dense dK/dtheta matrix per
 kernel parameter, dense matrix inversion for GP posteriors, exhaustive
-path enumeration for HMM likelihoods and DTW, the row-by-row DTW
+path enumeration for HMM likelihoods and DTW, the step-by-step
+log-space HMM forward-backward recursion, the row-by-row DTW
 recurrence, and one channel at a time for the preprocessing chain;
 peak finding is checked against ``scipy.signal.find_peaks`` itself.
 None of it shares code with the package beyond reading plain parameter
@@ -18,6 +19,7 @@ import mpmath as mp
 import numpy as np
 from scipy.signal import butter, filtfilt
 from scipy.signal import find_peaks as scipy_find_peaks
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 mp.mp.dps = 50
@@ -309,6 +311,33 @@ def hmm_enumerate_posteriors(initial, transitions, means, covariance, steps):
         gamma[t] = np.bincount(paths[t], weights=weights,
                                minlength=num_states)
     return gamma
+
+
+def hmm_log_forward_backward(initial, transitions, means, covariance, steps):
+    """log p(O) and the posterior marginals gamma (T, S) by the sequential
+    forward and backward recursions in log space, one step at a time."""
+    initial = np.asarray(initial, dtype=float)
+    transitions = np.asarray(transitions, dtype=float)
+    steps = np.atleast_2d(np.asarray(steps, dtype=float))
+    log_b = hmm_log_emissions(np.asarray(means, dtype=float),
+                              np.asarray(covariance, dtype=float), steps)
+    t_len = steps.shape[0]
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(initial)
+        log_a = np.log(transitions)
+    log_alpha = np.empty(log_b.shape)
+    log_beta = np.zeros(log_b.shape)
+    log_alpha[0] = log_pi + log_b[0]
+    for t in range(1, t_len):
+        log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + log_a,
+                                 axis=0) + log_b[t]
+    for t in range(t_len - 2, -1, -1):
+        log_beta[t] = logsumexp(log_a + log_b[t + 1] + log_beta[t + 1],
+                                axis=1)
+    log_likelihood = float(logsumexp(log_alpha[-1]))
+    if log_likelihood == -math.inf:
+        return log_likelihood, np.zeros(log_b.shape)
+    return log_likelihood, np.exp(log_alpha + log_beta - log_likelihood)
 
 
 def sample_hmm(initial, transitions, means, covariance, length: int,

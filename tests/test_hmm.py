@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from gaitmogp import hmm
 from gaitmogp.errors import NumericError, ValidationError
@@ -40,6 +41,32 @@ def _random_model(rng: np.random.Generator) -> HmmModel:
 
 def _random_sequence(rng: np.random.Generator, length: int) -> ObservationSequence:
     return ObservationSequence(steps=rng.normal(0.0, 1.5, size=(length, 2)))
+
+
+# Lengths for the forward-backward scan: short ones, the doubling
+# boundaries 2**k and 2**k + 1, the CLI's 400 grid points and a long one.
+SCAN_LENGTHS = (1, 2, 3, 4, 5, 8, 9, 17, 64, 65, 400, 1000)
+
+
+def _scaled_model(rng: np.random.Generator, max_scale: float,
+                  expert: bool) -> tuple[HmmModel, float]:
+    """State means drawn from N(0, s^2) with s ~ U(1, max_scale) and
+    covariance c I with c ~ U(0.05, 2); the expert pi and A or random
+    ones. Returns the model and s."""
+    scale = rng.uniform(1.0, max_scale)
+    model = default_model()
+    if not expert:
+        model.initial_probs = rng.dirichlet(np.ones(4))
+        model.transitions = rng.dirichlet(np.ones(4), size=4)
+    model.state_means = rng.normal(0.0, scale, size=(4, 2))
+    model.shared_covariance = rng.uniform(0.05, 2.0) * np.eye(2)
+    return model, scale
+
+
+def _log_space_oracle(model: HmmModel, steps: np.ndarray):
+    return oracles.hmm_log_forward_backward(
+        model.initial_probs, model.transitions, model.state_means,
+        model.shared_covariance, steps)
 
 
 class TestExactness:
@@ -85,14 +112,104 @@ class TestExactness:
         log_b = oracles.hmm_log_emissions(model.state_means,
                                           model.shared_covariance, steps)
         assert log_b[137].max() < -1e5
-        log_a = np.log(model.transitions)
-        log_alpha = np.log(model.initial_probs) + log_b[0]
-        for t in range(1, steps.shape[0]):
-            log_alpha = logsumexp(log_alpha[:, None] + log_a,
-                                  axis=0) + log_b[t]
-        expected = float(logsumexp(log_alpha))
+        expected, _ = _log_space_oracle(model, steps)
         got = forward_log_likelihood(model, ObservationSequence(steps=steps))
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_scan_matches_log_space_recursion_on_ordinary_sequences(self):
+        rng = np.random.default_rng(115)
+        for length in SCAN_LENGTHS:
+            for expert in (True, False):
+                model, _ = _scaled_model(rng, 8.0, expert)
+                _, steps = oracles.sample_hmm(
+                    model.initial_probs, model.transitions,
+                    model.state_means, model.shared_covariance, length, rng)
+                gamma, log_likelihood = hmm._forward_backward(model, steps)
+                expected, expected_gamma = _log_space_oracle(model, steps)
+                assert log_likelihood == pytest.approx(expected, rel=1e-10)
+                np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                           atol=1e-10)
+
+    def test_scan_matches_log_space_recursion_on_extreme_sequences(
+            self, monkeypatch):
+        # Observations drawn around the origin at the means' own scale lie
+        # hundreds of standard deviations from most states, so the scaled
+        # linear scan underflows on some cases and the log semiring takes
+        # over. The oracle's own rounding grows with |log p|, up to ~4e-7
+        # in gamma at T = 1000, hence the looser bounds.
+        fallbacks = []
+        log_scan = hmm._log_forward_backward
+        monkeypatch.setattr(hmm, "_log_forward_backward",
+                            lambda *args: fallbacks.append(1) or log_scan(*args))
+        rng = np.random.default_rng(116)
+        for case in range(48):
+            model, scale = _scaled_model(rng, 60.0, expert=case % 2 == 0)
+            length = SCAN_LENGTHS[case % len(SCAN_LENGTHS)]
+            steps = rng.normal(0.0, scale, size=(length, 2))
+            gamma, log_likelihood = hmm._forward_backward(model, steps)
+            expected, expected_gamma = _log_space_oracle(model, steps)
+            if expected == -math.inf:
+                assert log_likelihood == -math.inf
+                continue
+            assert log_likelihood == pytest.approx(expected, rel=1e-6)
+            assert np.all(np.isfinite(gamma))
+            np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                       atol=1e-5)
+        assert len(fallbacks) >= 3, len(fallbacks)
+
+    def test_likelihood_reachable_only_through_an_underflowed_emission(self):
+        # The per-step shift leaves b = (1, 0, 0, 0) at step 0 and
+        # (0, 0, 0, 1) at step 1, and the expert A has no 1 -> 4 move, so
+        # the scaled products are 0 although every path has finite log
+        # probability (-1604.485..., the sequential log-space recursion).
+        model = default_model()
+        model.state_means = np.array([[0.0, 0.0], [100.0, 0.0],
+                                      [0.0, 100.0], [40.0, 40.0]])
+        seq = ObservationSequence(steps=np.array([[0.0, 0.0], [40.0, 40.0]]))
+        expected, expected_gamma = _log_space_oracle(model, seq.steps)
+        assert expected == pytest.approx(-1604.4854351296347, rel=1e-14)
+        assert forward_log_likelihood(model, seq) == pytest.approx(
+            expected, rel=1e-14)
+        gamma, _ = hmm._forward_backward(model, seq.steps)
+        np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                   atol=1e-12)
+        fitted = baum_welch_fit(model, [seq], BaumWelchConfig(max_iterations=3))
+        assert fitted.log_likelihood_trace[0] == pytest.approx(expected,
+                                                               rel=1e-14)
+        assert np.all(np.diff(fitted.log_likelihood_trace) >= -1e-9)
+
+    def test_posterior_survives_mass_lost_inside_a_product(self):
+        # No scaled normaliser is 0 here, but inside one product of the
+        # scan a state that dominates gamma at step 1 sits more than the
+        # float range below another, so the linear posterior at step 1
+        # comes out as (0, 1, 0, 0) against the true ~(1, 0, 0, 0). The
+        # per-step values of log p(O) disagree, which selects the log
+        # semiring.
+        model = default_model()
+        model.state_means = np.array([[-6.55, 23.4], [1.2, -21.88],
+                                      [-14.35, -28.96], [-7.3, -0.82]])
+        model.shared_covariance = 0.65 * np.eye(2)
+        steps = np.array([[27.07, 28.25], [-0.29, 7.66], [-2.53, 1.17],
+                          [1.94, 3.55], [23.18, 6.28], [24.14, 27.31],
+                          [-27.87, 6.92], [8.91, 2.52], [7.43, 21.24]])
+        gamma, log_likelihood = hmm._forward_backward(model, steps)
+        expected, expected_gamma = _log_space_oracle(model, steps)
+        assert log_likelihood == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                   atol=1e-10)
+
+    def test_emission_matrix_is_one_solve_per_state(self):
+        rng = np.random.default_rng(117)
+        model = _random_model(rng)
+        steps = _random_sequence(rng, 400).steps
+        chol = np.linalg.cholesky(model.shared_covariance)
+        log_det_half = float(np.sum(np.log(np.diag(chol))))
+        expected = np.empty((400, 4))
+        for i in range(4):
+            solved = np.linalg.solve(chol, (steps - model.state_means[i]).T)
+            maha = np.sum(solved * solved, axis=0)
+            expected[:, i] = -0.5 * maha - log_det_half - np.log(2.0 * np.pi)
+        assert np.array_equal(hmm._emission_log_matrix(model, steps), expected)
 
     def test_viterbi_matches_path_enumeration(self):
         rng = np.random.default_rng(101)
