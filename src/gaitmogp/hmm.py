@@ -7,17 +7,13 @@ are expert values favoring the normal states; EM refines the emissions
 only.
 
 Likelihoods and EM statistics come from one forward-backward kernel
-with no loop over time: the forward and backward messages are running
-products of the matrices A diag(b_t), taken by a log-depth prefix scan
-(Hassan, Saerkkae & Garcia-Fernandez 2021). Each step's emissions are
-divided by their largest one, and each product in the scan by the sum
-of its entries, whose log is carried beside it (Rabiner 1989, section
-V.A, per product rather than per step). Where those scaled products
-still underflow (an observation far from every state mean whose best
-state A cannot reach, or states more than the float range apart inside
-one product), the kernel sees a zero, non-finite or inconsistent
-normaliser and reruns the same scan in the log semiring, which cannot
-underflow and is slower. Viterbi is a sequential log-space recursion.
+with no loop over time: the messages are running products of the
+matrices A diag(b_t), taken by a log-depth prefix scan, each product
+divided by the sum of its entries with the log carried (Rabiner 1989
+scaling, per product rather than per step). Where the scaled products
+still underflow, which shows as a zero, non-finite or inconsistent
+normaliser, the same scan reruns in the log semiring. Viterbi is a
+sequential log-space recursion.
 An observation sequence is only its (T, 2) steps; where its curves come
 from is the caller's setting. Models are immutable after fitting;
 decoding is pure.
@@ -245,7 +241,7 @@ def _forward_backward(model: HmmModel, steps: np.ndarray):
     beta_t = M_{t+1} ... M_{T-1} 1, where M_t = A diag(b_t). Both are
     running products of an associative matrix product, so ``_scan``
     takes all of them in ceil(log2 T) batched matmuls (temporal
-    parallelization, Hassan, Saerkkae & Garcia-Fernandez 2021); see
+    parallelization, Hassan, Särkkä & García-Fernández 2021); see
     ``_scan_elements`` for how one scan yields both messages. Every
     product is divided by the sum of its entries and the log of that sum
     carried beside it (Rabiner 1989 scaling, taken per product rather

@@ -198,7 +198,7 @@ class TestExactness:
         np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
                                    atol=1e-10)
 
-    def test_emission_matrix_is_one_solve_per_state(self):
+    def test_emission_matrix_equals_one_solve_per_state(self):
         rng = np.random.default_rng(117)
         model = _random_model(rng)
         steps = _random_sequence(rng, 400).steps
