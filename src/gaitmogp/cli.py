@@ -175,8 +175,11 @@ class RunConfig:
             raise ValidationError("points_per_channel must be >= 2")
         if self.scope not in ("subject", "pooled"):
             raise ValidationError("scope must be 'subject' or 'pooled'")
-        if self.filter_cutoff_hz is not None and not self.filter_cutoff_hz > 0:
-            raise ValidationError("filter_cutoff_hz must be positive or none")
+        nyquist = gait_signal.FRAME_RATE / 2.0
+        if (self.filter_cutoff_hz is not None
+                and not 0.0 < self.filter_cutoff_hz < nyquist):
+            raise ValidationError(
+                f"filter_cutoff_hz must lie in (0, {nyquist}) Hz or be none")
         _em_config(self).validate()
         if self.observation_source not in OBSERVATION_SOURCES:
             raise ValidationError("observation_source must be one of "

@@ -22,6 +22,12 @@ the training data choose between them (_Geometry):
   Cholesky of the (n, n) Gram matrix, with escalating diagonal jitter
   as its fallback.
 
+Importing this module imports no part of scipy. The Kronecker path uses
+numpy alone; the dense path imports ``scipy.linalg`` (about 0.3 s of
+start-up on a 2-vCPU VM) in its first evaluation, so only a process
+that fits or predicts a dense model, such as one loaded from a
+per-channel ``.mogp`` file, pays for it.
+
 Both evaluate the kernel components once per distinct training lag.
 Fitting is one loop over up to ``iterations + 1`` iterates, each with
 one LML trace entry (one at ``iterations = 0``) and each raising
@@ -39,8 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
 
 from . import serialize
 from .errors import NumericError, ValidationError
@@ -249,8 +253,9 @@ def _require_finite(matrix: np.ndarray) -> None:
 def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter; a matrix
     with an inf or NaN entry raises NumericError (the only scan for them
-    on the dense path)."""
+    on the dense path) before ``scipy.linalg`` is imported."""
     _require_finite(matrix)
+    from scipy.linalg import cholesky
     mean_diag = max(float(np.mean(np.diag(matrix))), PARAM_FLOOR)
     try:
         return cholesky(matrix, lower=True, check_finite=False), 0.0
@@ -332,7 +337,9 @@ class _Evaluation:
     """Dense LML of one parameter setting; the Gram matrix, its Cholesky
     factor and the gradient all read one evaluation of the kernel
     components on the distinct lags, gathered to (n, n) ``k_t`` by the
-    lag index."""
+    lag index. With _chol_with_jitter, its methods are the only code in
+    the package that calls ``scipy.linalg``; each imports what it calls
+    when it runs."""
 
     def __init__(self, model: MoGPModel, geometry: _Geometry):
         self.model, self.geometry = model, geometry
@@ -343,6 +350,7 @@ class _Evaluation:
         k = self.b_oo * self.k_t
         k[np.diag_indices_from(k)] += model.noise_variance
         self.chol, self.jitter = _chol_with_jitter(k)
+        from scipy.linalg import cho_solve
         y_c = model.centered_values()
         self.alpha = cho_solve((self.chol, True), y_c)
         half_logdet = float(np.sum(np.log(np.diag(self.chol))))
@@ -352,6 +360,7 @@ class _Evaluation:
     def gradient(self) -> np.ndarray:
         """d LML / d theta in parameter_names order (see lml_gradient);
         A o B_oo is summed per distinct lag before the kernel partials."""
+        from scipy.linalg.lapack import dpotri
         model, geometry, alpha = self.model, self.geometry, self.alpha
         kinv, info = dpotri(self.chol, lower=1)
         if info != 0:
@@ -375,6 +384,7 @@ class _Evaluation:
 
     def posterior(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M, Q) k_*^T alpha and k_*^T (K + s I)^-1 k_* at the query times."""
+        from scipy.linalg import solve_triangular
         model = self.model
         temporal = self.geometry.cross_kernel(model, query)
         b = model.coreg.matrix()

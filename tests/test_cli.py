@@ -289,7 +289,8 @@ class TestErrorReporting:
     @pytest.mark.parametrize("argv", [
         "fit --iterations abc", "fit --scope bogus", "synth --anomaly-side up",
         "segment --observation-source x", "segment --em-iterations -1",
-        "fit --learning-rate inf", "segment --segment-threshold nan"])
+        "fit --learning-rate inf", "segment --segment-threshold nan",
+        "fit --filter-cutoff 20"])
     def test_bad_flag_value_is_json_error(self, tmp_path, capsys, argv):
         command, *flags = argv.split()
         paths = ["--output", str(tmp_path / "out")]

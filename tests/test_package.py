@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import numpy as np
 
 import gaitmogp
 from gaitmogp import cli
@@ -22,11 +25,9 @@ def test_public_api_resolves_and_star_imports():
 
 def _scipy_modules_after(code: str) -> list[str]:
     """Run ``code`` in a fresh interpreter (this one has imported scipy
-    already) and return the ``scipy.signal``/``scipy.stats`` modules it
-    left loaded."""
+    already) and return the ``scipy`` modules it left loaded."""
     probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
-             "m for m in sys.modules "
-             "if m.startswith(('scipy.signal', 'scipy.stats')))))")
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     path = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -48,19 +49,23 @@ def _tiny_corpus(tmp_path) -> str:
     return corpus
 
 
+def _run_cli(*argvs: list[str]) -> str:
+    """Fresh-interpreter code that runs each CLI command in turn."""
+    return "from gaitmogp import cli\n" + "".join(
+        f"if cli.main({argv!r}) != 0:\n"
+        f"    raise SystemExit('{argv[0]} failed')\n" for argv in argvs)
+
+
 def test_unfiltered_segment_and_rejected_filter_input_skip_scipy_signal(
         tmp_path):
     corpus = _tiny_corpus(tmp_path)
     argv = ["segment", "--input", corpus, "--filter-cutoff", "none",
             "--output", str(tmp_path / "report.json"), "--iterations", "2",
             "--points-per-channel", "20", "--em-iterations", "2"]
-    code = f"""
+    code = _run_cli(argv) + """
 import numpy as np
-from gaitmogp import cli
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import lowpass_filter
-if cli.main({argv!r}) != 0:
-    raise SystemExit("segment failed")
 for samples, cutoff in ((np.zeros((40, 6)), 0.0), (np.zeros((10, 6)), 6.0),
                         (np.full((40, 6), np.nan), 6.0)):
     try:
@@ -79,9 +84,35 @@ def test_default_filter_still_imports_scipy_signal(tmp_path):
     corpus = _tiny_corpus(tmp_path)
     argv = ["preprocess", "--input", corpus,
             "--output", str(tmp_path / "processed.csv")]
-    code = f"""
-from gaitmogp import cli
-if cli.main({argv!r}) != 0:
-    raise SystemExit("preprocess failed")
-"""
-    assert "scipy.signal" in _scipy_modules_after(code)
+    assert "scipy.signal" in _scipy_modules_after(_run_cli(argv))
+
+
+def test_unfiltered_pooled_fit_and_its_predict_skip_scipy(tmp_path):
+    # A pooled fit draws whole frames, so it and its predict take the
+    # numpy-only Kronecker path.
+    corpus = _tiny_corpus(tmp_path)
+    out = tmp_path / "fit"
+    fit = ["fit", "--input", corpus, "--filter-cutoff", "none",
+           "--output", str(out), "--scope", "pooled", "--iterations", "2",
+           "--points-per-channel", "20"]
+    predict = ["predict", "--model", str(out / "pooled.mogp"),
+               "--output", str(tmp_path / "pred.csv")]
+    assert _scipy_modules_after(_run_cli(fit, predict)) == []
+    assert (tmp_path / "pred.csv").read_text()
+
+
+def test_dense_model_predict_imports_scipy_linalg(tmp_path):
+    # The cost left on the MoGP side: a per-channel model takes the dense
+    # Cholesky path, which imports scipy.linalg on first use.
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "pred.csv"
+    predict = ["predict", "--model", str(data / "per_channel.mogp"),
+               "--output", str(out), "--grid-points", "16"]
+    assert "scipy.linalg" in _scipy_modules_after(_run_cli(predict))
+    got, expected = (path.read_text().splitlines() for path in
+                     (out, data / "per_channel_predict.csv"))
+    assert got[:2] == expected[:2]
+    np.testing.assert_allclose(
+        np.array([line.split(",") for line in got[2:]], dtype=float),
+        np.array([line.split(",") for line in expected[2:]], dtype=float),
+        rtol=1e-12, atol=1e-12)
