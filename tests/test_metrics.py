@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gaitmogp import metrics
 from gaitmogp.errors import ValidationError
 from gaitmogp.metrics import (
     MetricReport,
@@ -91,7 +92,7 @@ class TestDtw:
     def test_symmetric_and_non_negative(self, a, b):
         forward = dtw(a, b)
         assert forward >= 0.0
-        assert forward == pytest.approx(dtw(b, a), rel=1e-12, abs=1e-12)
+        assert forward == dtw(b, a)
 
     def test_handles_unequal_lengths(self):
         assert dtw([0.0], [5.0, 5.0, 5.0]) == pytest.approx(15.0)
@@ -102,13 +103,45 @@ class TestDtw:
         assert dtw(a, b) == oracles.dtw_recurrence(a, b)
         assert dtw(b, a) == oracles.dtw_recurrence(b, a)
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (1, 60), (60, 1), (400, 400)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 60), (60, 1), (400, 400),
+                                      (1, 2000), (2000, 1)])
     def test_bit_identical_to_recurrence_on_edge_shapes(self, n, m):
         rng = np.random.default_rng(n * 1000 + m)
         a = rng.normal(0.0, 2.0, n)
         b = rng.normal(0.0, 2.0, m)
         assert dtw(a, b) == oracles.dtw_recurrence(a, b)
         assert dtw(b, a) == oracles.dtw_recurrence(b, a)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 3, 100, 400])
+    def test_bit_identical_to_recurrence_across_block_boundaries(self, n,
+                                                                 offset):
+        # n + m - 1 diagonals around a multiple of the diagonals in a cost
+        # block. Diagonal 0 comes before the first block, so offset 1 is
+        # the one that fills the last block exactly.
+        rows = metrics._DTW_BLOCK_CELLS // n
+        blocks = max(2, -(-2 * n // rows))
+        m = rows * blocks + offset - n + 1
+        rng = np.random.default_rng(n * 10 + offset + 1)
+        a, b = rng.normal(0.0, 2.0, n), rng.normal(0.0, 2.0, m)
+        assert dtw(a, b) == oracles.dtw_recurrence(a, b)
+        assert dtw(b, a) == oracles.dtw_recurrence(b, a)
+        tied_a = rng.choice([-1.5, 0.0, 0.25, 1.0, 2.0], n)
+        tied_b = rng.choice([-1.5, 0.0, 0.25, 1.0, 2.0], m)
+        assert dtw(tied_a, tied_b) == oracles.dtw_recurrence(tied_a, tied_b)
+        assert dtw(tied_b, tied_a) == oracles.dtw_recurrence(tied_b, tied_a)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    @given(tied_series, tied_series)
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_recurrence_with_small_blocks(self, cells, a,
+                                                           b):
+        # One diagonal per block, even where it holds more cells than the
+        # block size, and a few diagonals per block.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_DTW_BLOCK_CELLS", cells)
+            assert dtw(a, b) == oracles.dtw_recurrence(a, b)
+            assert dtw(b, a) == oracles.dtw_recurrence(b, a)
 
     def test_memory_is_linear_in_the_lengths(self):
         rng = np.random.default_rng(52)
@@ -121,6 +154,17 @@ class TestDtw:
             tracemalloc.stop()
         # A full n x m table of floats would be 23 MiB.
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("function, first, second", [
+    (dtw, "a", "b"), (mae, "pred", "truth"), (r_squared, "pred", "truth")])
+def test_two_dimensional_input_is_rejected(function, first, second):
+    with pytest.raises(ValidationError,
+                       match=f"{first} must be one-dimensional"):
+        function([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValidationError,
+                       match=f"{second} must be one-dimensional"):
+        function([1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0, 4.0]])
 
 
 def _row_dtws(pred, truth) -> np.ndarray:
