@@ -302,8 +302,8 @@ def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
 def _write_table(path, schema: str, header, rows) -> None:
     """A CSV under a ``# schema=`` line: floats in repr form, the rest str."""
     lines = [f"# schema={schema}", ",".join(header)]
-    lines.extend(",".join(format_float(v) if isinstance(v, float) else str(v)
-                          for v in row) for row in rows)
+    lines.extend(",".join([format_float(v) if isinstance(v, float) else str(v)
+                           for v in row]) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -6,11 +6,27 @@ The on-disk corpus format is long-form CSV (UTF-8, header row):
 
 with joint in {hip,knee,ankle}, side in {right,left}, frame an integer
 at 30 FPS and coordinates in meters. Empty x/y/z fields mark gaps
-(missing samples); literal non-finite values are rejected. Canonical
-files are sorted by (subject_id, cycle, frame) with the six joint/side
-rows of a frame in CHANNELS order; ``save_corpus`` always writes the
-canonical form, so save(load(f)) round-trips canonical files
-byte-for-byte.
+(missing samples); literal non-finite values are rejected. Rows may come
+in any order and blank lines are skipped. Canonical files are sorted by
+(subject_id, cycle, frame) with the six joint/side rows of a frame in
+CHANNELS order; ``save_corpus`` always writes the canonical form, so
+save(load(f)) round-trips canonical files byte-for-byte.
+
+``load_corpus`` reads the rows in chunks of ``_CHUNK_LINES`` lines,
+splitting a chunk's lines in one call and transposing them into its nine
+columns. The coordinates of a column are converted by one ``map(float)``
+and cycles and frames by ``int`` on their distinct values; ids, cohorts,
+joints and sides are checked on their distinct values too, and the rules
+across rows (one cohort per subject, no duplicate rows) run with numpy on
+integer codes. A faulty file raises one
+error: the first faulty line in file order (numbered from the header,
+blank lines counted), and on it the leftmost faulty field. A duplicate
+row is faulty at its later line, so it wins over a fault on any line
+after it. A file with no faulty line is then checked subject by subject
+and cycle by cycle in sorted order (frames consecutive from 0, no
+missing channel row, the cycle preprocessable), and each (L, 6, 3) raw
+cycle is gathered from one (N, 3) array of all rows by their
+``np.lexsort`` order on (subject, cycle, frame, channel).
 
 Each subject becomes one ``SubjectRecord`` of plain arrays and nothing
 else: its raw cycles as (L, 6, 3) arrays keyed by corpus cycle id (NaN
@@ -161,19 +177,148 @@ def _build_record(subject_id: str, cohort: str,
                          channel_stds=stds, raw_cycles=raw_cycles)
 
 
-def _parse_coordinate(text: str, line_no: int, column: str) -> float:
-    if text == "":
-        return math.nan
+# Lines parsed per batch; it bounds the token strings alive at once.
+_CHUNK_LINES = 512
+# A field holds no comma or line break; these are the rest of the
+# characters a subject id (a file name) may not contain.
+_BAD_ID_CHARS = "/\\\0"
+# CHANNELS index of each (joint, side) code pair.
+_CHANNEL_OF = np.array([[CHANNELS.index(f"{joint}_{side}") for side in SIDES]
+                        for joint in JOINTS])
+
+
+def _codes(tokens: tuple[str, ...], code_of: dict) -> np.ndarray:
+    return np.fromiter(map(code_of.__getitem__, tokens), np.intp, len(tokens))
+
+
+def _member_codes(tokens: tuple[str, ...], allowed: tuple) -> np.ndarray:
+    """Index of each token in ``allowed``, -1 where it is not one."""
+    return _codes(tokens, {t: allowed.index(t) if t in allowed else -1
+                           for t in dict.fromkeys(tokens)})
+
+
+def _integer_codes(tokens: tuple[str, ...], seen: dict[int, int]) -> np.ndarray:
+    """Code of each token's int() value in ``seen`` (new values are added
+    in first-seen order); -1 where int() rejects the token, -2 where the
+    value is negative."""
+    code_of = {}
+    for token in dict.fromkeys(tokens):
+        try:
+            value = int(token)
+        except ValueError:
+            code_of[token] = -1
+            continue
+        code_of[token] = -2 if value < 0 else seen.setdefault(value, len(seen))
+    return _codes(tokens, code_of)
+
+
+def _coordinate_faults(tokens: tuple[str, ...], column: str,
+                       out: np.ndarray):
+    """Fill ``out`` with float() of the tokens, an empty token read as a
+    NaN gap, up to the first token that is not a number; return that
+    token's fault and the first non-finite value's, as (row, message)."""
+    values = [t or "nan" for t in tokens] if "" in tokens else tokens
     try:
-        value = float(text)
+        out[:] = np.fromiter(map(float, values), float, len(values))
+        stop, faults = len(values), []
     except ValueError:
-        raise ValidationError(
-            f"line {line_no}, column {column}: not a number: {text!r}")
-    if not math.isfinite(value):
-        raise ValidationError(
-            f"line {line_no}, column {column}: non-finite value outside "
-            f"marked gaps (use an empty field for gaps)")
-    return value
+        stop = 0
+        for stop, token in enumerate(values):
+            try:
+                out[stop] = float(token)
+            except ValueError:
+                break
+        faults = [(stop, f", column {column}: not a number: {tokens[stop]!r}")]
+    for row in np.flatnonzero(~np.isfinite(out[:stop])):
+        if tokens[row]:
+            faults.append((int(row), f", column {column}: non-finite value "
+                           f"outside marked gaps (use an empty field for "
+                           f"gaps)"))
+            break
+    return faults
+
+
+def _first(mask: np.ndarray, message: str) -> list:
+    return [(int(np.argmax(mask)), message)] if mask.any() else []
+
+
+def _read_chunk(lines: list[str], subjects: dict[str, int],
+                cohort_of: list[int], cycles: dict[int, int],
+                frames: dict[int, int]):
+    """Parse nonblank corpus rows column by column.
+
+    ``subjects``, ``cycles`` and ``frames`` map each value seen so far to
+    its code and grow here; ``cohort_of`` holds the cohort index of each
+    subject code's first row. Returns the (4, n) codes (subject, cycle,
+    frame, channel) and (n, 3) coordinates of the rows before the first
+    faulty row, and that row's first fault as (row, message after
+    ``line N``), or None. Faults are collected in the order of the fields,
+    so on one row the leftmost wins.
+    """
+    faults = []
+    rows = list(map(str.split, lines, [","] * len(lines)))
+    widths = list(map(len, rows))
+    if widths.count(9) != len(rows):
+        row = next(i for i, width in enumerate(widths) if width != 9)
+        faults.append((row, f": expected 9 fields, got {widths[row]}"))
+        del rows[row:]
+    n = len(rows)
+    if n == 0:
+        return np.empty((4, 0), np.intp), np.empty((0, 3)), (
+            faults[0] if faults else None)
+    subject, cohort, cycle, frame, joint, side, x, y, z = zip(*rows)
+
+    ids = dict.fromkeys(subject)
+    bad = [s for s in ids if not s or any(c in s for c in _BAD_ID_CHARS)]
+    if bad:
+        row = min(map(subject.index, bad))
+        faults.append(
+            (row, f", column subject_id: invalid id {subject[row]!r}"))
+    cohort_code = _member_codes(cohort, COHORTS)
+    faults += _first(cohort_code < 0,
+                     f", column cohort: must be one of {COHORTS}")
+    for s in ids:
+        if s not in subjects:
+            subjects[s] = len(subjects)
+            cohort_of.append(int(cohort_code[subject.index(s)]))
+    subject_code = _codes(subject, subjects)
+    first_cohort = np.array(cohort_of)[subject_code]
+    relabeled = (cohort_code >= 0) & (first_cohort >= 0) & (
+        cohort_code != first_cohort)
+    if relabeled.any():
+        row = int(np.argmax(relabeled))
+        faults.append((row, f", column cohort: subject {subject[row]} already "
+                       f"labeled {COHORTS[first_cohort[row]]}"))
+    cycle_code = _integer_codes(cycle, cycles)
+    frame_code = _integer_codes(frame, frames)
+    faults += _first((cycle_code == -1) | (frame_code == -1),
+                     ": cycle and frame must be integers")
+    faults += _first((cycle_code == -2) | (frame_code == -2),
+                     ": cycle and frame must be >= 0")
+    joint_code = _member_codes(joint, JOINTS)
+    faults += _first(joint_code < 0,
+                     f", column joint: must be one of {JOINTS}")
+    side_code = _member_codes(side, SIDES)
+    faults += _first(side_code < 0, f", column side: must be one of {SIDES}")
+    coords = np.empty((n, 3))
+    for axis, (name, tokens) in enumerate(zip("xyz", (x, y, z))):
+        faults += _coordinate_faults(tokens, name, coords[:, axis])
+
+    fault = min(faults, key=lambda f: f[0]) if faults else None
+    stop = n if fault is None else fault[0]
+    channel = _CHANNEL_OF[joint_code[:stop], side_code[:stop]]
+    codes = np.stack([subject_code[:stop], cycle_code[:stop],
+                      frame_code[:stop], channel])
+    return codes, coords[:stop], fault
+
+
+def _ranks(seen: dict) -> tuple[list, np.ndarray]:
+    """The values of a value -> code dict in sorted order, and the rank of
+    each code's value."""
+    ordered = sorted(seen.items())
+    ranks = np.empty(len(ordered), np.intp)
+    ranks[[code for _, code in ordered]] = np.arange(len(ordered))
+    return [value for value, _ in ordered], ranks
 
 
 def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_HZ,
@@ -194,80 +339,91 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
         raise ValidationError(
             f"line 1: header must be exactly {CSV_HEADER!r}")
 
-    # subject -> cohort; subject -> cycle -> frame -> channel -> (x, y, z)
-    cohorts: dict[str, str] = {}
-    data: dict[str, dict[int, dict[int, dict[str, tuple]]]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        fields = line.split(",")
-        if len(fields) != 9:
-            raise ValidationError(
-                f"line {line_no}: expected 9 fields, got {len(fields)}")
-        subject, cohort, cycle_s, frame_s, joint, side, xs, ys, zs = fields
-        if not subject or any(c in subject for c in ",\r\n/\\\0"):
-            raise ValidationError(
-                f"line {line_no}, column subject_id: invalid id {subject!r}")
-        if cohort not in COHORTS:
-            raise ValidationError(
-                f"line {line_no}, column cohort: must be one of {COHORTS}")
-        if subject in cohorts and cohorts[subject] != cohort:
-            raise ValidationError(
-                f"line {line_no}, column cohort: subject {subject} already "
-                f"labeled {cohorts[subject]}")
-        try:
-            cycle = int(cycle_s)
-            frame = int(frame_s)
-        except ValueError:
-            raise ValidationError(
-                f"line {line_no}: cycle and frame must be integers")
-        if cycle < 0 or frame < 0:
-            raise ValidationError(
-                f"line {line_no}: cycle and frame must be >= 0")
-        if joint not in JOINTS:
-            raise ValidationError(
-                f"line {line_no}, column joint: must be one of {JOINTS}")
-        if side not in SIDES:
-            raise ValidationError(
-                f"line {line_no}, column side: must be one of {SIDES}")
-        channel = f"{joint}_{side}"
-        coords = (_parse_coordinate(xs, line_no, "x"),
-                  _parse_coordinate(ys, line_no, "y"),
-                  _parse_coordinate(zs, line_no, "z"))
-        cohorts[subject] = cohort
-        frames = data.setdefault(subject, {}).setdefault(cycle, {})
-        slot = frames.setdefault(frame, {})
-        if channel in slot:
-            raise ValidationError(
-                f"line {line_no}: duplicate row for subject {subject}, "
-                f"cycle {cycle}, frame {frame}, {joint}/{side}")
-        slot[channel] = coords
+    subjects: dict[str, int] = {}
+    cohort_of: list[int] = []
+    cycles: dict[int, int] = {}
+    frames: dict[int, int] = {}
+    codes = [np.empty((4, 0), np.intp)]
+    coords = [np.empty((0, 3))]
+    line_nos = [np.empty(0, np.intp)]
+    fault = None
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        # Let go of the lines taken, so that their memory is reused for
+        # the next chunk's tokens.
+        lines[start:start + _CHUNK_LINES] = [None] * len(chunk)
+        numbers = np.arange(start + 1, start + 1 + len(chunk))
+        if "" in chunk:
+            numbers = numbers[np.fromiter(map(bool, chunk), bool, len(chunk))]
+            chunk = list(filter(None, chunk))
+        chunk_codes, chunk_coords, fault = _read_chunk(
+            chunk, subjects, cohort_of, cycles, frames)
+        codes.append(chunk_codes)
+        coords.append(chunk_coords)
+        line_nos.append(numbers)
+        if fault is not None:
+            break
+    subject_code, cycle_code, frame_code, channel = np.concatenate(codes,
+                                                                   axis=1)
 
-    if not data:
+    # Sort by (subject, cycle, frame, channel); the sort is stable, so a
+    # repeated key's later rows follow its first in file order.
+    subject_names, subject_rank = _ranks(subjects)
+    cycle_ids, cycle_rank = _ranks(cycles)
+    frame_values, frame_rank = _ranks(frames)
+    ranked = np.stack([subject_rank[subject_code], cycle_rank[cycle_code],
+                       frame_rank[frame_code], channel])
+    order = np.lexsort(ranked[::-1])
+    keys = ranked[:, order]
+    repeated = np.all(keys[:, 1:] == keys[:, :-1], axis=0)
+    if repeated.any():
+        row = int(order[1:][repeated].min())
+        s, c, f, j = ranked[:, row]
+        joint, side = CHANNELS[j].rsplit("_", 1)
+        raise ValidationError(
+            f"line {np.concatenate(line_nos)[row]}: duplicate row for "
+            f"subject {subject_names[s]}, cycle {cycle_ids[c]}, "
+            f"frame {frame_values[f]}, {joint}/{side}")
+    if fault is not None:
+        raise ValidationError(f"line {numbers[fault[0]]}{fault[1]}")
+    if not order.size:
         raise ValidationError("no subjects in corpus")
 
-    records = []
-    for subject in sorted(data):
-        raw_cycles = {}
-        for cycle_id in sorted(data[subject]):
-            frames = data[subject][cycle_id]
-            length = len(frames)
-            if sorted(frames) != list(range(length)):
-                raise ValidationError(
-                    f"subject {subject}, cycle {cycle_id}: frames must be "
-                    f"consecutive from 0")
-            raw = np.empty((length, len(CHANNELS), 3))
-            for j, channel in enumerate(CHANNELS):
-                for frame in range(length):
-                    if channel not in frames[frame]:
-                        raise ValidationError(
-                            f"subject {subject}, cycle {cycle_id}, frame "
-                            f"{frame}: missing {channel} row")
-                    raw[frame, j] = frames[frame][channel]
-            raw_cycles[cycle_id] = raw
-        records.append(_build_record(
-            subject, cohorts[subject], raw_cycles,
-            filter_cutoff_hz=filter_cutoff_hz, num_points=num_points))
+    # Each (subject, cycle) is a run of sorted rows; a complete one is
+    # its frames x CHANNELS x (x, y, z) in order. Each cycle is gathered
+    # into an array of its own, so a record does not keep the whole
+    # corpus alive.
+    subject_key, cycle_key, frame_key, channel_key = keys
+    xyz = np.concatenate(coords)
+    starts = np.flatnonzero(np.diff(subject_key) | np.diff(cycle_key)) + 1
+    bounds = [0, *starts.tolist(), order.size]
+    cohorts = {name: COHORTS[cohort_of[code]]
+               for name, code in subjects.items()}
+    records, raw_cycles = [], {}
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        subject = subject_names[subject_key[a]]
+        cycle_id = cycle_ids[cycle_key[a]]
+        frame_index = np.concatenate(
+            [[0], np.cumsum(np.diff(frame_key[a:b]) != 0)])
+        length = int(frame_index[-1]) + 1
+        if frame_values[frame_key[b - 1]] != length - 1:
+            raise ValidationError(
+                f"subject {subject}, cycle {cycle_id}: frames must be "
+                f"consecutive from 0")
+        if b - a != length * len(CHANNELS):
+            present = np.zeros((len(CHANNELS), length), bool)
+            present[channel_key[a:b], frame_index] = True
+            j, missing = np.argwhere(~present)[0]
+            raise ValidationError(
+                f"subject {subject}, cycle {cycle_id}, frame {missing}: "
+                f"missing {CHANNELS[j]} row")
+        raw_cycles[cycle_id] = xyz[order[a:b]].reshape(
+            length, len(CHANNELS), 3)
+        if b == order.size or subject_key[b] != subject_key[a]:
+            records.append(_build_record(
+                subject, cohorts[subject], raw_cycles,
+                filter_cutoff_hz=filter_cutoff_hz, num_points=num_points))
+            raw_cycles = {}
     return records
 
 

@@ -127,14 +127,18 @@ class TrainingSet:
                     "fitting requires at least 2 points per output; "
                     f"outputs {lacking.tolist()} have {counts[lacking].tolist()}")
 
-    def data_hash(self) -> str:
-        """sha256 over a canonical text rendering of the arrays."""
-        blob = ";".join([
-            f"M={self.num_outputs}",
-            "times=" + serialize.format_float_list(self.times),
-            "outputs=" + serialize.format_int_list(self.outputs),
-            "values=" + serialize.format_float_list(self.values),
-        ])
+    def rendered(self) -> tuple[str, str, str]:
+        """The times, outputs and values as model-file text lists."""
+        return (serialize.format_float_list(self.times),
+                serialize.format_int_list(self.outputs),
+                serialize.format_float_list(self.values))
+
+    def data_hash(self, rendered: tuple[str, str, str] | None = None) -> str:
+        """sha256 over a canonical text rendering of the arrays;
+        ``rendered`` is that rendering when the caller already has it."""
+        times, outputs, values = rendered or self.rendered()
+        blob = ";".join([f"M={self.num_outputs}", "times=" + times,
+                         "outputs=" + outputs, "values=" + values])
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -666,6 +670,7 @@ _KERNEL_NAMES = kernel_parameter_names(0, 0)
 
 
 def _model_document(model: MoGPModel) -> list[tuple[str, str]]:
+    rendered = model.training.rendered()
     items: list[tuple[str, str]] = [
         ("schema", MODEL_SCHEMA),
         ("num_outputs", str(model.num_outputs)),
@@ -676,12 +681,11 @@ def _model_document(model: MoGPModel) -> list[tuple[str, str]]:
         ("coreg.log_kappa", serialize.format_float_list(model.coreg.log_kappa)),
         ("means", serialize.format_float_list(model.means)),
         ("log_noise_variance", serialize.format_float(model.log_noise_variance)),
-        ("training.hash", model.training.data_hash()),
+        ("training.hash", model.training.data_hash(rendered)),
         ("training.num_points", str(model.training.size)),
         ("training.num_outputs", str(model.training.num_outputs)),
-        ("training.times", serialize.format_float_list(model.training.times)),
-        ("training.outputs", serialize.format_int_list(model.training.outputs)),
-        ("training.values", serialize.format_float_list(model.training.values)),
+        *zip(("training.times", "training.outputs", "training.values"),
+             rendered),
     ]
     for name, kind in _CONFIG_KINDS.items():
         value = getattr(model.config, name)

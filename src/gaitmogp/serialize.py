@@ -14,6 +14,8 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -22,7 +24,7 @@ def format_float(x: float) -> str:
 
 
 def format_float_list(xs) -> str:
-    return ",".join(repr(float(x)) for x in xs)
+    return ",".join(map(repr, np.asarray(xs, float).tolist()))
 
 
 def format_int_list(xs) -> str:

@@ -5,15 +5,20 @@ precision arithmetic for kernel values, one dense dK/dtheta matrix per
 kernel parameter, dense matrix inversion for GP posteriors, exhaustive
 path enumeration for HMM likelihoods and DTW, the step-by-step
 log-space HMM forward-backward recursion, the row-by-row DTW
-recurrence, and one channel at a time for the preprocessing chain;
-peak finding is checked against ``scipy.signal.find_peaks`` itself.
-None of it shares code with the package beyond reading plain parameter
-values off the public dataclasses, so agreement is meaningful.
+recurrence, one channel at a time for the preprocessing chain, and one
+line at a time with nested dicts for the corpus reader; peak finding is
+checked against ``scipy.signal.find_peaks`` itself. None of it shares
+code with the package beyond reading plain parameter values off the
+public dataclasses, so agreement is meaningful. The one exception is
+the corpus reader, which hands the raw cycles it parsed to the
+package's own preprocessing (``dataio._build_record``): only the
+parsing and its errors are checked by it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -21,6 +26,12 @@ from scipy.signal import butter, filtfilt
 from scipy.signal import find_peaks as scipy_find_peaks
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
+
+from gaitmogp.dataio import COHORTS, CSV_HEADER, _build_record
+from gaitmogp.errors import ValidationError
+from gaitmogp.gait_signal import (CHANNELS, DEFAULT_FILTER_CUTOFF_HZ,
+                                  DEFAULT_GRID_POINTS, JOINTS, SIDES)
+from gaitmogp.serialize import read_text
 
 mp.mp.dps = 50
 
@@ -448,3 +459,112 @@ def preprocess_subject(raw_cycles, cutoff_hz: float, order: int,
     normalized = np.array([(cycle - means[:, None]) / stds[:, None]
                            for cycle in resampled])
     return normalized, means, stds
+
+
+# ---------------------------------------------------------------------------
+# Corpus reader, one line at a time into nested dicts.
+
+def _parse_coordinate(text: str, line_no: int, column: str) -> float:
+    if text == "":
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(
+            f"line {line_no}, column {column}: not a number: {text!r}")
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"line {line_no}, column {column}: non-finite value outside "
+            f"marked gaps (use an empty field for gaps)")
+    return value
+
+
+def reference_load_corpus(path, *,
+                          filter_cutoff_hz=DEFAULT_FILTER_CUTOFF_HZ,
+                          num_points: int = DEFAULT_GRID_POINTS):
+    """``dataio.load_corpus`` the row-by-row way: every line is split,
+    checked field by field and stored in subject -> cycle -> frame ->
+    channel dicts, so the first faulty line in file order raises, and on
+    it the leftmost faulty field; each cycle is then filled frame by
+    frame, channel by channel."""
+    if not os.path.exists(path):
+        raise ValidationError(f"corpus file not found: {path}")
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValidationError(
+            f"line 1: header must be exactly {CSV_HEADER!r}")
+
+    cohorts: dict[str, str] = {}
+    data: dict[str, dict[int, dict[int, dict[str, tuple]]]] = {}
+    for line_no, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        fields = line.split(",")
+        if len(fields) != 9:
+            raise ValidationError(
+                f"line {line_no}: expected 9 fields, got {len(fields)}")
+        subject, cohort, cycle_s, frame_s, joint, side, xs, ys, zs = fields
+        if not subject or any(c in subject for c in ",\r\n/\\\0"):
+            raise ValidationError(
+                f"line {line_no}, column subject_id: invalid id {subject!r}")
+        if cohort not in COHORTS:
+            raise ValidationError(
+                f"line {line_no}, column cohort: must be one of {COHORTS}")
+        if subject in cohorts and cohorts[subject] != cohort:
+            raise ValidationError(
+                f"line {line_no}, column cohort: subject {subject} already "
+                f"labeled {cohorts[subject]}")
+        try:
+            cycle = int(cycle_s)
+            frame = int(frame_s)
+        except ValueError:
+            raise ValidationError(
+                f"line {line_no}: cycle and frame must be integers")
+        if cycle < 0 or frame < 0:
+            raise ValidationError(
+                f"line {line_no}: cycle and frame must be >= 0")
+        if joint not in JOINTS:
+            raise ValidationError(
+                f"line {line_no}, column joint: must be one of {JOINTS}")
+        if side not in SIDES:
+            raise ValidationError(
+                f"line {line_no}, column side: must be one of {SIDES}")
+        channel = f"{joint}_{side}"
+        coords = (_parse_coordinate(xs, line_no, "x"),
+                  _parse_coordinate(ys, line_no, "y"),
+                  _parse_coordinate(zs, line_no, "z"))
+        cohorts[subject] = cohort
+        frames = data.setdefault(subject, {}).setdefault(cycle, {})
+        slot = frames.setdefault(frame, {})
+        if channel in slot:
+            raise ValidationError(
+                f"line {line_no}: duplicate row for subject {subject}, "
+                f"cycle {cycle}, frame {frame}, {joint}/{side}")
+        slot[channel] = coords
+
+    if not data:
+        raise ValidationError("no subjects in corpus")
+
+    records = []
+    for subject in sorted(data):
+        raw_cycles = {}
+        for cycle_id in sorted(data[subject]):
+            frames = data[subject][cycle_id]
+            length = len(frames)
+            if sorted(frames) != list(range(length)):
+                raise ValidationError(
+                    f"subject {subject}, cycle {cycle_id}: frames must be "
+                    f"consecutive from 0")
+            raw = np.empty((length, len(CHANNELS), 3))
+            for j, channel in enumerate(CHANNELS):
+                for frame in range(length):
+                    if channel not in frames[frame]:
+                        raise ValidationError(
+                            f"subject {subject}, cycle {cycle_id}, frame "
+                            f"{frame}: missing {channel} row")
+                    raw[frame, j] = frames[frame][channel]
+            raw_cycles[cycle_id] = raw
+        records.append(_build_record(
+            subject, cohorts[subject], raw_cycles,
+            filter_cutoff_hz=filter_cutoff_hz, num_points=num_points))
+    return records

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaitmogp import dataio
 from gaitmogp.dataio import (
     CSV_HEADER,
     AnomalySpec,
@@ -31,7 +35,7 @@ def _small_config(**overrides) -> SynthConfig:
 
 
 def _write_minimal_corpus(path, mutate=None):
-    """One subject, one 12-frame cycle; optionally rewrite one line."""
+    """One subject, one cycle; optionally rewrite its lines."""
     config = SynthConfig(seed=1, subjects_per_cohort=1, cycles_per_subject=1,
                          noise_level=0.0)
     records = generate_synthetic(config)
@@ -213,6 +217,190 @@ class TestLoaderValidation:
         _write_minimal_corpus(path, mutate=mutate)
         with pytest.raises(ValidationError, match=">= 0"):
             load_corpus(path)
+
+
+def _set_field(line: str, column: int, value: str) -> str:
+    fields = line.split(",")
+    fields[column] = value
+    return ",".join(fields)
+
+
+def _outcome(loader, path, **kwargs):
+    """The records, or the message of the ValidationError raised."""
+    try:
+        return loader(path, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, expected):
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert [(r.subject_id, r.cohort) for r in got] == [
+        (r.subject_id, r.cohort) for r in expected]
+    for record, reference in zip(got, expected):
+        assert list(record.raw_cycles) == list(reference.raw_cycles)
+        for raw, raw_ref in zip(record.raw_cycles.values(),
+                                reference.raw_cycles.values()):
+            np.testing.assert_array_equal(raw, raw_ref)
+        for name in ("grid", "cycles", "channel_means", "channel_stds"):
+            np.testing.assert_array_equal(getattr(record, name),
+                                          getattr(reference, name))
+
+
+@pytest.fixture(params=[4, 512], ids=["chunk4", "chunk512"])
+def chunk_lines(request, monkeypatch):
+    """Run a test with rows read 4 at a time and with the default chunk."""
+    monkeypatch.setattr(dataio, "_CHUNK_LINES", request.param)
+
+
+@pytest.mark.usefixtures("chunk_lines")
+class TestErrorPrecedence:
+    """The first faulty line in file order is reported, and on it the
+    leftmost faulty field, whatever chunk the lines fall in."""
+
+    def test_earlier_of_two_bad_lines_is_reported(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+
+        def mutate(lines):
+            lines[4] = _set_field(lines[4], 8, "abc")    # line 5, last field
+            lines[9] = _set_field(lines[9], 0, "a/b")    # line 10, first
+            return lines
+
+        _write_minimal_corpus(path, mutate=mutate)
+        with pytest.raises(ValidationError,
+                           match=r"^line 5, column z: not a number: 'abc'$"):
+            load_corpus(path)
+
+    def test_leftmost_of_two_bad_fields_is_reported(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        _write_minimal_corpus(path, mutate=lambda lines: lines[:6] + [
+            _set_field(_set_field(lines[6], 4, "elbow"), 1, "patient")]
+            + lines[7:])
+        with pytest.raises(ValidationError, match=r"^line 7, column cohort"):
+            load_corpus(path)
+        _write_minimal_corpus(path, mutate=lambda lines: lines[:6] + [
+            _set_field(_set_field(lines[6], 7, "abc"), 6, "nan")]
+            + lines[7:])
+        with pytest.raises(ValidationError,
+                           match=r"^line 7, column x: non-finite"):
+            load_corpus(path)
+
+    def test_earlier_duplicate_beats_later_line_fault(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+
+        def mutate(lines):
+            return (lines[:9] + [lines[3]]                       # line 10
+                    + [_set_field(lines[9], 5, "center")] + lines[10:])
+
+        _write_minimal_corpus(path, mutate=mutate)
+        with pytest.raises(ValidationError,
+                           match=r"^line 10: duplicate row for subject C01, "
+                                 r"cycle 0, frame 0, knee/right$"):
+            load_corpus(path)
+
+    def test_line_fault_beats_later_duplicate(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        _write_minimal_corpus(path, mutate=lambda lines: (
+            lines[:9] + [_set_field(lines[9], 5, "center"), lines[3]]
+            + lines[10:]))
+        with pytest.raises(ValidationError, match=r"^line 10, column side"):
+            load_corpus(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        _write_minimal_corpus(path, mutate=lambda lines: (
+            lines[:3] + ["", ""] + lines[3:5] + [""]
+            + [_set_field(lines[5], 3, "x")] + lines[6:]))
+        with pytest.raises(ValidationError,
+                           match=r"^line 9: cycle and frame must be integers$"):
+            load_corpus(path)
+
+    def test_row_shuffled_file_loads_the_same_records(self, tmp_path):
+        canonical = tmp_path / "corpus.csv"
+        save_corpus(generate_synthetic(_small_config(noise_level=0.002)),
+                    canonical)
+        lines = canonical.read_text().splitlines()
+        body = lines[1:]
+        random.Random(0).shuffle(body)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([lines[0], *body]) + "\n")
+        _assert_same_outcome(load_corpus(shuffled), load_corpus(canonical))
+
+    def test_cycle_ids_beyond_int64_load_exactly(self, tmp_path):
+        big = [2**64, 2**64 + 1]
+        records = generate_synthetic(_small_config())
+        for record in records:
+            record.raw_cycles = dict(zip(big, record.raw_cycles.values()))
+        path = tmp_path / "corpus.csv"
+        save_corpus(records, path)
+        loaded = load_corpus(path)
+        assert [list(r.raw_cycles) for r in loaded] == [big, big]
+        assert all(type(k) is int for r in loaded for k in r.raw_cycles)
+        _assert_same_outcome(loaded, oracles.reference_load_corpus(path))
+
+
+_FIELD_VALUES = ["", "nan", "abc", "-1", " 3", "+3", "1_0", "1e400", "elbow",
+                 "center", "a/b", "99999999999999999999"]
+
+
+@st.composite
+def _mutated_rows(draw, rows):
+    """``rows`` after one to three row mutations."""
+    rows = list(rows)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["shuffle", "blank", "duplicate",
+                                     "delete", "relabel", "field"]))
+        where = draw(st.integers(0, len(rows) - 1))
+        if kind == "shuffle":
+            random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(rows)
+        elif kind == "blank":
+            rows.insert(where, "")
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), rows[where])
+        elif kind == "delete":
+            del rows[where]
+        elif rows[where]:
+            fields = rows[where].split(",")
+            if kind == "relabel":
+                fields[1] = {"control": "disorder"}.get(fields[1], "control")
+            else:
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(
+                    st.sampled_from(_FIELD_VALUES))
+            rows[where] = ",".join(fields)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A directory to write into, and the header and rows of a small
+    canonical corpus."""
+    root = tmp_path_factory.mktemp("mutated")
+    save_corpus(generate_synthetic(_small_config(noise_level=0.002)),
+                root / "canonical.csv")
+    header, *rows = (root / "canonical.csv").read_text().splitlines()
+    return root, header, rows
+
+
+class TestAgainstReferenceReader:
+    """The column-wise reader returns what the row-by-row reference
+    returns, or raises the same message."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_corpus_matches_reference(self, small_corpus, data):
+        root, header, rows = small_corpus
+        path = root / "corpus.csv"
+        path.write_text("\n".join([header, *data.draw(_mutated_rows(rows))])
+                        + "\n")
+        cutoff = data.draw(st.sampled_from([None, 6.0]))
+        chunk = data.draw(st.sampled_from([3, 64, 512]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK_LINES", chunk)
+            got = _outcome(load_corpus, path, filter_cutoff_hz=cutoff)
+        _assert_same_outcome(got, _outcome(oracles.reference_load_corpus,
+                                           path, filter_cutoff_hz=cutoff))
 
 
 class TestPreprocessingErrors:
