@@ -299,11 +299,17 @@ def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
     return mogp.fit(training, _optimizer_config(cfg))
 
 
-def _write_table(path, schema: str, header, rows) -> None:
-    """A CSV under a ``# schema=`` line: floats in repr form, the rest str."""
+def _write_table(path, schema: str, header, columns) -> None:
+    """A CSV under a ``# schema=`` line, given one column per header
+    name: a float column in repr form, any other column by str. Each
+    column is rendered in one pass over its ``tolist()``."""
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        render = repr if column.dtype.kind == "f" else str
+        cells.append(map(render, column.tolist()))
     lines = [f"# schema={schema}", ",".join(header)]
-    lines.extend(",".join([format_float(v) if isinstance(v, float) else str(v)
-                           for v in row]) for row in rows)
+    lines.extend(map(",".join, zip(*cells)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -336,13 +342,17 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_preprocess(cfg: RunConfig) -> int:
     records = _load_corpus(cfg)
-    rows = ((record.subject_id, record.cohort, c, k, name, v)
-            for record in records
-            for c, cycle in zip(record.raw_cycles, record.cycles)
-            for name, channel in zip(CHANNELS, cycle)
-            for k, v in enumerate(channel))
+    # One row per (cycle, channel, position), in that order; cycle ids
+    # go in as text, as they may lie beyond int64.
+    cycles = [(record.subject_id, record.cohort, str(c))
+              for record in records for c in record.raw_cycles]
+    width = len(CHANNELS) * cfg.grid_points
     _write_table(cfg.output_path, "processed-v1", (
-        "subject_id", "cohort", "cycle", "position", "channel", "value"), rows)
+        "subject_id", "cohort", "cycle", "position", "channel", "value"), (
+        *(np.repeat(column, width) for column in zip(*cycles)),
+        np.tile(np.arange(cfg.grid_points), len(CHANNELS) * len(cycles)),
+        np.tile(np.repeat(CHANNELS, cfg.grid_points), len(cycles)),
+        np.concatenate([record.cycles.ravel() for record in records])))
     print(f"wrote {sum(len(r.cycles) for r in records)} normalized cycles "
           f"from {len(records)} subjects to {cfg.output_path}")
     return 0
@@ -360,7 +370,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         mogp.save_model(model, os.path.join(out_dir, f"{name}.mogp"))
         _write_table(os.path.join(out_dir, f"{name}.fitlog.csv"),
                      "fitlog-v1", ("iteration", "lml"),
-                     enumerate(model.lml_trace))
+                     (range(len(model.lml_trace)), model.lml_trace))
         print(f"{name}: n={model.training.size} "
               f"lml={format_float(max(model.lml_trace))}")
     return 0
@@ -370,7 +380,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     _, names, grid, pred = _predict_on_grid(cfg)
     header = ["time"] + [f"{n}_{s}" for n in names for s in ("mean", "std")]
     columns = [c for pair in zip(pred.mean, pred.std) for c in pair]
-    _write_table(cfg.output_path, "predict-v1", header, zip(grid, *columns))
+    _write_table(cfg.output_path, "predict-v1", header, (grid, *columns))
     print(f"wrote predictions on {cfg.grid_points} grid points "
           f"to {cfg.output_path}")
     return 0
@@ -560,15 +570,14 @@ def cmd_export_plots(cfg: RunConfig) -> int:
     for name, mu, std in zip(names, pred.mean, pred.std):
         _write_table(os.path.join(out_dir, f"band_{name}.csv"), "plotband-v1",
                      ("time", "mean", "lower", "upper"),
-                     zip(grid, mu, mu - 2.0 * std, mu + 2.0 * std))
+                     (grid, mu, mu - 2.0 * std, mu + 2.0 * std))
 
     matrix, normalized = mogp.export_coregionalization(model)
     for filename, payload in (("coregionalization.csv", matrix),
                               ("coregionalization_normalized.csv",
                                normalized)):
         _write_table(os.path.join(out_dir, filename), "coreg-v1",
-                     ("output", *names),
-                     ((name, *row) for name, row in zip(names, payload)))
+                     ("output", *names), (names, *payload.T))
     print(f"wrote {len(names)} band files and coregionalization exports "
           f"to {out_dir}")
     return 0

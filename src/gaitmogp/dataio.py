@@ -60,10 +60,12 @@ from .errors import ValidationError
 from .gait_signal import (CHANNELS, JOINTS, SIDES, check_cycle,
                           impute_missing, lowpass_filter, normalize_and_align,
                           DEFAULT_GRID_POINTS, DEFAULT_FILTER_CUTOFF_HZ)
-from .serialize import atomic_write_text, format_float, read_text
+from .serialize import atomic_write_text, read_text
 
 CSV_HEADER = "subject_id,cohort,cycle,frame,joint,side,x,y,z"
 COHORTS = ("control", "disorder")
+# The joint and side fields of each channel's rows, in CHANNELS order.
+_CHANNEL_FIELDS = tuple(",".join(channel.rsplit("_", 1)) for channel in CHANNELS)
 
 # Synthetic template constants (meters); ankle moves most, hip least.
 BASE_AMPLITUDES = {"hip": 0.010, "knee": 0.025, "ankle": 0.050}
@@ -428,22 +430,27 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
 
 
 def save_corpus(records: list[SubjectRecord], path) -> None:
-    """Write the canonical corpus CSV (atomic replace)."""
+    """Write the canonical corpus CSV (atomic replace).
+
+    The coordinates are rendered by columns: one repr pass over the
+    ``tolist()`` of all of them, a non-finite one as an empty field."""
     ids = [r.subject_id for r in records]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate subject ids in corpus")
-    lines = [CSV_HEADER]
+    heads, coordinates = [], []
     for record in sorted(records, key=lambda r: r.subject_id):
         for cycle_id, raw in sorted(record.raw_cycles.items()):
-            for frame, row in enumerate(raw):
-                for channel, sample in zip(CHANNELS, row):
-                    joint, side = channel.rsplit("_", 1)
-                    coords = ",".join(
-                        "" if not math.isfinite(v) else format_float(float(v))
-                        for v in sample)
-                    lines.append(
-                        f"{record.subject_id},{record.cohort},{cycle_id},"
-                        f"{frame},{joint},{side},{coords}")
+            prefix = f"{record.subject_id},{record.cohort},{cycle_id},"
+            heads.extend(f"{prefix}{frame},{channel}"
+                         for frame in range(raw.shape[0])
+                         for channel in _CHANNEL_FIELDS)
+            coordinates.append(raw.reshape(-1))
+    values = np.concatenate(coordinates or [np.empty(0)])
+    text = list(map(repr, values.tolist()))
+    for index in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[index] = ""
+    lines = [CSV_HEADER]
+    lines.extend(map(",".join, zip(heads, text[0::3], text[1::3], text[2::3])))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -13,7 +13,8 @@ divided by the sum of its entries with the log carried (Rabiner 1989
 scaling, per product rather than per step). Where the scaled products
 still underflow, which shows as a zero, non-finite or inconsistent
 normaliser, the same scan reruns in the log semiring. Viterbi is a
-sequential log-space recursion.
+sequential log-space recursion on Python floats: over four states, plain
+float arithmetic per step costs less than numpy calls on 4-vectors.
 An observation sequence is only its (T, 2) steps; where its curves come
 from is the caller's setting. Models are immutable after fitting;
 decoding is pure.
@@ -364,7 +365,13 @@ def forward_log_likelihood(model: HmmModel, seq: ObservationSequence) -> float:
 
 
 def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
-    """Most probable state path, log-space DP, ties to the lowest index."""
+    """Most probable state path, log-space DP, ties to the lowest index.
+
+    The recursion runs on Python floats, which for four states is far
+    cheaper than numpy calls on 4-vectors: delta_t(j) = (delta_{t-1}(i*)
+    + log a_{i* j}) + log b_t(j), where i* is the predecessor whose score
+    beats every lower-indexed one strictly, so ties keep the lowest.
+    """
     model.validate()
     emissions = _emission_log_matrix(model, seq.steps)
     if np.any(np.all(np.isinf(emissions) & (emissions < 0), axis=1)):
@@ -372,23 +379,31 @@ def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
             "emission underflow: an observation is impossible under every state")
     with np.errstate(divide="ignore"):
         log_pi, log_a = np.log(model.initial_probs), np.log(model.transitions)
-    t_len = len(seq)
+    columns = log_a.T.tolist()
+    later = range(1, NUM_STATES)
 
-    delta = log_pi + emissions[0]
-    backptr = np.zeros((t_len, NUM_STATES), dtype=int)
-    for t in range(1, t_len):
-        scores = delta[:, None] + log_a          # predecessor i -> state j
-        # argmax returns the first maximal index, i.e. the lowest state.
-        backptr[t] = np.argmax(scores, axis=0)
-        delta = scores[backptr[t], np.arange(NUM_STATES)] + emissions[t]
+    delta = (log_pi + emissions[0]).tolist()
+    backptr = []
+    for emission in emissions[1:].tolist():
+        pointers, scores = [], []
+        for column, log_b in zip(columns, emission):
+            best, arg = delta[0] + column[0], 0
+            for i in later:
+                score = delta[i] + column[i]
+                if score > best:
+                    best, arg = score, i
+            pointers.append(arg)
+            scores.append(best + log_b)
+        backptr.append(pointers)
+        delta = scores
 
-    last = int(np.argmax(delta))
-    log_joint = float(delta[last])
-    path = np.empty(t_len, dtype=int)
-    path[-1] = last
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
-    return DecodedStates(states=path + 1, log_joint=log_joint)
+    best = max(delta)
+    state = delta.index(best)
+    path = [state]
+    for pointers in reversed(backptr):
+        state = pointers[state]
+        path.append(state)
+    return DecodedStates(states=np.array(path[::-1]) + 1, log_joint=best)
 
 
 def _validated_sequences(sequences) -> list[ObservationSequence]:

@@ -22,8 +22,8 @@ All positive hyperparameters (variances, length-scales, period, kappa)
 are stored in log-space so optimization is unconstrained; values are
 floored at PARAM_FLOOR after exponentiation to avoid degenerate kernels.
 Gradients are contracted (TemporalKernel.gradient takes one weight per
-lag, CoregionalizationFactor.gradient one per entry of B), never one
-n x n matrix per parameter.
+lag; the MoGP contracts B's entries itself), never one n x n matrix per
+parameter.
 Functions here are pure and safe for concurrent use.
 """
 
@@ -192,13 +192,6 @@ class CoregionalizationFactor:
         """Dense B, symmetric PSD with strictly positive diagonal."""
         return self.w @ self.w.T + np.diag(self.kappa)
 
-    def gradient(self, d_matrix: np.ndarray) -> np.ndarray:
-        """df/dW (row-major), then df/d log kappa, from d_matrix[a, b] =
-        df/dB[a, b] (entries independent); zero where kappa is floored."""
-        _, dkappa = _floored_exp_with_grad(self.log_kappa)
-        d_w = (d_matrix + d_matrix.T) @ self.w
-        return np.concatenate([d_w.ravel(), np.diag(d_matrix) * dkappa])
-
 
 class TemporalKernel:
     """k_t = k_per + k_se + k_mat on an array of lags r = |t - t'| of any
@@ -208,30 +201,44 @@ class TemporalKernel:
         k_se  = s_s^2 exp(-r^2 / (2 l_s^2))
         k_mat = s_m^2 (1 + sqrt(3) r / l_m) exp(-sqrt(3) r / l_m)
 
-    The components and their intermediates are kept, and the lag array is
-    referenced (not copied), so the same evaluation serves :meth:`gradient`.
-    Callers pass the distinct lags of a lag_table and gather k_t by its
-    index; :meth:`gradient` then takes weights binned by lag.
+    The seven parameters are the floored values of the spec's log-space
+    ones, taken by one vector call of _floored_exp_with_grad, or given
+    with their derivatives by :meth:`from_floored`. The components and
+    their intermediates are kept, and the lag array is referenced (not
+    copied), so the same evaluation serves :meth:`gradient`. Callers
+    pass the distinct lags of a lag_table and gather k_t by its index;
+    :meth:`gradient` then takes weights binned by lag.
     """
 
     def __init__(self, spec: CompositeKernelSpec, lag):
-        self.spec, self.lag = spec, lag
-        per, se, mat = spec.periodic, spec.se, spec.matern32
+        self._evaluate(*_floored_exp_with_grad(np.array(spec.log_values())),
+                       lag)
 
-        per_len = _floored_exp(per.log_lengthscale)
-        self._u = np.pi * lag / _floored_exp(per.log_period)
+    @classmethod
+    def from_floored(cls, values: np.ndarray, grads: np.ndarray,
+                     lag) -> "TemporalKernel":
+        """The kernel at floored parameter values and their derivatives
+        d value / d log value, in kernel_parameter_names order; entries
+        past the seventh are ignored."""
+        kernel = cls.__new__(cls)
+        kernel._evaluate(values, grads, lag)
+        return kernel
+
+    def _evaluate(self, values: np.ndarray, grads: np.ndarray, lag) -> None:
+        self.lag, self._values, self._grads = lag, values[:7], grads[:7]
+        per_var, per_len, period, se_var, se_len, mat_var, mat_len = \
+            self._values
+
+        self._u = np.pi * lag / period
         self._sin_u = np.sin(self._u)
-        self.k_per = _floored_exp(per.log_variance) * np.exp(
+        self.k_per = per_var * np.exp(
             -2.0 * self._sin_u * self._sin_u / (per_len * per_len))
 
-        se_len = _floored_exp(se.log_lengthscale)
-        self.k_se = _floored_exp(se.log_variance) * np.exp(
-            -0.5 * (lag * lag) / (se_len * se_len))
+        self.k_se = se_var * np.exp(-0.5 * (lag * lag) / (se_len * se_len))
 
-        self._a = _SQRT3 * lag / _floored_exp(mat.log_lengthscale)
+        self._a = _SQRT3 * lag / mat_len
         self._exp_a = np.exp(-self._a)
-        self.k_mat = (_floored_exp(mat.log_variance) * (1.0 + self._a)
-                      * self._exp_a)
+        self.k_mat = mat_var * (1.0 + self._a) * self._exp_a
 
         self.k_t = self.k_per + self.k_se + self.k_mat
 
@@ -243,33 +250,27 @@ class TemporalKernel:
 
         A partial is zero where its parameter's floor is active.
         """
-        def rel(log_value):
-            # (d value / d log value) / value: 1, or 0 on the floor.
-            value, grad = _floored_exp_with_grad(log_value)
-            return grad / value
-
-        per, se, mat = self.spec.periodic, self.spec.se, self.spec.matern32
+        # (d value / d log value) / value: 1, or 0 on the floor.
+        rel = self._grads / self._values
         u, sin_u, a = self._u, self._sin_u, self._a
         weighted_per = weights * self.k_per
         # numpy scalars: a huge lengthscale squares to inf, not an error.
-        per_len2 = _floored_exp(per.log_lengthscale) ** 2
-        se_len2 = _floored_exp(se.log_lengthscale) ** 2
+        per_len2 = self._values[1] ** 2
+        se_len2 = self._values[4] ** 2
         return np.array([
-            np.vdot(weights, self.k_per) * rel(per.log_variance),
+            np.vdot(weights, self.k_per) * rel[0],
             # d k_per / d log l = k_per * 4 sin^2(u) / l^2.
-            np.vdot(weighted_per, sin_u * sin_u) * 4.0 / per_len2
-            * rel(per.log_lengthscale),
+            np.vdot(weighted_per, sin_u * sin_u) * 4.0 / per_len2 * rel[1],
             # d k_per / d log p = k_per * 2 u sin(2u) / l^2.
             np.vdot(weighted_per, u * np.sin(2.0 * u)) * 2.0 / per_len2
-            * rel(per.log_period),
-            np.vdot(weights, self.k_se) * rel(se.log_variance),
+            * rel[2],
+            np.vdot(weights, self.k_se) * rel[3],
             # d k_se / d log l = k_se * r^2 / l^2.
             np.vdot(weights, self.k_se * (self.lag * self.lag)) / se_len2
-            * rel(se.log_lengthscale),
-            np.vdot(weights, self.k_mat) * rel(mat.log_variance),
+            * rel[4],
+            np.vdot(weights, self.k_mat) * rel[5],
             # d/da [(1+a) e^-a] = -a e^-a and da/d log l = -a.
-            np.vdot(weights, a * a * self._exp_a) * mat.variance
-            * rel(mat.log_lengthscale),
+            np.vdot(weights, a * a * self._exp_a) * self._values[5] * rel[6],
         ])
 
 
@@ -337,8 +338,8 @@ def gram_matrix(spec: CompositeKernelSpec, coreg: CoregionalizationFactor,
 def kernel_parameter_names(num_outputs: int, rank: int) -> list[str]:
     """Canonical ordering of the unconstrained kernel + coreg parameters.
 
-    The first seven are TemporalKernel.gradient's entries, the rest
-    CoregionalizationFactor.gradient's.
+    The first seven are TemporalKernel.gradient's entries, then W
+    row-major, then log kappa.
     """
     names = [
         "periodic.log_variance",

@@ -28,13 +28,18 @@ start-up on a 2-vCPU VM) in its first evaluation, so only a process
 that fits or predicts a dense model, such as one loaded from a
 per-channel ``.mogp`` file, pays for it.
 
-Both evaluate the kernel components once per distinct training lag.
-Fitting is one loop over up to ``iterations + 1`` iterates, each with
-one LML trace entry (one at ``iterations = 0``) and each raising
-NumericError on a non-finite LML. fit is the only code that caches an
-evaluation on a model, its best iterate's; log_marginal_likelihood,
-lml_gradient and predict leave the model untouched. Fitting owns a
-private parameter state.
+Both take the packed parameter vector theta (pack_parameters order),
+unpack it once, floor its positive entries with one vector call, and
+evaluate the kernel components once per distinct training lag. Fitting
+is one loop over up to ``iterations + 1`` iterates of theta that builds
+no model objects: each iterate is one evaluation, with one LML trace
+entry (one at ``iterations = 0``), and an iterate with a non-finite
+parameter or LML raises NumericError naming its iteration. Only the
+best iterate becomes a MoGPModel, after the loop, with that same
+evaluation cached on it; fit is the only code that caches one.
+log_marginal_likelihood, lml_gradient and predict (without a cache)
+pack the model and run the same evaluation, leaving the model
+untouched.
 """
 
 from __future__ import annotations
@@ -224,9 +229,6 @@ class MoGPModel:
         # Floor keeps the observation model valid (>= 1e-10).
         return float(_floored_exp(self.log_noise_variance))
 
-    def centered_values(self) -> np.ndarray:
-        return self.training.values - self.means[self.training.outputs]
-
 
 @dataclass
 class PosteriorPrediction:
@@ -293,51 +295,99 @@ def _shared_times(training: TrainingSet) -> np.ndarray | None:
 
 
 class _Geometry:
-    """What a training set fixes for every parameter setting, and which
-    evaluation it takes. ``times`` are the shared block times (Kronecker)
-    or all n times (dense); ``lags`` are their distinct pairwise lags
-    |t_i - t_j| and ``lag_index`` the square integer index into them
-    (kernels.lag_table). The dense path also keeps the output indices
-    and the (n, M) one-hot output indicator E. Grid times repeat, so
-    ``lags`` is far shorter than the index."""
+    """What a training set and a rank fix for every parameter setting,
+    and which evaluation it takes. ``times`` are the shared block times
+    (Kronecker) or all n times (dense); ``lags`` are their distinct
+    pairwise lags |t_i - t_j| and ``lag_index`` the square integer index
+    into them (kernels.lag_table). Grid times repeat, so ``lags`` is far
+    shorter than the index. ``positive`` indexes the log-space entries
+    of a packed theta (kernel, log kappa, log noise), the ones a floored
+    exponential maps to their values. The dense path also keeps the
+    (n, M) one-hot output indicator E."""
 
-    def __init__(self, training: TrainingSet):
+    def __init__(self, training: TrainingSet, rank: int):
         training.validate()
+        m = self.num_outputs = training.num_outputs
+        self.rank = rank
+        self.values, self.outputs = training.values, training.outputs
         self.times = _shared_times(training)
         if self.times is None:
             self.evaluation_type = _Evaluation
-            self.times, self.outputs = training.times, training.outputs
-            self.indicator = np.eye(training.num_outputs)[self.outputs]
+            self.times = training.times
+            self.indicator = np.eye(m)[self.outputs]
         else:
             self.evaluation_type = _KroneckerEvaluation
         self.lags, self.lag_index = lag_table(self.times, self.times)
+        kappa_start = 7 + m * rank
+        self.positive = np.r_[0:7, kappa_start:kappa_start + m,
+                              kappa_start + 2 * m]
 
-    def evaluate(self, model: MoGPModel):
-        """The evaluation of ``model``'s parameters on this data."""
-        return self.evaluation_type(model, self)
-
-    def cross_kernel(self, model: MoGPModel, query: np.ndarray) -> np.ndarray:
-        """k_t between the query times and ``times``, (len(query), len(times))."""
-        lags, lag_index = lag_table(query, self.times)
-        return TemporalKernel(model.kernel, lags).k_t[lag_index]
+    def evaluate(self, theta: np.ndarray):
+        """The evaluation of the packed parameters ``theta`` on this data."""
+        return self.evaluation_type(theta, self)
 
 
-def _packed_gradient(model: MoGPModel, temporal: TemporalKernel,
-                     per_lag: np.ndarray, s: np.ndarray,
-                     alpha_sums: np.ndarray, noise_term: float) -> np.ndarray:
-    """The LML gradient in parameter_names order from its contractions:
-    per-lag sums of A o B_oo, S = E^T (A o k_t) E, per-output sums of
-    alpha and alpha^T alpha - tr K^-1 (see lml_gradient)."""
-    _, dnoise = _floored_exp_with_grad(model.log_noise_variance)
-    return np.concatenate([
-        0.5 * temporal.gradient(per_lag),
-        model.coreg.gradient(0.5 * s),
-        alpha_sums,
-        [0.5 * dnoise * noise_term],
-    ])
+def _evaluate(model: MoGPModel):
+    """A fresh evaluation of ``model``'s parameters on its training data."""
+    return _Geometry(model.training, model.coreg.rank).evaluate(
+        pack_parameters(model))
 
 
-class _Evaluation:
+class _Parameters:
+    """One packed theta, unpacked once: its floored positive values and
+    their derivatives (one _floored_exp_with_grad call), W, the means,
+    B and the kernel components on the geometry's distinct lags. Both
+    evaluations build on it; it holds what the LML, the gradient and the
+    posterior share."""
+
+    def __init__(self, theta: np.ndarray, geometry: _Geometry):
+        self.theta, self.geometry = theta, geometry
+        m, r = geometry.num_outputs, geometry.rank
+        self.floored, self.d_floored = _floored_exp_with_grad(
+            theta[geometry.positive])
+        self.noise = self.floored[-1]
+        self.w = theta[7:7 + m * r].reshape(m, r)
+        self.means = theta[7 + m * r + m:-1]
+        self.b = self.w @ self.w.T + np.diag(self.floored[7:-1])
+        self.temporal = TemporalKernel.from_floored(
+            self.floored, self.d_floored, geometry.lags)
+        self.k_t = self.temporal.k_t[geometry.lag_index]
+
+    def centered_values(self) -> np.ndarray:
+        return self.geometry.values - self.means[self.geometry.outputs]
+
+    def packed_gradient(self, per_lag: np.ndarray, s: np.ndarray,
+                        alpha_sums: np.ndarray,
+                        noise_term: float) -> np.ndarray:
+        """The LML gradient in parameter_names order from its
+        contractions: per-lag sums of A o B_oo, S = E^T (A o k_t) E,
+        per-output sums of alpha and alpha^T alpha - tr K^-1 (see
+        lml_gradient). With d f / d B = S / 2, W gets (S + S^T) W / 2
+        and log kappa diag(S) kappa' / 2."""
+        half_s = 0.5 * s
+        return np.concatenate([
+            0.5 * self.temporal.gradient(per_lag),
+            ((half_s + half_s.T) @ self.w).ravel(),
+            np.diag(half_s) * self.d_floored[7:-1],
+            alpha_sums,
+            [0.5 * self.d_floored[-1] * noise_term],
+        ])
+
+    def cross_kernel(self, query: np.ndarray) -> np.ndarray:
+        """k_t between the query times and the geometry's times,
+        (len(query), len(times))."""
+        lags, lag_index = lag_table(query, self.geometry.times)
+        return TemporalKernel.from_floored(
+            self.floored, self.d_floored, lags).k_t[lag_index]
+
+    def prior_variance(self) -> np.ndarray:
+        """(M, 1) prior variance of an observation of each output:
+        B_mm k_t(t, t) plus the noise."""
+        f = self.floored
+        return np.diag(self.b)[:, None] * (f[0] + f[3] + f[5]) + self.noise
+
+
+class _Evaluation(_Parameters):
     """Dense LML of one parameter setting; the Gram matrix, its Cholesky
     factor and the gradient all read one evaluation of the kernel
     components on the distinct lags, gathered to (n, n) ``k_t`` by the
@@ -345,17 +395,14 @@ class _Evaluation:
     the package that calls ``scipy.linalg``; each imports what it calls
     when it runs."""
 
-    def __init__(self, model: MoGPModel, geometry: _Geometry):
-        self.model, self.geometry = model, geometry
-        self.temporal = TemporalKernel(model.kernel, geometry.lags)
-        self.k_t = self.temporal.k_t[geometry.lag_index]
-        self.b_oo = model.coreg.matrix()[np.ix_(geometry.outputs,
-                                                geometry.outputs)]
+    def __init__(self, theta: np.ndarray, geometry: _Geometry):
+        super().__init__(theta, geometry)
+        self.b_oo = self.b[np.ix_(geometry.outputs, geometry.outputs)]
         k = self.b_oo * self.k_t
-        k[np.diag_indices_from(k)] += model.noise_variance
+        k[np.diag_indices_from(k)] += self.noise
         self.chol, self.jitter = _chol_with_jitter(k)
         from scipy.linalg import cho_solve
-        y_c = model.centered_values()
+        y_c = self.centered_values()
         self.alpha = cho_solve((self.chol, True), y_c)
         half_logdet = float(np.sum(np.log(np.diag(self.chol))))
         self.lml = float(-0.5 * y_c @ self.alpha - half_logdet
@@ -365,7 +412,7 @@ class _Evaluation:
         """d LML / d theta in parameter_names order (see lml_gradient);
         A o B_oo is summed per distinct lag before the kernel partials."""
         from scipy.linalg.lapack import dpotri
-        model, geometry, alpha = self.model, self.geometry, self.alpha
+        geometry, alpha = self.geometry, self.alpha
         kinv, info = dpotri(self.chol, lower=1)
         if info != 0:
             raise NumericError(f"LAPACK potri failed (info {info}): "
@@ -380,22 +427,21 @@ class _Evaluation:
         per_lag = np.bincount(geometry.lag_index.ravel(),
                               weights=a_mat.ravel(),
                               minlength=geometry.lags.size)
-        return _packed_gradient(
-            model, self.temporal, per_lag, s,
+        return self.packed_gradient(
+            per_lag, s,
             np.bincount(geometry.outputs, weights=alpha,
-                        minlength=model.num_outputs),
+                        minlength=geometry.num_outputs),
             alpha @ alpha - np.trace(kinv))
 
     def posterior(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M, Q) k_*^T alpha and k_*^T (K + s I)^-1 k_* at the query times."""
         from scipy.linalg import solve_triangular
-        model = self.model
-        temporal = self.geometry.cross_kernel(model, query)
-        b = model.coreg.matrix()
-        mean = np.empty((model.num_outputs, query.shape[0]))
+        outputs = self.geometry.outputs
+        temporal = self.cross_kernel(query)
+        mean = np.empty((self.geometry.num_outputs, query.shape[0]))
         explained = np.empty_like(mean)
-        for m in range(model.num_outputs):
-            k_star = b[m, self.geometry.outputs][None, :] * temporal
+        for m in range(self.geometry.num_outputs):
+            k_star = self.b[m, outputs][None, :] * temporal
             mean[m] = k_star @ self.alpha
             v = solve_triangular(self.chol, k_star.T, lower=True)
             explained[m] = np.sum(v * v, axis=0)
@@ -414,7 +460,7 @@ def _clamped_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(values, 0.0), vectors
 
 
-class _KroneckerEvaluation:
+class _KroneckerEvaluation(_Parameters):
     """LML of one parameter setting when every output shares its P times:
     K + s I = B (x) K_t + s I = (U_B (x) U_t) diag(D) (U_B (x) U_t)^T with
     D = lambda_B lambda_t^T + s, from eigh of the M x M B and of the
@@ -422,15 +468,12 @@ class _KroneckerEvaluation:
 
     jitter = 0.0
 
-    def __init__(self, model: MoGPModel, geometry: _Geometry):
-        self.model, self.geometry = model, geometry
-        self.temporal = TemporalKernel(model.kernel, geometry.lags)
-        self.k_t = self.temporal.k_t[geometry.lag_index]
-        self.b = model.coreg.matrix()
+    def __init__(self, theta: np.ndarray, geometry: _Geometry):
+        super().__init__(theta, geometry)
         self.lam_b, self.u_b = _clamped_eigh(self.b)
         self.lam_t, self.u_t = _clamped_eigh(self.k_t)
-        self.d = np.outer(self.lam_b, self.lam_t) + model.noise_variance
-        y_c = model.centered_values().reshape(model.num_outputs, -1)
+        self.d = np.outer(self.lam_b, self.lam_t) + self.noise
+        y_c = self.centered_values().reshape(geometry.num_outputs, -1)
         rotated = self.u_b.T @ y_c @ self.u_t
         scaled = rotated / self.d
         self.alpha = self.u_b @ scaled @ self.u_t.T
@@ -452,14 +495,13 @@ class _KroneckerEvaluation:
         per_lag = np.bincount(self.geometry.lag_index.ravel(),
                               weights=weight_t.ravel(),
                               minlength=self.geometry.lags.size)
-        return _packed_gradient(self.model, self.temporal, per_lag, s,
-                                alpha.sum(axis=1),
-                                np.vdot(alpha, alpha) - inv_d.sum())
+        return self.packed_gradient(per_lag, s, alpha.sum(axis=1),
+                                    np.vdot(alpha, alpha) - inv_d.sum())
 
     def posterior(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M, Q) B alpha K_*^T and the explained variance
         ((U_B o lambda_B)^2) D^-1 (U_t^T K_*^T)^2 at the query times."""
-        k_star = self.geometry.cross_kernel(self.model, query)
+        k_star = self.cross_kernel(query)
         projected = self.u_t.T @ k_star.T
         explained = ((self.u_b * self.lam_b) ** 2) @ (
             (1.0 / self.d) @ (projected * projected))
@@ -469,7 +511,7 @@ class _KroneckerEvaluation:
 def log_marginal_likelihood(model: MoGPModel) -> float:
     """Exact LML: -1/2 y_c^T (K+s I)^-1 y_c - 1/2 log det(K+s I) - n/2 log 2pi.
     The model is not modified."""
-    return _Geometry(model.training).evaluate(model).lml
+    return _evaluate(model).lml
 
 
 def parameter_names(num_outputs: int, rank: int) -> list[str]:
@@ -530,7 +572,7 @@ def lml_gradient(model: MoGPModel) -> np.ndarray:
     eigendecompositions without forming any n x n matrix. The model is
     not modified.
     """
-    return _Geometry(model.training).evaluate(model).gradient()
+    return _evaluate(model).gradient()
 
 
 def initialize_model(training: TrainingSet, config: OptimizerConfig) -> MoGPModel:
@@ -564,12 +606,14 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     """Maximize the LML with Adam ascent plus weight decay.
 
     Deterministic given the config seed. One loop evaluates up to
-    ``iterations + 1`` iterates, each adding its LML to ``lml_trace`` (one
-    entry at ``iterations = 0``); a non-finite LML raises NumericError.
-    It stops early after the iterate that follows |delta LML| staying
-    below EARLY_STOP_TOL for EARLY_STOP_PATIENCE consecutive iterations.
-    The best-scoring iterate is returned, so the final LML never falls
-    below the initial one, with its evaluation cached for predict.
+    ``iterations + 1`` iterates straight from the packed parameter
+    vector, each adding its LML to ``lml_trace`` (one entry at
+    ``iterations = 0``); an iterate with a non-finite parameter or a
+    non-finite LML raises NumericError naming its iteration. It stops
+    early after the iterate that follows |delta LML| staying below
+    EARLY_STOP_TOL for EARLY_STOP_PATIENCE consecutive iterations. Only
+    the best-scoring iterate becomes a model, so the final LML never
+    falls below the initial one, with its evaluation cached for predict.
     """
     config = config or OptimizerConfig()
     config.validate()
@@ -579,21 +623,27 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     decay_mask = _weight_decay_mask(training.num_outputs, config.rank)
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
-    geometry = _Geometry(training)
+    geometry = _Geometry(training, config.rank)
 
     trace: list[float] = []
     stall = 0
     last = config.iterations
     for iteration in range(config.iterations + 1):
-        step = geometry.evaluate(
-            model_from_parameters(theta, training, config))
+        finite = np.isfinite(theta)
+        if not finite.all():
+            names = parameter_names(training.num_outputs, config.rank)
+            raise NumericError(
+                f"non-finite parameter at iteration {iteration}: " + ", ".join(
+                    name for name, ok in zip(names, finite) if not ok))
+        step = geometry.evaluate(theta)
         lml = step.lml
         if not math.isfinite(lml):
             raise NumericError(
                 f"non-finite log marginal likelihood at iteration {iteration}; "
                 f"parameter snapshot: {theta.tolist()}")
         trace.append(lml)
-        # best.model views theta, which is rebound, never mutated.
+        # theta is rebound at each step, never mutated, so best.theta
+        # stays the best iterate's.
         if iteration == 0 or lml > best.lml:
             best = step
         if iteration == last:
@@ -617,7 +667,7 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
                          iteration + 1, lml)
             last = iteration + 1
 
-    result = best.model
+    result = model_from_parameters(best.theta, training, config)
     result.lml_trace, result._evaluation = trace, best
     return result
 
@@ -636,15 +686,11 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
         raise ValidationError("query grid is empty")
     if not np.all(np.isfinite(query)):
         raise ValidationError("query times must be finite")
-    evaluation = model._evaluation
-    if evaluation is None:
-        evaluation = _Geometry(model.training).evaluate(model)
+    evaluation = model._evaluation or _evaluate(model)
     mean, explained = evaluation.posterior(query)
-    prior = (np.diag(model.coreg.matrix())[:, None]
-             * model.kernel.prior_variance() + model.noise_variance)
     return PosteriorPrediction(
-        mean=model.means[:, None] + mean,
-        std=np.sqrt(np.maximum(prior - explained, 0.0)))
+        mean=evaluation.means[:, None] + mean,
+        std=np.sqrt(np.maximum(evaluation.prior_variance() - explained, 0.0)))
 
 
 def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:

@@ -5,14 +5,19 @@ precision arithmetic for kernel values, one dense dK/dtheta matrix per
 kernel parameter, dense matrix inversion for GP posteriors, exhaustive
 path enumeration for HMM likelihoods and DTW, the step-by-step
 log-space HMM forward-backward recursion, the row-by-row DTW
-recurrence, one channel at a time for the preprocessing chain, and one
-line at a time with nested dicts for the corpus reader; peak finding is
-checked against ``scipy.signal.find_peaks`` itself. None of it shares
-code with the package beyond reading plain parameter values off the
-public dataclasses, so agreement is meaningful. The one exception is
-the corpus reader, which hands the raw cycles it parsed to the
-package's own preprocessing (``dataio._build_record``): only the
-parsing and its errors are checked by it.
+recurrence, one channel at a time for the preprocessing chain, one
+line at a time with nested dicts for the corpus reader and one row at a
+time for the corpus writer; peak finding is checked against
+``scipy.signal.find_peaks`` itself. None of it shares code with the
+package beyond reading plain parameter values off the public
+dataclasses, so agreement is meaningful. The exceptions are these. The
+corpus reader hands the raw cycles it parsed to the package's own
+preprocessing (``dataio._build_record``): only the parsing and its
+errors are checked by it. ``per_step_fit`` builds its models with
+``mogp.initialize_model`` and ``mogp.model_from_parameters``, the
+fit as it ran with a model per Adam step, and ``viterbi_numpy`` takes
+the package's emission matrix: only the evaluation and the Adam loop,
+and only the Viterbi recursion, are checked by them, exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import os
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri
 from scipy.signal import butter, filtfilt
 from scipy.signal import find_peaks as scipy_find_peaks
 from scipy.special import logsumexp
@@ -235,6 +242,204 @@ def kernel_gradients(spec, coreg, times, outputs) -> dict[str, np.ndarray]:
         sel = (outputs == m).astype(float)
         grads[f"coreg.log_kappa[{m}]"] = np.outer(sel, sel) * temporal * dkappa[m]
     return grads
+
+
+class PerStepEvaluation:
+    """The LML of one MoGPModel and its gradient, computed as ``mogp``
+    did when its fit built a model per Adam step: every positive
+    parameter floored by its own scalar call on the model's fields, the
+    kernel components on the distinct training lags (from ``np.unique``),
+    then either the Cholesky factor of the (n, n) covariance with
+    escalating jitter, or, when every output has the same times, eigh of
+    B and of K_t. It repeats the package's arithmetic operation for
+    operation, so the package must agree with it exactly."""
+
+    def __init__(self, model):
+        training = model.training
+        m, times = training.num_outputs, training.times
+        outputs = np.asarray(training.outputs, dtype=int)
+        blocks = times.reshape(m, -1) if times.size % m == 0 else None
+        self.kronecker = bool(
+            blocks is not None
+            and np.array_equal(outputs, np.repeat(np.arange(m), blocks.shape[1]))
+            and (blocks == blocks[0]).all())
+        if self.kronecker:
+            times = blocks[0]
+        lags, inverse = np.unique(
+            np.abs(times[:, None] - times[None, :]).ravel(),
+            return_inverse=True)
+        self.model, self.outputs, self.lags = model, outputs, lags
+        self.lag_index = inverse.reshape(times.size, times.size)
+
+        spec = model.kernel
+        per, se, mat = spec.periodic, spec.se, spec.matern32
+        per_len = _floored_value(per.log_lengthscale)
+        self.u = np.pi * lags / _floored_value(per.log_period)
+        self.sin_u = np.sin(self.u)
+        self.k_per = _floored_value(per.log_variance) * np.exp(
+            -2.0 * self.sin_u * self.sin_u / (per_len * per_len))
+        se_len = _floored_value(se.log_lengthscale)
+        self.k_se = _floored_value(se.log_variance) * np.exp(
+            -0.5 * (lags * lags) / (se_len * se_len))
+        self.a = math.sqrt(3.0) * lags / _floored_value(mat.log_lengthscale)
+        self.exp_a = np.exp(-self.a)
+        self.k_mat = (_floored_value(mat.log_variance) * (1.0 + self.a)
+                      * self.exp_a)
+        self.k_t = (self.k_per + self.k_se + self.k_mat)[self.lag_index]
+
+        coreg = model.coreg
+        self.b = coreg.w @ coreg.w.T + np.diag(
+            _floored_value(coreg.log_kappa))
+        noise = float(_floored_value(model.log_noise_variance))
+        y_c = training.values - model.means[outputs]
+        log_2pi = math.log(2.0 * math.pi)
+        if self.kronecker:
+            self.lam_b, self.u_b = _clamped_eigh(self.b)
+            self.lam_t, self.u_t = _clamped_eigh(self.k_t)
+            self.d = np.outer(self.lam_b, self.lam_t) + noise
+            y_c = y_c.reshape(m, -1)
+            rotated = self.u_b.T @ y_c @ self.u_t
+            scaled = rotated / self.d
+            self.alpha = self.u_b @ scaled @ self.u_t.T
+            self.lml = float(-0.5 * np.vdot(rotated, scaled)
+                             - 0.5 * np.sum(np.log(self.d))
+                             - 0.5 * y_c.size * log_2pi)
+        else:
+            self.b_oo = self.b[np.ix_(outputs, outputs)]
+            k = self.b_oo * self.k_t
+            k[np.diag_indices_from(k)] += noise
+            self.chol = _cholesky_with_jitter(k)
+            self.alpha = cho_solve((self.chol, True), y_c)
+            half_logdet = float(np.sum(np.log(np.diag(self.chol))))
+            self.lml = float(-0.5 * y_c @ self.alpha - half_logdet
+                             - 0.5 * y_c.shape[0] * log_2pi)
+
+    def gradient(self) -> np.ndarray:
+        model, alpha = self.model, self.alpha
+        if self.kronecker:
+            inv_d = 1.0 / self.d
+            weight = alpha.T @ self.b @ alpha
+            weight -= (self.u_t * (self.lam_b @ inv_d)) @ self.u_t.T
+            s = alpha @ self.k_t @ alpha.T
+            s -= (self.u_b * (inv_d @ self.lam_t)) @ self.u_b.T
+            alpha_sums = alpha.sum(axis=1)
+            noise_term = np.vdot(alpha, alpha) - inv_d.sum()
+        else:
+            kinv, info = dpotri(self.chol, lower=1)
+            assert info == 0
+            kinv = np.tril(kinv)
+            kinv += np.tril(kinv, -1).T
+            weight = np.outer(alpha, alpha)
+            weight -= kinv
+            e = np.eye(model.num_outputs)[self.outputs]
+            s = e.T @ ((weight * self.k_t) @ e)
+            weight *= self.b_oo
+            alpha_sums = np.bincount(self.outputs, weights=alpha,
+                                     minlength=model.num_outputs)
+            noise_term = alpha @ alpha - np.trace(kinv)
+        w = np.bincount(self.lag_index.ravel(), weights=weight.ravel(),
+                        minlength=self.lags.size)
+
+        spec = model.kernel
+        per, se, mat = spec.periodic, spec.se, spec.matern32
+        weighted_per = w * self.k_per
+        per_len2 = _floored_value(per.log_lengthscale) ** 2
+        se_len2 = _floored_value(se.log_lengthscale) ** 2
+        u, sin_u, a = self.u, self.sin_u, self.a
+        kernel = np.array([
+            np.vdot(w, self.k_per) * _relative_derivative(per.log_variance),
+            np.vdot(weighted_per, sin_u * sin_u) * 4.0 / per_len2
+            * _relative_derivative(per.log_lengthscale),
+            np.vdot(weighted_per, u * np.sin(2.0 * u)) * 2.0 / per_len2
+            * _relative_derivative(per.log_period),
+            np.vdot(w, self.k_se) * _relative_derivative(se.log_variance),
+            np.vdot(w, self.k_se * (self.lags * self.lags)) / se_len2
+            * _relative_derivative(se.log_lengthscale),
+            np.vdot(w, self.k_mat) * _relative_derivative(mat.log_variance),
+            np.vdot(w, a * a * self.exp_a)
+            * float(_floored_value(mat.log_variance))
+            * _relative_derivative(mat.log_lengthscale),
+        ])
+        half_s = 0.5 * s
+        _, dkappa = _floored_exp_with_grad(model.coreg.log_kappa)
+        _, dnoise = _floored_exp_with_grad(model.log_noise_variance)
+        return np.concatenate([
+            0.5 * kernel,
+            np.concatenate([((half_s + half_s.T) @ model.coreg.w).ravel(),
+                            np.diag(half_s) * dkappa]),
+            alpha_sums,
+            [0.5 * dnoise * noise_term],
+        ])
+
+
+def _floored_value(log_value):
+    return np.maximum(np.exp(log_value), PARAM_FLOOR)
+
+
+def _relative_derivative(log_value):
+    value, grad = _floored_exp_with_grad(log_value)
+    return grad / value
+
+
+def _clamped_eigh(matrix: np.ndarray):
+    assert np.isfinite(matrix).all()
+    values, vectors = np.linalg.eigh(matrix)
+    return np.maximum(values, 0.0), vectors
+
+
+def _cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor, jitter from 1e-8 to 1e-2 of the mean
+    diagonal, times 10 per try."""
+    assert np.isfinite(matrix).all()
+    mean_diag = max(float(np.mean(np.diag(matrix))), PARAM_FLOOR)
+    jitter = 0.0
+    while True:
+        try:
+            return cholesky(matrix + jitter * np.eye(matrix.shape[0])
+                            if jitter else matrix,
+                            lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            jitter = 1e-8 * mean_diag if jitter == 0.0 else jitter * 10.0
+            assert jitter <= 1e-2 * mean_diag * (1.0 + 1e-12)
+
+
+def per_step_fit(training, config):
+    """(LML trace, packed parameters of the best iterate) of
+    ``mogp.fit`` as it ran with one MoGPModel and one PerStepEvaluation
+    per Adam step; Adam's constants are read from ``mogp``."""
+    from gaitmogp import mogp
+
+    theta = mogp.pack_parameters(mogp.initialize_model(training, config))
+    decay_mask = np.array(
+        [not name.startswith("mean[") for name in mogp.parameter_names(
+            training.num_outputs, config.rank)], dtype=float)
+    m_state = np.zeros_like(theta)
+    v_state = np.zeros_like(theta)
+    trace, stall, last = [], 0, config.iterations
+    for iteration in range(config.iterations + 1):
+        step = PerStepEvaluation(
+            mogp.model_from_parameters(theta, training, config))
+        trace.append(step.lml)
+        if iteration == 0 or step.lml > best_lml:
+            best_lml, best_theta = step.lml, theta
+        if iteration == last:
+            break
+        grad = step.gradient()
+        grad = grad - config.weight_decay * decay_mask * theta
+        m_state = mogp.ADAM_BETA1 * m_state + (1.0 - mogp.ADAM_BETA1) * grad
+        v_state = (mogp.ADAM_BETA2 * v_state
+                   + (1.0 - mogp.ADAM_BETA2) * grad * grad)
+        m_hat = m_state / (1.0 - mogp.ADAM_BETA1 ** (iteration + 1))
+        v_hat = v_state / (1.0 - mogp.ADAM_BETA2 ** (iteration + 1))
+        theta = theta + config.learning_rate * m_hat / (
+            np.sqrt(v_hat) + mogp.ADAM_EPSILON)
+        if iteration > 0 and abs(step.lml - trace[-2]) < mogp.EARLY_STOP_TOL:
+            stall += 1
+        else:
+            stall = 0
+        if stall >= mogp.EARLY_STOP_PATIENCE:
+            last = iteration + 1
+    return trace, best_theta
 
 
 def central_difference(func, theta: np.ndarray, step: float) -> np.ndarray:
@@ -568,3 +773,46 @@ def reference_load_corpus(path, *,
             subject, cohorts[subject], raw_cycles,
             filter_cutoff_hz=filter_cutoff_hz, num_points=num_points))
     return records
+
+
+def viterbi_numpy(initial, transitions, emissions):
+    """Viterbi as one numpy step per time step: (0-based states,
+    log_joint) from the (T, S) log emission matrix, ties to the lowest
+    state by ``np.argmax``; ``hmm.viterbi_decode`` must agree exactly."""
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(np.asarray(initial, dtype=float))
+        log_a = np.log(np.asarray(transitions, dtype=float))
+    t_len, num_states = emissions.shape
+    delta = log_pi + emissions[0]
+    backptr = np.zeros((t_len, num_states), dtype=int)
+    for t in range(1, t_len):
+        scores = delta[:, None] + log_a          # predecessor i -> state j
+        backptr[t] = np.argmax(scores, axis=0)
+        delta = scores[backptr[t], np.arange(num_states)] + emissions[t]
+    last = int(np.argmax(delta))
+    path = np.empty(t_len, dtype=int)
+    path[-1] = last
+    for t in range(t_len - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path, float(delta[last])
+
+
+# ---------------------------------------------------------------------------
+# Corpus writer, one row and one coordinate at a time.
+
+def reference_corpus_text(records) -> str:
+    """The canonical corpus CSV of ``dataio.save_corpus``, written row by
+    row with one ``repr`` and one finiteness check per coordinate."""
+    lines = [CSV_HEADER]
+    for record in sorted(records, key=lambda r: r.subject_id):
+        for cycle_id, raw in sorted(record.raw_cycles.items()):
+            for frame, row in enumerate(raw):
+                for channel, sample in zip(CHANNELS, row):
+                    joint, side = channel.rsplit("_", 1)
+                    coords = ",".join(
+                        "" if not math.isfinite(v) else repr(float(v))
+                        for v in sample)
+                    lines.append(
+                        f"{record.subject_id},{record.cohort},{cycle_id},"
+                        f"{frame},{joint},{side},{coords}")
+    return "\n".join(lines) + "\n"

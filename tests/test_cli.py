@@ -268,6 +268,29 @@ class TestErrorReporting:
         assert len(captured.err.splitlines()) == 1
         assert json.loads(captured.err)["type"] == "numeric"
 
+    @pytest.mark.parametrize("name", [
+        "coreg.w[0,0]", "mean[2]", "periodic.log_period"])
+    def test_non_finite_adam_iterate_is_numeric_error(
+            self, pipeline, tmp_path, capsys, monkeypatch, name):
+        index = mogp.parameter_names(len(CHANNELS), 2).index(name)
+        gradient = mogp._KroneckerEvaluation.gradient
+
+        def infinite_entry(evaluation):
+            grad = gradient(evaluation)
+            grad[index] = np.inf
+            return grad
+
+        monkeypatch.setattr(mogp._KroneckerEvaluation, "gradient",
+                            infinite_entry)
+        assert cli.main(["fit", "--input", str(pipeline["corpus"]),
+                         "--output", str(tmp_path / "fit"),
+                         *FAST_FIT]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["type"] == "numeric" and err["exit_code"] == 3
+        assert err["error"] == f"non-finite parameter at iteration 1: {name}"
+
     def test_output_naming_a_directory(self, pipeline, tmp_path, capsys):
         assert cli.main(["predict", "--model",
                          str(pipeline["models"] / "C01.mogp"),
@@ -745,8 +768,7 @@ class TestMoGPPaths:
         # per_channel.mogp was fitted when each channel drew its own
         # times; per_channel_predict.csv is what predict wrote for it then.
         model = mogp.load_model(DATA / "per_channel.mogp")
-        assert type(mogp._Geometry(model.training).evaluate(model)) \
-            is mogp._Evaluation
+        assert type(mogp._evaluate(model)) is mogp._Evaluation
         out = tmp_path / "pred.csv"
         assert cli.main(["predict", "--model", str(DATA / "per_channel.mogp"),
                          "--output", str(out), "--grid-points", "16"]) == 0

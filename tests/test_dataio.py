@@ -90,6 +90,30 @@ class TestRoundTrip:
         save_corpus(reloaded, second)
         assert first.read_bytes() == second.read_bytes()
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           gap_fraction=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           big_ids=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_writer_matches_the_row_by_row_writer(self, tmp_path_factory,
+                                                  seed, gap_fraction,
+                                                  big_ids):
+        rng = np.random.default_rng(seed)
+        records = generate_synthetic(_small_config(seed=seed % 1000,
+                                                   noise_level=0.002))
+        for record in records:
+            if big_ids:
+                record.raw_cycles = dict(zip(
+                    [2**64 + 1, 3], record.raw_cycles.values()))
+            for raw in record.raw_cycles.values():
+                raw[rng.random(raw.shape) < gap_fraction] = np.nan
+                # An inf is written as a gap too; signed zeros and
+                # extreme magnitudes keep their repr.
+                raw.flat[rng.integers(0, raw.size, size=4)] = [
+                    np.inf, -0.0, 1e-300, -1.7976931348623157e308]
+        path = tmp_path_factory.mktemp("writer") / "corpus.csv"
+        save_corpus(records, path)
+        assert path.read_text() == oracles.reference_corpus_text(records)
+
     def test_generation_is_deterministic(self, tmp_path):
         config = _small_config(noise_level=0.002)
         first = tmp_path / "a.csv"

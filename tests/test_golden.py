@@ -1,0 +1,76 @@
+"""Fitted outputs against committed golden files, byte for byte.
+
+``tests/data/golden`` holds what the CLI wrote for a tiny synthetic
+corpus (seed 0, one subject per cohort, two cycles each; its sha256 is
+``corpus.sha256``): a pooled fit on the Kronecker path with its fitlog,
+that model's predictions on 50 grid points, and a segment report. A
+change that moves any fitted number fails here, so such a change has to
+regenerate the files on purpose:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import shutil
+import tempfile
+
+import pytest
+
+from gaitmogp import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+OUTPUTS = ("pooled.mogp", "pooled.fitlog.csv", "predict.csv", "segment.json")
+FIT = ("--filter-cutoff", "none", "--iterations", "5",
+       "--points-per-channel", "20")
+
+
+def _regenerate(out: pathlib.Path) -> None:
+    corpus = str(out / "corpus.csv")
+    commands = [
+        ["synth", "--seed", "0", "--subjects-per-cohort", "1",
+         "--cycles-per-subject", "2", "--output", corpus],
+        ["fit", "--input", corpus, *FIT, "--scope", "pooled",
+         "--output", str(out)],
+        ["predict", "--model", str(out / "pooled.mogp"), "--grid-points",
+         "50", "--output", str(out / "predict.csv")],
+        ["segment", "--input", corpus, *FIT, "--em-iterations", "3",
+         "--output", str(out / "segment.json")],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+
+
+@pytest.fixture(scope="module")
+def regenerated(tmp_path_factory) -> pathlib.Path:
+    out = tmp_path_factory.mktemp("golden")
+    _regenerate(out)
+    return out
+
+
+def _corpus_hash(out: pathlib.Path) -> str:
+    return hashlib.sha256((out / "corpus.csv").read_bytes()).hexdigest()
+
+
+def test_corpus_hash(regenerated):
+    assert _corpus_hash(regenerated) == \
+        (GOLDEN / "corpus.sha256").read_text().strip()
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_output_is_byte_identical(regenerated, name):
+    assert (regenerated / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        out = pathlib.Path(scratch)
+        _regenerate(out)
+        for name in OUTPUTS:
+            shutil.copyfile(out / name, GOLDEN / name)
+        (GOLDEN / "corpus.sha256").write_text(_corpus_hash(out) + "\n")

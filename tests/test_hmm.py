@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitmogp import hmm
 from gaitmogp.errors import NumericError, ValidationError
@@ -259,6 +261,43 @@ class TestExactness:
         seq = ObservationSequence(steps=np.zeros((5, 2)))
         decoded = viterbi_decode(model, seq)
         np.testing.assert_array_equal(decoded.states, np.ones(5, dtype=int))
+
+
+class TestViterbiAgainstTheNumpyRecursion:
+    """viterbi_decode runs on Python floats; the recursion as one numpy
+    step per time step must give the same path and the same log_joint."""
+
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 120),
+           zeros=st.booleans(), tied_means=st.booleans(),
+           uniform=st.booleans(), rounded=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_states_and_log_joint_are_equal(self, seed, length, zeros,
+                                            tied_means, uniform, rounded):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng)
+        if uniform:
+            model.initial_probs = np.full(4, 0.25)
+            model.transitions = np.full((4, 4), 0.25)
+        if zeros:
+            # Structural zeros: each row keeps one state it can reach.
+            keep = rng.integers(0, 4, size=4)
+            mask = rng.random((4, 4)) < 0.5
+            mask[np.arange(4), keep] = False
+            transitions = np.where(mask, 0.0, model.transitions)
+            model.transitions = transitions / transitions.sum(
+                axis=1, keepdims=True)
+        if tied_means:
+            # Equal emissions for some states: exact ties in the scores.
+            model.state_means[1:3] = model.state_means[0]
+        steps = rng.normal(0.0, 1.5, size=(length, 2))
+        if rounded:
+            steps = np.round(steps)
+        decoded = viterbi_decode(model, ObservationSequence(steps=steps))
+        path, log_joint = oracles.viterbi_numpy(
+            model.initial_probs, model.transitions,
+            hmm._emission_log_matrix(model, steps))
+        np.testing.assert_array_equal(decoded.states, path + 1)
+        assert decoded.log_joint == log_joint
 
 
 class TestBaumWelch:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,7 +80,7 @@ def _random_model(rng: np.random.Generator, num_outputs: int = 3,
 
 
 def _fresh_evaluation(model: MoGPModel):
-    return mogp._Geometry(model.training).evaluate(model)
+    return mogp._evaluate(model)
 
 
 class TestExactness:
@@ -201,11 +202,11 @@ class TestDistinctLags:
         rng = np.random.default_rng(seed)
         model = _random_model(rng, num_outputs, points, rank=1,
                               grid_points=grid_points)
-        geometry = mogp._Geometry(model.training)
-        times = geometry.times
+        evaluation = _fresh_evaluation(model)
+        times = evaluation.geometry.times
         full = TemporalKernel(model.kernel,
                               np.abs(times[:, None] - times[None, :])).k_t
-        np.testing.assert_array_equal(geometry.evaluate(model).k_t, full)
+        np.testing.assert_array_equal(evaluation.k_t, full)
 
     def test_memory_stays_below_ten_gram_matrices(self):
         # n = 720 on a 100-point cycle grid, the size of a pooled fit.
@@ -326,6 +327,76 @@ class TestFit:
             config = OptimizerConfig(**{name: value})
             with pytest.raises(ValidationError, match=f"{name} must be fin"):
                 config.validate()
+
+
+    @pytest.mark.parametrize("name", [
+        "coreg.w[1,0]", "mean[1]", "se.log_lengthscale"])
+    def test_non_finite_iterate_is_a_numeric_error(self, monkeypatch, name):
+        rng = np.random.default_rng(8)
+        training = _random_training(rng, num_outputs=2, points_per_output=4,
+                                    grid_points=7, shared_times=True)
+        index = parameter_names(2, 2).index(name)
+        gradient = mogp._KroneckerEvaluation.gradient
+
+        def infinite_entry(evaluation):
+            grad = gradient(evaluation)
+            grad[index] = math.inf
+            return grad
+
+        # Adam turns an infinite gradient entry into a NaN parameter.
+        monkeypatch.setattr(mogp._KroneckerEvaluation, "gradient",
+                            infinite_entry)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=re.escape(
+                    f"non-finite parameter at iteration 1: {name}")):
+            fit(training, OptimizerConfig(iterations=3, seed=0))
+
+
+class TestAgainstThePerStepFit:
+    """fit evaluates every iterate straight from the packed parameters;
+    oracles.per_step_fit builds a model per Adam step and evaluates it
+    the way mogp did before. The two must agree to the last bit."""
+
+    @pytest.mark.parametrize("shared_times", [True, False])
+    @given(seed=st.integers(0, 2**32 - 1), num_outputs=st.integers(1, 3),
+           points=st.integers(2, 6), rank=st.integers(1, 2),
+           iterations=st.integers(0, 6),
+           learning_rate=st.sampled_from([1e-3, 7.5e-3, 0.05]))
+    @settings(max_examples=25, deadline=None)
+    def test_trace_and_parameters_are_equal(self, shared_times, seed,
+                                            num_outputs, points, rank,
+                                            iterations, learning_rate):
+        rng = np.random.default_rng(seed)
+        # Shared times on a grid (repeats included) take the Kronecker
+        # path; uniform times, one draw per output, the dense one.
+        training = _random_training(
+            rng, num_outputs + (not shared_times), points,
+            grid_points=7 if shared_times else None,
+            shared_times=shared_times)
+        config = OptimizerConfig(iterations=iterations, rank=rank,
+                                 learning_rate=learning_rate,
+                                 seed=seed % 1000)
+        model = fit(training, config)
+        trace, theta = oracles.per_step_fit(training, config)
+        assert type(model._evaluation) is (
+            mogp._KroneckerEvaluation if shared_times else mogp._Evaluation)
+        assert model.lml_trace == trace
+        np.testing.assert_array_equal(pack_parameters(model), theta)
+
+    @given(seed=st.integers(0, 2**32 - 1), shared_times=st.booleans(),
+           floored=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_lml_and_gradient_are_equal(self, seed, shared_times, floored):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, num_outputs=3, points_per_output=4,
+                              grid_points=7, shared_times=shared_times)
+        if floored:
+            model.kernel.matern32.log_lengthscale = -60.0
+            model.coreg.log_kappa[1] = -60.0
+        reference = oracles.PerStepEvaluation(model)
+        assert log_marginal_likelihood(model) == reference.lml
+        np.testing.assert_array_equal(lml_gradient(model),
+                                      reference.gradient())
 
 
 class TestPredict:
