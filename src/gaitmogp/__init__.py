@@ -10,8 +10,7 @@ leave-one-subject-out splitting, a synthetic-data generator, and the
 """
 
 from .errors import GaitPipelineError, NumericError, ValidationError
-from .kernels import (CompositeKernelSpec, CoregionalizationFactor,
-                      SubKernelParams, TemporalKernel, gram_matrix)
+from .kernels import TemporalKernel
 from .mogp import (MoGPModel, OptimizerConfig, PosteriorPrediction,
                    TrainingSet, export_coregionalization, fit,
                    initialize_model, lml_gradient, log_marginal_likelihood,
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaitPipelineError", "NumericError", "ValidationError",
-    "CompositeKernelSpec", "CoregionalizationFactor", "SubKernelParams",
-    "TemporalKernel", "gram_matrix",
+    "TemporalKernel",
     "MoGPModel", "OptimizerConfig", "PosteriorPrediction", "TrainingSet",
     "export_coregionalization", "fit", "initialize_model", "lml_gradient",
     "log_marginal_likelihood", "predict",

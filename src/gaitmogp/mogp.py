@@ -28,18 +28,20 @@ start-up on a 2-vCPU VM) in its first evaluation, so only a process
 that fits or predicts a dense model, such as one loaded from a
 per-channel ``.mogp`` file, pays for it.
 
-Both take the packed parameter vector theta (pack_parameters order),
-unpack it once, floor its positive entries with one vector call, and
-evaluate the kernel components once per distinct training lag. Fitting
-is one loop over up to ``iterations + 1`` iterates of theta that builds
-no model objects: each iterate is one evaluation, with one LML trace
-entry (one at ``iterations = 0``), and an iterate with a non-finite
-parameter or LML raises NumericError naming its iteration. Only the
-best iterate becomes a MoGPModel, after the loop, with that same
-evaluation cached on it; fit is the only code that caches one.
-log_marginal_likelihood, lml_gradient and predict (without a cache)
-pack the model and run the same evaluation, leaving the model
-untouched.
+A model's parameters are one log-space vector theta (Rasmussen &
+Williams 2006, ch. 5): the seven kernel entries, W row-major, log kappa,
+the per-output means and the log noise variance, each block at its
+parameter_blocks slice and each entry named by parameter_names. Both
+evaluations take theta, unpack it once, floor its positive entries with
+one vector call, and evaluate the kernel components once per distinct
+training lag. Fitting is one loop over up to ``iterations + 1`` iterates
+of theta: each iterate is one evaluation, with one LML trace entry (one
+at ``iterations = 0``), and an iterate with a non-finite parameter or
+LML raises NumericError naming its iteration. The best iterate becomes
+the MoGPModel, after the loop, with that same evaluation cached on it;
+fit is the only code that caches one. log_marginal_likelihood,
+lml_gradient and predict (without a cache) run the same evaluation on
+the model's theta, leaving the model untouched.
 """
 
 from __future__ import annotations
@@ -53,17 +55,9 @@ import numpy as np
 
 from . import serialize
 from .errors import NumericError, ValidationError
-from .kernels import (
-    PARAM_FLOOR,
-    CompositeKernelSpec,
-    CoregionalizationFactor,
-    TemporalKernel,
-    _floored_exp,
-    _floored_exp_with_grad,
-    _validate_points,
-    kernel_parameter_names,
-    lag_table,
-)
+from . import kernels
+from .kernels import (PARAM_FLOOR, TemporalKernel, _floored_exp_with_grad,
+                      lag_table)
 
 logger = logging.getLogger(__name__)
 
@@ -110,16 +104,29 @@ class TrainingSet:
         return self.times.shape[0]
 
     def validate(self, for_fitting: bool = False) -> None:
-        """Check the points (the check gram_matrix makes) and the values;
-        output indices are stored as ints from then on."""
+        """Check the points and the values; output indices are stored as
+        ints from then on."""
+        outputs = self.outputs
         if self.num_outputs < 1:
             raise ValidationError("num_outputs must be >= 1")
-        if self.values.shape[0] != self.size:
+        for name, array in (("values", self.values), ("outputs", outputs)):
+            if array.shape[0] != self.size:
+                raise ValidationError(
+                    f"times ({self.size}) and {name} ({array.shape[0]}) "
+                    "must have equal length")
+        if self.size == 0:
+            raise ValidationError("point set is empty: at least one "
+                                  "(time, output) point is required")
+        if not np.all(np.isfinite(self.times)):
+            raise ValidationError("times must be finite")
+        if not (np.issubdtype(outputs.dtype, np.integer)
+                or np.all(np.isfinite(outputs)
+                          & (outputs == np.round(outputs)))):
+            raise ValidationError("output indices must be integers")
+        if np.any(outputs < 0) or np.any(outputs >= self.num_outputs):
             raise ValidationError(
-                f"times ({self.size}) and values ({self.values.shape[0]}) "
-                "must have equal length")
-        self.times, self.outputs = _validate_points(
-            self.num_outputs, self.times, self.outputs)
+                f"output indices must lie in [0, {self.num_outputs})")
+        self.outputs = outputs.astype(int)
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("values must be finite")
         if np.any(self.times < 0.0) or np.any(self.times > 1.0):
@@ -178,25 +185,25 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class MoGPModel:
-    """Kernel spec, coregionalization, means and noise plus training data.
+    """The packed parameters theta plus training data and settings.
 
-    The cache is one evaluation of the model's parameters on its training
-    data: the Kronecker one (eigenvectors and eigenvalues of K_t and B)
-    when every output shares its times, the dense one (Cholesky factor
-    and jitter) otherwise; see the module docstring. Only fit writes it,
-    from its best iterate, and it is never serialized. predict reads the
-    posterior from it; a model without it (loaded, or built by
-    model_from_parameters or initialize_model) gets a local evaluation,
-    chosen and built the same way, on every predict. That gives identical
-    predictions and leaves the model unchanged. ``jitter_used`` is the
-    cached evaluation's jitter (always 0 on the Kronecker path, and 0
-    without a cache).
+    ``theta`` holds every parameter, unconstrained, in parameter_names
+    order (7 + M r + 2 M + 1 entries for M = training.num_outputs and
+    r = config.rank); the constructor checks its length and that every
+    entry is finite. The cache is one evaluation of theta on the
+    training data: the Kronecker one (eigenvectors and eigenvalues of
+    K_t and B) when every output shares its times, the dense one
+    (Cholesky factor and jitter) otherwise; see the module docstring.
+    Only fit writes it, from its best iterate, and it is never
+    serialized. predict reads the posterior from it; a model without it
+    (loaded, or built from a theta or by initialize_model) gets a local
+    evaluation, chosen and built the same way, on every predict. That
+    gives identical predictions and leaves the model unchanged.
+    ``jitter_used`` is the cached evaluation's jitter (always 0 on the
+    Kronecker path, and 0 without a cache).
     """
 
-    kernel: CompositeKernelSpec
-    coreg: CoregionalizationFactor
-    means: np.ndarray
-    log_noise_variance: float
+    theta: np.ndarray
     training: TrainingSet
     config: OptimizerConfig = field(default_factory=OptimizerConfig)
     lml_trace: list = field(default_factory=list, repr=False)
@@ -204,30 +211,24 @@ class MoGPModel:
         default=None, repr=False)
 
     def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float).ravel()
-        if self.means.shape[0] != self.coreg.num_outputs:
+        self.theta = np.asarray(self.theta, dtype=float).ravel()
+        expected = len(parameter_names(self.num_outputs, self.config.rank))
+        if self.theta.shape[0] != expected:
             raise ValidationError(
-                f"means has length {self.means.shape[0]} but the model "
-                f"has {self.coreg.num_outputs} outputs")
-        if not np.all(np.isfinite(self.means)):
-            raise ValidationError("means must be finite")
-        if self.training.num_outputs != self.coreg.num_outputs:
-            raise ValidationError(
-                "training set and coregionalization disagree on the "
-                "number of outputs")
+                f"parameter vector has length {self.theta.shape[0]}, "
+                f"expected {expected}")
+        bad = _non_finite_names(self.theta, self.num_outputs,
+                                self.config.rank)
+        if bad:
+            raise ValidationError("non-finite parameter: " + bad)
 
     @property
     def num_outputs(self) -> int:
-        return self.coreg.num_outputs
+        return self.training.num_outputs
 
     @property
     def jitter_used(self) -> float:
         return 0.0 if self._evaluation is None else self._evaluation.jitter
-
-    @property
-    def noise_variance(self) -> float:
-        # Floor keeps the observation model valid (>= 1e-10).
-        return float(_floored_exp(self.log_noise_variance))
 
 
 @dataclass
@@ -300,10 +301,10 @@ class _Geometry:
     (Kronecker) or all n times (dense); ``lags`` are their distinct
     pairwise lags |t_i - t_j| and ``lag_index`` the square integer index
     into them (kernels.lag_table). Grid times repeat, so ``lags`` is far
-    shorter than the index. ``positive`` indexes the log-space entries
-    of a packed theta (kernel, log kappa, log noise), the ones a floored
-    exponential maps to their values. The dense path also keeps the
-    (n, M) one-hot output indicator E."""
+    shorter than the index. ``blocks`` are theta's parameter_blocks and
+    ``positive`` indexes its log-space entries (kernel, log kappa, log
+    noise), the ones a floored exponential maps to their values. The
+    dense path also keeps the (n, M) one-hot output indicator E."""
 
     def __init__(self, training: TrainingSet, rank: int):
         training.validate()
@@ -318,9 +319,9 @@ class _Geometry:
         else:
             self.evaluation_type = _KroneckerEvaluation
         self.lags, self.lag_index = lag_table(self.times, self.times)
-        kappa_start = 7 + m * rank
-        self.positive = np.r_[0:7, kappa_start:kappa_start + m,
-                              kappa_start + 2 * m]
+        self.blocks = parameter_blocks(m, rank)
+        self.positive = np.r_[tuple(self.blocks[key] for key in (
+            "kernel", "coreg.log_kappa", "log_noise_variance"))]
 
     def evaluate(self, theta: np.ndarray):
         """The evaluation of the packed parameters ``theta`` on this data."""
@@ -329,8 +330,7 @@ class _Geometry:
 
 def _evaluate(model: MoGPModel):
     """A fresh evaluation of ``model``'s parameters on its training data."""
-    return _Geometry(model.training, model.coreg.rank).evaluate(
-        pack_parameters(model))
+    return _Geometry(model.training, model.config.rank).evaluate(model.theta)
 
 
 class _Parameters:
@@ -342,15 +342,16 @@ class _Parameters:
 
     def __init__(self, theta: np.ndarray, geometry: _Geometry):
         self.theta, self.geometry = theta, geometry
-        m, r = geometry.num_outputs, geometry.rank
+        blocks = geometry.blocks
         self.floored, self.d_floored = _floored_exp_with_grad(
             theta[geometry.positive])
         self.noise = self.floored[-1]
-        self.w = theta[7:7 + m * r].reshape(m, r)
-        self.means = theta[7 + m * r + m:-1]
+        self.w = theta[blocks["coreg.w"]].reshape(geometry.num_outputs,
+                                                  geometry.rank)
+        self.means = theta[blocks["means"]]
         self.b = self.w @ self.w.T + np.diag(self.floored[7:-1])
-        self.temporal = TemporalKernel.from_floored(
-            self.floored, self.d_floored, geometry.lags)
+        self.temporal = TemporalKernel(self.floored, self.d_floored,
+                                       geometry.lags)
         self.k_t = self.temporal.k_t[geometry.lag_index]
 
     def centered_values(self) -> np.ndarray:
@@ -377,8 +378,8 @@ class _Parameters:
         """k_t between the query times and the geometry's times,
         (len(query), len(times))."""
         lags, lag_index = lag_table(query, self.geometry.times)
-        return TemporalKernel.from_floored(
-            self.floored, self.d_floored, lags).k_t[lag_index]
+        return TemporalKernel(self.floored, self.d_floored,
+                              lags).k_t[lag_index]
 
     def prior_variance(self) -> np.ndarray:
         """(M, 1) prior variance of an observation of each output:
@@ -514,49 +515,53 @@ def log_marginal_likelihood(model: MoGPModel) -> float:
     return _evaluate(model).lml
 
 
+def _parameter_layout(num_outputs: int, rank: int) -> dict[str, list[str]]:
+    """The blocks of theta in order, keyed like the model file's lines,
+    each with the names of its entries: the seven kernel entries, W
+    row-major (M r), log kappa (M), the per-output means (M) and the log
+    noise variance (1)."""
+    outputs = range(num_outputs)
+    return {
+        "kernel": list(kernels.PARAMETER_NAMES),
+        "coreg.w": [f"coreg.w[{i},{j}]" for i in outputs for j in range(rank)],
+        "coreg.log_kappa": [f"coreg.log_kappa[{i}]" for i in outputs],
+        "means": [f"mean[{i}]" for i in outputs],
+        "log_noise_variance": ["log_noise_variance"],
+    }
+
+
+def parameter_blocks(num_outputs: int, rank: int) -> dict[str, slice]:
+    """The slice of theta each block takes: "kernel", "coreg.w",
+    "coreg.log_kappa", "means" and "log_noise_variance", in that order."""
+    blocks, start = {}, 0
+    for key, names in _parameter_layout(num_outputs, rank).items():
+        blocks[key] = slice(start, start + len(names))
+        start += len(names)
+    return blocks
+
+
 def parameter_names(num_outputs: int, rank: int) -> list[str]:
-    """Order of the unconstrained parameter vector used by fit/gradients."""
-    names = kernel_parameter_names(num_outputs, rank)
-    names += [f"mean[{m}]" for m in range(num_outputs)]
-    names.append("log_noise_variance")
-    return names
+    """The name of each entry of theta, block by block (parameter_blocks)."""
+    return [name for names in _parameter_layout(num_outputs, rank).values()
+            for name in names]
 
 
-def pack_parameters(model: MoGPModel) -> np.ndarray:
-    """Flatten the unconstrained parameters in parameter_names order."""
-    return np.concatenate([
-        model.kernel.log_values(),
-        model.coreg.w.ravel(),
-        model.coreg.log_kappa,
-        model.means,
-        [model.log_noise_variance],
-    ])
-
-
-def model_from_parameters(theta: np.ndarray, training: TrainingSet,
-                          config: OptimizerConfig) -> MoGPModel:
-    """Inverse of pack_parameters (cache left unbuilt)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    m = training.num_outputs
-    r = config.rank
-    expected = 7 + m * r + m + m + 1
-    if theta.shape[0] != expected:
-        raise ValidationError(
-            f"parameter vector has length {theta.shape[0]}, expected {expected}")
-    w, log_kappa, means, log_noise = np.split(
-        theta[7:], np.cumsum([m * r, m, m]))
-    return MoGPModel(kernel=CompositeKernelSpec.from_log_values(theta[:7]),
-                     coreg=CoregionalizationFactor(w=w.reshape(m, r),
-                                                   log_kappa=log_kappa),
-                     means=means, log_noise_variance=float(log_noise[0]),
-                     training=training, config=config)
+def _non_finite_names(theta: np.ndarray, num_outputs: int, rank: int) -> str:
+    """The parameter_names of theta's non-finite entries, comma-separated;
+    empty when every entry is finite."""
+    finite = np.isfinite(theta)
+    if finite.all():
+        return ""
+    return ", ".join(name for name, ok in zip(
+        parameter_names(num_outputs, rank), finite) if not ok)
 
 
 def _weight_decay_mask(num_outputs: int, rank: int) -> np.ndarray:
     """Decay applies to W and all log-parameters, never to the means."""
-    return np.array([not name.startswith("mean[")
-                     for name in parameter_names(num_outputs, rank)],
-                    dtype=float)
+    blocks = parameter_blocks(num_outputs, rank)
+    mask = np.ones(blocks["log_noise_variance"].stop)
+    mask[blocks["means"]] = 0.0
+    return mask
 
 
 def lml_gradient(model: MoGPModel) -> np.ndarray:
@@ -588,18 +593,18 @@ def initialize_model(training: TrainingSet, config: OptimizerConfig) -> MoGPMode
     m = training.num_outputs
     rng = np.random.default_rng(config.seed)
     w = rng.normal(0.0, INIT_W_STD, size=(m, config.rank))
-    kernel = CompositeKernelSpec.from_values(
-        INIT_VARIANCE, INIT_LENGTHSCALE, INIT_PERIOD)
+    kernel = [INIT_VARIANCE, INIT_LENGTHSCALE, INIT_PERIOD,
+              INIT_VARIANCE, INIT_LENGTHSCALE, INIT_VARIANCE, INIT_LENGTHSCALE]
     means = np.zeros(m)
     for idx in range(m):
         sel = training.outputs == idx
         if np.any(sel):
             means[idx] = float(np.mean(training.values[sel]))
-    coreg = CoregionalizationFactor(
-        w=w, log_kappa=np.full(m, math.log(INIT_KAPPA)))
-    return MoGPModel(kernel=kernel, coreg=coreg, means=means,
-                     log_noise_variance=math.log(INIT_NOISE_VARIANCE),
-                     training=training, config=config)
+    theta = np.concatenate([
+        [math.log(value) for value in kernel], w.ravel(),
+        np.full(m, math.log(INIT_KAPPA)), means,
+        [math.log(INIT_NOISE_VARIANCE)]])
+    return MoGPModel(theta=theta, training=training, config=config)
 
 
 def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPModel:
@@ -619,7 +624,7 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     config.validate()
     training.validate(for_fitting=True)
 
-    theta = pack_parameters(initialize_model(training, config))
+    theta = initialize_model(training, config).theta
     decay_mask = _weight_decay_mask(training.num_outputs, config.rank)
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
@@ -629,12 +634,10 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     stall = 0
     last = config.iterations
     for iteration in range(config.iterations + 1):
-        finite = np.isfinite(theta)
-        if not finite.all():
-            names = parameter_names(training.num_outputs, config.rank)
+        bad = _non_finite_names(theta, training.num_outputs, config.rank)
+        if bad:
             raise NumericError(
-                f"non-finite parameter at iteration {iteration}: " + ", ".join(
-                    name for name, ok in zip(names, finite) if not ok))
+                f"non-finite parameter at iteration {iteration}: {bad}")
         step = geometry.evaluate(theta)
         lml = step.lml
         if not math.isfinite(lml):
@@ -667,9 +670,8 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
                          iteration + 1, lml)
             last = iteration + 1
 
-    result = model_from_parameters(best.theta, training, config)
-    result.lml_trace, result._evaluation = trace, best
-    return result
+    return MoGPModel(theta=best.theta, training=training, config=config,
+                     lml_trace=trace, _evaluation=best)
 
 
 def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
@@ -695,7 +697,11 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
 
 def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:
     """B = W W^T + diag(kappa) and its correlation-normalized form."""
-    b = model.coreg.matrix()
+    m, rank = model.num_outputs, model.config.rank
+    blocks = parameter_blocks(m, rank)
+    w = model.theta[blocks["coreg.w"]].reshape(m, rank)
+    kappa, _ = _floored_exp_with_grad(model.theta[blocks["coreg.log_kappa"]])
+    b = w @ w.T + np.diag(kappa)
     diag = np.diag(b)
     if np.any(diag <= 0.0):
         raise ValidationError("coregionalization matrix has a zero diagonal entry")
@@ -712,21 +718,22 @@ MODEL_SCHEMA = "mogp-v1"
 # One config.<name> line per OptimizerConfig field; load_model ignores
 # the lines older files have for values that are now constants.
 _CONFIG_KINDS = serialize.field_kinds(OptimizerConfig)
-_KERNEL_NAMES = kernel_parameter_names(0, 0)
 
 
 def _model_document(model: MoGPModel) -> list[tuple[str, str]]:
     rendered = model.training.rendered()
+    theta = model.theta
+    blocks = parameter_blocks(model.num_outputs, model.config.rank)
+    kernel = theta[blocks.pop("kernel")]
     items: list[tuple[str, str]] = [
         ("schema", MODEL_SCHEMA),
         ("num_outputs", str(model.num_outputs)),
-        ("rank", str(model.coreg.rank)),
+        ("rank", str(model.config.rank)),
         *((f"kernel.{name}", serialize.format_float(value))
-          for name, value in zip(_KERNEL_NAMES, model.kernel.log_values())),
-        ("coreg.w", serialize.format_float_list(model.coreg.w.ravel())),
-        ("coreg.log_kappa", serialize.format_float_list(model.coreg.log_kappa)),
-        ("means", serialize.format_float_list(model.means)),
-        ("log_noise_variance", serialize.format_float(model.log_noise_variance)),
+          for name, value in zip(kernels.PARAMETER_NAMES, kernel)),
+        # One float is its own one-entry list: log_noise_variance too.
+        *((key, serialize.format_float_list(theta[part]))
+          for key, part in blocks.items()),
         ("training.hash", model.training.data_hash(rendered)),
         ("training.num_points", str(model.training.size)),
         ("training.num_outputs", str(model.training.num_outputs)),
@@ -768,6 +775,11 @@ def load_model(path) -> MoGPModel:
 
     config = OptimizerConfig(**{name: number(f"config.{name}", kind)
                                 for name, kind in _CONFIG_KINDS.items()})
+    try:
+        config.validate()
+    except ValidationError as exc:
+        # Each message starts with the setting's name.
+        raise ValidationError(f"{path}: config.{exc}") from None
     if config.rank != rank:
         raise ValidationError(f"{path}: rank and config.rank disagree")
 
@@ -785,16 +797,19 @@ def load_model(path) -> MoGPModel:
     if training.data_hash() != grab("training.hash"):
         raise ValidationError(f"{path}: training data hash mismatch")
 
-    kernel = CompositeKernelSpec.from_log_values(
-        [number(f"kernel.{name}") for name in _KERNEL_NAMES])
-
-    w = floats("coreg.w")
-    if num_outputs < 1 or rank < 1 or w.size != num_outputs * rank:
+    if training.num_outputs != num_outputs:
         raise ValidationError(
-            f"{path}: coreg.w has {w.size} entries, expected "
-            f"num_outputs x rank = {num_outputs} x {rank}")
-    coreg = CoregionalizationFactor(w=w.reshape(num_outputs, rank),
-                                    log_kappa=floats("coreg.log_kappa"))
-    return MoGPModel(kernel=kernel, coreg=coreg, means=floats("means"),
-                     log_noise_variance=number("log_noise_variance"),
-                     training=training, config=config)
+            f"{path}: num_outputs and training.num_outputs disagree")
+
+    blocks = parameter_blocks(num_outputs, rank)
+    del blocks["kernel"]
+    theta = [[number(f"kernel.{name}") for name in kernels.PARAMETER_NAMES]]
+    for key, part in blocks.items():
+        values = floats(key)
+        size = part.stop - part.start
+        if len(values) != size:
+            raise ValidationError(
+                f"{path}: {key} has {len(values)} entries, expected {size}")
+        theta.append(values)
+    return MoGPModel(theta=np.concatenate(theta), training=training,
+                     config=config)

@@ -9,15 +9,16 @@ recurrence, one channel at a time for the preprocessing chain, one
 line at a time with nested dicts for the corpus reader and one row at a
 time for the corpus writer; peak finding is checked against
 ``scipy.signal.find_peaks`` itself. None of it shares code with the
-package beyond reading plain parameter values off the public
-dataclasses, so agreement is meaningful. The exceptions are these. The
-corpus reader hands the raw cycles it parsed to the package's own
-preprocessing (``dataio._build_record``): only the parsing and its
-errors are checked by it. ``per_step_fit`` builds its models with
-``mogp.initialize_model`` and ``mogp.model_from_parameters``, the
-fit as it ran with a model per Adam step, and ``viterbi_numpy`` takes
-the package's emission matrix: only the evaluation and the Adam loop,
-and only the Viterbi recursion, are checked by them, exactly.
+package beyond reading plain parameter values off a model's ``theta``
+by their ``mogp.parameter_names`` and off the other public dataclasses,
+so agreement is meaningful. The exceptions are these. The corpus reader
+hands the raw cycles it parsed to the package's own preprocessing
+(``dataio._build_record``): only the parsing and its errors are checked
+by it. ``per_step_fit`` starts from ``mogp.initialize_model`` and builds
+a ``mogp.MoGPModel`` per Adam step, the fit as it ran with a model per
+step, and ``viterbi_numpy`` takes the package's emission matrix: only
+the evaluation and the Adam loop, and only the Viterbi recursion, are
+checked by them, exactly.
 """
 
 from __future__ import annotations
@@ -81,23 +82,48 @@ def composite_value(periodic, se, matern32, t, t_prime) -> mp.mpf:
 # ---------------------------------------------------------------------------
 # Float covariance construction shared by the GP oracles.
 
+def parameter_values(theta, num_outputs: int, rank: int) -> dict:
+    """The entries of a packed parameter vector by their
+    ``mogp.parameter_names``, plus "w" (num_outputs, rank), "log_kappa"
+    and, when theta reaches them, "means", gathered by name. Entries
+    past the end of theta are left out."""
+    from gaitmogp.mogp import parameter_names
+
+    values = dict(zip(parameter_names(num_outputs, rank),
+                      np.asarray(theta, dtype=float).tolist()))
+    outputs = range(num_outputs)
+    values["w"] = np.array([[values[f"coreg.w[{i},{j}]"] for j in range(rank)]
+                            for i in outputs])
+    values["log_kappa"] = np.array([values[f"coreg.log_kappa[{i}]"]
+                                    for i in outputs])
+    if "mean[0]" in values:
+        values["means"] = np.array([values[f"mean[{i}]"] for i in outputs])
+    return values
+
+
+def model_values(model) -> dict:
+    """parameter_values of a MoGPModel's theta."""
+    return parameter_values(model.theta, model.num_outputs, model.config.rank)
+
+
 def _natural_kernel(model):
     """Natural-space kernel constants of a MoGPModel, with the floor."""
-    k = model.kernel
+    p = model_values(model)
 
-    def positive(log_value: float) -> float:
-        return max(math.exp(log_value), PARAM_FLOOR)
+    def positive(name: str) -> float:
+        return max(math.exp(p[name]), PARAM_FLOOR)
 
     return {
-        "per": (positive(k.periodic.log_variance),
-                positive(k.periodic.log_lengthscale),
-                positive(k.periodic.log_period)),
-        "se": (positive(k.se.log_variance), positive(k.se.log_lengthscale)),
-        "mat": (positive(k.matern32.log_variance),
-                positive(k.matern32.log_lengthscale)),
-        "b": model.coreg.w @ model.coreg.w.T
-             + np.diag(np.maximum(np.exp(model.coreg.log_kappa), PARAM_FLOOR)),
-        "noise": positive(model.log_noise_variance),
+        "per": (positive("periodic.log_variance"),
+                positive("periodic.log_lengthscale"),
+                positive("periodic.log_period")),
+        "se": (positive("se.log_variance"), positive("se.log_lengthscale")),
+        "mat": (positive("matern32.log_variance"),
+                positive("matern32.log_lengthscale")),
+        "b": p["w"] @ p["w"].T
+             + np.diag(np.maximum(np.exp(p["log_kappa"]), PARAM_FLOOR)),
+        "noise": positive("log_noise_variance"),
+        "means": p["means"],
     }
 
 
@@ -134,7 +160,7 @@ def dense_lml(model) -> float:
     training = model.training
     cov = dense_covariance(model, training.times, training.outputs)
     cov = cov + constants["noise"] * np.eye(training.size)
-    centered = training.values - model.means[training.outputs]
+    centered = training.values - constants["means"][training.outputs]
     inv = np.linalg.inv(cov)
     sign, logdet = np.linalg.slogdet(cov)
     assert sign > 0
@@ -150,7 +176,7 @@ def dense_posterior(model, query_times, output: int):
     cov = dense_covariance(model, training.times, training.outputs)
     cov = cov + constants["noise"] * np.eye(training.size)
     inv = np.linalg.inv(cov)
-    centered = training.values - model.means[training.outputs]
+    centered = training.values - constants["means"][training.outputs]
 
     b = constants["b"]
     query = np.asarray(query_times, dtype=float).ravel()
@@ -162,7 +188,7 @@ def dense_posterior(model, query_times, output: int):
             * _temporal_value(constants, tq, training.times[i])
             for i in range(training.size)])
         prior = b[output, output] * _temporal_value(constants, tq, tq)
-        mean[qi] = model.means[output] + k_star @ inv @ centered
+        mean[qi] = constants["means"][output] + k_star @ inv @ centered
         var[qi] = prior + constants["noise"] - k_star @ inv @ k_star
     return mean, var
 
@@ -172,26 +198,30 @@ def _floored_exp_with_grad(log_value):
     return np.maximum(raw, PARAM_FLOOR), np.where(raw > PARAM_FLOOR, raw, 0.0)
 
 
-def kernel_gradients(spec, coreg, times, outputs) -> dict[str, np.ndarray]:
-    """Dense dK/dtheta, one (n, n) matrix per unconstrained parameter.
+def kernel_gradients(theta, num_outputs: int, rank: int, times,
+                     outputs) -> dict[str, np.ndarray]:
+    """Dense dK/dtheta, one (n, n) matrix per unconstrained parameter of
+    the kernel and B, read by name off the packed ``theta`` (at least its
+    7 + num_outputs * (rank + 1) kernel, W and log kappa entries).
 
-    Keyed and ordered like ``kernels.kernel_parameter_names``: log-space
-    derivatives for the positive parameters (zero where the floor is
-    active), natural space for W. The per-parameter reference for the
-    contracted gradient in the package.
+    Keyed and ordered like those entries of ``mogp.parameter_names``:
+    log-space derivatives for the positive parameters (zero where the
+    floor is active), natural space for W. The per-parameter reference
+    for the contracted gradient in the package.
     """
+    p = parameter_values(theta, num_outputs, rank)
     times = np.asarray(times, dtype=float).ravel()
     outputs = np.asarray(outputs, dtype=int).ravel()
     d = times[:, None] - times[None, :]
     r = np.abs(d)
 
-    per_var, dper_var = _floored_exp_with_grad(spec.periodic.log_variance)
-    per_len, dper_len = _floored_exp_with_grad(spec.periodic.log_lengthscale)
-    per_p, dper_p = _floored_exp_with_grad(spec.periodic.log_period)
-    se_var, dse_var = _floored_exp_with_grad(spec.se.log_variance)
-    se_len, dse_len = _floored_exp_with_grad(spec.se.log_lengthscale)
-    mat_var, dmat_var = _floored_exp_with_grad(spec.matern32.log_variance)
-    mat_len, dmat_len = _floored_exp_with_grad(spec.matern32.log_lengthscale)
+    per_var, dper_var = _floored_exp_with_grad(p["periodic.log_variance"])
+    per_len, dper_len = _floored_exp_with_grad(p["periodic.log_lengthscale"])
+    per_p, dper_p = _floored_exp_with_grad(p["periodic.log_period"])
+    se_var, dse_var = _floored_exp_with_grad(p["se.log_variance"])
+    se_len, dse_len = _floored_exp_with_grad(p["se.log_lengthscale"])
+    mat_var, dmat_var = _floored_exp_with_grad(p["matern32.log_variance"])
+    mat_len, dmat_len = _floored_exp_with_grad(p["matern32.log_lengthscale"])
 
     # Periodic: d/d log l = k 4 sin^2(u) / l^2, d/d log p = k 2 u sin(2u) / l^2.
     u = np.pi * r / per_p
@@ -215,8 +245,8 @@ def kernel_gradients(spec, coreg, times, outputs) -> dict[str, np.ndarray]:
     g_mat_len *= dmat_len / mat_len
 
     temporal = k_per + k_se + k_mat
-    w = np.asarray(coreg.w, dtype=float)
-    kappa, dkappa = _floored_exp_with_grad(np.asarray(coreg.log_kappa))
+    w = p["w"]
+    kappa, dkappa = _floored_exp_with_grad(p["log_kappa"])
     b_oo = (w @ w.T + np.diag(kappa))[np.ix_(outputs, outputs)]
 
     grads: dict[str, np.ndarray] = {
@@ -247,7 +277,7 @@ def kernel_gradients(spec, coreg, times, outputs) -> dict[str, np.ndarray]:
 class PerStepEvaluation:
     """The LML of one MoGPModel and its gradient, computed as ``mogp``
     did when its fit built a model per Adam step: every positive
-    parameter floored by its own scalar call on the model's fields, the
+    parameter floored by its own scalar call on its named entry, the
     kernel components on the distinct training lags (from ``np.unique``),
     then either the Cholesky factor of the (n, n) covariance with
     escalating jitter, or, when every output has the same times, eigh of
@@ -271,27 +301,25 @@ class PerStepEvaluation:
         self.model, self.outputs, self.lags = model, outputs, lags
         self.lag_index = inverse.reshape(times.size, times.size)
 
-        spec = model.kernel
-        per, se, mat = spec.periodic, spec.se, spec.matern32
-        per_len = _floored_value(per.log_lengthscale)
-        self.u = np.pi * lags / _floored_value(per.log_period)
+        p = self.p = model_values(model)
+        per_len = _floored_value(p["periodic.log_lengthscale"])
+        self.u = np.pi * lags / _floored_value(p["periodic.log_period"])
         self.sin_u = np.sin(self.u)
-        self.k_per = _floored_value(per.log_variance) * np.exp(
+        self.k_per = _floored_value(p["periodic.log_variance"]) * np.exp(
             -2.0 * self.sin_u * self.sin_u / (per_len * per_len))
-        se_len = _floored_value(se.log_lengthscale)
-        self.k_se = _floored_value(se.log_variance) * np.exp(
+        se_len = _floored_value(p["se.log_lengthscale"])
+        self.k_se = _floored_value(p["se.log_variance"]) * np.exp(
             -0.5 * (lags * lags) / (se_len * se_len))
-        self.a = math.sqrt(3.0) * lags / _floored_value(mat.log_lengthscale)
+        self.a = math.sqrt(3.0) * lags / _floored_value(
+            p["matern32.log_lengthscale"])
         self.exp_a = np.exp(-self.a)
-        self.k_mat = (_floored_value(mat.log_variance) * (1.0 + self.a)
-                      * self.exp_a)
+        self.k_mat = (_floored_value(p["matern32.log_variance"])
+                      * (1.0 + self.a) * self.exp_a)
         self.k_t = (self.k_per + self.k_se + self.k_mat)[self.lag_index]
 
-        coreg = model.coreg
-        self.b = coreg.w @ coreg.w.T + np.diag(
-            _floored_value(coreg.log_kappa))
-        noise = float(_floored_value(model.log_noise_variance))
-        y_c = training.values - model.means[outputs]
+        self.b = p["w"] @ p["w"].T + np.diag(_floored_value(p["log_kappa"]))
+        noise = float(_floored_value(p["log_noise_variance"]))
+        y_c = training.values - p["means"][outputs]
         log_2pi = math.log(2.0 * math.pi)
         if self.kronecker:
             self.lam_b, self.u_b = _clamped_eigh(self.b)
@@ -340,32 +368,35 @@ class PerStepEvaluation:
         w = np.bincount(self.lag_index.ravel(), weights=weight.ravel(),
                         minlength=self.lags.size)
 
-        spec = model.kernel
-        per, se, mat = spec.periodic, spec.se, spec.matern32
+        p = self.p
         weighted_per = w * self.k_per
-        per_len2 = _floored_value(per.log_lengthscale) ** 2
-        se_len2 = _floored_value(se.log_lengthscale) ** 2
+        per_len2 = _floored_value(p["periodic.log_lengthscale"]) ** 2
+        se_len2 = _floored_value(p["se.log_lengthscale"]) ** 2
         u, sin_u, a = self.u, self.sin_u, self.a
+
+        def rel(name: str):
+            return _relative_derivative(p[name])
+
         kernel = np.array([
-            np.vdot(w, self.k_per) * _relative_derivative(per.log_variance),
+            np.vdot(w, self.k_per) * rel("periodic.log_variance"),
             np.vdot(weighted_per, sin_u * sin_u) * 4.0 / per_len2
-            * _relative_derivative(per.log_lengthscale),
+            * rel("periodic.log_lengthscale"),
             np.vdot(weighted_per, u * np.sin(2.0 * u)) * 2.0 / per_len2
-            * _relative_derivative(per.log_period),
-            np.vdot(w, self.k_se) * _relative_derivative(se.log_variance),
+            * rel("periodic.log_period"),
+            np.vdot(w, self.k_se) * rel("se.log_variance"),
             np.vdot(w, self.k_se * (self.lags * self.lags)) / se_len2
-            * _relative_derivative(se.log_lengthscale),
-            np.vdot(w, self.k_mat) * _relative_derivative(mat.log_variance),
+            * rel("se.log_lengthscale"),
+            np.vdot(w, self.k_mat) * rel("matern32.log_variance"),
             np.vdot(w, a * a * self.exp_a)
-            * float(_floored_value(mat.log_variance))
-            * _relative_derivative(mat.log_lengthscale),
+            * float(_floored_value(p["matern32.log_variance"]))
+            * rel("matern32.log_lengthscale"),
         ])
         half_s = 0.5 * s
-        _, dkappa = _floored_exp_with_grad(model.coreg.log_kappa)
-        _, dnoise = _floored_exp_with_grad(model.log_noise_variance)
+        _, dkappa = _floored_exp_with_grad(p["log_kappa"])
+        _, dnoise = _floored_exp_with_grad(p["log_noise_variance"])
         return np.concatenate([
             0.5 * kernel,
-            np.concatenate([((half_s + half_s.T) @ model.coreg.w).ravel(),
+            np.concatenate([((half_s + half_s.T) @ p["w"]).ravel(),
                             np.diag(half_s) * dkappa]),
             alpha_sums,
             [0.5 * dnoise * noise_term],
@@ -409,7 +440,7 @@ def per_step_fit(training, config):
     per Adam step; Adam's constants are read from ``mogp``."""
     from gaitmogp import mogp
 
-    theta = mogp.pack_parameters(mogp.initialize_model(training, config))
+    theta = mogp.initialize_model(training, config).theta
     decay_mask = np.array(
         [not name.startswith("mean[") for name in mogp.parameter_names(
             training.num_outputs, config.rank)], dtype=float)
@@ -418,7 +449,7 @@ def per_step_fit(training, config):
     trace, stall, last = [], 0, config.iterations
     for iteration in range(config.iterations + 1):
         step = PerStepEvaluation(
-            mogp.model_from_parameters(theta, training, config))
+            mogp.MoGPModel(theta=theta, training=training, config=config))
         trace.append(step.lml)
         if iteration == 0 or step.lml > best_lml:
             best_lml, best_theta = step.lml, theta
@@ -461,8 +492,9 @@ def sample_mogp(constants_model, times, outputs, rng: np.random.Generator):
     jitter = 1e-10 * float(np.mean(np.diag(cov)))
     chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
     latent = chol @ rng.standard_normal(cov.shape[0])
-    latent = latent + constants_model.means[np.asarray(outputs, dtype=int)]
-    noise_std = math.sqrt(_natural_kernel(constants_model)["noise"])
+    constants = _natural_kernel(constants_model)
+    latent = latent + constants["means"][np.asarray(outputs, dtype=int)]
+    noise_std = math.sqrt(constants["noise"])
     observed = latent + noise_std * rng.standard_normal(latent.shape[0])
     return latent, observed
 

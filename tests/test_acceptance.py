@@ -16,8 +16,7 @@ import numpy as np
 import oracles
 from gaitmogp import cli, hmm, metrics, mogp
 from gaitmogp.gait_signal import CHANNELS, detect_events, lowpass_filter
-from gaitmogp.kernels import (CompositeKernelSpec, CoregionalizationFactor,
-                              SubKernelParams, TemporalKernel, gram_matrix)
+from gaitmogp.kernels import TemporalKernel, _floored_exp_with_grad
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -51,11 +50,10 @@ def test_criterion_01_kernel_closed_forms():
         l_p, l_s, l_m = np.exp(rng.uniform(-1.5, 0.7, size=3))
         period = float(np.exp(rng.uniform(-0.7, 0.7)))
 
-        se = SubKernelParams.from_values(v_s, l_s)
-        mat = SubKernelParams.from_values(v_m, l_m)
-        per = SubKernelParams.from_values(v_p, l_p, period=period)
-        spec = CompositeKernelSpec(periodic=per, se=se, matern32=mat)
-        kernel = TemporalKernel(spec, abs(t - u))
+        log_values = np.array([math.log(value) for value in
+                               (v_p, l_p, period, v_s, l_s, v_m, l_m)])
+        kernel = TemporalKernel(*_floored_exp_with_grad(log_values),
+                                abs(t - u))
 
         worst = max(
             worst,
@@ -74,17 +72,20 @@ def test_criterion_01_kernel_closed_forms():
         n = int(rng.integers(8, 40))
         m = int(rng.integers(2, 7))
         rank = int(rng.integers(1, 4))
-        spec = CompositeKernelSpec(
-            periodic=SubKernelParams(*rng.uniform(-1.5, 0.5, 2),
-                                     float(rng.uniform(-0.7, 0.7))),
-            se=SubKernelParams(*rng.uniform(-1.5, 0.5, 2)),
-            matern32=SubKernelParams(*rng.uniform(-1.5, 0.5, 2)))
-        coreg = CoregionalizationFactor(
-            w=0.7 * rng.standard_normal((m, rank)),
-            log_kappa=rng.uniform(-2.0, 0.0, m))
+        theta = np.concatenate([
+            rng.uniform(-1.5, 0.5, 2), [rng.uniform(-0.7, 0.7)],
+            rng.uniform(-1.5, 0.5, 2), rng.uniform(-1.5, 0.5, 2),
+            0.7 * rng.standard_normal(m * rank), rng.uniform(-2.0, 0.0, m),
+            np.zeros(m + 1)])
         times = rng.uniform(0.0, 1.0, n)
         outputs = rng.integers(0, m, n)
-        gram = gram_matrix(spec, coreg, times, outputs)
+        # The Gram matrix the package factors, on the dense path.
+        evaluation = mogp._evaluate(mogp.MoGPModel(
+            theta=theta, training=mogp.TrainingSet(
+                times=times, outputs=outputs, values=np.zeros(n),
+                num_outputs=m),
+            config=mogp.OptimizerConfig(rank=rank)))
+        gram = evaluation.b_oo * evaluation.k_t
         eigs = np.linalg.eigvalsh(gram)
         worst_eig_ratio = max(worst_eig_ratio,
                               -float(eigs[0]) / float(np.trace(gram)))
@@ -119,7 +120,7 @@ def _random_gp_instance(rng: np.random.Generator, max_n: int = 8,
         [float(np.log(rng.uniform(0.05, 0.4)))],
     ])
     config = mogp.OptimizerConfig(rank=rank)
-    return mogp.model_from_parameters(theta, training, config), theta
+    return mogp.MoGPModel(theta=theta, training=training, config=config), theta
 
 
 def test_criterion_02_gp_exactness():
@@ -153,7 +154,7 @@ def test_criterion_03_gradient_check():
 
         def lml_of(vec: np.ndarray) -> float:
             return mogp.log_marginal_likelihood(
-                mogp.model_from_parameters(vec, training, config))
+                mogp.MoGPModel(theta=vec, training=training, config=config))
 
         analytic = mogp.lml_gradient(model)
         fd = oracles.central_difference(lml_of, theta, step=1e-5)
@@ -176,13 +177,12 @@ def test_criterion_04_gp_generate_and_refit():
     rng = np.random.default_rng(404)
     m, train_n, held_n = 6, 60, 30
 
-    kernel = CompositeKernelSpec(
-        periodic=SubKernelParams.from_values(1.0, 0.45, period=1.0),
-        se=SubKernelParams.from_values(0.6, 0.3),
-        matern32=SubKernelParams.from_values(0.2, 0.25))
-    coreg = CoregionalizationFactor(w=0.5 * rng.standard_normal((m, 2)),
-                                    log_kappa=np.log(np.full(m, 0.3)))
-    means = rng.normal(0.0, 0.5, m)
+    kernel = [1.0, 0.45, 1.0, 0.6, 0.3, 0.2, 0.25]
+    w = 0.5 * rng.standard_normal((m, 2))
+    theta = np.concatenate([
+        [math.log(value) for value in kernel], w.ravel(),
+        np.log(np.full(m, 0.3)), rng.normal(0.0, 0.5, m),
+        [float(np.log(0.01))]])
 
     train_times = np.concatenate(
         [np.sort(rng.uniform(0.0, 1.0, train_n)) for _ in range(m)])
@@ -193,8 +193,7 @@ def test_criterion_04_gp_generate_and_refit():
                                   np.repeat(np.arange(m), held_n)])
 
     known = mogp.MoGPModel(
-        kernel=kernel, coreg=coreg, means=means,
-        log_noise_variance=float(np.log(0.01)),
+        theta=theta,
         training=mogp.TrainingSet(times=train_times, outputs=train_outputs,
                                   values=np.zeros(train_times.shape[0]),
                                   num_outputs=m))

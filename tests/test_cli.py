@@ -240,6 +240,10 @@ class TestErrorReporting:
         ("means", "0.1,nan,0.2,0.3,0.4,0.5"),
         ("kernel.se.log_variance", "nan"),
         ("log_noise_variance", "inf"),
+        ("coreg.log_kappa", "0.1,0.2,0.3,0.4,0.5"),
+        ("means", "0.1,0.2,0.3,0.4,0.5"),
+        ("config.iterations", "-5"),
+        ("config.learning_rate", "-1.0"),
     ])
     def test_malformed_model_file(self, pipeline, tmp_path, capsys,
                                   key, value):
@@ -253,7 +257,8 @@ class TestErrorReporting:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         err = json.loads(captured.err)
-        assert err["exit_code"] == 2 and key in err["error"]
+        assert err["exit_code"] == 2
+        assert err["error"].startswith(f"{model}: ") and key in err["error"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_model_value_is_numeric_error(self, pipeline,

@@ -3,7 +3,8 @@
 ``tests/data/golden`` holds what the CLI wrote for a tiny synthetic
 corpus (seed 0, one subject per cohort, two cycles each; its sha256 is
 ``corpus.sha256``): a pooled fit on the Kronecker path with its fitlog,
-that model's predictions on 50 grid points, and a segment report. A
+that model's predictions on 50 grid points, its ``export-plots`` bands
+and coregionalization tables, and a segment report. A
 change that moves any fitted number fails here, so such a change has to
 regenerate the files on purpose:
 
@@ -22,9 +23,12 @@ import tempfile
 import pytest
 
 from gaitmogp import cli
+from gaitmogp.gait_signal import CHANNELS
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
-OUTPUTS = ("pooled.mogp", "pooled.fitlog.csv", "predict.csv", "segment.json")
+OUTPUTS = ("pooled.mogp", "pooled.fitlog.csv", "predict.csv", "segment.json",
+           *(f"band_{name}.csv" for name in CHANNELS),
+           "coregionalization.csv", "coregionalization_normalized.csv")
 FIT = ("--filter-cutoff", "none", "--iterations", "5",
        "--points-per-channel", "20")
 
@@ -38,6 +42,8 @@ def _regenerate(out: pathlib.Path) -> None:
          "--output", str(out)],
         ["predict", "--model", str(out / "pooled.mogp"), "--grid-points",
          "50", "--output", str(out / "predict.csv")],
+        ["export-plots", "--model", str(out / "pooled.mogp"), "--output",
+         str(out)],
         ["segment", "--input", corpus, *FIT, "--em-iterations", "3",
          "--output", str(out / "segment.json")],
     ]

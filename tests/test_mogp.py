@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gaitmogp import mogp
 from gaitmogp.errors import NumericError, ValidationError
-from gaitmogp.kernels import TemporalKernel
+from gaitmogp.kernels import TemporalKernel, _floored_exp_with_grad
 from gaitmogp.mogp import (
     MoGPModel,
     OptimizerConfig,
@@ -24,8 +24,7 @@ from gaitmogp.mogp import (
     lml_gradient,
     load_model,
     log_marginal_likelihood,
-    model_from_parameters,
-    pack_parameters,
+    parameter_blocks,
     parameter_names,
     predict,
     save_model,
@@ -76,7 +75,7 @@ def _random_model(rng: np.random.Generator, num_outputs: int = 3,
         rng.normal(0.0, 0.5, size=num_outputs),
         [math.log(rng.uniform(0.05, 0.4))],
     ])
-    return model_from_parameters(theta, training, config)
+    return MoGPModel(theta=theta, training=training, config=config)
 
 
 def _fresh_evaluation(model: MoGPModel):
@@ -123,15 +122,15 @@ class TestExactness:
         rng = np.random.default_rng(44)
         for _ in range(3):
             model = self._model(rng)
-            theta = pack_parameters(model)
 
             def lml_at(vector: np.ndarray) -> float:
-                candidate = model_from_parameters(
-                    vector, model.training, model.config)
-                return log_marginal_likelihood(candidate)
+                return log_marginal_likelihood(MoGPModel(
+                    theta=vector, training=model.training,
+                    config=model.config))
 
             analytic = lml_gradient(model)
-            numeric = oracles.central_difference(lml_at, theta, step=1e-5)
+            numeric = oracles.central_difference(lml_at, model.theta,
+                                                 step=1e-5)
             rel_err = np.linalg.norm(analytic - numeric) \
                 / max(np.linalg.norm(numeric), 1e-12)
             assert rel_err < 1e-6
@@ -142,19 +141,20 @@ class TestExactness:
         # except the means, which are per-output sums of alpha.
         rng = np.random.default_rng(46)
         model = self._model(rng, num_outputs=6, points_per_output=10)
+        names = parameter_names(6, model.config.rank)
         if floored:
-            model.kernel.se.log_variance = -60.0
-            model.coreg.log_kappa[2] = -60.0
+            model.theta[names.index("se.log_variance")] = -60.0
+            model.theta[names.index("coreg.log_kappa[2]")] = -60.0
         training = model.training
         constants = oracles._natural_kernel(model)
         cov = oracles.dense_covariance(model, training.times, training.outputs)
         cov += constants["noise"] * np.eye(training.size)
         inv = np.linalg.inv(cov)
-        alpha = inv @ (training.values - model.means[training.outputs])
+        alpha = inv @ (training.values - constants["means"][training.outputs])
         a_mat = np.outer(alpha, alpha) - inv
-        dense = oracles.kernel_gradients(model.kernel, model.coreg,
+        dense = oracles.kernel_gradients(model.theta, 6, model.config.rank,
                                          training.times, training.outputs)
-        dnoise = math.exp(model.log_noise_variance)
+        dnoise = math.exp(model.theta[names.index("log_noise_variance")])
         expected = np.concatenate([
             [0.5 * np.sum(a_mat * dk) for dk in dense.values()],
             [np.sum(alpha[training.outputs == m]) for m in range(6)],
@@ -165,7 +165,6 @@ class TestExactness:
         assert np.linalg.norm(got - expected) \
             <= 1e-12 * np.linalg.norm(expected)
         if floored:
-            names = parameter_names(6, model.config.rank)
             assert got[names.index("se.log_variance")] == 0.0
             assert got[names.index("coreg.log_kappa[2]")] == 0.0
 
@@ -204,7 +203,8 @@ class TestDistinctLags:
                               grid_points=grid_points)
         evaluation = _fresh_evaluation(model)
         times = evaluation.geometry.times
-        full = TemporalKernel(model.kernel,
+        kernel = model.theta[parameter_blocks(num_outputs, 1)["kernel"]]
+        full = TemporalKernel(*_floored_exp_with_grad(kernel),
                               np.abs(times[:, None] - times[None, :])).k_t
         np.testing.assert_array_equal(evaluation.k_t, full)
 
@@ -230,8 +230,7 @@ class TestFit:
         config = OptimizerConfig(iterations=0, seed=5)
         model = fit(training, config)
         initial = initialize_model(training, config)
-        np.testing.assert_array_equal(pack_parameters(model),
-                                      pack_parameters(initial))
+        np.testing.assert_array_equal(model.theta, initial.theta)
         assert model.lml_trace == [log_marginal_likelihood(initial)]
 
     def test_trace_has_one_entry_per_iteration_plus_final(self):
@@ -305,8 +304,7 @@ class TestFit:
         config = OptimizerConfig(iterations=15, seed=9)
         first = fit(training, config)
         second = fit(training, config)
-        np.testing.assert_array_equal(pack_parameters(first),
-                                      pack_parameters(second))
+        np.testing.assert_array_equal(first.theta, second.theta)
         assert first.lml_trace == second.lml_trace
 
     def test_fit_requires_two_points_per_output(self):
@@ -381,7 +379,7 @@ class TestAgainstThePerStepFit:
         assert type(model._evaluation) is (
             mogp._KroneckerEvaluation if shared_times else mogp._Evaluation)
         assert model.lml_trace == trace
-        np.testing.assert_array_equal(pack_parameters(model), theta)
+        np.testing.assert_array_equal(model.theta, theta)
 
     @given(seed=st.integers(0, 2**32 - 1), shared_times=st.booleans(),
            floored=st.booleans())
@@ -391,8 +389,9 @@ class TestAgainstThePerStepFit:
         model = _random_model(rng, num_outputs=3, points_per_output=4,
                               grid_points=7, shared_times=shared_times)
         if floored:
-            model.kernel.matern32.log_lengthscale = -60.0
-            model.coreg.log_kappa[1] = -60.0
+            names = parameter_names(3, model.config.rank)
+            model.theta[names.index("matern32.log_lengthscale")] = -60.0
+            model.theta[names.index("coreg.log_kappa[1]")] = -60.0
         reference = oracles.PerStepEvaluation(model)
         assert log_marginal_likelihood(model) == reference.lml
         np.testing.assert_array_equal(lml_gradient(model),
@@ -408,7 +407,8 @@ class TestPredict:
                                values=values, num_outputs=1)
         config = OptimizerConfig(rank=1, seed=0)
         model = initialize_model(training, config)
-        model.log_noise_variance = math.log(1e-8)
+        model.theta[parameter_names(1, 1).index("log_noise_variance")] = \
+            math.log(1e-8)
         prediction = predict(model, times)
         np.testing.assert_allclose(prediction.mean[0], values, atol=1e-3)
 
@@ -417,9 +417,13 @@ class TestPredict:
                                values=[0.5, 0.6], num_outputs=1)
         model = initialize_model(training, OptimizerConfig(rank=1, seed=0))
         prediction = predict(model, [0.5])
-        b = model.coreg.matrix()[0, 0]
-        prior_std = math.sqrt(b * model.kernel.prior_variance()
-                              + model.noise_variance)
+        b = export_coregionalization(model)[0][0, 0]
+        values, _ = _floored_exp_with_grad(model.theta)
+        names = parameter_names(1, 1)
+        prior_std = math.sqrt(
+            b * sum(values[names.index(f"{part}.log_variance")]
+                    for part in ("periodic", "se", "matern32"))
+            + values[names.index("log_noise_variance")])
         assert prediction.std[0, 0] <= prior_std + 1e-9
         assert prediction.std[0, 0] > 0.5 * prior_std
 
@@ -443,12 +447,11 @@ class TestPredict:
                                num_outputs=1)
         config = OptimizerConfig(rank=1, seed=0)
         names = parameter_names(1, 1)
-        theta = pack_parameters(initialize_model(training, config))
+        model = initialize_model(training, config)
         for name in names:
             if name.endswith("log_variance"):
-                theta[names.index(name)] = 20.0
-        theta[names.index("log_noise_variance")] = -60.0
-        model = model_from_parameters(theta, training, config)
+                model.theta[names.index(name)] = 20.0
+        model.theta[names.index("log_noise_variance")] = -60.0
         prediction = predict(model, times)
         assert np.all(np.isfinite(prediction.std))
         assert np.all(prediction.std >= 0.0)
@@ -458,12 +461,10 @@ class TestPredict:
         rng = np.random.default_rng(24)
         for shared_times in (False, True):
             model = _random_model(rng, shared_times=shared_times)
-            theta = pack_parameters(model)
-            theta[parameter_names(3, 2).index("se.log_variance")] = 1000.0
-            overflowing = model_from_parameters(theta, model.training,
-                                                model.config)
+            names = parameter_names(3, 2)
+            model.theta[names.index("se.log_variance")] = 1000.0
             with pytest.raises(NumericError, match="non-finite"):
-                predict(overflowing, np.linspace(0.0, 1.0, 5))
+                predict(model, np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("mean, std", [
         ([[math.nan, 1.0]], [[0.1, 0.0]]), ([[0.0, 1.0]], [[math.inf, 0.0]]),
@@ -482,25 +483,36 @@ class TestPredict:
 
 
 class TestParameterVector:
-    def test_pack_unpack_round_trip(self):
-        rng = np.random.default_rng(9)
-        model = _random_model(rng)
-        theta = pack_parameters(model)
-        rebuilt = model_from_parameters(theta, model.training, model.config)
-        np.testing.assert_array_equal(pack_parameters(rebuilt), theta)
-
     def test_vector_length_is_validated(self):
         rng = np.random.default_rng(10)
         model = _random_model(rng)
-        theta = pack_parameters(model)
-        with pytest.raises(ValidationError, match="expected"):
-            model_from_parameters(theta[:-1], model.training, model.config)
+        with pytest.raises(ValidationError, match="expected 20"):
+            MoGPModel(theta=model.theta[:-1], training=model.training,
+                      config=model.config)
 
     def test_parameter_names_align_with_vector(self):
         rng = np.random.default_rng(11)
         model = _random_model(rng, num_outputs=2, rank=1)
         names = parameter_names(2, 1)
-        assert len(names) == pack_parameters(model).shape[0]
+        assert len(names) == model.theta.shape[0]
+        blocks = parameter_blocks(2, 1)
+        assert [names[part] for part in blocks.values()] == [
+            names[:7], ["coreg.w[0,0]", "coreg.w[1,0]"],
+            ["coreg.log_kappa[0]", "coreg.log_kappa[1]"],
+            ["mean[0]", "mean[1]"], ["log_noise_variance"]]
+
+    @pytest.mark.parametrize("name", [
+        "periodic.log_period", "coreg.w[2,1]", "mean[0]",
+        "log_noise_variance"])
+    def test_non_finite_entry_is_named(self, name):
+        rng = np.random.default_rng(18)
+        model = _random_model(rng)
+        theta = model.theta.copy()
+        theta[parameter_names(3, 2).index(name)] = math.inf
+        with pytest.raises(ValidationError, match=re.escape(
+                f"non-finite parameter: {name}")):
+            MoGPModel(theta=theta, training=model.training,
+                      config=model.config)
 
 
 class TestTrainingSetValidation:
@@ -525,10 +537,15 @@ class TestTrainingSetValidation:
         ([0, 0.5, 1, 1.7, 0, 1], "integers"),
         ([0, 1, 0, 1, 0, float("nan")], "integers"),
         ([0, 1, 0, 1, 0, 2], r"\[0, 2\)"),
+        ([0, 2], r"\[0, 2\)"),
+        ([], "empty"),
+        ([0.0, 0.5], "integers"),
     ])
     def test_output_indices_checked_like_gram_matrix(self, outputs, match):
-        training = TrainingSet(times=np.linspace(0.0, 1.0, 6), outputs=outputs,
-                               values=np.zeros(6), num_outputs=2)
+        size = len(outputs)
+        training = TrainingSet(times=np.linspace(0.0, 1.0, size),
+                               outputs=outputs, values=np.zeros(size),
+                               num_outputs=2)
         with pytest.raises(ValidationError, match=match):
             training.validate(for_fitting=True)
 
@@ -548,8 +565,7 @@ class TestSerialization:
         path = tmp_path / "model.mogp"
         save_model(model, path)
         loaded = load_model(path)
-        np.testing.assert_array_equal(pack_parameters(loaded),
-                                      pack_parameters(model))
+        np.testing.assert_array_equal(loaded.theta, model.theta)
         second = tmp_path / "again.mogp"
         save_model(loaded, second)
         assert path.read_bytes() == second.read_bytes()
@@ -654,7 +670,10 @@ class TestCoregionalizationExport:
         rng = np.random.default_rng(16)
         model = _random_model(rng)
         b, normalized = export_coregionalization(model)
-        expected = model.coreg.matrix()
-        np.testing.assert_allclose(b, expected, rtol=1e-12)
+        blocks = parameter_blocks(3, 2)
+        w = model.theta[blocks["coreg.w"]].reshape(3, 2)
+        kappa = np.exp(model.theta[blocks["coreg.log_kappa"]])
+        np.testing.assert_allclose(b, w @ w.T + np.diag(kappa), rtol=1e-12)
+        assert float(np.min(np.linalg.eigvalsh(b))) >= 0.0
         np.testing.assert_allclose(np.diag(normalized), 1.0, rtol=1e-12)
         assert np.max(np.abs(normalized)) <= 1.0 + 1e-9
