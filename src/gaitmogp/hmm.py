@@ -6,15 +6,14 @@ covariance shared across states. Initial and transition probabilities
 are expert values favoring the normal states; EM refines the emissions
 only.
 
-Likelihoods and EM statistics come from one forward-backward kernel
-with no loop over time: the messages are running products of the
-matrices A diag(b_t), taken by a log-depth prefix scan, each product
-divided by the sum of its entries with the log carried (Rabiner 1989
-scaling, per product rather than per step). Where the scaled products
-still underflow, which shows as a zero, non-finite or inconsistent
-normaliser, the same scan reruns in the log semiring. Viterbi is a
-sequential log-space recursion on Python floats: over four states, plain
-float arithmetic per step costs less than numpy calls on 4-vectors.
+Likelihoods and EM statistics come from one forward-backward kernel:
+Rabiner's (1989) scaled recursion, one forward and one backward pass
+over time, each step's forward message divided by its sum. Where the
+scaled messages still lose mass, which shows as a zero or subnormal
+normaliser or as a row sum sum_i alpha_t(i) beta_t(i) away from 1, the
+same two passes rerun in log space. Viterbi is a log-space recursion.
+Both run on Python floats: over four states, plain float arithmetic per
+step costs less than numpy calls on 4-vectors.
 An observation sequence is only its (T, 2) steps; where its curves come
 from is the caller's setting. Models are immutable after fitting;
 decoding is pure.
@@ -23,6 +22,7 @@ decoding is pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,10 +56,10 @@ EMPTY_STATE_MASS = 1e-12
 COVARIANCE_JITTER = 1e-6
 MIN_COVARIANCE_EIGENVALUE = 1e-8
 
-# Largest spread of the scaled forward-backward's per-step values of
-# log p(O | theta) that is taken as rounding; a larger one means the
-# scaled products lost mass to underflow (rounding measured below 1e-10
-# at T = 1000 with |log p| near 1e6).
+# Largest |log| of a row sum sum_i alpha_t(i) beta_t(i) of the scaled
+# forward-backward that is taken as rounding; the sum is 1 in exact
+# arithmetic, so a larger one means the messages lost mass to underflow
+# (rounding measured below 3e-14 at T = 4000 with |log p| up to 4e7).
 SPLIT_TOLERANCE = 1e-8
 
 
@@ -234,132 +234,90 @@ def emission_logpdf(model: HmmModel, obs, state: int) -> float:
 
 
 def _forward_backward(model: HmmModel, steps: np.ndarray):
-    """Forward-backward as one log-depth scan: (gamma, log p(O | theta)).
+    """(gamma, log p(O | theta)) by Rabiner's (1989) scaled recursion.
 
     With b_t the emission densities of step t divided by their largest
-    one (the emission shift), the forward message is
-    alpha_t = (pi o b_0) M_1 ... M_t and the backward one
-    beta_t = M_{t+1} ... M_{T-1} 1, where M_t = A diag(b_t). Both are
-    running products of an associative matrix product, so ``_scan``
-    takes all of them in ceil(log2 T) batched matmuls (temporal
-    parallelization, Hassan, Särkkä & García-Fernández 2021); see
-    ``_scan_elements`` for how one scan yields both messages. Every
-    product is divided by the sum of its entries and the log of that sum
-    carried beside it (Rabiner 1989 scaling, taken per product rather
-    than per step). gamma_t is alpha_t o beta_t normalized to sum to
-    one, and its normaliser with the two carried log scales and the
-    emission shifts gives log p(O | theta) = log sum_i alpha_t(i)
-    beta_t(i), which holds at every t; it is read at t = T - 1.
+    one (the emission shift), the forward pass divides
+    alpha_t = (alpha_{t-1} A) o b_t, from alpha_0 = pi o b_0, by its sum
+    c_t; the backward pass takes beta_t = A (b_{t+1} o beta_{t+1}) / c_{t+1}
+    from beta_{T-1} = 1. Then log p(O | theta) = sum_t log c_t + sum_t
+    shift_t, every row sum sum_i alpha_t(i) beta_t(i) is 1 (the Rabiner
+    identity), and gamma_t is alpha_t o beta_t over its row sum.
 
-    The scaled products can still underflow: the shift may leave only
+    The scaled messages can still lose mass: the shift may leave only
     states that A cannot reach with a nonzero b, or a state that matters
-    to alpha_t may sit more than the float range below another inside
-    a product. Then a normaliser is 0 or not finite, or the split values
-    of log p(O | theta) disagree by more than ``SPLIT_TOLERANCE``, and
-    the same scan runs in the log semiring (``_log_forward_backward``),
-    which cannot underflow and is about ten times slower. An impossible
-    sequence gives -inf and zero statistics.
+    later may sit more than the float range below another in alpha_t.
+    Then some c_t is zero, subnormal or not finite, or some row sum's log
+    is further than ``SPLIT_TOLERANCE`` from 0, and the same two passes
+    run in log space (``_log_forward_backward``), which cannot underflow
+    and is slower. An impossible sequence gives -inf and zero statistics.
     """
     log_b = _emission_log_matrix(model, steps)
     shift = log_b.max(axis=1)
     shift[np.isinf(shift)] = 0.0     # impossible under every state: b = 0
-    b = np.exp(log_b - shift[:, None])
-    elements = _scan_elements(model.initial_probs * b[0],
-                              model.transitions * b[1:, None, :], 1.0)
+    emissions = np.exp(log_b - shift[:, None]).tolist()
+    # Four states, unrolled: named floats cost less per step than a loop
+    # or a comprehension over states.
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = model.transitions.tolist()
+    smallest, largest = sys.float_info.min, math.inf
+
+    alphas, scales = [], []
+    p0, p1, p2, p3 = model.initial_probs.tolist()
+    for b0, b1, b2, b3 in emissions:
+        x0, x1, x2, x3 = p0 * b0, p1 * b1, p2 * b2, p3 * b3
+        scale = x0 + x1 + x2 + x3
+        if not smallest <= scale < largest:
+            return _log_forward_backward(model, log_b)
+        x0, x1, x2, x3 = x0 / scale, x1 / scale, x2 / scale, x3 / scale
+        alphas.extend((x0, x1, x2, x3))
+        scales.append(scale)
+        p0 = x0 * a00 + x1 * a10 + x2 * a20 + x3 * a30
+        p1 = x0 * a01 + x1 * a11 + x2 * a21 + x3 * a31
+        p2 = x0 * a02 + x1 * a12 + x2 * a22 + x3 * a32
+        p3 = x0 * a03 + x1 * a13 + x2 * a23 + x3 * a33
+
+    y0 = y1 = y2 = y3 = 1.0
+    betas = [y0, y1, y2, y3]
+    for (b0, b1, b2, b3), scale in zip(emissions[:0:-1], scales[:0:-1]):
+        w0, w1, w2, w3 = b0 * y0, b1 * y1, b2 * y2, b3 * y3
+        y0 = (a00 * w0 + a01 * w1 + a02 * w2 + a03 * w3) / scale
+        y1 = (a10 * w0 + a11 * w1 + a12 * w2 + a13 * w3) / scale
+        y2 = (a20 * w0 + a21 * w1 + a22 * w2 + a23 * w3) / scale
+        y3 = (a30 * w0 + a31 * w1 + a32 * w2 + a33 * w3) / scale
+        betas.extend((y0, y1, y2, y3))
+
+    # An overflowed beta on a zero alpha gives nan, which fails the check.
     with np.errstate(divide="ignore", invalid="ignore"):
-        products, log_scale = _scan(_normalized(elements), _scaled_matmul)
-        gamma = products[:, 0, 0] * products[::-1, 1, 0]
+        gamma = (np.fromiter(alphas, float).reshape(-1, NUM_STATES)
+                 * np.fromiter(betas, float).reshape(-1, NUM_STATES)[::-1])
         norm = gamma.sum(axis=1)
-        split = np.log(norm) + log_scale[:, 0] + log_scale[::-1, 1]
-        if np.all(np.abs(split - split[-1]) <= SPLIT_TOLERANCE):
-            return gamma / norm[:, None], float(split[-1] + shift.sum())
+        if np.all(np.abs(np.log(norm)) <= SPLIT_TOLERANCE):
+            return gamma / norm[:, None], float(np.log(scales).sum() + shift.sum())
     return _log_forward_backward(model, log_b)
 
 
-def _scan_elements(initial: np.ndarray, step: np.ndarray, one: float) -> np.ndarray:
-    """(T, 2, 4, 4) scan input: the forward chain, then the backward one.
-
-    Chain 0 is (1 initial^T, M_1, ..., M_{T-1}): its prefix products
-    have every row alpha_t. Chain 1 is (one, M_{T-1}^T, ..., M_1^T), with
-    ``one`` the unit of the semiring in every entry: its prefix product
-    k is (M_{T-k} ... M_{T-1} 1 1^T)^T, so every row is beta_{T-1-k}.
-    """
-    elements = np.empty((step.shape[0] + 1, 2, NUM_STATES, NUM_STATES))
-    elements[0, 0] = initial
-    elements[0, 1] = one
-    elements[1:, 0] = step
-    elements[1:, 1] = step[::-1].transpose(0, 2, 1)
-    return elements
-
-
-def _scan(elements: tuple, combine) -> tuple:
-    """Inclusive prefix combination of T elements by Hillis-Steele
-    doubling: ceil(log2 T) batched calls of ``combine``.
-
-    ``elements`` is a tuple of arrays indexed by element along axis 0;
-    ``combine(left, right)`` takes two such tuples of equal length, with
-    ``left`` the earlier elements, and must be associative. The arrays
-    of ``elements`` are overwritten with the result and returned.
-    """
-    count = elements[0].shape[0]
-    span = 1
-    while span < count:
-        combined = combine(tuple(part[:-span] for part in elements),
-                           tuple(part[span:] for part in elements))
-        for part, value in zip(elements, combined):
-            part[span:] = value
-        span *= 2
-    return elements
-
-
-def _normalized(matrices: np.ndarray) -> tuple:
-    """(each matrix divided in place by the sum of its entries, log of
-    that sum)."""
-    # A matrix-vector product sums the 16 entries far faster than a
-    # reduction over the two short trailing axes.
-    total = (matrices.reshape(*matrices.shape[:-2], NUM_STATES ** 2)
-             @ np.ones(NUM_STATES ** 2))
-    matrices /= total[..., None, None]
-    return matrices, np.log(total)
-
-
-def _scaled_matmul(left: tuple, right: tuple) -> tuple:
-    """Product of normalized matrices, carrying their log scales."""
-    product, log_total = _normalized(left[0] @ right[0])
-    return product, left[1] + right[1] + log_total
-
-
 def _log_forward_backward(model: HmmModel, log_b: np.ndarray):
-    """``_forward_backward``'s scan in the log semiring: exact where the
-    scaled linear products underflow, and slower."""
+    """``_forward_backward``'s two passes in log space: exact where the
+    scaled messages lose mass, and slower."""
     with np.errstate(divide="ignore"):
         log_pi, log_a = np.log(model.initial_probs), np.log(model.transitions)
-    elements = _scan_elements(log_pi + log_b[0], log_a + log_b[1:, None, :], 0.0)
-    (products,) = _scan((elements,), _log_matmul)
-    log_alpha, log_beta = products[:, 0, 0], products[::-1, 1, 0]
-    log_likelihood = float(_logsumexp(log_alpha[-1], axis=0))
+    log_alpha, log_beta = np.empty(log_b.shape), np.zeros(log_b.shape)
+    log_alpha[0] = log_pi + log_b[0]
+    for t in range(1, len(log_b)):
+        log_alpha[t] = (np.logaddexp.reduce(log_alpha[t - 1, :, None] + log_a)
+                        + log_b[t])
+    for t in range(len(log_b) - 2, -1, -1):
+        log_beta[t] = np.logaddexp.reduce(
+            log_a + (log_b[t + 1] + log_beta[t + 1]), axis=1)
+    log_likelihood = float(np.logaddexp.reduce(log_alpha[-1]))
     if not math.isfinite(log_likelihood):
         return np.zeros(log_b.shape), -math.inf
     return np.exp(log_alpha + log_beta - log_likelihood), log_likelihood
 
 
-def _log_matmul(left: tuple, right: tuple) -> tuple:
-    """Batched matrix product in the log semiring (log-sum-exp over k)."""
-    terms = left[0][..., :, :, None] + right[0][..., None, :, :]
-    return (_logsumexp(terms, axis=-2),)
-
-
-def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(values))) along ``axis``; -inf where every term is."""
-    peak = values.max(axis=axis, keepdims=True)
-    peak[np.isinf(peak)] = 0.0
-    with np.errstate(divide="ignore"):
-        total = np.log(np.exp(values - peak).sum(axis=axis))
-    return total + np.squeeze(peak, axis=axis)
-
-
 def forward_log_likelihood(model: HmmModel, seq: ObservationSequence) -> float:
-    """log p(O | theta) from the forward-backward scan."""
+    """log p(O | theta) from the scaled forward-backward recursion."""
     model.validate()
     return _forward_backward(model, seq.steps)[1]
 
@@ -367,10 +325,9 @@ def forward_log_likelihood(model: HmmModel, seq: ObservationSequence) -> float:
 def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
     """Most probable state path, log-space DP, ties to the lowest index.
 
-    The recursion runs on Python floats, which for four states is far
-    cheaper than numpy calls on 4-vectors: delta_t(j) = (delta_{t-1}(i*)
-    + log a_{i* j}) + log b_t(j), where i* is the predecessor whose score
-    beats every lower-indexed one strictly, so ties keep the lowest.
+    delta_t(j) = (delta_{t-1}(i*) + log a_{i* j}) + log b_t(j), where i*
+    is the predecessor whose score beats every lower-indexed one
+    strictly, so ties keep the lowest.
     """
     model.validate()
     emissions = _emission_log_matrix(model, seq.steps)
@@ -557,5 +514,8 @@ def load_model(path) -> HmmModel:
                 f"{path}: {key} must have {count} entries, got {len(values)}")
         arrays[key] = np.array(values).reshape(shape)
     model = HmmModel(**arrays)
-    model.validate()
+    try:
+        model.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return model

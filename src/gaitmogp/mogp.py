@@ -105,7 +105,7 @@ class TrainingSet:
 
     def validate(self, for_fitting: bool = False) -> None:
         """Check the points and the values; output indices are stored as
-        ints from then on."""
+        ints from then on. Each message starts with the field it judges."""
         outputs = self.outputs
         if self.num_outputs < 1:
             raise ValidationError("num_outputs must be >= 1")
@@ -115,22 +115,22 @@ class TrainingSet:
                     f"times ({self.size}) and {name} ({array.shape[0]}) "
                     "must have equal length")
         if self.size == 0:
-            raise ValidationError("point set is empty: at least one "
+            raise ValidationError("times is empty: at least one "
                                   "(time, output) point is required")
         if not np.all(np.isfinite(self.times)):
             raise ValidationError("times must be finite")
         if not (np.issubdtype(outputs.dtype, np.integer)
                 or np.all(np.isfinite(outputs)
                           & (outputs == np.round(outputs)))):
-            raise ValidationError("output indices must be integers")
+            raise ValidationError("outputs must be integers")
         if np.any(outputs < 0) or np.any(outputs >= self.num_outputs):
             raise ValidationError(
-                f"output indices must lie in [0, {self.num_outputs})")
+                f"outputs must lie in [0, {self.num_outputs})")
         self.outputs = outputs.astype(int)
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("values must be finite")
         if np.any(self.times < 0.0) or np.any(self.times > 1.0):
-            raise ValidationError("training times must lie in [0, 1]")
+            raise ValidationError("times must lie in [0, 1]")
         if for_fitting:
             counts = np.bincount(self.outputs, minlength=self.num_outputs)
             lacking = np.nonzero(counts < 2)[0]
@@ -791,7 +791,10 @@ def load_model(path) -> MoGPModel:
         num_outputs=(integer("training.num_outputs")
                      if "training.num_outputs" in doc else num_outputs),
     )
-    training.validate()
+    try:
+        training.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: training.{exc}") from None
     if training.size != integer("training.num_points"):
         raise ValidationError(f"{path}: training.num_points mismatch")
     if training.data_hash() != grab("training.hash"):

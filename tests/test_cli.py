@@ -244,16 +244,35 @@ class TestErrorReporting:
         ("means", "0.1,0.2,0.3,0.4,0.5"),
         ("config.iterations", "-5"),
         ("config.learning_rate", "-1.0"),
+        ("training.num_outputs", "0"),
+        pytest.param("training.times",
+                     lambda times: "1.5," + times.split(",", 1)[1],
+                     id="training.times-first-1.5"),
+        # An .hmm file, read by segment --hmm.
+        ("initial_probs", "0.7,0.3,0.05,0.05"),
     ])
     def test_malformed_model_file(self, pipeline, tmp_path, capsys,
                                   key, value):
-        lines = (pipeline["models"] / "C01.mogp").read_text().splitlines()
-        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
-                 for line in lines]
-        model = tmp_path / "bad.mogp"
+        if key in hmm.HmmModel.__dataclass_fields__:
+            model = tmp_path / "bad.hmm"
+            hmm.save_model(hmm.default_model(), model)
+            command = ["segment", "--input", str(pipeline["corpus"]),
+                       "--output", str(tmp_path / "report.json"),
+                       "--mogp-dir", str(pipeline["models"]),
+                       "--hmm", str(model), *FAST_FIT]
+        else:
+            model = tmp_path / "bad.mogp"
+            model.write_bytes((pipeline["models"] / "C01.mogp").read_bytes())
+            command = ["predict", "--model", str(model), "--output",
+                       str(tmp_path / "pred.csv")]
+        lines = []
+        for line in model.read_text().splitlines():
+            name, _, old = line.partition(" = ")
+            if name == key:
+                line = f"{key} = {value(old) if callable(value) else value}"
+            lines.append(line)
         model.write_text("\n".join(lines) + "\n")
-        assert cli.main(["predict", "--model", str(model), "--output",
-                         str(tmp_path / "pred.csv")]) == 2
+        assert cli.main(command) == 2
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         err = json.loads(captured.err)

@@ -45,8 +45,8 @@ def _random_sequence(rng: np.random.Generator, length: int) -> ObservationSequen
     return ObservationSequence(steps=rng.normal(0.0, 1.5, size=(length, 2)))
 
 
-# Lengths for the forward-backward scan: short ones, the doubling
-# boundaries 2**k and 2**k + 1, the CLI's 400 grid points and a long one.
+# Lengths for the forward-backward: short ones, powers of two and one
+# past them, the CLI's 400 grid points and a long one.
 SCAN_LENGTHS = (1, 2, 3, 4, 5, 8, 9, 17, 64, 65, 400, 1000)
 
 
@@ -136,7 +136,7 @@ class TestExactness:
             self, monkeypatch):
         # Observations drawn around the origin at the means' own scale lie
         # hundreds of standard deviations from most states, so the scaled
-        # linear scan underflows on some cases and the log semiring takes
+        # recursion underflows on some cases and the log-space passes take
         # over. The oracle's own rounding grows with |log p|, up to ~4e-7
         # in gamma at T = 1000, hence the looser bounds.
         fallbacks = []
@@ -181,12 +181,11 @@ class TestExactness:
         assert np.all(np.diff(fitted.log_likelihood_trace) >= -1e-9)
 
     def test_posterior_survives_mass_lost_inside_a_product(self):
-        # No scaled normaliser is 0 here, but inside one product of the
-        # scan a state that dominates gamma at step 1 sits more than the
-        # float range below another, so the linear posterior at step 1
-        # comes out as (0, 1, 0, 0) against the true ~(1, 0, 0, 0). The
-        # per-step values of log p(O) disagree, which selects the log
-        # semiring.
+        # Inside the product of a few steps' matrices A diag(b_t), a state
+        # that dominates gamma at step 1 sits more than the float range
+        # below another, so a forward-backward that multiplies steps
+        # before it normalizes gets (0, 1, 0, 0) at step 1 against the true
+        # ~(1, 0, 0, 0). The scaled recursion normalizes every step.
         model = default_model()
         model.state_means = np.array([[-6.55, 23.4], [1.2, -21.88],
                                       [-14.35, -28.96], [-7.3, -0.82]])
@@ -199,6 +198,36 @@ class TestExactness:
         assert log_likelihood == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
                                    atol=1e-10)
+
+    def test_row_sum_check_catches_a_state_dropped_from_alpha(
+            self, monkeypatch):
+        # Two closed blocks of states, {1, 2} and {3, 4}. Steps 0 and 1
+        # favor the first block by e^400 each, so the second block's
+        # scaled alpha at step 1 (~e^-800) underflows to 0 while every c_t
+        # stays normal. Steps 2-4 favor the second block by e^400 each, so
+        # it carries the whole posterior: without the row-sum check, log p
+        # comes out 400 too low and gamma puts steps 3-4 on the first
+        # block. The row sums before the drop are not 1 (there the second
+        # block's beta overflows), which selects the log-space passes.
+        fallbacks = []
+        log_passes = hmm._log_forward_backward
+        monkeypatch.setattr(hmm, "_log_forward_backward",
+                            lambda *args: fallbacks.append(1) or log_passes(*args))
+        far = math.sqrt(800.0)
+        model = HmmModel(
+            initial_probs=np.full(4, 0.25),
+            transitions=[[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                         [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]],
+            state_means=[[0.0, 0.0], [0.0, 0.5], [far, 0.0], [far, 0.5]],
+            shared_covariance=np.eye(2))
+        steps = np.array([[0.0, 0.0]] * 2 + [[far, 0.0]] * 3)
+        gamma, log_likelihood = hmm._forward_backward(model, steps)
+        expected, expected_gamma = _log_space_oracle(model, steps)
+        assert log_likelihood == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                   atol=1e-10)
+        assert np.all(gamma[:, 2:].sum(axis=1) > 0.999)
+        assert len(fallbacks) == 1
 
     def test_emission_matrix_equals_one_solve_per_state(self):
         rng = np.random.default_rng(117)
