@@ -4,7 +4,8 @@
 corpus (seed 0, one subject per cohort, two cycles each; its sha256 is
 ``corpus.sha256``): a pooled fit on the Kronecker path with its fitlog,
 that model's predictions on 50 grid points, its ``export-plots`` bands
-and coregionalization tables, and a segment report. A
+and coregionalization tables, a segment report, and the split and
+aggregate reports of a leave-one-subject-out ``evaluate``. A
 change that moves any fitted number fails here, so such a change has to
 regenerate the files on purpose:
 
@@ -28,7 +29,9 @@ from gaitmogp.gait_signal import CHANNELS
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 OUTPUTS = ("pooled.mogp", "pooled.fitlog.csv", "predict.csv", "segment.json",
            *(f"band_{name}.csv" for name in CHANNELS),
-           "coregionalization.csv", "coregionalization_normalized.csv")
+           "coregionalization.csv", "coregionalization_normalized.csv",
+           "split_C01.metrics", "split_D01.metrics",
+           "aggregate.metrics")
 FIT = ("--filter-cutoff", "none", "--iterations", "5",
        "--points-per-channel", "20")
 
@@ -46,6 +49,7 @@ def _regenerate(out: pathlib.Path) -> None:
          str(out)],
         ["segment", "--input", corpus, *FIT, "--em-iterations", "3",
          "--output", str(out / "segment.json")],
+        ["evaluate", "--input", corpus, *FIT, "--output", str(out)],
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in commands:
