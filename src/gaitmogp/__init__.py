@@ -19,10 +19,10 @@ from .hmm import (AnomalousSegment, BaumWelchConfig, DecodedStates, HmmModel,
                   ObservationSequence, anomalous_segments, baum_welch_fit,
                   default_model, emission_logpdf, forward_log_likelihood,
                   init_emissions_from_data, viterbi_decode)
-from .gait_signal import (CHANNELS, GaitEvents, PhaseDurations,
-                          detect_events, impute_missing, lowpass_filter,
-                          normalize_and_align, phase_durations)
-from .metrics import MetricReport, compute_report, dtw, mae, r_squared
+from .gait_signal import (CHANNELS, GaitEvents, detect_events,
+                          impute_missing, lowpass_filter, normalize_and_align,
+                          phase_durations)
+from .metrics import compute_report, dtw, mae, r_squared
 from .dataio import (AnomalySpec, SubjectRecord, SynthConfig,
                      generate_synthetic, load_corpus, loso_splits,
                      save_corpus)
@@ -39,10 +39,9 @@ __all__ = [
     "ObservationSequence", "anomalous_segments", "baum_welch_fit",
     "default_model", "emission_logpdf", "forward_log_likelihood",
     "init_emissions_from_data", "viterbi_decode",
-    "CHANNELS", "GaitEvents", "PhaseDurations", "detect_events",
-    "impute_missing", "lowpass_filter", "normalize_and_align",
-    "phase_durations",
-    "MetricReport", "compute_report", "dtw", "mae", "r_squared",
+    "CHANNELS", "GaitEvents", "detect_events", "impute_missing",
+    "lowpass_filter", "normalize_and_align", "phase_durations",
+    "compute_report", "dtw", "mae", "r_squared",
     "AnomalySpec", "SubjectRecord", "SynthConfig",
     "generate_synthetic", "load_corpus", "loso_splits", "save_corpus",
     "__version__",

@@ -34,8 +34,7 @@ import numpy as np
 
 from . import dataio, gait_signal, hmm, metrics, mogp
 from .errors import NumericError, ValidationError
-from .gait_signal import (CHANNELS, GaitEvents, detect_events,
-                          phase_durations)
+from .gait_signal import CHANNELS, detect_events, phase_durations
 from .serialize import (atomic_write_text, field_kinds, format_float,
                         parse_number, read_document, write_document)
 
@@ -386,11 +385,6 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def _events_payload(events: GaitEvents) -> dict:
-    return {"heel_strikes": [float(t) for t in events.heel_strikes],
-            "toe_offs": [float(t) for t in events.toe_offs]}
-
-
 def _bilateral_deviation(obs: np.ndarray) -> np.ndarray:
     """Per-step bilateral-symmetry deviation, in robust per-subject units.
 
@@ -426,8 +420,9 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
     grid = record.grid
     notes: list[str] = []
 
-    if cfg.observation_source == "mogp-predicted":
-        model = None
+    if cfg.observation_source == "raw":
+        curves = record.cycles.mean(axis=0)
+    else:
         if cfg.mogp_dir is not None:
             path = os.path.join(cfg.mogp_dir, f"{record.subject_id}.mogp")
             if not os.path.exists(path):
@@ -439,13 +434,9 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
                     f"segment needs {len(CHANNELS)} ({', '.join(CHANNELS)})")
         else:
             model = _fit_records(cfg, [record], index)
-        pred = mogp.predict(model, grid)
-        right = pred.mean[CHANNELS.index("ankle_right")]
-        left = pred.mean[CHANNELS.index("ankle_left")]
-    else:
-        stacked = record.cycles.mean(axis=0)
-        right = stacked[CHANNELS.index("ankle_right")]
-        left = stacked[CHANNELS.index("ankle_left")]
+        curves = mogp.predict(model, grid).mean
+    right = curves[CHANNELS.index("ankle_right")]
+    left = curves[CHANNELS.index("ankle_left")]
 
     obs = hmm.ObservationSequence(steps=np.column_stack([right, left]))
     if shared_hmm is not None:
@@ -461,15 +452,14 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
     events_doc, phases_doc = {}, {}
     for side, curve in (("right", right), ("left", left)):
         events = detect_events(curve, grid)
-        events_doc[side] = _events_payload(events)
+        events_doc[side] = {"heel_strikes": events.heel_strikes.tolist(),
+                            "toe_offs": events.toe_offs.tolist()}
         try:
-            phases = phase_durations(events)
-            phases_doc[side] = {
-                "stance": [float(d) for d in phases.stance],
-                "swing": [float(d) for d in phases.swing]}
+            stance, swing = phase_durations(events)
         except ValidationError as exc:
             notes.append(f"{side}: phase durations unavailable ({exc})")
-            phases_doc[side] = {"stance": [], "swing": []}
+            stance, swing = [], []
+        phases_doc[side] = {"stance": stance, "swing": swing}
 
     return {
         "subject_id": record.subject_id,
@@ -520,7 +510,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     os.makedirs(out_dir, exist_ok=True)
     splits = dataio.loso_splits(records)
 
-    per_split_values: list[dict[str, float]] = []
+    per_split: list[dict[str, float]] = []
     for split_index, (train, held) in enumerate(splits):
         model = _fit_records(cfg, train, split_index)
         pred = mogp.predict(model, held.grid)
@@ -532,34 +522,30 @@ def cmd_evaluate(cfg: RunConfig) -> int:
                                    for p, t in zip(pred.mean, truth)])
         stds = held.channel_stds[:, None]
         means = held.channel_means[:, None]
-        reports = (
-            ("normalized", metrics.compute_report(
-                pred.mean, truth, CHANNELS, per_output_dtw=normalized_dtw)),
-            ("raw", metrics.compute_report(
-                pred.mean * stds + means, truth * stds + means, CHANNELS,
-                per_output_dtw=held.channel_stds * normalized_dtw)))
-        items: list[tuple[str, str]] = []
-        for unit, report in reports:
-            items += [(f"{unit}.{key}", text)
-                      for key, text in report.as_document().items()]
-        values = {key: float(text) for key, text in items}
-        per_split_values.append(values)
+        values = {}
+        for unit, report in (
+                ("normalized", metrics.compute_report(
+                    pred.mean, truth, CHANNELS,
+                    per_output_dtw=normalized_dtw)),
+                ("raw", metrics.compute_report(
+                    pred.mean * stds + means, truth * stds + means, CHANNELS,
+                    per_output_dtw=held.channel_stds * normalized_dtw))):
+            values.update({f"{unit}.{key}": value
+                           for key, value in report.items()})
+        per_split.append(values)
         write_document(
             os.path.join(out_dir, f"split_{held.subject_id}.metrics"),
             [("schema", "evaluate-v1"), ("subject_id", held.subject_id),
-             *items])
+             *((key, format_float(v)) for key, v in values.items())])
         print(f"split {held.subject_id}: "
               f"normalized.mae={values['normalized.mae']:.6f} "
               f"raw.mae={values['raw.mae']:.6f}")
 
-    aggregate_items: list[tuple[str, str]] = [
-        ("schema", "evaluate-aggregate-v1"),
-        ("splits", str(len(splits)))]
-    for key in per_split_values[0]:
-        mean_value = float(np.mean([v[key] for v in per_split_values]))
-        aggregate_items.append((key, format_float(mean_value)))
-    write_document(os.path.join(out_dir, "aggregate.metrics"),
-                   aggregate_items)
+    aggregate = {key: float(np.mean([values[key] for values in per_split]))
+                 for key in per_split[0]}
+    write_document(os.path.join(out_dir, "aggregate.metrics"), [
+        ("schema", "evaluate-aggregate-v1"), ("splits", str(len(splits))),
+        *((key, format_float(v)) for key, v in aggregate.items())])
     print(f"wrote {len(splits)} split reports and aggregate to {out_dir}")
     return 0
 

@@ -76,21 +76,6 @@ class GaitEvents:
                 raise ValidationError(f"{name} must lie within [0, 1]")
 
 
-@dataclass
-class PhaseDurations:
-    """Stance/swing durations per cycle, one side, normalized-time units."""
-
-    stance: np.ndarray
-    swing: np.ndarray
-
-    def __post_init__(self):
-        self.stance = np.asarray(self.stance, dtype=float).ravel()
-        self.swing = np.asarray(self.swing, dtype=float).ravel()
-        if (self.stance.size and np.any(self.stance <= 0.0)) or \
-                (self.swing.size and np.any(self.swing <= 0.0)):
-            raise ValidationError("durations must be positive")
-
-
 def lowpass_filter(samples, cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
                    frame_rate: float = FRAME_RATE) -> np.ndarray:
     """Zero-phase Butterworth low-pass of order FILTER_ORDER along axis 0
@@ -357,12 +342,17 @@ def _find_peaks(signal: np.ndarray, prominence: float,
     return peaks[np.array(keep, dtype=bool)]
 
 
-def phase_durations(events: GaitEvents) -> PhaseDurations:
-    """Stance (heel strike -> next toe-off) and swing (toe-off -> next
-    heel strike) durations, in time order.
+def phase_durations(events: GaitEvents) -> tuple[list[float], list[float]]:
+    """(stance, swing): the stance (heel strike -> next toe-off) and swing
+    (toe-off -> next heel strike) durations, in time order.
 
-    The trailing phase is truncated by the end of the recording, so the
-    two lists may differ in length by one.
+    Phases are not wrapped around the cycle end, so the trailing phase is
+    lost and the two lists may differ in length by one. On one cycle with
+    a heel strike before a toe-off, which is what ``segment`` finds on
+    most sides of its one mean cycle, that leaves one stance and an empty
+    swing list; a toe-off before the heel strike leaves no stance and
+    raises. Events that do not alternate, or a zero duration (a heel
+    strike at the time of a toe-off), raise too.
     """
     merged = sorted(
         [(float(t), 0) for t in events.heel_strikes]
@@ -374,12 +364,11 @@ def phase_durations(events: GaitEvents) -> PhaseDurations:
             f"events do not alternate at merged indices {offending}")
 
     stance, swing = [], []
-    for (t0, kind0), (t1, kind1) in zip(merged, merged[1:]):
-        if kind0 == 0 and kind1 == 1:
-            stance.append(t1 - t0)
-        elif kind0 == 1 and kind1 == 0:
-            swing.append(t1 - t0)
+    for (t0, kind), (t1, _) in zip(merged, merged[1:]):
+        (stance if kind == 0 else swing).append(t1 - t0)
     if not stance:
         raise ValidationError(
             "no heel-strike -> toe-off pair found; cannot compute phases")
-    return PhaseDurations(stance=stance, swing=swing)
+    if min(stance + swing) <= 0.0:
+        raise ValidationError("durations must be positive")
+    return stance, swing

@@ -245,22 +245,31 @@ def _forward_backward(model: HmmModel, steps: np.ndarray):
     identity), and gamma_t is alpha_t o beta_t over its row sum.
 
     The scaled messages can still lose mass: the shift may leave only
-    states that A cannot reach with a nonzero b, or a state that matters
-    later may sit more than the float range below another in alpha_t.
-    Then some c_t is zero, subnormal or not finite, or some row sum's log
-    is further than ``SPLIT_TOLERANCE`` from 0, and the same two passes
-    run in log space (``_log_forward_backward``), which cannot underflow
-    and is slower. An impossible sequence gives -inf and zero statistics.
+    states that A cannot reach with a nonzero b, a state that matters
+    later may sit more than the float range below another in alpha_t, or
+    a possible state's b may itself fall below the normal floats, which
+    no c_t or row sum shows. Then some b_t with a finite log is zero or
+    subnormal, some c_t is zero, subnormal or not finite, or some row
+    sum's log is further than ``SPLIT_TOLERANCE`` from 0, and the same
+    two passes run in log space (``_log_forward_backward``), which cannot
+    underflow and is slower. An impossible sequence gives -inf and zero
+    statistics.
     """
     log_b = _emission_log_matrix(model, steps)
     shift = log_b.max(axis=1)
     shift[np.isinf(shift)] = 0.0     # impossible under every state: b = 0
-    emissions = np.exp(log_b - shift[:, None]).tolist()
+    smallest, largest = sys.float_info.min, math.inf
+    emissions = np.exp(log_b - shift[:, None])
+    # A finite log-emission more than ~708 nats below its step's best
+    # leaves a b below the normal floats, and with it a state that no
+    # scale or row sum shows lost.
+    if np.any((emissions < smallest) & np.isfinite(log_b)):
+        return _log_forward_backward(model, log_b)
+    emissions = emissions.tolist()
     # Four states, unrolled: named floats cost less per step than a loop
     # or a comprehension over states.
     (a00, a01, a02, a03), (a10, a11, a12, a13), \
         (a20, a21, a22, a23), (a30, a31, a32, a33) = model.transitions.tolist()
-    smallest, largest = sys.float_info.min, math.inf
 
     alphas, scales = [], []
     p0, p1, p2, p3 = model.initial_probs.tolist()

@@ -14,13 +14,11 @@ All functions are pure and concurrent-safe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .serialize import format_float
 
 
 def _as_sequence(name: str, values, min_length: int = 1) -> np.ndarray:
@@ -121,76 +119,33 @@ def dtw(a, b) -> float:
     return float(buffers[(num_diagonals - 1) % 3, n])
 
 
-@dataclass
-class MetricReport:
-    """Aggregate and per-output MAE, R² and DTW for one prediction set.
-
-    ``adtw`` is the mean of ``per_output_dtw``; aggregate MAE and R² are
-    computed on the pooled (flattened) channels.
-    """
-
-    mae: float
-    r_squared: float
-    adtw: float
-    per_output_mae: np.ndarray
-    per_output_r_squared: np.ndarray
-    per_output_dtw: np.ndarray
-    output_names: tuple[str, ...]
-
-    def __post_init__(self):
-        self.per_output_mae = np.asarray(self.per_output_mae, dtype=float)
-        self.per_output_r_squared = np.asarray(
-            self.per_output_r_squared, dtype=float)
-        self.per_output_dtw = np.asarray(self.per_output_dtw, dtype=float)
-        self.output_names = tuple(self.output_names)
-        n = len(self.output_names)
-        if not (self.per_output_mae.shape == self.per_output_r_squared.shape
-                == self.per_output_dtw.shape == (n,)):
-            raise ValidationError("per-output arrays must match output_names")
-        if self.mae < 0.0 or self.adtw < 0.0 or self.r_squared > 1.0 or \
-                np.any(self.per_output_mae < 0.0) or \
-                np.any(self.per_output_dtw < 0.0) or \
-                np.any(self.per_output_r_squared > 1.0):
-            raise ValidationError("metric invariants violated")
-
-    def as_document(self) -> dict[str, str]:
-        """Machine-readable key/value form."""
-        doc = {
-            "mae": format_float(self.mae),
-            "r_squared": format_float(self.r_squared),
-            "adtw": format_float(self.adtw),
-        }
-        for i, name in enumerate(self.output_names):
-            doc[f"mae.{name}"] = format_float(float(self.per_output_mae[i]))
-            doc[f"r_squared.{name}"] = format_float(
-                float(self.per_output_r_squared[i]))
-            doc[f"dtw.{name}"] = format_float(float(self.per_output_dtw[i]))
-        return doc
-
-
 def compute_report(pred_set, truth_set, output_names,
-                   per_output_dtw) -> MetricReport:
-    """Build a MetricReport from (M, Q) prediction/truth arrays, one
-    name per row, and the (M,) per-row DTWs, which the caller computes
-    (evaluate derives raw-unit DTWs from the normalized ones)."""
+                   per_output_dtw) -> dict[str, float]:
+    """MAE, R² and DTW of (M, Q) prediction/truth arrays, one name per
+    row, given the (M,) per-row DTWs, which the caller computes
+    (evaluate derives raw-unit DTWs from the normalized ones).
+
+    The keys are ``mae``, ``r_squared`` and ``adtw``, then ``mae.<name>``,
+    ``r_squared.<name>`` and ``dtw.<name>`` per row in row order. The
+    aggregate MAE and R² are taken over the pooled (flattened) rows, and
+    aDTW is the mean of the per-row DTWs.
+    """
     pred = np.atleast_2d(np.asarray(pred_set, dtype=float))
     truth = np.atleast_2d(np.asarray(truth_set, dtype=float))
     if pred.shape != truth.shape:
         raise ValidationError(
             f"shape mismatch: pred {pred.shape}, truth {truth.shape}")
-    num_outputs = pred.shape[0]
-    if len(output_names) != num_outputs:
+    if len(output_names) != pred.shape[0]:
         raise ValidationError("output_names must match the number of rows")
-    per_mae = np.array([mae(pred[m], truth[m]) for m in range(num_outputs)])
-    per_r2 = np.array([r_squared(pred[m], truth[m])
-                       for m in range(num_outputs)])
     per_dtw = np.asarray(per_output_dtw, dtype=float)
-    return MetricReport(
-        mae=mae(pred.ravel(), truth.ravel()),
-        r_squared=r_squared(pred.ravel(), truth.ravel()),
-        adtw=float(np.mean(per_dtw)),
-        per_output_mae=per_mae,
-        per_output_r_squared=per_r2,
-        per_output_dtw=per_dtw,
-        output_names=tuple(output_names),
-    )
+    if per_dtw.shape != (pred.shape[0],) or not np.all(per_dtw >= 0.0):
+        raise ValidationError(
+            "per_output_dtw must hold one value >= 0 per row")
+    report = {"mae": mae(pred.ravel(), truth.ravel()),
+              "r_squared": r_squared(pred.ravel(), truth.ravel()),
+              "adtw": float(np.mean(per_dtw))}
+    for name, p, t, d in zip(output_names, pred, truth, per_dtw.tolist()):
+        report[f"mae.{name}"] = mae(p, t)
+        report[f"r_squared.{name}"] = r_squared(p, t)
+        report[f"dtw.{name}"] = d
+    return report

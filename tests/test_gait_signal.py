@@ -12,7 +12,6 @@ from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import (
     CHANNELS,
     GaitEvents,
-    PhaseDurations,
     _find_peaks,
     detect_events,
     impute_missing,
@@ -262,15 +261,15 @@ class TestPhaseDurations:
     def test_stance_and_swing_from_alternating_events(self):
         events = GaitEvents(heel_strikes=[0.10, 0.60],
                             toe_offs=[0.35, 0.90])
-        phases = phase_durations(events)
-        np.testing.assert_allclose(phases.stance, [0.25, 0.30])
-        np.testing.assert_allclose(phases.swing, [0.25])
+        stance, swing = phase_durations(events)
+        np.testing.assert_allclose(stance, [0.25, 0.30])
+        np.testing.assert_allclose(swing, [0.25])
 
     def test_leading_toe_off_contributes_swing_only(self):
         events = GaitEvents(heel_strikes=[0.50], toe_offs=[0.20, 0.80])
-        phases = phase_durations(events)
-        np.testing.assert_allclose(phases.stance, [0.30])
-        np.testing.assert_allclose(phases.swing, [0.30])
+        stance, swing = phase_durations(events)
+        np.testing.assert_allclose(stance, [0.30])
+        np.testing.assert_allclose(swing, [0.30])
 
     def test_non_alternating_events_are_rejected(self):
         events = GaitEvents(heel_strikes=[0.1, 0.2], toe_offs=[0.9])
@@ -296,8 +295,10 @@ class TestPhaseDurations:
             GaitEvents(heel_strikes=[0.2], toe_offs=[0.5, bad])
 
     def test_durations_must_be_positive(self):
+        # A heel strike at the time of a toe-off is a zero stance.
+        events = GaitEvents(heel_strikes=[0.2], toe_offs=[0.2])
         with pytest.raises(ValidationError, match="positive"):
-            PhaseDurations(stance=[0.0], swing=[0.2])
+            phase_durations(events)
 
 
 class TestJointTrajectoryValidation:

@@ -229,6 +229,32 @@ class TestExactness:
         assert np.all(gamma[:, 2:].sum(axis=1) > 0.999)
         assert len(fallbacks) == 1
 
+    def test_emission_underflow_check_catches_a_state_dropped_from_b(self):
+        # Two closed blocks of states, {1, 2} and {3, 4}, with d^2 = 700.
+        # At step 2 the second block's log-emissions lie 760 nats below
+        # the first block's, so their shifted b is exactly 0 while their
+        # logs are finite. The scaled passes then lose the second block
+        # without a trace: every c_t stays normal, every row sum is 1, and
+        # log p comes out 40 too low with gamma on the first block at
+        # every step. Steps 0, 1 and 3 favor the second block by 350, 350
+        # and 100 nats, so the true posterior lies on it.
+        d = math.sqrt(700.0)
+        model = HmmModel(
+            initial_probs=np.full(4, 0.25),
+            transitions=[[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                         [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]],
+            state_means=[[0.0, 0.0], [0.0, 0.5], [d, 0.0], [d, 0.5]],
+            shared_covariance=np.eye(2))
+        steps = np.array([[d, 0.0], [d, 0.0], [-410.0 / d, 0.0],
+                          [450.0 / d, 0.0]])
+        gamma, log_likelihood = hmm._forward_backward(model, steps)
+        expected, expected_gamma = _log_space_oracle(model, steps)
+        assert expected == pytest.approx(-933.001, abs=1e-3)
+        assert log_likelihood == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                   atol=1e-10)
+        assert np.all(gamma[:, 2:].sum(axis=1) > 0.999)
+
     def test_emission_matrix_equals_one_solve_per_state(self):
         rng = np.random.default_rng(117)
         model = _random_model(rng)

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from gaitmogp import metrics
 from gaitmogp.errors import ValidationError
 from gaitmogp.metrics import (
-    MetricReport,
     compute_report,
     dtw,
     mae,
@@ -188,14 +187,16 @@ class TestReport:
     def test_compute_report_aggregates(self):
         pred, truth = self._example()
         report = self._report(pred, truth)
-        assert report.mae == pytest.approx(mae(pred.ravel(), truth.ravel()))
-        assert report.r_squared == pytest.approx(
+        assert report["mae"] == pytest.approx(mae(pred.ravel(), truth.ravel()))
+        assert report["r_squared"] == pytest.approx(
             r_squared(pred.ravel(), truth.ravel()))
-        assert report.adtw == pytest.approx(
-            float(np.mean(report.per_output_dtw)))
-        for i in range(3):
-            assert report.per_output_mae[i] == pytest.approx(
+        assert report["adtw"] == pytest.approx(
+            float(np.mean([report[f"dtw.{n}"] for n in self.NAMES])))
+        for i, name in enumerate(self.NAMES):
+            assert report[f"mae.{name}"] == pytest.approx(
                 mae(pred[i], truth[i]))
+            assert report[f"r_squared.{name}"] == pytest.approx(
+                r_squared(pred[i], truth[i]))
 
     def test_rescaled_dtw_matches_dtw_in_raw_units(self):
         # evaluate reports raw DTWs as channel std x normalized DTW.
@@ -206,19 +207,23 @@ class TestReport:
         raw = self._report(pred * stds + means, truth * stds + means)
         rescaled = compute_report(
             pred * stds + means, truth * stds + means, self.NAMES,
-            per_output_dtw=stds[:, 0] * normalized.per_output_dtw)
-        np.testing.assert_allclose(rescaled.per_output_dtw,
-                                   raw.per_output_dtw, rtol=1e-12)
-        assert rescaled.mae == raw.mae
-        assert rescaled.r_squared == raw.r_squared
+            per_output_dtw=stds[:, 0] * [normalized[f"dtw.{n}"]
+                                         for n in self.NAMES])
+        for name in self.NAMES:
+            assert rescaled[f"dtw.{name}"] == pytest.approx(
+                raw[f"dtw.{name}"], rel=1e-12)
+        assert rescaled["mae"] == raw["mae"]
+        assert rescaled["r_squared"] == raw["r_squared"]
 
-    def test_as_document_round_trips_through_float(self):
+    def test_keys_follow_the_evaluate_document_order(self):
         pred, truth = self._example()
         report = self._report(pred, truth)
-        doc = report.as_document()
-        assert float(doc["mae"]) == report.mae
-        assert float(doc["r_squared.b"]) == report.per_output_r_squared[1]
-        assert float(doc["dtw.c"]) == report.per_output_dtw[2]
+        assert list(report) == [
+            "mae", "r_squared", "adtw",
+            *(f"{metric}.{name}" for name in self.NAMES
+              for metric in ("mae", "r_squared", "dtw"))]
+        assert all(type(value) is float for value in report.values())
+        assert report["dtw.c"] == dtw(pred[2], truth[2])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape mismatch"):
@@ -232,9 +237,9 @@ class TestReport:
                            per_output_dtw=np.ones(2))
 
     def test_invariants_are_enforced(self):
-        with pytest.raises(ValidationError, match="invariants"):
-            MetricReport(mae=-1.0, r_squared=0.5, adtw=0.0,
-                         per_output_mae=np.zeros(1),
-                         per_output_r_squared=np.zeros(1),
-                         per_output_dtw=np.zeros(1),
-                         output_names=("a",))
+        # One DTW >= 0 per row.
+        for per_output_dtw in ([0.0, -1.0], [0.0, np.nan], [0.0],
+                               [[0.0, 0.0]]):
+            with pytest.raises(ValidationError, match="per_output_dtw"):
+                compute_report(np.zeros((2, 5)), np.ones((2, 5)),
+                               ("a", "b"), per_output_dtw)
