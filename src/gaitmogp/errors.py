@@ -2,8 +2,9 @@
 
 Two failure families map onto the CLI exit codes: contract violations
 (bad shapes, labels, ranges, malformed files) raise ValidationError and
-exit 2; numerical breakdowns (Cholesky failure after jitter escalation,
-non-finite objectives, emission underflow) raise NumericError and exit 3.
+exit 2; numerical breakdowns (a non-finite kernel matrix or a failed
+eigendecomposition, non-finite objectives, emission underflow) raise
+NumericError and exit 3.
 """
 
 from __future__ import annotations

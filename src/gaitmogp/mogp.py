@@ -8,25 +8,21 @@ standard closed-form posterior mean and variance (observation noise
 included; nothing here measures their calibration).
 
 Two exact evaluations serve the LML, its gradient and the posterior, and
-the training data choose between them (_Geometry):
+the training data choose between them (_Geometry). Both factor the
+covariance by ``eigh`` (_clamped_eigh), whose eigenvalues that rounding
+leaves negative are clamped to 0, their only numerical fallback; every
+eigenvalue of the covariance stays >= s >= PARAM_FLOOR.
 
 - **Kronecker.** When the points are one block per output, in output
   order, and every block has the same P times, the covariance is
   exactly ``B (x) K_t + s I``. ``eigh`` of the P x P K_t and of the
   M x M B then give the LML, its gradient and the posterior in
   O(P^3 + M^3 + M P^2) (Bonilla, Chai & Williams 2008; Stegle et al.
-  2011). Eigenvalues that rounding leaves negative are clamped to 0,
-  the path's only numerical fallback; every eigenvalue of the
-  covariance stays >= s >= PARAM_FLOOR.
-- **Dense.** Any other set (each output at its own times) is factored by
-  Cholesky of the (n, n) Gram matrix, with escalating diagonal jitter
-  as its fallback.
+  2011).
+- **Dense.** Any other set (each output at its own times) takes
+  ``eigh`` of the (n, n) ``B_oo o k_t``, in O(n^3).
 
-Importing this module imports no part of scipy. The Kronecker path uses
-numpy alone; the dense path imports ``scipy.linalg`` (about 0.3 s of
-start-up on a 2-vCPU VM) in its first evaluation, so only a process
-that fits or predicts a dense model, such as one loaded from a
-per-channel ``.mogp`` file, pays for it.
+Importing or running this module imports no part of scipy.
 
 A model's parameters are one log-space vector theta (Rasmussen &
 Williams 2006, ch. 5): the seven kernel entries, W row-major, log kappa,
@@ -56,17 +52,11 @@ import numpy as np
 from . import serialize
 from .errors import NumericError, ValidationError
 from . import kernels
-from .kernels import (PARAM_FLOOR, TemporalKernel, _floored_exp_with_grad,
-                      lag_table)
+from .kernels import TemporalKernel, _floored_exp_with_grad, lag_table
 
 logger = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Jitter escalation policy for Cholesky of (K + noise I), relative to the
-# mean diagonal: start small, scale by 10, then give up.
-JITTER_START = 1e-8
-JITTER_CAP = 1e-2
 
 # Adam's moment rates and epsilon (Kingma & Ba 2015), its early stop
 # (see fit) and its starting point (see initialize_model).
@@ -193,14 +183,12 @@ class MoGPModel:
     entry is finite. The cache is one evaluation of theta on the
     training data: the Kronecker one (eigenvectors and eigenvalues of
     K_t and B) when every output shares its times, the dense one
-    (Cholesky factor and jitter) otherwise; see the module docstring.
+    (those of the (n, n) Gram matrix) otherwise; see the module docstring.
     Only fit writes it, from its best iterate, and it is never
     serialized. predict reads the posterior from it; a model without it
     (loaded, or built from a theta or by initialize_model) gets a local
     evaluation, chosen and built the same way, on every predict. That
     gives identical predictions and leaves the model unchanged.
-    ``jitter_used`` is the cached evaluation's jitter (always 0 on the
-    Kronecker path, and 0 without a cache).
     """
 
     theta: np.ndarray
@@ -226,10 +214,6 @@ class MoGPModel:
     def num_outputs(self) -> int:
         return self.training.num_outputs
 
-    @property
-    def jitter_used(self) -> float:
-        return 0.0 if self._evaluation is None else self._evaluation.jitter
-
 
 @dataclass
 class PosteriorPrediction:
@@ -248,38 +232,6 @@ class PosteriorPrediction:
             raise NumericError("posterior mean or std is not finite")
         if np.any(self.std < 0.0):
             raise ValidationError("standard deviations must be >= 0")
-
-
-def _require_finite(matrix: np.ndarray) -> None:
-    """NumericError for a kernel matrix with an inf or NaN entry."""
-    if not np.isfinite(matrix).all():
-        raise NumericError("kernel matrix has non-finite entries: a "
-                           "parameter is NaN or overflows")
-
-
-def _chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter; a matrix
-    with an inf or NaN entry raises NumericError (the only scan for them
-    on the dense path) before ``scipy.linalg`` is imported."""
-    _require_finite(matrix)
-    from scipy.linalg import cholesky
-    mean_diag = max(float(np.mean(np.diag(matrix))), PARAM_FLOOR)
-    try:
-        return cholesky(matrix, lower=True, check_finite=False), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    jitter = JITTER_START * mean_diag
-    cap = JITTER_CAP * mean_diag
-    eye = np.eye(matrix.shape[0])
-    while jitter <= cap * (1.0 + 1e-12):
-        try:
-            return cholesky(matrix + jitter * eye, lower=True,
-                            check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise NumericError(
-        "Cholesky failed after jitter escalation to "
-        f"{cap:.3e}: kernel matrix is ill-conditioned")
 
 
 def _shared_times(training: TrainingSet) -> np.ndarray | None:
@@ -389,39 +341,31 @@ class _Parameters:
 
 
 class _Evaluation(_Parameters):
-    """Dense LML of one parameter setting; the Gram matrix, its Cholesky
-    factor and the gradient all read one evaluation of the kernel
-    components on the distinct lags, gathered to (n, n) ``k_t`` by the
-    lag index. With _chol_with_jitter, its methods are the only code in
-    the package that calls ``scipy.linalg``; each imports what it calls
-    when it runs."""
+    """Dense LML of one parameter setting: B_oo o k_t = U diag(lambda) U^T
+    from _clamped_eigh, so K + s I = U diag(D) U^T with D = lambda + s.
+    The Gram matrix, its factor and the gradient all read one evaluation
+    of the kernel components on the distinct lags, gathered to (n, n)
+    ``k_t`` by the lag index."""
 
     def __init__(self, theta: np.ndarray, geometry: _Geometry):
         super().__init__(theta, geometry)
         self.b_oo = self.b[np.ix_(geometry.outputs, geometry.outputs)]
-        k = self.b_oo * self.k_t
-        k[np.diag_indices_from(k)] += self.noise
-        self.chol, self.jitter = _chol_with_jitter(k)
-        from scipy.linalg import cho_solve
+        lam, self.u = _clamped_eigh(self.b_oo * self.k_t)
+        self.d = lam + self.noise
         y_c = self.centered_values()
-        self.alpha = cho_solve((self.chol, True), y_c)
-        half_logdet = float(np.sum(np.log(np.diag(self.chol))))
-        self.lml = float(-0.5 * y_c @ self.alpha - half_logdet
-                         - 0.5 * y_c.shape[0] * LOG_2PI)
+        rotated = self.u.T @ y_c
+        scaled = rotated / self.d
+        self.alpha = self.u @ scaled
+        self.lml = float(-0.5 * np.vdot(rotated, scaled)
+                         - 0.5 * np.sum(np.log(self.d))
+                         - 0.5 * y_c.size * LOG_2PI)
 
     def gradient(self) -> np.ndarray:
         """d LML / d theta in parameter_names order (see lml_gradient);
         A o B_oo is summed per distinct lag before the kernel partials."""
-        from scipy.linalg.lapack import dpotri
         geometry, alpha = self.geometry, self.alpha
-        kinv, info = dpotri(self.chol, lower=1)
-        if info != 0:
-            raise NumericError(f"LAPACK potri failed (info {info}): "
-                               "kernel matrix is singular")
-        kinv = np.tril(kinv)
-        kinv += np.tril(kinv, -1).T
         a_mat = np.outer(alpha, alpha)
-        a_mat -= kinv
+        a_mat -= (self.u / self.d) @ self.u.T
         e = geometry.indicator
         s = e.T @ ((a_mat * self.k_t) @ e)
         a_mat *= self.b_oo
@@ -432,28 +376,25 @@ class _Evaluation(_Parameters):
             per_lag, s,
             np.bincount(geometry.outputs, weights=alpha,
                         minlength=geometry.num_outputs),
-            alpha @ alpha - np.trace(kinv))
+            np.vdot(alpha, alpha) - (1.0 / self.d).sum())
 
     def posterior(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M, Q) k_*^T alpha and k_*^T (K + s I)^-1 k_* at the query times."""
-        from scipy.linalg import solve_triangular
-        outputs = self.geometry.outputs
-        temporal = self.cross_kernel(query)
-        mean = np.empty((self.geometry.num_outputs, query.shape[0]))
-        explained = np.empty_like(mean)
-        for m in range(self.geometry.num_outputs):
-            k_star = self.b[m, outputs][None, :] * temporal
-            mean[m] = k_star @ self.alpha
-            v = solve_triangular(self.chol, k_star.T, lower=True)
-            explained[m] = np.sum(v * v, axis=0)
-        return mean, explained
+        """(M, Q) k_*^T alpha and the explained variance
+        D^-1 (U^T k_*)^2 at the query times, with k_* the (M, n, Q)
+        B_mo o k_t of every output m."""
+        k_star = (self.b[:, self.geometry.outputs, None]
+                  * self.cross_kernel(query).T)
+        projected = self.u.T @ k_star
+        return self.alpha @ k_star, (1.0 / self.d) @ (projected * projected)
 
 
 def _clamped_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, negative rounding clamped to 0, and eigenvectors of a
-    symmetric PSD kernel factor; a matrix with an inf or NaN entry, or
+    symmetric PSD kernel matrix; a matrix with an inf or NaN entry, or
     one LAPACK cannot decompose, raises NumericError."""
-    _require_finite(matrix)
+    if not np.isfinite(matrix).all():
+        raise NumericError("kernel matrix has non-finite entries: a "
+                           "parameter is NaN or overflows")
     try:
         values, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -466,8 +407,6 @@ class _KroneckerEvaluation(_Parameters):
     K + s I = B (x) K_t + s I = (U_B (x) U_t) diag(D) (U_B (x) U_t)^T with
     D = lambda_B lambda_t^T + s, from eigh of the M x M B and of the
     P x P K_t. Targets and alpha are (M, P) arrays, one row per output."""
-
-    jitter = 0.0
 
     def __init__(self, theta: np.ndarray, geometry: _Geometry):
         super().__init__(theta, geometry)
@@ -572,10 +511,10 @@ def lml_gradient(model: MoGPModel) -> np.ndarray:
     dK/dtheta: kernel entries are 1/2 sum_l w_l dk_t(r_l)/dtheta over the
     distinct lags r_l, where w_l sums A o B_oo over the pairs at lag r_l;
     with S = E^T (A o k_t) E, W gets S W and log kappa 1/2 diag(S) kappa'.
-    On the dense path K^-1 comes from LAPACK potri on the Cholesky
-    factor; on the Kronecker path A is contracted through the two
-    eigendecompositions without forming any n x n matrix. The model is
-    not modified.
+    On the dense path K^-1 = U diag(1/D) U^T comes from the one
+    eigendecomposition; on the Kronecker path A is contracted through the
+    two eigendecompositions without forming any n x n matrix. The model
+    is not modified.
     """
     return _evaluate(model).gradient()
 

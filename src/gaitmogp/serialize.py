@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -98,14 +99,28 @@ def require_key(entries: dict[str, str], key: str, path: str = "<memory>") -> st
     return entries[key]
 
 
+def _open_write_mode(path: Path) -> int:
+    """The permission bits ``open(path, "w")`` leaves: an existing file's
+    own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename; the file
+    gets the permission bits ``open(path, "w")`` would leave, not the
+    temp file's 0o600."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp_name, _open_write_mode(path))
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

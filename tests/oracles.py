@@ -28,8 +28,6 @@ import os
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import dpotri
 from scipy.signal import butter, filtfilt
 from scipy.signal import find_peaks as scipy_find_peaks
 from scipy.special import logsumexp
@@ -279,10 +277,10 @@ class PerStepEvaluation:
     did when its fit built a model per Adam step: every positive
     parameter floored by its own scalar call on its named entry, the
     kernel components on the distinct training lags (from ``np.unique``),
-    then either the Cholesky factor of the (n, n) covariance with
-    escalating jitter, or, when every output has the same times, eigh of
-    B and of K_t. It repeats the package's arithmetic operation for
-    operation, so the package must agree with it exactly."""
+    then either eigh of the (n, n) B_oo o K_t, or, when every output has
+    the same times, eigh of B and of K_t. It repeats the package's
+    arithmetic operation for operation, so the package must agree with
+    it exactly."""
 
     def __init__(self, model):
         training = model.training
@@ -334,13 +332,14 @@ class PerStepEvaluation:
                              - 0.5 * y_c.size * log_2pi)
         else:
             self.b_oo = self.b[np.ix_(outputs, outputs)]
-            k = self.b_oo * self.k_t
-            k[np.diag_indices_from(k)] += noise
-            self.chol = _cholesky_with_jitter(k)
-            self.alpha = cho_solve((self.chol, True), y_c)
-            half_logdet = float(np.sum(np.log(np.diag(self.chol))))
-            self.lml = float(-0.5 * y_c @ self.alpha - half_logdet
-                             - 0.5 * y_c.shape[0] * log_2pi)
+            lam, self.u_k = _clamped_eigh(self.b_oo * self.k_t)
+            self.d = lam + noise
+            rotated = self.u_k.T @ y_c
+            scaled = rotated / self.d
+            self.alpha = self.u_k @ scaled
+            self.lml = float(-0.5 * np.vdot(rotated, scaled)
+                             - 0.5 * np.sum(np.log(self.d))
+                             - 0.5 * y_c.size * log_2pi)
 
     def gradient(self) -> np.ndarray:
         model, alpha = self.model, self.alpha
@@ -353,18 +352,14 @@ class PerStepEvaluation:
             alpha_sums = alpha.sum(axis=1)
             noise_term = np.vdot(alpha, alpha) - inv_d.sum()
         else:
-            kinv, info = dpotri(self.chol, lower=1)
-            assert info == 0
-            kinv = np.tril(kinv)
-            kinv += np.tril(kinv, -1).T
             weight = np.outer(alpha, alpha)
-            weight -= kinv
+            weight -= (self.u_k / self.d) @ self.u_k.T
             e = np.eye(model.num_outputs)[self.outputs]
             s = e.T @ ((weight * self.k_t) @ e)
             weight *= self.b_oo
             alpha_sums = np.bincount(self.outputs, weights=alpha,
                                      minlength=model.num_outputs)
-            noise_term = alpha @ alpha - np.trace(kinv)
+            noise_term = np.vdot(alpha, alpha) - (1.0 / self.d).sum()
         w = np.bincount(self.lag_index.ravel(), weights=weight.ravel(),
                         minlength=self.lags.size)
 
@@ -416,22 +411,6 @@ def _clamped_eigh(matrix: np.ndarray):
     assert np.isfinite(matrix).all()
     values, vectors = np.linalg.eigh(matrix)
     return np.maximum(values, 0.0), vectors
-
-
-def _cholesky_with_jitter(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, jitter from 1e-8 to 1e-2 of the mean
-    diagonal, times 10 per try."""
-    assert np.isfinite(matrix).all()
-    mean_diag = max(float(np.mean(np.diag(matrix))), PARAM_FLOOR)
-    jitter = 0.0
-    while True:
-        try:
-            return cholesky(matrix + jitter * np.eye(matrix.shape[0])
-                            if jitter else matrix,
-                            lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = 1e-8 * mean_diag if jitter == 0.0 else jitter * 10.0
-            assert jitter <= 1e-2 * mean_diag * (1.0 + 1e-12)
 
 
 def per_step_fit(training, config):

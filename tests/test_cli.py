@@ -292,6 +292,25 @@ class TestErrorReporting:
         assert len(captured.err.splitlines()) == 1
         assert json.loads(captured.err)["type"] == "numeric"
 
+    @pytest.mark.parametrize("source", ["per_channel.mogp",
+                                        "golden/pooled.mogp"])
+    def test_non_finite_kernel_matrix_is_numeric_error(self, tmp_path,
+                                                       capsys, source):
+        # per_channel.mogp takes the dense evaluation, the golden pooled
+        # model the Kronecker one; both reject the matrix before eigh.
+        text, count = re.subn(r"(?m)^kernel\.se\.log_variance = .*$",
+                              "kernel.se.log_variance = 800.0",
+                              (DATA / source).read_text())
+        assert count == 1
+        model = tmp_path / "overflow.mogp"
+        model.write_text(text)
+        assert cli.main(["predict", "--model", str(model), "--output",
+                         str(tmp_path / "pred.csv")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "numeric"
+        assert err["error"].startswith("kernel matrix has non-finite entries")
+        assert not (tmp_path / "pred.csv").exists()
+
     @pytest.mark.parametrize("name", [
         "coreg.w[0,0]", "mean[2]", "periodic.log_period"])
     def test_non_finite_adam_iterate_is_numeric_error(

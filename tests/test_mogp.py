@@ -100,7 +100,6 @@ class TestExactness:
             got = log_marginal_likelihood(model)
             evaluation = _fresh_evaluation(model)
             assert type(evaluation) is self.EVALUATION
-            assert evaluation.jitter == 0.0
             expected = oracles.dense_lml(model)
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-8)
 
@@ -110,7 +109,6 @@ class TestExactness:
             model = self._model(rng)
             query = rng.uniform(0.0, 1.0, size=6)
             prediction = predict(model, query)
-            assert _fresh_evaluation(model).jitter == 0.0
             for m in range(model.num_outputs):
                 mean, var = oracles.dense_posterior(model, query, m)
                 np.testing.assert_allclose(prediction.mean[m], mean,
@@ -251,9 +249,9 @@ class TestFit:
         assert fresh.lml == max(model.lml_trace)
         assert type(model._evaluation) is type(fresh)
         assert model._evaluation.lml == fresh.lml
-        np.testing.assert_array_equal(model._evaluation.chol, fresh.chol)
+        np.testing.assert_array_equal(model._evaluation.u, fresh.u)
+        np.testing.assert_array_equal(model._evaluation.d, fresh.d)
         np.testing.assert_array_equal(model._evaluation.alpha, fresh.alpha)
-        assert model.jitter_used == fresh.jitter
 
     def test_shared_times_cache_the_kronecker_evaluation(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -262,7 +260,6 @@ class TestFit:
         model = fit(training, OptimizerConfig(iterations=10, seed=0))
         assert type(model._evaluation) is mogp._KroneckerEvaluation
         assert model._evaluation.lml == max(model.lml_trace)
-        assert model.jitter_used == 0.0
         path = tmp_path / "model.mogp"
         save_model(model, path)
         query = np.linspace(0.0, 1.0, 9)
@@ -396,6 +393,21 @@ class TestAgainstThePerStepFit:
         assert log_marginal_likelihood(model) == reference.lml
         np.testing.assert_array_equal(lml_gradient(model),
                                       reference.gradient())
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("shared_times", [False, True])
+    def test_eigh_failure_is_numeric_error(self, monkeypatch, shared_times):
+        model = _random_model(np.random.default_rng(18), grid_points=7,
+                              shared_times=shared_times)
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="^eigendecomposition failed: "
+                           "Eigenvalues did not converge$"):
+            log_marginal_likelihood(model)
 
 
 class TestPredict:
@@ -593,7 +605,6 @@ class TestSerialization:
         first = predict(loaded, query)
         second = predict(loaded, query)
         assert loaded._evaluation is None
-        assert loaded.jitter_used == 0.0
         for got in (second, predict(model, query)):
             np.testing.assert_array_equal(first.mean, got.mean)
             np.testing.assert_array_equal(first.std, got.std)

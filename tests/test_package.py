@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import gaitmogp
-from gaitmogp import cli
+from gaitmogp import cli, serialize
 
 # The directory gaitmogp is imported from, for the child interpreters.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(gaitmogp.__file__))
@@ -101,14 +102,14 @@ def test_unfiltered_pooled_fit_and_its_predict_skip_scipy(tmp_path):
     assert (tmp_path / "pred.csv").read_text()
 
 
-def test_dense_model_predict_imports_scipy_linalg(tmp_path):
-    # The cost left on the MoGP side: a per-channel model takes the dense
-    # Cholesky path, which imports scipy.linalg on first use.
+def test_dense_model_predict_skips_scipy(tmp_path):
+    # A per-channel model takes the dense evaluation, which is numpy-only
+    # like the Kronecker one.
     data = Path(__file__).parent / "data"
     out = tmp_path / "pred.csv"
     predict = ["predict", "--model", str(data / "per_channel.mogp"),
                "--output", str(out), "--grid-points", "16"]
-    assert "scipy.linalg" in _scipy_modules_after(_run_cli(predict))
+    assert _scipy_modules_after(_run_cli(predict)) == []
     got, expected = (path.read_text().splitlines() for path in
                      (out, data / "per_channel_predict.csv"))
     assert got[:2] == expected[:2]
@@ -116,3 +117,23 @@ def test_dense_model_predict_imports_scipy_linalg(tmp_path):
         np.array([line.split(",") for line in got[2:]], dtype=float),
         np.array([line.split(",") for line in expected[2:]], dtype=float),
         rtol=1e-12, atol=1e-12)
+
+
+def test_written_files_get_the_permissions_open_would_give(tmp_path):
+    # A new file takes 0o666 less the umask, as open(path, "w") gives it,
+    # not the 0o600 of the temp file it is renamed from; a replaced file
+    # keeps its own bits.
+    existing = tmp_path / "existing.txt"
+    existing.write_text("old\n")
+    existing.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(["synth", "--output", str(tmp_path / "corpus.csv"),
+                         "--subjects-per-cohort", "1",
+                         "--cycles-per-subject", "1"]) == 0
+        serialize.atomic_write_text(existing, "new\n")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "corpus.csv").stat().st_mode) == 0o644
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+    assert existing.read_text() == "new\n"
