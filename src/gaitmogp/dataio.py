@@ -161,8 +161,8 @@ def _build_record(subject_id: str, cohort: str,
                   filter_cutoff_hz: float | None,
                   num_points: int) -> SubjectRecord:
     """Run the preprocessing chain (impute -> filter -> normalize/align)
-    on the y axis of each raw cycle; an error names the subject and the
-    corpus cycle id."""
+    on the y axis of each raw cycle; an error names the subject and, for
+    a per-cycle one, the corpus cycle id."""
     heights = []
     for cycle_id, raw in raw_cycles.items():
         try:
@@ -173,7 +173,10 @@ def _build_record(subject_id: str, cohort: str,
         except ValidationError as exc:
             raise ValidationError(
                 f"subject {subject_id}, cycle {cycle_id}: {exc}") from None
-    grid, cycles, means, stds = normalize_and_align(heights, num_points)
+    try:
+        grid, cycles, means, stds = normalize_and_align(heights, num_points)
+    except ValidationError as exc:
+        raise ValidationError(f"subject {subject_id}: {exc}") from None
     return SubjectRecord(subject_id=subject_id, cohort=cohort, grid=grid,
                          cycles=cycles, channel_means=means,
                          channel_stds=stds, raw_cycles=raw_cycles)

@@ -376,46 +376,36 @@ def _validated_sequences(sequences) -> list[ObservationSequence]:
     sequences = list(sequences)
     if not sequences:
         raise ValidationError("at least one observation sequence is required")
-    for seq in sequences:
-        if not isinstance(seq, ObservationSequence):
-            raise ValidationError("sequences must be ObservationSequence instances")
+    if not all(isinstance(seq, ObservationSequence) for seq in sequences):
+        raise ValidationError("sequences must be ObservationSequence instances")
     return sequences
 
 
-def _e_step(model: HmmModel, sequences):
-    """Accumulated emission statistics and the total log-likelihood."""
-    passes = [_forward_backward(model, seq.steps) for seq in sequences]
-    gamma = np.concatenate([gamma for gamma, _ in passes])
-    steps = np.concatenate([seq.steps for seq in sequences])
-    stats = {
-        "gamma_sum": gamma.sum(axis=0),
-        "gamma_obs": gamma.T @ steps,
-        "gamma_sq": np.einsum("ti,td,te->ide", gamma, steps, steps),
-        "total_points": steps.shape[0],
-    }
-    return stats, sum(ll for _, ll in passes)
-
-
-def _m_step(model: HmmModel, stats) -> HmmModel:
-    """New state means and shared covariance; pi and A are copied."""
-    gamma_sum = stats["gamma_sum"]
-    gamma_obs = stats["gamma_obs"]
+def _m_step(model: HmmModel, gamma: np.ndarray, steps: np.ndarray,
+            scatter: np.ndarray) -> HmmModel:
+    """Rabiner's (1989) re-estimation of the state means and the shared
+    covariance from the masses sum_t gamma_t, the sums gamma^T O of the
+    pooled steps O and their scatter O^T O (each row of gamma sums to 1);
+    pi and A are copied. The result passes ``HmmModel.validate``."""
+    gamma_sum, gamma_obs = gamma.sum(axis=0), gamma.T @ steps
     # Empty-state rule: keep the previous mean below the mass floor.
     filled = gamma_sum >= EMPTY_STATE_MASS
     new_means = model.state_means.copy()
     new_means[filled] = gamma_obs[filled] / gamma_sum[filled, None]
 
     # Shared covariance pooled over all states around the new means:
-    # sum_i S2_i - mu_i s1_i^T - s1_i mu_i^T + g_i mu_i mu_i^T.
+    # O^T O - sum_i (mu_i s1_i^T + s1_i mu_i^T - g_i mu_i mu_i^T).
     cross = new_means.T @ gamma_obs
-    cov = (stats["gamma_sq"].sum(axis=0) - cross - cross.T
-           + (new_means.T * gamma_sum) @ new_means)
-    cov /= float(stats["total_points"])
+    cov = scatter - cross - cross.T + (new_means.T * gamma_sum) @ new_means
+    cov /= float(steps.shape[0])
     cov = 0.5 * (cov + cov.T)
     cov += COVARIANCE_JITTER * (np.trace(cov) / 2.0) * np.eye(OBS_DIM)
     min_eig = float(np.min(np.linalg.eigvalsh(cov)))
     if min_eig < MIN_COVARIANCE_EIGENVALUE:
-        cov += (MIN_COVARIANCE_EIGENVALUE - min_eig) * np.eye(OBS_DIM)
+        # An exact shift can round below the floor; the margin covers
+        # its rounding and that of validate's eigvalsh, ~eps * tr(cov).
+        cov += ((MIN_COVARIANCE_EIGENVALUE - min_eig) * (1.0 + 1e-6)
+                + 8.0 * sys.float_info.epsilon * np.trace(cov)) * np.eye(OBS_DIM)
 
     return HmmModel(initial_probs=model.initial_probs.copy(),
                     transitions=model.transitions.copy(),
@@ -425,7 +415,8 @@ def _m_step(model: HmmModel, stats) -> HmmModel:
 def baum_welch_fit(init: HmmModel, sequences,
                    config: BaumWelchConfig | None = None) -> HmmModel:
     """EM for the emission parameters (state means and shared covariance);
-    the expert pi and A of ``init`` are kept unchanged.
+    the expert pi and A of ``init`` are kept unchanged, and every M-step
+    reads the one scatter O^T O of the pooled steps O.
 
     Returns the refined model with the total log-likelihood of every
     E-step in ``log_likelihood_trace``: the initial model's first, then
@@ -437,9 +428,12 @@ def baum_welch_fit(init: HmmModel, sequences,
     sequences = _validated_sequences(sequences)
 
     model = init.copy()
+    steps = np.concatenate([seq.steps for seq in sequences])
+    scatter = None
     trace: list[float] = []
     for iteration in range(config.max_iterations + 1):
-        stats, ll = _e_step(model, sequences)
+        passes = [_forward_backward(model, seq.steps) for seq in sequences]
+        ll = sum(ll for _, ll in passes)
         if not math.isfinite(ll):
             raise NumericError(
                 f"non-finite log-likelihood in EM iteration {iteration}")
@@ -448,8 +442,10 @@ def baum_welch_fit(init: HmmModel, sequences,
                 iteration > 0 and abs(trace[-1] - trace[-2])
                 <= config.tol * max(1.0, abs(trace[-2]))):
             break
-        model = _m_step(model, stats)
-        model.validate()
+        # Formed after a finite likelihood: an overflowing step is impossible.
+        scatter = steps.T @ steps if scatter is None else scatter
+        model = _m_step(model, np.concatenate([g for g, _ in passes]),
+                        steps, scatter)
     model.log_likelihood_trace = trace
     return model
 
@@ -470,23 +466,17 @@ def anomalous_segments(states, time_grid) -> list[AnomalousSegment]:
             f"time grid length {grid.shape[0]} does not match decoded "
             f"length {states.shape[0]}")
 
-    segments: list[AnomalousSegment] = []
-    run_start = None
-    for idx in range(states.shape[0] + 1):
-        abnormal = idx < states.shape[0] and states[idx] in ABNORMAL_STATES
-        if abnormal and run_start is None:
-            run_start = idx
-        elif not abnormal and run_start is not None:
-            run = states[run_start:idx]
-            count3 = int(np.sum(run == 3))
-            count4 = int(np.sum(run == 4))
-            label = "s3" if count3 >= count4 else "s4"
-            segments.append(AnomalousSegment(
-                start_time=float(grid[run_start]),
-                end_time=float(grid[idx - 1]),
-                state_label=label))
-            run_start = None
-    return segments
+    # The abnormal mask flips at the start of each run and one past its
+    # end; a run holds only states 3 and 4, so "s3" wins on 2 * n3 >= length.
+    edges = np.flatnonzero(np.diff(np.isin(states, ABNORMAL_STATES),
+                                   prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    threes = np.concatenate(([0], np.cumsum(states == 3)))
+    labels = np.where(2 * (threes[stops] - threes[starts]) >= stops - starts,
+                      "s3", "s4")
+    return [AnomalousSegment(float(grid[start]), float(grid[stop - 1]), label)
+            for start, stop, label in zip(starts.tolist(), stops.tolist(),
+                                          labels.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,24 @@ class TestCorpusCycleIds:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "subject D02, cycle 7: length 8 < 10 samples"
 
+    def test_zero_variance_error_names_subject(self, corpus, tmp_path,
+                                               capsys):
+        flat = tmp_path / "flat.csv"
+        lines = corpus.read_text().splitlines()
+        for i, line in enumerate(lines):
+            fields = line.split(",")
+            if fields[0] == "D01" and fields[4:6] == ["hip", "right"]:
+                fields[7] = "0.45"
+                lines[i] = ",".join(fields)
+        flat.write_text("\n".join(lines) + "\n")
+        for argv in (["preprocess", "--output", str(tmp_path / "p.csv")],
+                     ["fit", "--output", str(tmp_path / "models"),
+                      *FAST_FIT]):
+            assert cli.main([*argv, "--input", str(flat)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == ("subject D01: zero-variance channel(s): "
+                                    "['hip_right']")
+
 
 class TestSubjectIdsNameFiles:
     """Subject ids become file names, so an id that is not a plain file
@@ -846,6 +864,15 @@ class TestDeterminism:
                              "--em-iterations", "5", *FAST_FIT]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].read_bytes() == pipeline["report"].read_bytes()
+
+    def test_in_run_fit_is_the_saved_subject_fit(self, pipeline, tmp_path):
+        # segment and fit --scope subject draw each subject's MoGP from
+        # the same (seed, index) stream.
+        path = tmp_path / "in-run.json"
+        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
+                         "--output", str(path), "--em-iterations", "5",
+                         *FAST_FIT]) == 0
+        assert path.read_bytes() == pipeline["report"].read_bytes()
 
     def test_synth_is_deterministic(self, pipeline, tmp_path):
         duplicate = tmp_path / "corpus.csv"

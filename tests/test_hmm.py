@@ -95,16 +95,8 @@ class TestExactness:
             gamma = oracles.hmm_enumerate_posteriors(
                 model.initial_probs, model.transitions, model.state_means,
                 model.shared_covariance, seq.steps)
-            stats, _ = hmm._e_step(model, [seq])
-            steps = seq.steps
-            expected = {
-                "gamma_sum": gamma.sum(axis=0),
-                "gamma_obs": gamma.T @ steps,
-                "gamma_sq": np.einsum("ti,td,te->ide", gamma, steps, steps),
-            }
-            for key, value in expected.items():
-                np.testing.assert_allclose(stats[key], value, rtol=1e-10,
-                                           atol=1e-10, err_msg=key)
+            got, _ = hmm._forward_backward(model, seq.steps)
+            np.testing.assert_allclose(got, gamma, rtol=1e-10, atol=1e-10)
 
     def test_forward_survives_an_observation_far_from_every_mean(self):
         rng = np.random.default_rng(114)
@@ -426,6 +418,20 @@ class TestBaumWelch:
     def test_requires_at_least_one_sequence(self):
         with pytest.raises(ValidationError, match="at least one"):
             baum_welch_fit(default_model(), [])
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.7])
+    @pytest.mark.parametrize("sigma", [1e-7, 1e-5, 1e-3, 1e-2, 1e-1])
+    def test_covariance_floor_passes_validation(self, sigma, ratio, tmp_path):
+        # Proportional channels leave the M-step covariance singular but
+        # for its relative jitter, so small ones are raised to the floor.
+        x = np.random.default_rng(0).normal(0.0, sigma, 300)
+        seq = ObservationSequence(steps=np.column_stack([x, ratio * x]))
+        fitted = baum_welch_fit(
+            init_emissions_from_data(default_model(), [seq]), [seq])
+        assert (np.linalg.eigvalsh(fitted.shared_covariance).min()
+                >= hmm.MIN_COVARIANCE_EIGENVALUE)
+        assert len(viterbi_decode(fitted, seq).states) == 300
+        save_model(fitted, tmp_path / "floor.hmm")
 
 
 class TestInitialization:
