@@ -140,7 +140,6 @@ class RunConfig:
     output_path: str | None = None
     model_path: str | None = None
     mogp_dir: str | None = None
-    hmm_path: str | None = None
     # optimizer
     iterations: int = mogp.OptimizerConfig.iterations
     learning_rate: float = mogp.OptimizerConfig.learning_rate
@@ -190,12 +189,11 @@ class RunConfig:
 
 _KINDS = field_kinds(RunConfig)
 # Paths are given as flags only; every other setting is also a config key.
-_PATH_KEYS = ("input_path", "output_path", "model_path", "mogp_dir",
-              "hmm_path")
+_PATH_KEYS = ("input_path", "output_path", "model_path", "mogp_dir")
 _REQUIRED_KEYS = ("input_path", "output_path", "model_path")
 # A setting's flag is "--" plus its name with dashes, except for these.
 _FLAG_ALIASES = {"input_path": "--input", "output_path": "--output",
-                 "model_path": "--model", "hmm_path": "--hmm",
+                 "model_path": "--model",
                  "filter_cutoff_hz": "--filter-cutoff"}
 
 
@@ -416,7 +414,7 @@ def _apply_decision_rule(states: np.ndarray, grid: np.ndarray,
 
 
 def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
-                     index: int, shared_hmm: hmm.HmmModel | None) -> dict:
+                     index: int) -> dict:
     grid = record.grid
     notes: list[str] = []
 
@@ -439,11 +437,8 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
     left = curves[CHANNELS.index("ankle_left")]
 
     obs = hmm.ObservationSequence(steps=np.column_stack([right, left]))
-    if shared_hmm is not None:
-        hmm_model = shared_hmm
-    else:
-        init = hmm.init_emissions_from_data(hmm.default_model(), [obs])
-        hmm_model = hmm.baum_welch_fit(init, [obs], _em_config(cfg))
+    init = hmm.init_emissions_from_data(hmm.default_model(), [obs])
+    hmm_model = hmm.baum_welch_fit(init, [obs], _em_config(cfg))
     decoded = hmm.viterbi_decode(hmm_model, obs)
     segments = _apply_decision_rule(
         decoded.states, grid, _bilateral_deviation(obs.steps),
@@ -482,13 +477,11 @@ def cmd_segment(cfg: RunConfig) -> int:
         raise ValidationError(f"grid_points must be >= "
                               f"{gait_signal.MIN_EVENT_SAMPLES} for segment")
     records = _load_corpus(cfg)
-    shared_hmm = (hmm.load_model(cfg.hmm_path)
-                  if cfg.hmm_path is not None else None)
 
     subjects = []
     for index, record in enumerate(
             sorted(records, key=lambda r: r.subject_id)):
-        payload = _segment_subject(cfg, record, index, shared_hmm)
+        payload = _segment_subject(cfg, record, index)
         subjects.append(payload)
         print(f"{record.subject_id} {record.cohort} "
               f"segments={len(payload['anomalous_segments'])}")
@@ -586,7 +579,7 @@ _SUBCOMMANDS = {
     "predict": (cmd_predict, "evaluate a fitted model on a grid",
                 ("model_path", "output_path", "grid_points")),
     "segment": (cmd_segment, "decode gait phases and anomalous segments", (
-        *_CORPUS_KEYS, "output_path", "mogp_dir", "hmm_path",
+        *_CORPUS_KEYS, "output_path", "mogp_dir",
         "observation_source", "iterations", "points_per_channel",
         "em_iterations", "segment_threshold")),
     "evaluate": (cmd_evaluate, "leave-one-subject-out evaluation", (
@@ -601,7 +594,6 @@ _FLAG_HELP = {
     "output_path": "output file, or directory for several files",
     "filter_cutoff_hz": "Butterworth cutoff in Hz, or 'none'",
     "mogp_dir": "directory of fitted per-subject models",
-    "hmm_path": "fitted HMM model file (skips in-run EM)",
     "segment_threshold": "bilateral-deviation threshold for reporting "
                          "decoded abnormal runs (0 reports all)",
 }

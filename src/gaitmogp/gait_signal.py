@@ -17,8 +17,9 @@ Conventions
   resampling interpolates cyclically. A cycle needs MIN_CYCLE_SAMPLES
   samples to be aligned (``check_cycle``).
 
-Importing this module imports no part of scipy. ``scipy.signal`` (about
-0.7 s of start-up on a 2-vCPU VM) is imported by the first
+Importing this module imports no part of scipy. ``scipy.signal``
+(0.70-0.76 s of start-up after ``import gaitmogp.cli``, five fresh
+interpreters on a 2-vCPU VM with a warm file cache) is imported by the first
 ``lowpass_filter`` call, so a process that never filters, such as a
 ``--filter-cutoff none`` run, never pays for it; ``detect_events`` finds
 peaks with numpy alone.

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import serialize
 from .errors import NumericError, ValidationError
 
 NUM_STATES = 4
@@ -47,8 +46,6 @@ DEFAULT_TRANSITIONS = (
     (0.25, 0.20, 0.50, 0.05),
     (0.25, 0.20, 0.05, 0.50),
 )
-
-MODEL_SCHEMA = "hmm-v1"
 
 # EM constants: a state below this total posterior mass keeps its mean,
 # and the shared covariance gets a relative trace jitter every M-step.
@@ -364,6 +361,8 @@ def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
         delta = scores
 
     best = max(delta)
+    if best == -math.inf:
+        raise NumericError("every state path of the sequence is impossible")
     state = delta.index(best)
     path = [state]
     for pointers in reversed(backptr):
@@ -477,44 +476,3 @@ def anomalous_segments(states, time_grid) -> list[AnomalousSegment]:
     return [AnomalousSegment(float(grid[start]), float(grid[stop - 1]), label)
             for start, stop, label in zip(starts.tolist(), stops.tolist(),
                                           labels.tolist())]
-
-
-# ---------------------------------------------------------------------------
-# Serialization (schema hmm-v1).
-
-# The hmm-v1 array entries, in file order, with their shapes.
-_ARRAY_SHAPES = {
-    "initial_probs": (NUM_STATES,),
-    "transitions": (NUM_STATES, NUM_STATES),
-    "state_means": (NUM_STATES, OBS_DIM),
-    "shared_covariance": (OBS_DIM, OBS_DIM),
-}
-
-
-def save_model(model: HmmModel, path) -> None:
-    model.validate()
-    serialize.write_document(path, [("schema", MODEL_SCHEMA)] + [
-        (key, serialize.format_float_list(getattr(model, key).ravel()))
-        for key in _ARRAY_SHAPES])
-
-
-def load_model(path) -> HmmModel:
-    doc = serialize.read_document(path)
-    schema = serialize.require_key(doc, "schema", str(path))
-    if schema != MODEL_SCHEMA:
-        raise ValidationError(f"{path}: schema {schema!r} is not {MODEL_SCHEMA!r}")
-    arrays = {}
-    for key, shape in _ARRAY_SHAPES.items():
-        values = serialize.parse_float_list(
-            serialize.require_key(doc, key, str(path)), f"{path}: {key}")
-        count = math.prod(shape)
-        if len(values) != count:
-            raise ValidationError(
-                f"{path}: {key} must have {count} entries, got {len(values)}")
-        arrays[key] = np.array(values).reshape(shape)
-    model = HmmModel(**arrays)
-    try:
-        model.validate()
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return model

@@ -200,7 +200,8 @@ class MoGPModel:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float).ravel()
-        expected = len(parameter_names(self.num_outputs, self.config.rank))
+        blocks = parameter_blocks(self.num_outputs, self.config.rank)
+        expected = blocks["log_noise_variance"].stop
         if self.theta.shape[0] != expected:
             raise ValidationError(
                 f"parameter vector has length {self.theta.shape[0]}, "
@@ -454,35 +455,29 @@ def log_marginal_likelihood(model: MoGPModel) -> float:
     return _evaluate(model).lml
 
 
-def _parameter_layout(num_outputs: int, rank: int) -> dict[str, list[str]]:
-    """The blocks of theta in order, keyed like the model file's lines,
-    each with the names of its entries: the seven kernel entries, W
-    row-major (M r), log kappa (M), the per-output means (M) and the log
-    noise variance (1)."""
-    outputs = range(num_outputs)
-    return {
-        "kernel": list(kernels.PARAMETER_NAMES),
-        "coreg.w": [f"coreg.w[{i},{j}]" for i in outputs for j in range(rank)],
-        "coreg.log_kappa": [f"coreg.log_kappa[{i}]" for i in outputs],
-        "means": [f"mean[{i}]" for i in outputs],
-        "log_noise_variance": ["log_noise_variance"],
-    }
-
-
 def parameter_blocks(num_outputs: int, rank: int) -> dict[str, slice]:
-    """The slice of theta each block takes: "kernel", "coreg.w",
-    "coreg.log_kappa", "means" and "log_noise_variance", in that order."""
+    """The slice of theta each block takes, keyed like the model file's
+    lines: the seven "kernel" entries, "coreg.w" row-major (M r),
+    "coreg.log_kappa" (M), the per-output "means" (M) and
+    "log_noise_variance" (1), in that order."""
+    sizes = {"kernel": len(kernels.PARAMETER_NAMES),
+             "coreg.w": num_outputs * rank, "coreg.log_kappa": num_outputs,
+             "means": num_outputs, "log_noise_variance": 1}
     blocks, start = {}, 0
-    for key, names in _parameter_layout(num_outputs, rank).items():
-        blocks[key] = slice(start, start + len(names))
-        start += len(names)
+    for key, size in sizes.items():
+        blocks[key] = slice(start, start + size)
+        start += size
     return blocks
 
 
 def parameter_names(num_outputs: int, rank: int) -> list[str]:
     """The name of each entry of theta, block by block (parameter_blocks)."""
-    return [name for names in _parameter_layout(num_outputs, rank).values()
-            for name in names]
+    outputs = range(num_outputs)
+    return [*kernels.PARAMETER_NAMES,
+            *(f"coreg.w[{i},{j}]" for i in outputs for j in range(rank)),
+            *(f"coreg.log_kappa[{i}]" for i in outputs),
+            *(f"mean[{i}]" for i in outputs),
+            "log_noise_variance"]
 
 
 def _non_finite_names(theta: np.ndarray, num_outputs: int, rank: int) -> str:

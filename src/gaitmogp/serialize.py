@@ -1,6 +1,6 @@
 """Flat key-value text documents and atomic file writes.
 
-Model files (mogp-v1, hmm-v1) are self-describing documents of
+Model files (mogp-v1) are self-describing documents of
 "key = value" lines. Floats are written with repr, which round-trips
 bit-exactly through float(); writing is deterministic so identical
 models produce identical bytes.

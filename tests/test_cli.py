@@ -248,23 +248,13 @@ class TestErrorReporting:
         pytest.param("training.times",
                      lambda times: "1.5," + times.split(",", 1)[1],
                      id="training.times-first-1.5"),
-        # An .hmm file, read by segment --hmm.
-        ("initial_probs", "0.7,0.3,0.05,0.05"),
     ])
     def test_malformed_model_file(self, pipeline, tmp_path, capsys,
                                   key, value):
-        if key in hmm.HmmModel.__dataclass_fields__:
-            model = tmp_path / "bad.hmm"
-            hmm.save_model(hmm.default_model(), model)
-            command = ["segment", "--input", str(pipeline["corpus"]),
-                       "--output", str(tmp_path / "report.json"),
-                       "--mogp-dir", str(pipeline["models"]),
-                       "--hmm", str(model), *FAST_FIT]
-        else:
-            model = tmp_path / "bad.mogp"
-            model.write_bytes((pipeline["models"] / "C01.mogp").read_bytes())
-            command = ["predict", "--model", str(model), "--output",
-                       str(tmp_path / "pred.csv")]
+        model = tmp_path / "bad.mogp"
+        model.write_bytes((pipeline["models"] / "C01.mogp").read_bytes())
+        command = ["predict", "--model", str(model), "--output",
+                   str(tmp_path / "pred.csv")]
         lines = []
         for line in model.read_text().splitlines():
             name, _, old = line.partition(" = ")
@@ -459,19 +449,6 @@ class TestCorruptedModelFiles:
             "predict", "--model", str(model), "--output",
             str(root / "fuzz_pred.csv"), "--grid-points", "5"]))
 
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_segment_with_corrupted_hmm(self, pipeline, data):
-        root = pipeline["root"]
-        model = root / "fuzz.hmm"
-        hmm.save_model(hmm.default_model(), model)
-        model.write_text(data.draw(_corrupted_documents(model.read_text())))
-        _check_outcome(*_run_quietly([
-            "segment", "--input", str(pipeline["corpus"]), "--output",
-            str(root / "fuzz_report.json"), "--mogp-dir",
-            str(pipeline["models"]), "--hmm", str(model),
-            "--grid-points", "20"]))
-
 
 # Every key a --config file accepts, written out.
 _CONFIG_KEYS = {
@@ -554,7 +531,7 @@ _EXPECTED_FLAGS = {
         "--rank", "--points-per-channel"}),
     "predict": ({"--model", "--output"}, {"--grid-points"}),
     "segment": ({"--input", "--output"}, _CORPUS_FLAGS | {
-        "--mogp-dir", "--hmm", "--observation-source", "--iterations",
+        "--mogp-dir", "--observation-source", "--iterations",
         "--points-per-channel", "--em-iterations", "--segment-threshold"}),
     "evaluate": ({"--input", "--output"}, _CORPUS_FLAGS | {
         "--iterations", "--points-per-channel"}),
@@ -842,6 +819,32 @@ class TestMoGPPaths:
             rtol=1e-12, atol=1e-12)
 
 
+    def test_outputs_beyond_the_six_channels_are_named_by_index(self,
+                                                               tmp_path):
+        training = mogp.TrainingSet(times=[0.1, 0.4, 0.2, 0.7],
+                                    outputs=[0, 0, 1, 1],
+                                    values=[0.3, -0.2, 0.5, 0.1],
+                                    num_outputs=2)
+        model = tmp_path / "two.mogp"
+        mogp.save_model(mogp.fit(training, mogp.OptimizerConfig(iterations=0)),
+                        str(model))
+        pred, plots = tmp_path / "pred.csv", tmp_path / "plots"
+        for command, out in (("predict", pred), ("export-plots", plots)):
+            assert cli.main([command, "--model", str(model), "--output",
+                             str(out), "--grid-points", "5"]) == 0
+        assert pred.read_text().splitlines()[1] == (
+            "time,output_0_mean,output_0_std,output_1_mean,output_1_std")
+        assert sorted(path.name for path in plots.iterdir()) == [
+            "band_output_0.csv", "band_output_1.csv", "coregionalization.csv",
+            "coregionalization_normalized.csv"]
+        for filename in ("coregionalization.csv",
+                         "coregionalization_normalized.csv"):
+            lines = (plots / filename).read_text().splitlines()
+            assert lines[1] == "output,output_0,output_1"
+            assert [line.split(",")[0] for line in lines[2:]] == [
+                "output_0", "output_1"]
+
+
 class TestDeterminism:
     def test_fit_is_deterministic(self, pipeline, tmp_path):
         first = tmp_path / "first"
@@ -917,13 +920,3 @@ class TestSegmentOptions:
         report = _read_json(path)
         assert report["observation_source"] == "raw"
         jsonschema.validate(report, cli.SEGMENT_REPORT_JSONSCHEMA)
-
-    def test_shared_hmm_model_is_used(self, pipeline, tmp_path):
-        model_path = tmp_path / "shared.hmm"
-        hmm.save_model(hmm.default_model(), model_path)
-        path = tmp_path / "report.json"
-        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
-                         "--output", str(path),
-                         "--mogp-dir", str(pipeline["models"]),
-                         "--hmm", str(model_path), *FAST_FIT]) == 0
-        jsonschema.validate(_read_json(path), cli.SEGMENT_REPORT_JSONSCHEMA)

@@ -21,8 +21,6 @@ from gaitmogp.hmm import (
     emission_logpdf,
     forward_log_likelihood,
     init_emissions_from_data,
-    load_model,
-    save_model,
     viterbi_decode,
 )
 
@@ -421,7 +419,7 @@ class TestBaumWelch:
 
     @pytest.mark.parametrize("ratio", [1.0, 1.7])
     @pytest.mark.parametrize("sigma", [1e-7, 1e-5, 1e-3, 1e-2, 1e-1])
-    def test_covariance_floor_passes_validation(self, sigma, ratio, tmp_path):
+    def test_covariance_floor_passes_validation(self, sigma, ratio):
         # Proportional channels leave the M-step covariance singular but
         # for its relative jitter, so small ones are raised to the floor.
         x = np.random.default_rng(0).normal(0.0, sigma, 300)
@@ -431,7 +429,7 @@ class TestBaumWelch:
         assert (np.linalg.eigvalsh(fitted.shared_covariance).min()
                 >= hmm.MIN_COVARIANCE_EIGENVALUE)
         assert len(viterbi_decode(fitted, seq).states) == 300
-        save_model(fitted, tmp_path / "floor.hmm")
+        fitted.validate()
 
 
 class TestInitialization:
@@ -541,47 +539,17 @@ class TestValidation:
         with pytest.raises(NumericError, match="non-finite"):
             baum_welch_fit(model, [seq])
 
-
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(111)
-        model = _random_model(rng)
-        path = tmp_path / "model.hmm"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.initial_probs,
-                                      model.initial_probs)
-        np.testing.assert_array_equal(loaded.transitions, model.transitions)
-        np.testing.assert_array_equal(loaded.state_means, model.state_means)
-        np.testing.assert_array_equal(loaded.shared_covariance,
-                                      model.shared_covariance)
-        second = tmp_path / "again.hmm"
-        save_model(loaded, second)
-        assert path.read_bytes() == second.read_bytes()
-
-    def test_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "model.hmm"
-        path.write_text("schema = mogp-v1\n")
-        with pytest.raises(ValidationError, match="hmm-v1"):
-            load_model(path)
-
-    def test_rejects_wrong_entry_count(self, tmp_path):
-        rng = np.random.default_rng(112)
-        model = _random_model(rng)
-        path = tmp_path / "model.hmm"
-        save_model(model, path)
-        text = path.read_text().replace(
-            "state_means = ", "state_means = 0.0,", 1)
-        path.write_text(text)
-        with pytest.raises(ValidationError, match="must have 8 entries"):
-            load_model(path)
-
-    def test_parse_error_names_file_and_key(self, tmp_path):
-        rng = np.random.default_rng(115)
-        path = tmp_path / "model.hmm"
-        save_model(_random_model(rng), path)
-        text = path.read_text().replace("transitions = ", "transitions = x,", 1)
-        path.write_text(text)
-        with pytest.raises(ValidationError,
-                           match=r"model\.hmm: transitions: not a number: 'x'"):
-            load_model(path)
+    def test_viterbi_of_an_impossible_sequence_is_numeric_error(self):
+        # Each step is possible in state 2 alone, which the chain cannot
+        # start in, so every path has probability 0.
+        big = 1e160
+        model = HmmModel(
+            initial_probs=np.array([1.0, 0.0, 0.0, 0.0]),
+            transitions=np.array(hmm.DEFAULT_TRANSITIONS),
+            state_means=np.array([[0.0, 0.0], [big, 0.0], [0.0, big],
+                                  [big, big]]),
+            shared_covariance=np.eye(2))
+        seq = ObservationSequence(steps=np.array([[big, 0.0], [big, 0.0]]))
+        assert forward_log_likelihood(model, seq) == -np.inf
+        with pytest.raises(NumericError, match="impossible"):
+            viterbi_decode(model, seq)

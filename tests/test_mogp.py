@@ -675,6 +675,24 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="missing required key"):
             load_model(path)
 
+    def test_huge_rank_is_rejected_before_sizing_its_blocks(self, tmp_path):
+        # The claimed rank sets how many coreg.w entries are expected;
+        # checking the 12 on file against it must not build 6 * rank names.
+        golden = pathlib.Path(__file__).parent / "data" / "golden"
+        path = tmp_path / "model.mogp"
+        path.write_text(re.sub(r"^((config\.)?rank) = 2$", r"\1 = 100000",
+                               (golden / "pooled.mogp").read_text(),
+                               flags=re.M))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match="coreg.w has 12 entries, expected 600000"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 class TestCoregionalizationExport:
     def test_normalized_matrix_has_unit_diagonal(self):
