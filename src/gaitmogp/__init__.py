@@ -15,12 +15,12 @@ from .mogp import (MoGPModel, OptimizerConfig, PosteriorPrediction,
                    TrainingSet, export_coregionalization, fit,
                    initialize_model, lml_gradient, log_marginal_likelihood,
                    predict)
-from .hmm import (AnomalousSegment, BaumWelchConfig, DecodedStates, HmmModel,
+from .hmm import (BaumWelchConfig, DecodedStates, HmmModel,
                   ObservationSequence, anomalous_segments, baum_welch_fit,
                   default_model, emission_logpdf, forward_log_likelihood,
                   init_emissions_from_data, viterbi_decode)
-from .gait_signal import (CHANNELS, GaitEvents, detect_events,
-                          impute_missing, lowpass_filter, normalize_and_align,
+from .gait_signal import (CHANNELS, detect_events, impute_missing,
+                          lowpass_filter, normalize_and_align,
                           phase_durations)
 from .metrics import compute_report, dtw, mae, r_squared
 from .dataio import (AnomalySpec, SubjectRecord, SynthConfig,
@@ -35,11 +35,11 @@ __all__ = [
     "MoGPModel", "OptimizerConfig", "PosteriorPrediction", "TrainingSet",
     "export_coregionalization", "fit", "initialize_model", "lml_gradient",
     "log_marginal_likelihood", "predict",
-    "AnomalousSegment", "BaumWelchConfig", "DecodedStates", "HmmModel",
+    "BaumWelchConfig", "DecodedStates", "HmmModel",
     "ObservationSequence", "anomalous_segments", "baum_welch_fit",
     "default_model", "emission_logpdf", "forward_log_likelihood",
     "init_emissions_from_data", "viterbi_decode",
-    "CHANNELS", "GaitEvents", "detect_events", "impute_missing",
+    "CHANNELS", "detect_events", "impute_missing",
     "lowpass_filter", "normalize_and_align", "phase_durations",
     "compute_report", "dtw", "mae", "r_squared",
     "AnomalySpec", "SubjectRecord", "SynthConfig",

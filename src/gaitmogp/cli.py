@@ -446,11 +446,11 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
 
     events_doc, phases_doc = {}, {}
     for side, curve in (("right", right), ("left", left)):
-        events = detect_events(curve, grid)
-        events_doc[side] = {"heel_strikes": events.heel_strikes.tolist(),
-                            "toe_offs": events.toe_offs.tolist()}
+        heel_strikes, toe_offs = detect_events(curve, grid)
+        events_doc[side] = {"heel_strikes": heel_strikes,
+                            "toe_offs": toe_offs}
         try:
-            stance, swing = phase_durations(events)
+            stance, swing = phase_durations(heel_strikes, toe_offs)
         except ValidationError as exc:
             notes.append(f"{side}: phase durations unavailable ({exc})")
             stance, swing = [], []
@@ -459,15 +459,11 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
     return {
         "subject_id": record.subject_id,
         "cohort": record.cohort,
-        "states": [int(s) for s in decoded.states],
-        "log_joint": float(decoded.log_joint),
+        "states": decoded.states.tolist(),
+        "log_joint": decoded.log_joint,
         "events": events_doc,
         "phases": phases_doc,
-        "anomalous_segments": [
-            {"start_time": float(seg.start_time),
-             "end_time": float(seg.end_time),
-             "state_label": seg.state_label}
-            for seg in segments],
+        "anomalous_segments": segments,
         "notes": notes,
     }
 

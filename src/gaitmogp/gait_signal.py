@@ -29,8 +29,6 @@ All operations are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -55,26 +53,6 @@ MIN_EVENT_SAMPLES = 5
 PROMINENCE_FRACTION = 0.2
 MIN_EVENT_SPACING = 0.15
 FLAT_SIGNAL_PTP = 1e-9
-
-
-@dataclass
-class GaitEvents:
-    """Heel-strike and toe-off times of one side, in normalized time."""
-
-    heel_strikes: np.ndarray
-    toe_offs: np.ndarray
-
-    def __post_init__(self):
-        self.heel_strikes = np.asarray(self.heel_strikes, dtype=float).ravel()
-        self.toe_offs = np.asarray(self.toe_offs, dtype=float).ravel()
-        for name, arr in (("heel_strikes", self.heel_strikes),
-                          ("toe_offs", self.toe_offs)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} must be finite")
-            if arr.size and np.any(np.diff(arr) <= 0.0):
-                raise ValidationError(f"{name} must be strictly increasing")
-            if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
-                raise ValidationError(f"{name} must lie within [0, 1]")
 
 
 def lowpass_filter(samples, cutoff_hz: float = DEFAULT_FILTER_CUTOFF_HZ,
@@ -208,9 +186,10 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
     return grid, (resampled - means[:, None]) / stds[:, None], means, stds
 
 
-def detect_events(values, grid=None) -> GaitEvents:
-    """Heel strikes (local minima) and toe-offs (local maxima) of an
-    ankle height signal over one normalized cycle.
+def detect_events(values, grid=None) -> tuple[list[float], list[float]]:
+    """(heel_strikes, toe_offs): the grid times of the local minima and
+    of the local maxima of an ankle height signal over one normalized
+    cycle, each list in increasing order.
 
     The signal needs MIN_EVENT_SAMPLES samples, and a given grid must be
     finite, strictly increasing, uniformly spaced (to a relative 1e-9)
@@ -222,7 +201,7 @@ def detect_events(values, grid=None) -> GaitEvents:
     of PROMINENCE_FRACTION times the signal's peak-to-peak range and be
     at least MIN_EVENT_SPACING normalized-time apart. When the merged
     event sequence fails to alternate, the more extreme event of each
-    same-type run is kept. A flat signal yields empty lists.
+    same-type run is kept. A flat signal yields two empty lists.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.shape[0] < MIN_EVENT_SAMPLES:
@@ -246,7 +225,7 @@ def detect_events(values, grid=None) -> GaitEvents:
 
     ptp = float(np.max(values) - np.min(values))
     if ptp < FLAT_SIGNAL_PTP:
-        return GaitEvents(heel_strikes=[], toe_offs=[])
+        return [], []
 
     n = values.shape[0]
     step = float(grid[1] - grid[0])
@@ -275,9 +254,9 @@ def detect_events(values, grid=None) -> GaitEvents:
         else:
             kept.append((idx, kind))
 
-    heel = [grid[i] for i, kind in kept if kind == 0]
-    toe = [grid[i] for i, kind in kept if kind == 1]
-    return GaitEvents(heel_strikes=heel, toe_offs=toe)
+    heel = [i for i, kind in kept if kind == 0]
+    toe = [i for i, kind in kept if kind == 1]
+    return grid[heel].tolist(), grid[toe].tolist()
 
 
 def _find_peaks(signal: np.ndarray, prominence: float,
@@ -343,21 +322,32 @@ def _find_peaks(signal: np.ndarray, prominence: float,
     return peaks[np.array(keep, dtype=bool)]
 
 
-def phase_durations(events: GaitEvents) -> tuple[list[float], list[float]]:
+def phase_durations(heel_strikes, toe_offs) -> tuple[list[float], list[float]]:
     """(stance, swing): the stance (heel strike -> next toe-off) and swing
-    (toe-off -> next heel strike) durations, in time order.
+    (toe-off -> next heel strike) durations, in time order, from the event
+    times of one side, such as ``detect_events`` returns.
 
-    Phases are not wrapped around the cycle end, so the trailing phase is
-    lost and the two lists may differ in length by one. On one cycle with
-    a heel strike before a toe-off, which is what ``segment`` finds on
-    most sides of its one mean cycle, that leaves one stance and an empty
-    swing list; a toe-off before the heel strike leaves no stance and
-    raises. Events that do not alternate, or a zero duration (a heel
+    Each list of times must be finite, strictly increasing and within
+    [0, 1]. Phases are not wrapped around the cycle end, so the trailing
+    phase is lost and the two lists may differ in length by one. On one
+    cycle with a heel strike before a toe-off, which is what ``segment``
+    finds on most sides of its one mean cycle, that leaves one stance and
+    an empty swing list; a toe-off before the heel strike leaves no stance
+    and raises. Events that do not alternate, or a zero duration (a heel
     strike at the time of a toe-off), raise too.
     """
-    merged = sorted(
-        [(float(t), 0) for t in events.heel_strikes]
-        + [(float(t), 1) for t in events.toe_offs])
+    merged = []
+    for kind, (name, times) in enumerate((("heel_strikes", heel_strikes),
+                                          ("toe_offs", toe_offs))):
+        times = np.asarray(times, dtype=float).ravel()
+        if not np.all(np.isfinite(times)):
+            raise ValidationError(f"{name} must be finite")
+        if times.size and np.any(np.diff(times) <= 0.0):
+            raise ValidationError(f"{name} must be strictly increasing")
+        if times.size and (np.min(times) < 0.0 or np.max(times) > 1.0):
+            raise ValidationError(f"{name} must lie within [0, 1]")
+        merged += [(t, kind) for t in times.tolist()]
+    merged.sort()
     offending = [i for i in range(1, len(merged))
                  if merged[i][1] == merged[i - 1][1]]
     if offending:

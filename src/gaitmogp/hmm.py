@@ -131,19 +131,12 @@ class ObservationSequence:
         return self.steps.shape[0]
 
 
-@dataclass
-class DecodedStates:
-    """Most probable state path (1-based indices) and its joint log score."""
+class DecodedStates(NamedTuple):
+    """Most probable state path, a (T,) int array of 1-based indices, and
+    its joint log score."""
 
     states: np.ndarray
     log_joint: float
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=int).ravel()
-        if np.any(self.states < 1) or np.any(self.states > NUM_STATES):
-            raise ValidationError("state indices must lie in {1, 2, 3, 4}")
-        if not math.isfinite(self.log_joint):
-            raise ValidationError("log_joint must be finite")
 
 
 @dataclass
@@ -156,12 +149,6 @@ class BaumWelchConfig:
             raise ValidationError("max_iterations must be >= 0")
         if not self.tol > 0.0:
             raise ValidationError("tol must be positive")
-
-
-class AnomalousSegment(NamedTuple):
-    start_time: float
-    end_time: float
-    state_label: str
 
 
 def default_model() -> HmmModel:
@@ -368,7 +355,7 @@ def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
     for pointers in reversed(backptr):
         state = pointers[state]
         path.append(state)
-    return DecodedStates(states=np.array(path[::-1]) + 1, log_joint=best)
+    return DecodedStates(np.array(path[::-1]) + 1, best)
 
 
 def _validated_sequences(sequences) -> list[ObservationSequence]:
@@ -449,8 +436,9 @@ def baum_welch_fit(init: HmmModel, sequences,
     return model
 
 
-def anomalous_segments(states, time_grid) -> list[AnomalousSegment]:
-    """Maximal runs of abnormal states as (start, end, dominant label).
+def anomalous_segments(states, time_grid) -> list[dict]:
+    """Maximal runs of abnormal states as the segment report's
+    ``{"start_time", "end_time", "state_label"}`` entries, in time order.
 
     ``states`` is a (T,) path of 1-based state indices, such as
     ``DecodedStates.states``. Contiguous steps in state 3 or 4 merge into
@@ -473,6 +461,7 @@ def anomalous_segments(states, time_grid) -> list[AnomalousSegment]:
     threes = np.concatenate(([0], np.cumsum(states == 3)))
     labels = np.where(2 * (threes[stops] - threes[starts]) >= stops - starts,
                       "s3", "s4")
-    return [AnomalousSegment(float(grid[start]), float(grid[stop - 1]), label)
-            for start, stop, label in zip(starts.tolist(), stops.tolist(),
-                                          labels.tolist())]
+    return [{"start_time": start, "end_time": end, "state_label": label}
+            for start, end, label in zip(grid[starts].tolist(),
+                                         grid[stops - 1].tolist(),
+                                         labels.tolist())]

@@ -350,13 +350,14 @@ def test_criterion_08_event_detection():
     clean_hits = 0
     for _ in range(100):
         phase = float(rng.uniform())
-        events = detect_events(_template((grid - phase) % 1.0), grid)
+        heel_strikes, toe_offs = detect_events(
+            _template((grid - phase) % 1.0), grid)
         clean_hits += int(
-            len(events.heel_strikes) == 1 and len(events.toe_offs) == 1
-            and _circular_distance(events.heel_strikes[0],
+            len(heel_strikes) == 1 and len(toe_offs) == 1
+            and _circular_distance(heel_strikes[0],
                                    (TEMPLATE_MIN + phase) % 1.0)
             <= 1.0 / n + 1e-12
-            and _circular_distance(events.toe_offs[0],
+            and _circular_distance(toe_offs[0],
                                    (TEMPLATE_MAX + phase) % 1.0)
             <= 1.0 / n + 1e-12)
 
@@ -369,13 +370,13 @@ def test_criterion_08_event_detection():
         traj = np.column_stack([np.zeros(3 * n), tiled, np.ones(3 * n)])
         smoothed = lowpass_filter(traj, cutoff_hz=4.0,
                                   frame_rate=float(n))[n:2 * n, 1]
-        events = detect_events(smoothed, grid)
+        heel_strikes, toe_offs = detect_events(smoothed, grid)
         noisy_hits += int(
-            len(events.heel_strikes) == 1 and len(events.toe_offs) == 1
-            and _circular_distance(events.heel_strikes[0],
+            len(heel_strikes) == 1 and len(toe_offs) == 1
+            and _circular_distance(heel_strikes[0],
                                    (TEMPLATE_MIN + phase) % 1.0)
             <= 2.0 / n + 1e-12
-            and _circular_distance(events.toe_offs[0],
+            and _circular_distance(toe_offs[0],
                                    (TEMPLATE_MAX + phase) % 1.0)
             <= 2.0 / n + 1e-12)
 

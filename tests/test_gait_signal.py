@@ -11,7 +11,6 @@ from gaitmogp.dataio import CSV_HEADER, load_corpus
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import (
     CHANNELS,
-    GaitEvents,
     _find_peaks,
     detect_events,
     impute_missing,
@@ -145,33 +144,30 @@ class TestNormalizeAndAlign:
 class TestDetectEvents:
     def test_clean_template_extrema_within_one_grid_step(self):
         t = np.arange(400) / 400.0
-        events = detect_events(_template(t), t)
-        assert events.heel_strikes.shape == (1,)
-        assert events.toe_offs.shape == (1,)
-        assert abs(events.heel_strikes[0] - TEMPLATE_MIN) <= 1 / 400 + 1e-12
-        assert abs(events.toe_offs[0] - TEMPLATE_MAX) <= 1 / 400 + 1e-12
+        heel_strikes, toe_offs = detect_events(_template(t), t)
+        assert len(heel_strikes) == 1
+        assert len(toe_offs) == 1
+        assert abs(heel_strikes[0] - TEMPLATE_MIN) <= 1 / 400 + 1e-12
+        assert abs(toe_offs[0] - TEMPLATE_MAX) <= 1 / 400 + 1e-12
 
     def test_events_follow_phase_shift(self):
         t = np.arange(400) / 400.0
         shift = 0.37
-        events = detect_events(_template(t - shift), t)
+        heel_strikes, toe_offs = detect_events(_template(t - shift), t)
         hs = (TEMPLATE_MIN + shift) % 1.0
         to = (TEMPLATE_MAX + shift) % 1.0
-        assert abs(events.heel_strikes[0] - hs) <= 1 / 400 + 1e-12
-        assert abs(events.toe_offs[0] - to) <= 1 / 400 + 1e-12
+        assert abs(heel_strikes[0] - hs) <= 1 / 400 + 1e-12
+        assert abs(toe_offs[0] - to) <= 1 / 400 + 1e-12
 
     def test_extremum_at_grid_boundary_is_found(self):
         t = np.arange(400) / 400.0
-        events = detect_events(_template(t + TEMPLATE_MIN), t)
-        assert events.heel_strikes.shape == (1,)
-        boundary_distance = min(events.heel_strikes[0],
-                                1.0 - events.heel_strikes[0])
+        heel_strikes, _ = detect_events(_template(t + TEMPLATE_MIN), t)
+        assert len(heel_strikes) == 1
+        boundary_distance = min(heel_strikes[0], 1.0 - heel_strikes[0])
         assert boundary_distance <= 1 / 400 + 1e-12
 
     def test_flat_signal_yields_no_events(self):
-        events = detect_events(np.full(50, 1.0))
-        assert events.heel_strikes.size == 0
-        assert events.toe_offs.size == 0
+        assert detect_events(np.full(50, 1.0)) == ([], [])
 
     def test_distance_pruning_keeps_alternation(self):
         # Two maxima 0.14 apart: the shorter is pruned by the spacing
@@ -182,14 +178,14 @@ class TestDetectEvents:
         y = np.interp(grid,
                       np.concatenate([anchor_t - 1, anchor_t, anchor_t + 1]),
                       np.tile(anchor_v, 3))
-        events = detect_events(y, grid)
-        np.testing.assert_allclose(events.heel_strikes, [0.10, 0.70])
-        np.testing.assert_allclose(events.toe_offs, [0.44, 0.90])
+        heel_strikes, toe_offs = detect_events(y, grid)
+        np.testing.assert_allclose(heel_strikes, [0.10, 0.70])
+        np.testing.assert_allclose(toe_offs, [0.44, 0.90])
 
     def test_default_grid_is_cycle_normalized(self):
         t = np.arange(400) / 400.0
-        events = detect_events(_template(t))
-        assert abs(events.heel_strikes[0] - TEMPLATE_MIN) <= 1 / 400 + 1e-12
+        heel_strikes, _ = detect_events(_template(t))
+        assert abs(heel_strikes[0] - TEMPLATE_MIN) <= 1 / 400 + 1e-12
 
     def test_input_validation(self):
         with pytest.raises(ValidationError, match="at least 5"):
@@ -226,9 +222,9 @@ class TestDetectEvents:
         phase = rng.uniform(0.0, 2 * np.pi, 3)
         y = sum(c * np.sin(2 * np.pi * (k + 1) * t + p)
                 for k, (c, p) in enumerate(zip(coef, phase)))
-        events = detect_events(y, t)
-        for value in np.concatenate([events.heel_strikes, events.toe_offs]):
-            assert value in t
+        heel_strikes, toe_offs = detect_events(y, t)
+        for value in heel_strikes + toe_offs:
+            assert type(value) is float and value in t
 
 
 @st.composite
@@ -259,46 +255,40 @@ class TestFindPeaks:
 
 class TestPhaseDurations:
     def test_stance_and_swing_from_alternating_events(self):
-        events = GaitEvents(heel_strikes=[0.10, 0.60],
-                            toe_offs=[0.35, 0.90])
-        stance, swing = phase_durations(events)
+        stance, swing = phase_durations([0.10, 0.60], [0.35, 0.90])
         np.testing.assert_allclose(stance, [0.25, 0.30])
         np.testing.assert_allclose(swing, [0.25])
 
     def test_leading_toe_off_contributes_swing_only(self):
-        events = GaitEvents(heel_strikes=[0.50], toe_offs=[0.20, 0.80])
-        stance, swing = phase_durations(events)
+        stance, swing = phase_durations([0.50], [0.20, 0.80])
         np.testing.assert_allclose(stance, [0.30])
         np.testing.assert_allclose(swing, [0.30])
 
     def test_non_alternating_events_are_rejected(self):
-        events = GaitEvents(heel_strikes=[0.1, 0.2], toe_offs=[0.9])
         with pytest.raises(ValidationError, match="alternate"):
-            phase_durations(events)
+            phase_durations([0.1, 0.2], [0.9])
 
     def test_missing_stance_pair_is_rejected(self):
-        events = GaitEvents(heel_strikes=[0.9], toe_offs=[0.1])
         with pytest.raises(ValidationError, match="heel-strike"):
-            phase_durations(events)
+            phase_durations([0.9], [0.1])
 
     def test_event_ordering_is_validated(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            GaitEvents(heel_strikes=[0.5, 0.2], toe_offs=[])
+            phase_durations([0.5, 0.2], [])
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            GaitEvents(heel_strikes=[1.5], toe_offs=[])
+            phase_durations([1.5], [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_event_times_must_be_finite(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
-            GaitEvents(heel_strikes=[bad], toe_offs=[])
-        with pytest.raises(ValidationError, match="finite"):
-            GaitEvents(heel_strikes=[0.2], toe_offs=[0.5, bad])
+        with pytest.raises(ValidationError, match="heel_strikes must be finite"):
+            phase_durations([bad], [])
+        with pytest.raises(ValidationError, match="toe_offs must be finite"):
+            phase_durations([0.2], [0.5, bad])
 
     def test_durations_must_be_positive(self):
         # A heel strike at the time of a toe-off is a zero stance.
-        events = GaitEvents(heel_strikes=[0.2], toe_offs=[0.2])
         with pytest.raises(ValidationError, match="positive"):
-            phase_durations(events)
+            phase_durations([0.2], [0.2])
 
 
 class TestJointTrajectoryValidation:

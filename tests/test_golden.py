@@ -17,13 +17,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import shutil
 import tempfile
 
 import pytest
 
-from gaitmogp import cli
+from gaitmogp import cli, hmm
 from gaitmogp.gait_signal import CHANNELS
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -75,6 +76,28 @@ def test_corpus_hash(regenerated):
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_output_is_byte_identical(regenerated, name):
     assert (regenerated / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_anomalous_segments_are_the_report_entries(regenerated, tmp_path,
+                                                   monkeypatch):
+    # segment writes what hmm.anomalous_segments returns, unconverted.
+    returned = []
+    anomalous_segments = hmm.anomalous_segments
+
+    def recording(states, time_grid):
+        returned.append(anomalous_segments(states, time_grid))
+        return returned[-1]
+
+    monkeypatch.setattr(hmm, "anomalous_segments", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["segment", "--input",
+                         str(regenerated / "corpus.csv"), *FIT,
+                         "--em-iterations", "3",
+                         "--output", str(tmp_path / "segment.json")]) == 0
+    golden = json.loads((GOLDEN / "segment.json").read_text())
+    assert returned == [subject["anomalous_segments"]
+                        for subject in golden["subjects"]]
+    assert any(returned)
 
 
 if __name__ == "__main__":

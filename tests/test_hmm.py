@@ -12,7 +12,6 @@ from gaitmogp.errors import NumericError, ValidationError
 from gaitmogp.hmm import (
     ABNORMAL_STATES,
     BaumWelchConfig,
-    DecodedStates,
     HmmModel,
     ObservationSequence,
     anomalous_segments,
@@ -465,19 +464,20 @@ class TestSegments:
         grid = np.arange(8) / 8.0
         segments = anomalous_segments(np.array([1, 3, 3, 2, 4, 4, 4, 1]),
                                       grid)
-        assert len(segments) == 2
-        assert segments[0] == (pytest.approx(1 / 8), pytest.approx(2 / 8), "s3")
-        assert segments[1] == (pytest.approx(4 / 8), pytest.approx(6 / 8), "s4")
+        assert segments == [
+            {"start_time": 1 / 8, "end_time": 2 / 8, "state_label": "s3"},
+            {"start_time": 4 / 8, "end_time": 6 / 8, "state_label": "s4"}]
 
     def test_majority_label_with_tie_prefers_s3(self):
         grid = np.arange(4) / 4.0
         segments = anomalous_segments(np.array([3, 4, 1, 1]), grid)
-        assert [s.state_label for s in segments] == ["s3"]
+        assert [s["state_label"] for s in segments] == ["s3"]
 
     def test_trailing_run_is_closed(self):
         grid = np.arange(5) / 5.0
         segments = anomalous_segments(np.array([1, 1, 1, 4, 4]), grid)
-        assert segments == [(pytest.approx(3 / 5), pytest.approx(4 / 5), "s4")]
+        assert segments == [{"start_time": 3 / 5, "end_time": 4 / 5,
+                             "state_label": "s4"}]
 
     def test_all_normal_path_yields_no_segments(self):
         grid = np.arange(6) / 6.0
@@ -521,10 +521,6 @@ class TestValidation:
             ObservationSequence(steps=np.zeros((4, 3)))
         with pytest.raises(ValidationError, match="finite"):
             ObservationSequence(steps=np.array([[0.0, np.nan]]))
-
-    def test_decoded_state_range(self):
-        with pytest.raises(ValidationError, match=r"\{1, 2, 3, 4\}"):
-            DecodedStates(states=np.array([0, 1]), log_joint=0.0)
 
     def test_emission_underflow_raises_numeric_error(self):
         model = default_model()
