@@ -328,13 +328,13 @@ def phase_durations(heel_strikes, toe_offs) -> tuple[list[float], list[float]]:
     times of one side, such as ``detect_events`` returns.
 
     Each list of times must be finite, strictly increasing and within
-    [0, 1]. Phases are not wrapped around the cycle end, so the trailing
-    phase is lost and the two lists may differ in length by one. On one
-    cycle with a heel strike before a toe-off, which is what ``segment``
-    finds on most sides of its one mean cycle, that leaves one stance and
-    an empty swing list; a toe-off before the heel strike leaves no stance
-    and raises. Events that do not alternate, or a zero duration (a heel
-    strike at the time of a toe-off), raise too.
+    [0, 1]. The cycle is periodic: when the last event and the first
+    differ in kind, the phase after the last event ends at the first
+    event + 1, so one heel strike and one toe-off give one stance and one
+    swing that sum to one cycle. Otherwise only consecutive events pair
+    up. No stance (a lone event, or none) raises, and so do events that
+    do not alternate or a zero duration (a heel strike at the time of a
+    toe-off).
     """
     merged = []
     for kind, (name, times) in enumerate((("heel_strikes", heel_strikes),
@@ -353,6 +353,8 @@ def phase_durations(heel_strikes, toe_offs) -> tuple[list[float], list[float]]:
     if offending:
         raise ValidationError(
             f"events do not alternate at merged indices {offending}")
+    if merged and merged[-1][1] != merged[0][1]:
+        merged.append((merged[0][0] + 1.0, merged[0][1]))
 
     stance, swing = [], []
     for (t0, kind), (t1, _) in zip(merged, merged[1:]):

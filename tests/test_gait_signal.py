@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from gaitmogp.dataio import CSV_HEADER, load_corpus
+from gaitmogp.dataio import (CSV_HEADER, AnomalySpec, SynthConfig,
+                             generate_synthetic, load_corpus)
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import (
     CHANNELS,
@@ -255,9 +256,39 @@ class TestFindPeaks:
 
 class TestPhaseDurations:
     def test_stance_and_swing_from_alternating_events(self):
+        # The last toe-off's swing ends at the first heel strike + 1.
         stance, swing = phase_durations([0.10, 0.60], [0.35, 0.90])
         np.testing.assert_allclose(stance, [0.25, 0.30])
-        np.testing.assert_allclose(swing, [0.25])
+        np.testing.assert_allclose(swing, [0.25, 0.20])
+
+    @pytest.mark.parametrize("heel_strikes, toe_offs, stance", [
+        ([0.5375], [0.925], 0.3875),
+        ([0.9], [0.1], 0.2),
+    ], ids=["heel-strike-first", "toe-off-first"])
+    def test_one_event_pair_closes_the_cycle(self, heel_strikes, toe_offs,
+                                             stance):
+        got_stance, got_swing = phase_durations(heel_strikes, toe_offs)
+        assert len(got_stance) == 1 and len(got_swing) == 1
+        assert got_stance[0] == pytest.approx(stance, abs=1e-12)
+        assert abs(got_stance[0] + got_swing[0] - 1.0) <= 1e-12
+
+    def test_control_mean_cycles_give_one_stance_and_one_swing(self):
+        # Criterion 9's corpus recipe, fewer subjects.
+        anomaly = AnomalySpec(affected_side="left", phase=0.55,
+                              amplitude_shift=0.15, duration_fraction=0.20)
+        records = generate_synthetic(SynthConfig(
+            seed=11, subjects_per_cohort=3, cycles_per_subject=3,
+            noise_level=0.002, anomaly=anomaly))
+        controls = [r for r in records if r.cohort == "control"]
+        assert len(controls) == 3
+        for record in controls:
+            for channel in ("ankle_right", "ankle_left"):
+                curve = record.cycles.mean(axis=0)[CHANNELS.index(channel)]
+                stance, swing = phase_durations(
+                    *detect_events(curve, record.grid))
+                assert len(stance) == 1 and len(swing) == 1, \
+                    (record.subject_id, channel, stance, swing)
+                assert abs(stance[0] + swing[0] - 1.0) <= 1e-12
 
     def test_leading_toe_off_contributes_swing_only(self):
         stance, swing = phase_durations([0.50], [0.20, 0.80])
@@ -270,7 +301,9 @@ class TestPhaseDurations:
 
     def test_missing_stance_pair_is_rejected(self):
         with pytest.raises(ValidationError, match="heel-strike"):
-            phase_durations([0.9], [0.1])
+            phase_durations([0.9], [])
+        with pytest.raises(ValidationError, match="heel-strike"):
+            phase_durations([], [0.1])
 
     def test_event_ordering_is_validated(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
