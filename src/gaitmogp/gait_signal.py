@@ -2,8 +2,9 @@
 
 Covers the preprocessing chain (zero-phase Butterworth smoothing, linear
 gap imputation, per-subject normalization with temporal alignment onto a
-T-point cycle grid) and the downstream features: heel-strike/toe-off
-detection and stance/swing phase durations.
+T-point cycle grid) and the downstream features of one periodic cycle:
+heel-strike/toe-off times and stance/swing phase durations, each as a
+plain list of floats, the values the segment report writes.
 
 Conventions
 -----------

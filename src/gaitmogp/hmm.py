@@ -16,7 +16,9 @@ Both run on Python floats: over four states, plain float arithmetic per
 step costs less than numpy calls on 4-vectors.
 An observation sequence is only its (T, 2) steps; where its curves come
 from is the caller's setting. Models are immutable after fitting;
-decoding is pure.
+decoding is pure and returns plain values: ``viterbi_decode`` the
+(states, log_joint) tuple ``DecodedStates``, ``anomalous_segments`` the
+segment report's {"start_time", "end_time", "state_label"} dicts.
 """
 
 from __future__ import annotations
