@@ -338,8 +338,8 @@ def phase_durations(heel_strikes, toe_offs) -> tuple[list[float], list[float]]:
     toe-off).
     """
     merged = []
-    for kind, (name, times) in enumerate((("heel_strikes", heel_strikes),
-                                          ("toe_offs", toe_offs))):
+    for kind, name, times in ((0, "heel_strikes", heel_strikes),
+                              (1, "toe_offs", toe_offs)):
         times = np.asarray(times, dtype=float).ravel()
         if not np.all(np.isfinite(times)):
             raise ValidationError(f"{name} must be finite")
