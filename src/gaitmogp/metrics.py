@@ -8,6 +8,12 @@ from an ``inf``-padded copy of the longer one, in O(n + m) memory plus a
 fixed 128 KiB cost block; results are bit-identical to the row-by-row
 recurrence. A report's aDTW is the mean DTW over its output channels.
 
+``compute_report`` checks its inputs once and takes every row's MAE,
+SS_res and SS_tot with one ``axis=1`` reduction each over the C-ordered
+(M, Q) arrays. Each row is then summed by numpy's same pairwise sum as a
+1-D ``np.mean``/``np.sum`` of that row, so the report equals, bit for
+bit, what ``mae`` and ``r_squared`` give row by row.
+
 All functions are pure and concurrent-safe.
 """
 
@@ -107,15 +113,17 @@ def dtw(a, b) -> float:
     num_diagonals = n + m - 1
     rows = max(1, min(_DTW_BLOCK_CELLS // n, num_diagonals - 1))
     block = np.empty((rows, n))
+    # Bound once: the loop below runs three ufuncs per diagonal.
+    minimum, add = np.minimum, np.add
     for start in range(1, num_diagonals, rows):
         cost = block[:num_diagonals - start]
         np.subtract(a, windows[start:start + rows], out=cost)
         np.abs(cost, out=cost)
         # zip draws from ``cost`` first, so it takes no view set past it.
         for row, (left, up, diagonal, out) in zip(cost, rotation):
-            np.minimum(left, up, out=out)
-            np.minimum(out, diagonal, out=out)
-            np.add(row, out, out=out)
+            minimum(left, up, out=out)
+            minimum(out, diagonal, out=out)
+            add(row, out, out=out)
     return float(buffers[(num_diagonals - 1) % 3, n])
 
 
@@ -129,23 +137,55 @@ def compute_report(pred_set, truth_set, output_names,
     ``r_squared.<name>`` and ``dtw.<name>`` per row in row order. The
     aggregate MAE and R² are taken over the pooled (flattened) rows, and
     aDTW is the mean of the per-row DTWs.
+
+    One pass: the inputs are checked once, with the texts ``mae`` and
+    ``r_squared`` raise, and each row's MAE, SS_res and SS_tot come from
+    one ``axis=1`` reduction over the C-ordered (M, Q) arrays. A
+    reduction along the contiguous last axis hands each row whole to
+    numpy's pairwise sum, the sum a 1-D reduction of that row takes, and
+    the row means divide by the same count, so every value equals the
+    per-row ``mae``/``r_squared`` bit for bit.
     """
     pred = np.atleast_2d(np.asarray(pred_set, dtype=float))
     truth = np.atleast_2d(np.asarray(truth_set, dtype=float))
     if pred.shape != truth.shape:
         raise ValidationError(
             f"shape mismatch: pred {pred.shape}, truth {truth.shape}")
+    if pred.ndim != 2:
+        raise ValidationError(
+            f"pred and truth must be (M, Q) arrays, got shape {pred.shape}")
     if len(output_names) != pred.shape[0]:
         raise ValidationError("output_names must match the number of rows")
     per_dtw = np.asarray(per_output_dtw, dtype=float)
     if per_dtw.shape != (pred.shape[0],) or not np.all(per_dtw >= 0.0):
         raise ValidationError(
             "per_output_dtw must hold one value >= 0 per row")
-    report = {"mae": mae(pred.ravel(), truth.ravel()),
-              "r_squared": r_squared(pred.ravel(), truth.ravel()),
+    # C order keeps each row contiguous, whatever the caller's layout.
+    pred = np.ascontiguousarray(pred)
+    truth = np.ascontiguousarray(truth)
+    _as_sequence("pred", pred.ravel())
+    pooled_truth = _as_sequence("truth", truth.ravel())
+    if pred.shape[1] < 2:
+        raise ValidationError("pred needs at least 2 values")
+
+    error = pred - truth
+    abs_error = np.abs(error)
+    squared_error = error ** 2
+    pooled_ss_tot = float(
+        np.sum((pooled_truth - np.mean(pooled_truth)) ** 2))
+    ss_tot = np.sum((truth - np.mean(truth, axis=1, keepdims=True)) ** 2,
+                    axis=1)
+    if pooled_ss_tot == 0.0 or not np.all(ss_tot != 0.0):
+        raise ValidationError("truth is constant; R² is undefined")
+    pooled_ss_res = float(np.sum(squared_error.ravel()))
+    report = {"mae": float(np.mean(abs_error.ravel())),
+              "r_squared": 1.0 - pooled_ss_res / pooled_ss_tot,
               "adtw": float(np.mean(per_dtw))}
-    for name, p, t, d in zip(output_names, pred, truth, per_dtw.tolist()):
-        report[f"mae.{name}"] = mae(p, t)
-        report[f"r_squared.{name}"] = r_squared(p, t)
+    row_mae = np.mean(abs_error, axis=1)
+    row_r_squared = 1.0 - np.sum(squared_error, axis=1) / ss_tot
+    for name, m, r, d in zip(output_names, row_mae.tolist(),
+                             row_r_squared.tolist(), per_dtw.tolist()):
+        report[f"mae.{name}"] = m
+        report[f"r_squared.{name}"] = r
         report[f"dtw.{name}"] = d
     return report

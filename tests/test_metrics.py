@@ -229,6 +229,9 @@ class TestReport:
         with pytest.raises(ValidationError, match="shape mismatch"):
             compute_report(np.zeros((2, 5)), np.zeros((3, 5)), ("a", "b"),
                            np.zeros(2))
+        with pytest.raises(ValidationError, match=r"\(M, Q\) arrays"):
+            compute_report(np.zeros((2, 5, 1)), np.ones((2, 5, 1)),
+                           ("a", "b"), np.zeros(2))
 
     def test_output_names_must_match(self):
         with pytest.raises(ValidationError, match="output_names"):
@@ -243,3 +246,53 @@ class TestReport:
             with pytest.raises(ValidationError, match="per_output_dtw"):
                 compute_report(np.zeros((2, 5)), np.ones((2, 5)),
                                ("a", "b"), per_output_dtw)
+
+    @given(data=st.data(), rows=st.integers(1, 6), length=st.integers(2, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_row_functions(self, data, rows, length):
+        # Rows at scales 1e-6..1e6 with offsets up to 1e4; the seeded
+        # draws keep every truth row non-constant.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        scales = 10.0 ** np.array(data.draw(st.lists(
+            st.integers(-6, 6), min_size=rows, max_size=rows)))[:, None]
+        offsets = np.array(data.draw(st.lists(
+            st.floats(-1e4, 1e4), min_size=rows, max_size=rows)))[:, None]
+        fortran = data.draw(st.booleans())
+        rng = np.random.default_rng(seed)
+        truth = scales * rng.normal(size=(rows, length)) + offsets
+        pred = truth + scales * rng.normal(size=(rows, length))
+        if fortran:
+            pred, truth = np.asfortranarray(pred), np.asfortranarray(truth)
+        per_dtw = rng.uniform(0.0, 10.0, size=rows)
+        names = [f"out{i}" for i in range(rows)]
+        report = compute_report(pred, truth, names, per_dtw)
+        assert report["mae"] == mae(pred.ravel(), truth.ravel())
+        assert report["r_squared"] == r_squared(pred.ravel(), truth.ravel())
+        assert report["adtw"] == float(np.mean(per_dtw))
+        for i, name in enumerate(names):
+            assert report[f"mae.{name}"] == mae(pred[i], truth[i])
+            assert report[f"r_squared.{name}"] == r_squared(pred[i], truth[i])
+            assert report[f"dtw.{name}"] == per_dtw[i]
+
+    @pytest.mark.parametrize("case", [
+        "one_column", "one_value", "constant_row", "nan_pred", "inf_truth"])
+    def test_raises_the_per_row_texts(self, case):
+        pred = np.arange(10.0).reshape(2, 5)
+        truth = pred + np.array([0.5, -0.25, 0.0, 1.0, 2.0])
+        if case == "one_column":
+            pred, truth = pred[:, :1], truth[:, :1]
+        elif case == "one_value":
+            pred, truth = pred[:1, :1], truth[:1, :1]
+        elif case == "constant_row":
+            truth[1] = 3.0
+        elif case == "nan_pred":
+            pred[1, 2] = np.nan
+        else:
+            truth[0, 3] = np.inf
+        row = 0 if case in ("one_value", "inf_truth") else 1
+        with pytest.raises(ValidationError) as expected:
+            r_squared(pred[row], truth[row])
+        with pytest.raises(ValidationError) as raised:
+            compute_report(pred, truth, ("a", "b")[:len(pred)],
+                           np.zeros(len(pred)))
+        assert str(raised.value) == str(expected.value)
