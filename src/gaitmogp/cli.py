@@ -530,8 +530,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
               f"normalized.mae={values['normalized.mae']:.6f} "
               f"raw.mae={values['raw.mae']:.6f}")
 
-    aggregate = {key: float(np.mean([values[key] for values in per_split]))
-                 for key in per_split[0]}
+    keys = list(per_split[0])
+    # Rows are keys and the splits run along the contiguous last axis, so
+    # each key's mean is the pairwise sum a 1-D np.mean of its splits takes.
+    table = np.array([[values[key] for values in per_split] for key in keys])
+    aggregate = dict(zip(keys, np.mean(table, axis=1).tolist()))
     write_document(os.path.join(out_dir, "aggregate.metrics"), [
         ("schema", "evaluate-aggregate-v1"), ("splits", str(len(splits))),
         *((key, format_float(v)) for key, v in aggregate.items())])
@@ -595,14 +598,21 @@ _FLAG_HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Every flag's value is kept as text; build_config parses it."""
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """Every flag's value is kept as text; build_config parses it.
+
+    Every subcommand gets a subparser, so the top-level help and the
+    error for an unknown subcommand stay the same; given ``subcommand``,
+    only its subparser gets flags. None gives every subparser its flags.
+    """
     parser = argparse.ArgumentParser(
         prog="gaitmogp",
         description="Multi-output GP gait modeling and HMM segmentation.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text, keys) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
+        if subcommand not in (None, name):
+            continue
         # Take "-1e-2" for a value, not an option, as argparse does from
         # Python 3.13 on; before, it took only "-5" and "-.01" for numbers.
         sub._negative_number_matcher = re.compile(r"-\.?\d")
@@ -614,7 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands everything after a leading subcommand name to that
+    # subcommand's subparser, so it is the only one that needs flags.
+    invoked = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(invoked).parse_args(argv)
     try:
         cfg = build_config(args)
         # Explicit checks report an overflow as the JSON error; numpy's

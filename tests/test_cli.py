@@ -21,6 +21,7 @@ from gaitmogp import cli, hmm, mogp
 from gaitmogp.dataio import CSV_HEADER
 from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import CHANNELS
+from gaitmogp.serialize import format_float, read_document
 
 
 FAST_FIT = ("--iterations", "5", "--points-per-channel", "12",
@@ -555,10 +556,55 @@ class TestParser:
 
     @pytest.mark.parametrize("subcommand", sorted(_EXPECTED_FLAGS))
     def test_help_exits_zero(self, subcommand, capsys):
+        # main builds only the invoked subcommand's flags; its help is
+        # the one the parser with every subcommand's flags prints.
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args([subcommand, "--help"])
+        expected = capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
             cli.main([subcommand, "--help"])
-        assert excinfo.value.code == 0
-        assert "--config" in capsys.readouterr().out
+        assert excinfo.value.code == full.value.code == 0
+        assert capsys.readouterr() == expected
+        assert "--config" in expected.out
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["fi", "--help"], ["--", "fit"],
+        ["synth", "--output", "x.csv", "--iterations", "5"]])
+    def test_top_level_output_is_the_full_parsers(self, argv, capsys):
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == full.value.code
+        assert capsys.readouterr() == expected
+
+
+def test_nine_split_aggregate_is_the_mean_of_the_split_files(tmp_path):
+    # Nine splits: numpy sums 8 or more terms in its unrolled pairwise
+    # loop, which the two splits of the golden files never reach.
+    corpus = tmp_path / "corpus.csv"
+    assert _synth(corpus, "--subjects-per-cohort", "5",
+                  "--cycles-per-subject", "1", "--grid-points", "20") == 0
+    lines = corpus.read_text().splitlines(keepends=True)
+    corpus.write_text("".join(line for line in lines
+                              if not line.startswith("D05,")))
+    out = tmp_path / "eval"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["evaluate", "--input", str(corpus), "--output",
+                         str(out), "--iterations", "1",
+                         "--points-per-channel", "5",
+                         "--grid-points", "20"]) == 0
+    splits = [read_document(path)
+              for path in sorted(out.glob("split_*.metrics"))]
+    assert len(splits) == 9
+    aggregate = read_document(out / "aggregate.metrics")
+    keys = [key for key in splits[0] if key not in ("schema", "subject_id")]
+    assert list(aggregate) == ["schema", "splits", *keys]
+    assert aggregate["splits"] == "9"
+    for key in keys:
+        assert aggregate[key] == format_float(
+            np.mean([float(split[key]) for split in splits])), key
 
 
 class TestPipelineArtifacts:
