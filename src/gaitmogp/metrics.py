@@ -175,16 +175,18 @@ def compute_report(pred_set, truth_set, output_names,
         np.sum((pooled_truth - np.mean(pooled_truth)) ** 2))
     ss_tot = np.sum((truth - np.mean(truth, axis=1, keepdims=True)) ** 2,
                     axis=1)
-    if pooled_ss_tot == 0.0 or not np.all(ss_tot != 0.0):
+    if pooled_ss_tot == 0.0 or np.any(ss_tot == 0.0):
         raise ValidationError("truth is constant; R² is undefined")
     pooled_ss_res = float(np.sum(squared_error.ravel()))
     report = {"mae": float(np.mean(abs_error.ravel())),
               "r_squared": 1.0 - pooled_ss_res / pooled_ss_tot,
               "adtw": float(np.mean(per_dtw))}
-    row_mae = np.mean(abs_error, axis=1)
-    row_r_squared = 1.0 - np.sum(squared_error, axis=1) / ss_tot
-    for name, m, r, d in zip(output_names, row_mae.tolist(),
-                             row_r_squared.tolist(), per_dtw.tolist()):
+    # Float division, as in r_squared: inf / inf is nan with no warning.
+    row_r_squared = [1.0 - res / tot for res, tot in zip(
+        np.sum(squared_error, axis=1).tolist(), ss_tot.tolist())]
+    for name, m, r, d in zip(output_names,
+                             np.mean(abs_error, axis=1).tolist(),
+                             row_r_squared, per_dtw.tolist()):
         report[f"mae.{name}"] = m
         report[f"r_squared.{name}"] = r
         report[f"dtw.{name}"] = d
