@@ -139,7 +139,6 @@ class RunConfig:
     input_path: str | None = None
     output_path: str | None = None
     model_path: str | None = None
-    mogp_dir: str | None = None
     # optimizer
     iterations: int = mogp.OptimizerConfig.iterations
     learning_rate: float = mogp.OptimizerConfig.learning_rate
@@ -167,6 +166,9 @@ class RunConfig:
 
     def validate(self) -> None:
         _optimizer_config(self).validate()
+        # B = W W^T + diag(kappa) is 6 x 6, so a wider W adds no freedom.
+        if self.rank > len(CHANNELS):
+            raise ValidationError(f"rank must be <= {len(CHANNELS)}")
         if self.grid_points < 2:
             raise ValidationError("grid_points must be >= 2")
         if self.points_per_channel < 2:
@@ -188,9 +190,9 @@ class RunConfig:
 
 
 _KINDS = field_kinds(RunConfig)
-# Paths are given as flags only; every other setting is also a config key.
-_PATH_KEYS = ("input_path", "output_path", "model_path", "mogp_dir")
-_REQUIRED_KEYS = ("input_path", "output_path", "model_path")
+# Paths are given as flags only, and a subcommand that takes one requires
+# it; every other setting is also a config key.
+_PATH_KEYS = ("input_path", "output_path", "model_path")
 # A setting's flag is "--" plus its name with dashes, except for these.
 _FLAG_ALIASES = {"input_path": "--input", "output_path": "--output",
                  "model_path": "--model",
@@ -421,18 +423,7 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
     if cfg.observation_source == "raw":
         curves = record.cycles.mean(axis=0)
     else:
-        if cfg.mogp_dir is not None:
-            path = os.path.join(cfg.mogp_dir, f"{record.subject_id}.mogp")
-            if not os.path.exists(path):
-                raise ValidationError(f"missing model file: {path}")
-            model = mogp.load_model(path)
-            if model.num_outputs != len(CHANNELS):
-                raise ValidationError(
-                    f"{path}: model has {model.num_outputs} outputs, "
-                    f"segment needs {len(CHANNELS)} ({', '.join(CHANNELS)})")
-        else:
-            model = _fit_records(cfg, [record], index)
-        curves = mogp.predict(model, grid).mean
+        curves = mogp.predict(_fit_records(cfg, [record], index), grid).mean
     right = curves[CHANNELS.index("ankle_right")]
     left = curves[CHANNELS.index("ankle_left")]
 
@@ -475,8 +466,7 @@ def cmd_segment(cfg: RunConfig) -> int:
     records = _load_corpus(cfg)
 
     subjects = []
-    for index, record in enumerate(
-            sorted(records, key=lambda r: r.subject_id)):
+    for index, record in enumerate(records):
         payload = _segment_subject(cfg, record, index)
         subjects.append(payload)
         print(f"{record.subject_id} {record.cohort} "
@@ -578,9 +568,8 @@ _SUBCOMMANDS = {
     "predict": (cmd_predict, "evaluate a fitted model on a grid",
                 ("model_path", "output_path", "grid_points")),
     "segment": (cmd_segment, "decode gait phases and anomalous segments", (
-        *_CORPUS_KEYS, "output_path", "mogp_dir",
-        "observation_source", "iterations", "points_per_channel",
-        "em_iterations", "segment_threshold")),
+        *_CORPUS_KEYS, "output_path", "observation_source", "iterations",
+        "points_per_channel", "em_iterations", "segment_threshold")),
     "evaluate": (cmd_evaluate, "leave-one-subject-out evaluation", (
         *_CORPUS_KEYS, "output_path", "iterations", "points_per_channel")),
     "export-plots": (cmd_export_plots, "export prediction bands and B matrix",
@@ -592,7 +581,6 @@ _FLAG_HELP = {
     "input_path": "corpus CSV path",
     "output_path": "output file, or directory for several files",
     "filter_cutoff_hz": "Butterworth cutoff in Hz, or 'none'",
-    "mogp_dir": "directory of fitted per-subject models",
     "segment_threshold": "bilateral-deviation threshold for reporting "
                          "decoded abnormal runs (0 reports all)",
 }
@@ -619,7 +607,7 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
         sub.add_argument("--config", help="flat key=value settings file")
         for key in ("seed", *keys):
             sub.add_argument(_flag(key), dest=key, help=_FLAG_HELP.get(key),
-                             required=key in _REQUIRED_KEYS)
+                             required=key in _PATH_KEYS)
     return parser
 
 

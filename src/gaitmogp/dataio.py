@@ -334,6 +334,7 @@ def load_corpus(path, *, filter_cutoff_hz: float | None = DEFAULT_FILTER_CUTOFF_
     filter of order ``gait_signal.FILTER_ORDER`` (skipped when
     ``filter_cutoff_hz`` is None) and per-subject
     normalization onto the ``num_points`` cycle grid, to the y axis only.
+    Records come in subject-id order, whatever the order of the rows.
     Subject ids name output files, so they may not contain a path
     separator (``/`` or ``\\``) or NUL.
     """

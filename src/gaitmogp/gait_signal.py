@@ -19,8 +19,9 @@ Conventions
   samples to be aligned (``check_cycle``).
 
 Importing this module imports no part of scipy. ``scipy.signal``
-(0.70-0.76 s of start-up after ``import gaitmogp.cli``, five fresh
-interpreters on a 2-vCPU VM with a warm file cache) is imported by the first
+(0.69-0.94 s of start-up after ``import gaitmogp.cli``, two batches of
+five fresh interpreters on a shared 2-vCPU VM with a warm file cache,
+scipy 1.17) is imported by the first
 ``lowpass_filter`` call, so a process that never filters, such as a
 ``--filter-cutoff none`` run, never pays for it; ``detect_events`` finds
 peaks with numpy alone.

@@ -722,8 +722,7 @@ def load_model(path) -> MoGPModel:
         outputs=serialize.parse_int_list(grab("training.outputs"),
                                          f"{path}: training.outputs"),
         values=floats("training.values"),
-        num_outputs=(integer("training.num_outputs")
-                     if "training.num_outputs" in doc else num_outputs),
+        num_outputs=integer("training.num_outputs"),
     )
     try:
         training.validate()

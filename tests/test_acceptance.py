@@ -484,8 +484,9 @@ def _run_small_pipeline(root) -> list:
                      "--scope", "subject", "--iterations", "5",
                      "--points-per-channel", "12", *common]) == 0
     assert cli.main(["segment", "--input", str(corpus), "--output",
-                     str(report), "--mogp-dir", str(models),
-                     "--em-iterations", "5", *common]) == 0
+                     str(report), "--iterations", "5",
+                     "--points-per-channel", "12", "--em-iterations", "5",
+                     *common]) == 0
     assert cli.main(["evaluate", "--input", str(corpus), "--output",
                      str(evaldir), "--iterations", "5",
                      "--points-per-channel", "12", *common]) == 0

@@ -58,8 +58,7 @@ def pipeline(tmp_path_factory) -> dict:
     assert cli.main(["predict", "--model", str(models / "C01.mogp"),
                      "--output", str(pred), "--grid-points", "40"]) == 0
     assert cli.main(["segment", "--input", str(corpus), "--output",
-                     str(report), "--mogp-dir", str(models),
-                     "--em-iterations", "5", *FAST_FIT]) == 0
+                     str(report), "--em-iterations", "5", *FAST_FIT]) == 0
     assert cli.main(["evaluate", "--input", str(corpus), "--output",
                      str(evaldir), *FAST_FIT]) == 0
     assert cli.main(["export-plots", "--model", str(models / "C01.mogp"),
@@ -205,36 +204,6 @@ class TestErrorReporting:
                          "--output", str(tmp_path / "p.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["exit_code"] == 2
 
-    def test_missing_model_in_mogp_dir(self, pipeline, tmp_path, capsys):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
-                         "--output", str(tmp_path / "report.json"),
-                         "--mogp-dir", str(empty),
-                         "--grid-points", "40"]) == 2
-        assert "missing model file" in \
-            json.loads(capsys.readouterr().err)["error"]
-
-    def test_mogp_dir_model_with_wrong_channel_count(self, pipeline,
-                                                     tmp_path, capsys):
-        models = tmp_path / "models"
-        models.mkdir()
-        training = mogp.TrainingSet(times=[0.1, 0.4, 0.2, 0.7],
-                                    outputs=[0, 0, 1, 1],
-                                    values=[0.3, -0.2, 0.5, 0.1],
-                                    num_outputs=2)
-        model = mogp.fit(training, mogp.OptimizerConfig(iterations=0))
-        mogp.save_model(model, str(models / "C01.mogp"))
-        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
-                         "--output", str(tmp_path / "report.json"),
-                         "--mogp-dir", str(models),
-                         "--grid-points", "40"]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])["error"]
-        assert str(models / "C01.mogp") in error
-        assert "2 outputs" in error
-
     @pytest.mark.parametrize("key, value", [
         ("num_outputs", "six"),
         ("means", "0.1,oops,0.2,0.3,0.4,0.5"),
@@ -347,7 +316,7 @@ class TestErrorReporting:
         "fit --iterations abc", "fit --scope bogus", "synth --anomaly-side up",
         "segment --observation-source x", "segment --em-iterations -1",
         "fit --learning-rate inf", "segment --segment-threshold nan",
-        "fit --filter-cutoff 20"])
+        "fit --filter-cutoff 20", "fit --rank 1000000000000"])
     def test_bad_flag_value_is_json_error(self, tmp_path, capsys, argv):
         command, *flags = argv.split()
         paths = ["--output", str(tmp_path / "out")]
@@ -532,8 +501,8 @@ _EXPECTED_FLAGS = {
         "--rank", "--points-per-channel"}),
     "predict": ({"--model", "--output"}, {"--grid-points"}),
     "segment": ({"--input", "--output"}, _CORPUS_FLAGS | {
-        "--mogp-dir", "--observation-source", "--iterations",
-        "--points-per-channel", "--em-iterations", "--segment-threshold"}),
+        "--observation-source", "--iterations", "--points-per-channel",
+        "--em-iterations", "--segment-threshold"}),
     "evaluate": ({"--input", "--output"}, _CORPUS_FLAGS | {
         "--iterations", "--points-per-channel"}),
     "export-plots": ({"--model", "--output"}, {"--grid-points"}),
@@ -909,19 +878,9 @@ class TestDeterminism:
         for path in paths:
             assert cli.main(["segment", "--input", str(pipeline["corpus"]),
                              "--output", str(path),
-                             "--mogp-dir", str(pipeline["models"]),
                              "--em-iterations", "5", *FAST_FIT]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].read_bytes() == pipeline["report"].read_bytes()
-
-    def test_in_run_fit_is_the_saved_subject_fit(self, pipeline, tmp_path):
-        # segment and fit --scope subject draw each subject's MoGP from
-        # the same (seed, index) stream.
-        path = tmp_path / "in-run.json"
-        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
-                         "--output", str(path), "--em-iterations", "5",
-                         *FAST_FIT]) == 0
-        assert path.read_bytes() == pipeline["report"].read_bytes()
 
     def test_synth_is_deterministic(self, pipeline, tmp_path):
         duplicate = tmp_path / "corpus.csv"
@@ -934,7 +893,6 @@ class TestSegmentOptions:
     def test_segment_stdout_lists_subjects(self, pipeline, tmp_path, capsys):
         assert cli.main(["segment", "--input", str(pipeline["corpus"]),
                          "--output", str(tmp_path / "report.json"),
-                         "--mogp-dir", str(pipeline["models"]),
                          "--em-iterations", "5", *FAST_FIT]) == 0
         out = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"C01 control segments=\d+", out[0])
@@ -943,9 +901,7 @@ class TestSegmentOptions:
     def test_threshold_zero_reports_decoded_runs(self, pipeline, tmp_path):
         path = tmp_path / "report.json"
         assert cli.main(["segment", "--input", str(pipeline["corpus"]),
-                         "--output", str(path),
-                         "--mogp-dir", str(pipeline["models"]),
-                         "--em-iterations", "5",
+                         "--output", str(path), "--em-iterations", "5",
                          "--segment-threshold", "0", *FAST_FIT]) == 0
         report = _read_json(path)
         assert report["segment_threshold"] == 0

@@ -664,13 +664,14 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="hash mismatch"):
             load_model(path)
 
-    def test_missing_key_is_reported(self, tmp_path):
+    @pytest.mark.parametrize("key", ["coreg.w", "training.num_outputs"])
+    def test_missing_key_is_reported(self, tmp_path, key):
         rng = np.random.default_rng(15)
         model = _random_model(rng)
         path = tmp_path / "model.mogp"
         save_model(model, path)
         text = "".join(line for line in path.read_text().splitlines(True)
-                       if not line.startswith("coreg.w "))
+                       if not line.startswith(f"{key} "))
         path.write_text(text)
         with pytest.raises(ValidationError, match="missing required key"):
             load_model(path)
