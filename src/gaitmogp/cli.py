@@ -623,8 +623,9 @@ def main(argv=None) -> int:
         # warnings about it would only add unparsed lines to stderr.
         with np.errstate(all="ignore"):
             return _SUBCOMMANDS[args.subcommand][0](cfg)
-    except (ValidationError, OSError) as exc:
-        # An unreadable input or unwritable output path is bad input too.
+    except (ValidationError, OSError, MemoryError) as exc:
+        # An unreadable input, an unwritable output path or a size too
+        # large to allocate is bad input too.
         _emit_error("validation", 2, exc)
         return 2
     except NumericError as exc:

@@ -7,13 +7,17 @@ are expert values favoring the normal states; EM refines the emissions
 only.
 
 Likelihoods and EM statistics come from one forward-backward kernel:
-Rabiner's (1989) scaled recursion, one forward and one backward pass
-over time, each step's forward message divided by its sum. Where the
-scaled messages still lose mass, which shows as a zero or subnormal
-normaliser or as a row sum sum_i alpha_t(i) beta_t(i) away from 1, the
-same two passes rerun in log space. Viterbi is a log-space recursion.
-Both run on Python floats: over four states, plain float arithmetic per
-step costs less than numpy calls on 4-vectors.
+Rabiner's (1989) scaled messages, computed as a blocked prefix product
+(Blelloch 1990). The T - 1 transitions fall into about sqrt(T) blocks
+of about sqrt(T) steps. One stacked numpy matmul per in-block step
+advances the normalized forward and backward products of every block,
+and Python floats carry the two messages across the block boundaries:
+over four states, plain float arithmetic costs less there than numpy
+calls on 4-vectors. Where the scaled messages still lose mass, which
+shows as a zero, subnormal or non-finite normaliser or as a row sum
+sum_i alpha_t(i) beta_t(i) whose log, with the carried scales, strays
+from log p, the same two passes rerun in log space. Viterbi is a
+log-space recursion on Python floats, unrolled over the four states.
 An observation sequence is only its (T, 2) steps; where its curves come
 from is the caller's setting. Models are immutable after fitting;
 decoding is pure and returns plain values: ``viterbi_decode`` the
@@ -55,10 +59,12 @@ EMPTY_STATE_MASS = 1e-12
 COVARIANCE_JITTER = 1e-6
 MIN_COVARIANCE_EIGENVALUE = 1e-8
 
-# Largest |log| of a row sum sum_i alpha_t(i) beta_t(i) of the scaled
-# forward-backward that is taken as rounding; the sum is 1 in exact
-# arithmetic, so a larger one means the messages lost mass to underflow
-# (rounding measured below 3e-14 at T = 4000 with |log p| up to 4e7).
+# Largest gap between log p and the log of a row sum
+# sum_i alpha_t(i) beta_t(i) of the blocked forward-backward, with both
+# messages' carried log scales, that is taken as rounding; the two are
+# equal in exact arithmetic, so a larger gap means a block product or a
+# message lost mass to underflow (rounding measured below 1.5e-11 over
+# 373 sequences at T = 4000 with |log p| up to 3.3e5).
 SPLIT_TOLERANCE = 1e-8
 
 
@@ -220,76 +226,143 @@ def emission_logpdf(model: HmmModel, obs, state: int) -> float:
 
 
 def _forward_backward(model: HmmModel, steps: np.ndarray):
-    """(gamma, log p(O | theta)) by Rabiner's (1989) scaled recursion.
+    """(gamma, log p(O | theta)) by Rabiner's (1989) scaled messages,
+    computed as a blocked prefix product (Blelloch 1990).
 
     With b_t the emission densities of step t divided by their largest
-    one (the emission shift), the forward pass divides
-    alpha_t = (alpha_{t-1} A) o b_t, from alpha_0 = pi o b_0, by its sum
-    c_t; the backward pass takes beta_t = A (b_{t+1} o beta_{t+1}) / c_{t+1}
-    from beta_{T-1} = 1. Then log p(O | theta) = sum_t log c_t + sum_t
-    shift_t, every row sum sum_i alpha_t(i) beta_t(i) is 1 (the Rabiner
+    one (the emission shift) and M_t = A diag(b_t), the forward message
+    is alpha_t = alpha_0 M_1 ... M_t from alpha_0 = pi o b_0, and the
+    backward one is beta_t = M_{t+1} ... M_{T-1} 1. The T - 1 transitions
+    fall into K blocks of L = floor(sqrt(T - 1)) steps, the last one
+    padded with identities. One stacked matmul per in-block step advances
+    every block's prefix product of the M_t (forward) and its suffix
+    product of the M_t^T (backward); each product is divided by the sum
+    of its entries, and the log of that sum is carried beside it.
+    ``_carry`` takes alpha and beta across the K block boundaries on
+    Python floats, and one batched product of those boundary messages
+    with the in-block products gives alpha_t and beta_t at every t.
+    log p(O | theta) is then the forward chain's carried log scale at
+    its end plus the emission shifts; log sum_i alpha_t(i) beta_t(i) with
+    both messages' log scales equals it at every t (the Rabiner
     identity), and gamma_t is alpha_t o beta_t over its row sum.
 
     The scaled messages can still lose mass: the shift may leave only
     states that A cannot reach with a nonzero b, a state that matters
-    later may sit more than the float range below another in alpha_t, or
-    a possible state's b may itself fall below the normal floats, which
-    no c_t or row sum shows. Then some b_t with a finite log is zero or
-    subnormal, some c_t is zero, subnormal or not finite, or some row
-    sum's log is further than ``SPLIT_TOLERANCE`` from 0, and the same
-    two passes run in log space (``_log_forward_backward``), which cannot
-    underflow and is slower. An impossible sequence gives -inf and zero
-    statistics.
+    later may sit more than the float range below another in a block's
+    product or in a boundary message, or a possible state's b may itself
+    fall below the normal floats, which no normaliser or row sum shows.
+    Then some b_t with a finite log is zero or subnormal, some normaliser
+    is zero, subnormal or not finite, or some row sum's log with the
+    carried scales is further than ``SPLIT_TOLERANCE`` from log p, and the
+    same two passes run in log space (``_log_forward_backward``), which
+    cannot underflow and is slower. An impossible sequence gives -inf
+    and zero statistics.
     """
     log_b = _emission_log_matrix(model, steps)
     shift = log_b.max(axis=1)
     shift[np.isinf(shift)] = 0.0     # impossible under every state: b = 0
-    smallest, largest = sys.float_info.min, math.inf
     emissions = np.exp(log_b - shift[:, None])
     # A finite log-emission more than ~708 nats below its step's best
     # leaves a b below the normal floats, and with it a state that no
     # scale or row sum shows lost.
-    if np.any((emissions < smallest) & np.isfinite(log_b)):
+    if np.any((emissions < sys.float_info.min) & np.isfinite(log_b)):
         return _log_forward_backward(model, log_b)
-    emissions = emissions.tolist()
-    # Four states, unrolled: named floats cost less per step than a loop
-    # or a comprehension over states.
-    (a00, a01, a02, a03), (a10, a11, a12, a13), \
-        (a20, a21, a22, a23), (a30, a31, a32, a33) = model.transitions.tolist()
 
-    alphas, scales = [], []
-    p0, p1, p2, p3 = model.initial_probs.tolist()
-    for b0, b1, b2, b3 in emissions:
-        x0, x1, x2, x3 = p0 * b0, p1 * b1, p2 * b2, p3 * b3
+    count = len(emissions) - 1
+    length = max(math.isqrt(count), 1)
+    blocks = -(-count // length)
+    padded = np.empty((blocks * length, NUM_STATES, NUM_STATES))
+    np.multiply(model.transitions, emissions[1:, None, :], out=padded[:count])
+    padded[count:] = np.eye(NUM_STATES)
+    padded = padded.reshape(blocks, length, NUM_STATES, NUM_STATES)
+    # Chain k < K is forward block k, whose step j is M_{kL+j+1}; chain
+    # K + k is backward block k, whose step j is M_{(k+1)L-j}^T.
+    factors = np.empty((length, 2 * blocks, NUM_STATES, NUM_STATES))
+    factors[:, :blocks] = padded.transpose(1, 0, 2, 3)
+    factors[:, blocks:] = padded[:, ::-1].transpose(1, 0, 3, 2)
+
+    products = np.empty_like(factors)
+    totals = np.empty((2 * blocks, length))
+    ones, previous = np.ones(NUM_STATES ** 2), np.eye(NUM_STATES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for factor, product, total in zip(factors, products, totals.T):
+            np.matmul(previous, factor, out=product)
+            # A matrix-vector product sums the 16 entries far faster
+            # than a reduction over the two short trailing axes.
+            np.matmul(product.reshape(-1, NUM_STATES ** 2), ones, out=total)
+            product /= total[:, None, None]
+            previous = product
+    if not np.all((totals >= sys.float_info.min) & (totals < math.inf)):
+        return _log_forward_backward(model, log_b)
+    ends = products[-1].reshape(-1, NUM_STATES ** 2).tolist()
+    forward = _carry((model.initial_probs * emissions[0]).tolist(),
+                     ends[:blocks])
+    backward = _carry([1.0] * NUM_STATES, ends[:blocks - 1:-1])
+    if forward is None or backward is None:
+        return _log_forward_backward(model, log_b)
+
+    # Boundary messages: alpha at t = 0, L, ..., KL and beta at t = KL,
+    # ..., L, 0; the log scale of each is the sum of the logs of its own
+    # normalisers and of the full block products before it.
+    (alphas, alpha_scales), (betas, beta_scales) = forward, backward
+    in_block = np.cumsum(np.log(totals), axis=1)
+    alpha_logs = np.cumsum(np.log(alpha_scales) + np.concatenate(
+        ([0.0], in_block[:blocks, -1])))
+    beta_logs = np.cumsum(np.log(beta_scales) + np.concatenate(
+        ([0.0], in_block[:blocks - 1:-1, -1])))
+    # Each chain's message after in-block step j is its boundary message
+    # times its product j: (2K, L, 4), in one batched product.
+    heads = np.array(alphas[:-1] + betas[-2::-1]).reshape(-1, 1, NUM_STATES)
+    inner = (heads @ products.transpose(1, 2, 0, 3).reshape(
+        2 * blocks, NUM_STATES, length * NUM_STATES)).reshape(
+            2 * blocks, length, NUM_STATES)
+    inner_logs = in_block + np.concatenate(
+        (alpha_logs[:-1], beta_logs[-2::-1]))[:, None]
+    size = len(emissions)
+    alpha = np.concatenate(
+        ([alphas[0]], inner[:blocks].reshape(-1, NUM_STATES)))[:size]
+    beta = np.concatenate(
+        (inner[blocks:, ::-1].reshape(-1, NUM_STATES), [betas[0]]))[:size]
+    log_scales = (
+        np.concatenate(([alpha_logs[0]], inner_logs[:blocks].ravel()))[:size]
+        + np.concatenate((inner_logs[blocks:, ::-1].ravel(),
+                          [beta_logs[0]]))[:size])
+    log_likelihood = float(alpha_logs[-1])
+    with np.errstate(divide="ignore"):
+        gamma = alpha * beta
+        norm = gamma.sum(axis=1)
+        if np.all(np.abs(np.log(norm) + log_scales - log_likelihood)
+                  <= SPLIT_TOLERANCE):
+            return gamma / norm[:, None], log_likelihood + float(shift.sum())
+    return _log_forward_backward(model, log_b)
+
+
+def _carry(vector, matrices):
+    """The block-boundary recursion of ``_forward_backward`` on Python
+    floats: x_0 = vector / s_0 and x_k = x_{k-1} P_k / s_k over the
+    row-major 4 x 4 matrices P_1..P_K, flat lists of 16, each s_k the sum
+    of the unnormalized x_k. Returns ([x_0, ..., x_K], [s_0, ..., s_K]),
+    or None when some s_k is zero, subnormal or not finite."""
+    smallest, largest = sys.float_info.min, math.inf
+    x0, x1, x2, x3 = vector
+    messages, scales = [], []
+    for matrix in [*matrices, None]:
         scale = x0 + x1 + x2 + x3
         if not smallest <= scale < largest:
-            return _log_forward_backward(model, log_b)
+            return None
         x0, x1, x2, x3 = x0 / scale, x1 / scale, x2 / scale, x3 / scale
-        alphas.extend((x0, x1, x2, x3))
+        messages.append((x0, x1, x2, x3))
         scales.append(scale)
-        p0 = x0 * a00 + x1 * a10 + x2 * a20 + x3 * a30
-        p1 = x0 * a01 + x1 * a11 + x2 * a21 + x3 * a31
-        p2 = x0 * a02 + x1 * a12 + x2 * a22 + x3 * a32
-        p3 = x0 * a03 + x1 * a13 + x2 * a23 + x3 * a33
-
-    y0 = y1 = y2 = y3 = 1.0
-    betas = [y0, y1, y2, y3]
-    for (b0, b1, b2, b3), scale in zip(emissions[:0:-1], scales[:0:-1]):
-        w0, w1, w2, w3 = b0 * y0, b1 * y1, b2 * y2, b3 * y3
-        y0 = (a00 * w0 + a01 * w1 + a02 * w2 + a03 * w3) / scale
-        y1 = (a10 * w0 + a11 * w1 + a12 * w2 + a13 * w3) / scale
-        y2 = (a20 * w0 + a21 * w1 + a22 * w2 + a23 * w3) / scale
-        y3 = (a30 * w0 + a31 * w1 + a32 * w2 + a33 * w3) / scale
-        betas.extend((y0, y1, y2, y3))
-
-    # An overflowed beta on a zero alpha gives nan, which fails the check.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = (np.fromiter(alphas, float).reshape(-1, NUM_STATES)
-                 * np.fromiter(betas, float).reshape(-1, NUM_STATES)[::-1])
-        norm = gamma.sum(axis=1)
-        if np.all(np.abs(np.log(norm)) <= SPLIT_TOLERANCE):
-            return gamma / norm[:, None], float(np.log(scales).sum() + shift.sum())
-    return _log_forward_backward(model, log_b)
+        if matrix is None:
+            return messages, scales
+        # Four states, unrolled: named floats cost less per step than a
+        # loop or a comprehension over states.
+        p00, p01, p02, p03, p10, p11, p12, p13, \
+            p20, p21, p22, p23, p30, p31, p32, p33 = matrix
+        x0, x1, x2, x3 = (x0 * p00 + x1 * p10 + x2 * p20 + x3 * p30,
+                          x0 * p01 + x1 * p11 + x2 * p21 + x3 * p31,
+                          x0 * p02 + x1 * p12 + x2 * p22 + x3 * p32,
+                          x0 * p03 + x1 * p13 + x2 * p23 + x3 * p33)
 
 
 def _log_forward_backward(model: HmmModel, log_b: np.ndarray):
@@ -312,7 +385,8 @@ def _log_forward_backward(model: HmmModel, log_b: np.ndarray):
 
 
 def forward_log_likelihood(model: HmmModel, seq: ObservationSequence) -> float:
-    """log p(O | theta) from the scaled forward-backward recursion."""
+    """log p(O | theta) from ``_forward_backward``, the kernel that EM
+    runs too."""
     model.validate()
     return _forward_backward(model, seq.steps)[1]
 
@@ -331,24 +405,45 @@ def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
             "emission underflow: an observation is impossible under every state")
     with np.errstate(divide="ignore"):
         log_pi, log_a = np.log(model.initial_probs), np.log(model.transitions)
-    columns = log_a.T.tolist()
-    later = range(1, NUM_STATES)
-
-    delta = (log_pi + emissions[0]).tolist()
+    # Four states, unrolled as in ``_carry``; each score is
+    # (delta_i + log a_ij) + log b_j, and a later i must beat it strictly.
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = log_a.tolist()
+    d0, d1, d2, d3 = (log_pi + emissions[0]).tolist()
     backptr = []
-    for emission in emissions[1:].tolist():
-        pointers, scores = [], []
-        for column, log_b in zip(columns, emission):
-            best, arg = delta[0] + column[0], 0
-            for i in later:
-                score = delta[i] + column[i]
-                if score > best:
-                    best, arg = score, i
-            pointers.append(arg)
-            scores.append(best + log_b)
-        backptr.append(pointers)
-        delta = scores
+    for b0, b1, b2, b3 in emissions[1:].tolist():
+        s0, i0 = d0 + a00, 0
+        if (score := d1 + a10) > s0:
+            s0, i0 = score, 1
+        if (score := d2 + a20) > s0:
+            s0, i0 = score, 2
+        if (score := d3 + a30) > s0:
+            s0, i0 = score, 3
+        s1, i1 = d0 + a01, 0
+        if (score := d1 + a11) > s1:
+            s1, i1 = score, 1
+        if (score := d2 + a21) > s1:
+            s1, i1 = score, 2
+        if (score := d3 + a31) > s1:
+            s1, i1 = score, 3
+        s2, i2 = d0 + a02, 0
+        if (score := d1 + a12) > s2:
+            s2, i2 = score, 1
+        if (score := d2 + a22) > s2:
+            s2, i2 = score, 2
+        if (score := d3 + a32) > s2:
+            s2, i2 = score, 3
+        s3, i3 = d0 + a03, 0
+        if (score := d1 + a13) > s3:
+            s3, i3 = score, 1
+        if (score := d2 + a23) > s3:
+            s3, i3 = score, 2
+        if (score := d3 + a33) > s3:
+            s3, i3 = score, 3
+        backptr.append((i0, i1, i2, i3))
+        d0, d1, d2, d3 = s0 + b0, s1 + b1, s2 + b2, s3 + b3
 
+    delta = [d0, d1, d2, d3]
     best = max(delta)
     if best == -math.inf:
         raise NumericError("every state path of the sequence is impossible")

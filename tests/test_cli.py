@@ -7,8 +7,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import jsonschema
@@ -330,6 +333,51 @@ class TestErrorReporting:
         assert err["type"] == "validation" and err["exit_code"] == 2
         # The value is rejected before the (absent) corpus is opened.
         assert str(tmp_path) not in err["error"]
+
+    @pytest.mark.parametrize("argv, config", [
+        ("predict --grid-points 1000000000000", None),
+        ("synth --cycles-per-subject 1000000000000", None),
+        ("synth", "cycles_per_subject = 1000000000000"),
+    ])
+    def test_size_too_large_to_allocate_is_json_error(self, tmp_path, argv,
+                                                      config):
+        # The child's address space is capped, so the 7.28 TiB array
+        # fails to allocate on every host rather than only where the
+        # kernel refuses it.
+        resource = pytest.importorskip("resource")
+        command, *flags = argv.split()
+        flags += ["--output", str(tmp_path / "out.csv")]
+        if command == "predict":
+            model = pathlib.Path(__file__).parent / "data/golden/pooled.mogp"
+            flags += ["--model", str(model)]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            flags += ["--config", str(tmp_path / "run.cfg")]
+        limit = 2 * 1024 ** 3
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        package_root = pathlib.Path(cli.__file__).parents[1]
+        path = os.pathsep.join(
+            p for p in (str(package_root), os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "gaitmogp.cli", command, *flags],
+            capture_output=True, text=True, timeout=120, check=False,
+            preexec_fn=cap_address_space,
+            env={**os.environ, "PYTHONPATH": path,
+                 "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        err = json.loads(lines[0])
+        assert err["type"] == "validation" and err["exit_code"] == 2
+        assert err["error"].startswith("Unable to allocate")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_synth_settings_are_checked_by_every_subcommand(self, tmp_path,
                                                             capsys):

@@ -43,7 +43,9 @@ def _random_sequence(rng: np.random.Generator, length: int) -> ObservationSequen
 
 
 # Lengths for the forward-backward: short ones, powers of two and one
-# past them, the CLI's 400 grid points and a long one.
+# past them, the CLI's 400 grid points and a long one. In blocks of
+# L = floor(sqrt(T - 1)) transitions, T = 1 has none, T = 2 is a single
+# block, 8 and 1000 pad the last block and the others fill every block.
 SCAN_LENGTHS = (1, 2, 3, 4, 5, 8, 9, 17, 64, 65, 400, 1000)
 
 
@@ -109,7 +111,8 @@ class TestExactness:
 
     def test_scan_matches_log_space_recursion_on_ordinary_sequences(self):
         rng = np.random.default_rng(115)
-        for length in SCAN_LENGTHS:
+        # T = 4000 runs 64 blocks of 63 transitions, the last one padded.
+        for length in SCAN_LENGTHS + (4000,):
             for expert in (True, False):
                 model, _ = _scaled_model(rng, 8.0, expert)
                 _, steps = oracles.sample_hmm(
@@ -174,7 +177,8 @@ class TestExactness:
         # that dominates gamma at step 1 sits more than the float range
         # below another, so a forward-backward that multiplies steps
         # before it normalizes gets (0, 1, 0, 0) at step 1 against the true
-        # ~(1, 0, 0, 0). The scaled recursion normalizes every step.
+        # ~(1, 0, 0, 0). The blocked kernel normalizes every product at
+        # every step.
         model = default_model()
         model.state_means = np.array([[-6.55, 23.4], [1.2, -21.88],
                                       [-14.35, -28.96], [-7.3, -0.82]])
@@ -190,14 +194,14 @@ class TestExactness:
 
     def test_row_sum_check_catches_a_state_dropped_from_alpha(
             self, monkeypatch):
-        # Two closed blocks of states, {1, 2} and {3, 4}. Steps 0 and 1
-        # favor the first block by e^400 each, so the second block's
-        # scaled alpha at step 1 (~e^-800) underflows to 0 while every c_t
-        # stays normal. Steps 2-4 favor the second block by e^400 each, so
-        # it carries the whole posterior: without the row-sum check, log p
-        # comes out 400 too low and gamma puts steps 3-4 on the first
-        # block. The row sums before the drop are not 1 (there the second
-        # block's beta overflows), which selects the log-space passes.
+        # Two closed groups of states, {1, 2} and {3, 4}. Steps 0 and 1
+        # favor the first group by e^400 each, and steps 2-4 favor the
+        # second group by e^400 each, so it carries the whole posterior.
+        # At step 1 the second group's alpha (~e^-800 of the first's)
+        # underflows to 0 while every normaliser stays normal, and so does
+        # the first group's beta: the row sum at step 1 is 0, and without
+        # the row-sum check gamma_1 is nan. The check selects the
+        # log-space passes.
         fallbacks = []
         log_passes = hmm._log_forward_backward
         monkeypatch.setattr(hmm, "_log_forward_backward",
@@ -217,6 +221,55 @@ class TestExactness:
                                    atol=1e-10)
         assert np.all(gamma[:, 2:].sum(axis=1) > 0.999)
         assert len(fallbacks) == 1
+
+    def test_row_sum_check_catches_mass_lost_inside_a_block_product(
+            self, monkeypatch):
+        # T = 10: three blocks of three transitions. Only state 1 can
+        # start, state 2 cannot go back to 1, and {3, 4} is closed. At
+        # steps 1 and 2, where states 3 and 4 fit best, the path that stays
+        # in state 1 falls e^-800 below them, and the one that moves to
+        # state 2 e^-480. The first block's prefix product is divided by
+        # its largest entries, those of rows 3 and 4, so its state-1 path
+        # underflows to 0 at step 2; the per-step scaled messages keep it
+        # (~e^-320 of state 2's). From step 3 on, state 1 fits e^200 a
+        # step better than state 2, so that path carries the posterior.
+        # Every normaliser stays normal and the carried forward scale
+        # gives a log p ~1074 nats too low, but the backward products keep
+        # the path, so the row sum at step 0 gives the true one, and the
+        # check selects the log-space passes.
+        fallbacks = []
+        log_passes = hmm._log_forward_backward
+        monkeypatch.setattr(hmm, "_log_forward_backward",
+                            lambda *args: fallbacks.append(1) or log_passes(*args))
+        model = HmmModel(
+            initial_probs=[1.0, 0.0, 0.0, 0.0],
+            transitions=[[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]],
+            state_means=[[20.0, 0.0], [20.0, 20.0], [0.0, 0.0], [0.0, 0.0]],
+            shared_covariance=np.eye(2))
+        steps = np.array([[20.0, 0.0], [-10.0, 11.0], [-10.0, 25.0]]
+                         + [[20.0, 0.0]] * 7)
+        log_b = oracles.hmm_log_emissions(model.state_means,
+                                          model.shared_covariance, steps)
+        np.testing.assert_allclose(
+            (log_b - log_b.max(axis=1, keepdims=True))[1:3],
+            [[-400.0, -380.0, 0.0, 0.0], [-400.0, -100.0, 0.0, 0.0]])
+        gamma, log_likelihood = hmm._forward_backward(model, steps)
+        expected, expected_gamma = _log_space_oracle(model, steps)
+        assert log_likelihood == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                   atol=1e-10)
+        assert np.all(gamma[:, 0] > 0.999)
+        assert len(fallbacks) == 1
+
+    def test_forward_log_likelihood_equals_the_kernel(self):
+        rng = np.random.default_rng(118)
+        for case, length in enumerate(SCAN_LENGTHS):
+            model, scale = _scaled_model(rng, 30.0, expert=case % 2 == 0)
+            seq = ObservationSequence(
+                steps=rng.normal(0.0, scale, size=(length, 2)))
+            assert (forward_log_likelihood(model, seq)
+                    == hmm._forward_backward(model, seq.steps)[1])
 
     def test_emission_underflow_check_catches_a_state_dropped_from_b(self):
         # Two closed blocks of states, {1, 2} and {3, 4}, with d^2 = 700.
