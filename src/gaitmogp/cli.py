@@ -317,7 +317,7 @@ def _predict_on_grid(cfg: RunConfig):
     model = mogp.load_model(cfg.model_path)
     names = (CHANNELS if model.num_outputs == len(CHANNELS)
              else tuple(f"output_{m}" for m in range(model.num_outputs)))
-    grid = np.arange(cfg.grid_points, dtype=float) / cfg.grid_points
+    grid = gait_signal.cycle_grid(cfg.grid_points)
     return model, names, grid, mogp.predict(model, grid)
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .gait_signal import (CHANNELS, JOINTS, SIDES, check_cycle,
+from .gait_signal import (CHANNELS, JOINTS, SIDES, check_cycle, cycle_grid,
                           impute_missing, lowpass_filter, normalize_and_align,
                           DEFAULT_GRID_POINTS, DEFAULT_FILTER_CUTOFF_HZ)
 from .serialize import atomic_write_text, read_text
@@ -512,7 +512,7 @@ def generate_synthetic(config: SynthConfig, *,
 
             raw_cycles = {}
             for cycle_id, length in enumerate(int(n) for n in lengths):
-                t = np.arange(length, dtype=float) / length
+                t = cycle_grid(length)
                 raw = np.empty((length, len(CHANNELS), 3))
                 for j, channel in enumerate(CHANNELS):
                     joint, side = channel.rsplit("_", 1)

@@ -13,10 +13,11 @@ Conventions
   order, and (x, y, z) joint displacements, with NaN marking a gap. Only
   the y (vertical) axis is preprocessed and modeled, as an (L, 6) array
   of channel heights; x/z are kept only so the corpus round-trips.
-- The normalized cycle grid is t_k = k / T for k = 0..T-1: a gait cycle
-  is periodic, so the grid excludes the duplicate endpoint t = 1 and
-  resampling interpolates cyclically. A cycle needs MIN_CYCLE_SAMPLES
-  samples to be aligned (``check_cycle``).
+- The normalized cycle grid is ``cycle_grid(T)``, t_k = k / T for
+  k = 0..T-1: a gait cycle is periodic, so the grid excludes the
+  duplicate endpoint t = 1, and resampling interpolates cyclically from
+  the L samples of a cycle at ``cycle_grid(L)``. A cycle needs
+  MIN_CYCLE_SAMPLES samples to be aligned (``check_cycle``).
 
 Importing this module imports no part of scipy. ``scipy.signal``
 (0.69-0.94 s of start-up after ``import gaitmogp.cli``, two batches of
@@ -124,12 +125,9 @@ def _longest_run(flags: np.ndarray) -> int:
     return longest
 
 
-def _resample_cyclic(values: np.ndarray, num_points: int) -> np.ndarray:
-    """Linear resampling onto k/num_points, treating the cycle as periodic."""
-    length = values.shape[0]
-    positions = np.arange(length, dtype=float) / length
-    targets = np.arange(num_points, dtype=float) / num_points
-    return np.interp(targets, positions, values, period=1.0)
+def cycle_grid(num_points: int) -> np.ndarray:
+    """The normalized cycle times t_k = k / num_points, k = 0..num_points-1."""
+    return np.arange(num_points, dtype=float) / num_points
 
 
 def check_cycle(cycle: np.ndarray) -> np.ndarray:
@@ -173,7 +171,9 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
         except ValidationError as exc:
             raise ValidationError(f"cycle {i}: {exc}") from None
 
-    resampled = np.array([[_resample_cyclic(row, num_points) for row in cycle]
+    grid = cycle_grid(num_points)
+    resampled = np.array([[np.interp(grid, cycle_grid(cycle.shape[1]), row,
+                                     period=1.0) for row in cycle]
                           for cycle in cycles])
     # Pool as (6, C*T): numpy's pairwise sums, and so the last bits of
     # the constants, depend on the layout.
@@ -184,7 +184,6 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
     if flat.size:
         raise ValidationError(
             f"zero-variance channel(s): {[CHANNELS[i] for i in flat]}")
-    grid = np.arange(num_points, dtype=float) / num_points
     return grid, (resampled - means[:, None]) / stds[:, None], means, stds
 
 
@@ -212,7 +211,7 @@ def detect_events(values, grid=None) -> tuple[list[float], list[float]]:
     if not np.all(np.isfinite(values)):
         raise ValidationError("signal must be finite")
     if grid is None:
-        grid = np.arange(values.shape[0], dtype=float) / values.shape[0]
+        grid = cycle_grid(values.shape[0])
     else:
         grid = np.asarray(grid, dtype=float).ravel()
         if grid.shape != values.shape:

@@ -74,7 +74,7 @@ class TemporalKernel:
 
     It takes the floored values of the seven parameters and their
     derivatives d value / d log value (_floored_exp_with_grad), in
-    PARAMETER_NAMES order; entries past the seventh are ignored.
+    PARAMETER_NAMES order.
     The components and their intermediates are kept, and the lag array
     is referenced (not copied), so the same evaluation serves
     :meth:`gradient`. Callers pass the distinct lags of a lag_table and
@@ -83,9 +83,8 @@ class TemporalKernel:
     """
 
     def __init__(self, values: np.ndarray, grads: np.ndarray, lag):
-        self.lag, self._values, self._grads = lag, values[:7], grads[:7]
-        per_var, per_len, period, se_var, se_len, mat_var, mat_len = \
-            self._values
+        self.lag, self._values, self._grads = lag, values, grads
+        per_var, per_len, period, se_var, se_len, mat_var, mat_len = values
 
         self._u = np.pi * lag / period
         self._sin_u = np.sin(self._u)

@@ -8,11 +8,12 @@ from an ``inf``-padded copy of the longer one, in O(n + m) memory plus a
 fixed 128 KiB cost block; results are bit-identical to the row-by-row
 recurrence. A report's aDTW is the mean DTW over its output channels.
 
-``compute_report`` checks its inputs once and takes every row's MAE,
+``compute_report``'s pooled MAE and R² are ``mae`` and ``r_squared``
+themselves, of the flattened (M, Q) arrays. It takes every row's MAE,
 SS_res and SS_tot with one ``axis=1`` reduction each over the C-ordered
-(M, Q) arrays. Each row is then summed by numpy's same pairwise sum as a
-1-D ``np.mean``/``np.sum`` of that row, so the report equals, bit for
-bit, what ``mae`` and ``r_squared`` give row by row.
+arrays. Each row is then summed by numpy's same pairwise sum as a 1-D
+``np.mean``/``np.sum`` of that row, so the report equals, bit for bit,
+what ``mae`` and ``r_squared`` give row by row.
 
 All functions are pure and concurrent-safe.
 """
@@ -45,13 +46,19 @@ def _as_sequence(name: str, values, min_length: int = 1) -> np.ndarray:
 _DTW_BLOCK_CELLS = 1 << 14
 
 
-def mae(pred, truth) -> float:
-    """Mean absolute error between two equal-length sequences."""
-    pred = _as_sequence("pred", pred)
-    truth = _as_sequence("truth", truth)
+def _as_pair(pred, truth, min_length: int = 1):
+    """The checked pred and truth sequences, which must be equally long."""
+    pred = _as_sequence("pred", pred, min_length)
+    truth = _as_sequence("truth", truth, min_length)
     if pred.size != truth.size:
         raise ValidationError(
             f"length mismatch: pred has {pred.size}, truth has {truth.size}")
+    return pred, truth
+
+
+def mae(pred, truth) -> float:
+    """Mean absolute error between two equal-length sequences."""
+    pred, truth = _as_pair(pred, truth)
     return float(np.mean(np.abs(pred - truth)))
 
 
@@ -61,11 +68,7 @@ def r_squared(pred, truth) -> float:
     SS_tot is centered on the truth mean; constant truth leaves R²
     undefined and raises.
     """
-    pred = _as_sequence("pred", pred, min_length=2)
-    truth = _as_sequence("truth", truth, min_length=2)
-    if pred.size != truth.size:
-        raise ValidationError(
-            f"length mismatch: pred has {pred.size}, truth has {truth.size}")
+    pred, truth = _as_pair(pred, truth, min_length=2)
     ss_tot = float(np.sum((truth - np.mean(truth)) ** 2))
     if ss_tot == 0.0:
         raise ValidationError("truth is constant; R² is undefined")
@@ -138,13 +141,13 @@ def compute_report(pred_set, truth_set, output_names,
     aggregate MAE and R² are taken over the pooled (flattened) rows, and
     aDTW is the mean of the per-row DTWs.
 
-    One pass: the inputs are checked once, with the texts ``mae`` and
-    ``r_squared`` raise, and each row's MAE, SS_res and SS_tot come from
-    one ``axis=1`` reduction over the C-ordered (M, Q) arrays. A
-    reduction along the contiguous last axis hands each row whole to
-    numpy's pairwise sum, the sum a 1-D reduction of that row takes, and
-    the row means divide by the same count, so every value equals the
-    per-row ``mae``/``r_squared`` bit for bit.
+    The pooled values are ``mae`` and ``r_squared`` of the raveled
+    arrays, which check them with their own texts. Each row's MAE,
+    SS_res and SS_tot come from one ``axis=1`` reduction over the
+    C-ordered (M, Q) arrays. A reduction along the contiguous last axis
+    hands each row whole to numpy's pairwise sum, the sum a 1-D reduction
+    of that row takes, and the row means divide by the same count, so
+    every value equals the per-row ``mae``/``r_squared`` bit for bit.
     """
     pred = np.atleast_2d(np.asarray(pred_set, dtype=float))
     truth = np.atleast_2d(np.asarray(truth_set, dtype=float))
@@ -163,29 +166,22 @@ def compute_report(pred_set, truth_set, output_names,
     # C order keeps each row contiguous, whatever the caller's layout.
     pred = np.ascontiguousarray(pred)
     truth = np.ascontiguousarray(truth)
-    _as_sequence("pred", pred.ravel())
-    pooled_truth = _as_sequence("truth", truth.ravel())
+    report = {"mae": mae(pred.ravel(), truth.ravel())}
     if pred.shape[1] < 2:
         raise ValidationError("pred needs at least 2 values")
+    report["r_squared"] = r_squared(pred.ravel(), truth.ravel())
+    report["adtw"] = float(np.mean(per_dtw))
 
     error = pred - truth
-    abs_error = np.abs(error)
-    squared_error = error ** 2
-    pooled_ss_tot = float(
-        np.sum((pooled_truth - np.mean(pooled_truth)) ** 2))
     ss_tot = np.sum((truth - np.mean(truth, axis=1, keepdims=True)) ** 2,
                     axis=1)
-    if pooled_ss_tot == 0.0 or np.any(ss_tot == 0.0):
+    if np.any(ss_tot == 0.0):
         raise ValidationError("truth is constant; R² is undefined")
-    pooled_ss_res = float(np.sum(squared_error.ravel()))
-    report = {"mae": float(np.mean(abs_error.ravel())),
-              "r_squared": 1.0 - pooled_ss_res / pooled_ss_tot,
-              "adtw": float(np.mean(per_dtw))}
     # Float division, as in r_squared: inf / inf is nan with no warning.
     row_r_squared = [1.0 - res / tot for res, tot in zip(
-        np.sum(squared_error, axis=1).tolist(), ss_tot.tolist())]
+        np.sum(error ** 2, axis=1).tolist(), ss_tot.tolist())]
     for name, m, r, d in zip(output_names,
-                             np.mean(abs_error, axis=1).tolist(),
+                             np.mean(np.abs(error), axis=1).tolist(),
                              row_r_squared, per_dtw.tolist()):
         report[f"mae.{name}"] = m
         report[f"r_squared.{name}"] = r

@@ -27,17 +27,15 @@ Importing or running this module imports no part of scipy.
 A model's parameters are one log-space vector theta (Rasmussen &
 Williams 2006, ch. 5): the seven kernel entries, W row-major, log kappa,
 the per-output means and the log noise variance, each block at its
-parameter_blocks slice and each entry named by parameter_names. Both
-evaluations take theta, unpack it once, floor its positive entries with
-one vector call, and evaluate the kernel components once per distinct
-training lag. Fitting is one loop over up to ``iterations + 1`` iterates
-of theta: each iterate is one evaluation, with one LML trace entry (one
-at ``iterations = 0``), and an iterate with a non-finite parameter or
-LML raises NumericError naming its iteration. The best iterate becomes
-the MoGPModel, after the loop, with that same evaluation cached on it;
-fit is the only code that caches one. log_marginal_likelihood,
-lml_gradient and predict (without a cache) run the same evaluation on
-the model's theta, leaving the model untouched.
+parameter_blocks slice, the only source of a block's position, and each
+entry named by parameter_names. Both evaluations and
+export_coregionalization unpack theta once (_Parameters), floor its
+positive entries with one vector call, and evaluate the kernel
+components once per distinct training lag. fit evaluates up to
+``iterations + 1`` iterates of theta, one evaluation each, and caches
+the best one's on the MoGPModel it returns, the only cache there is.
+log_marginal_likelihood, lml_gradient and predict (without a cache) run
+the same evaluation on the model's theta, leaving the model untouched.
 """
 
 from __future__ import annotations
@@ -256,8 +254,10 @@ class _Geometry:
     into them (kernels.lag_table). Grid times repeat, so ``lags`` is far
     shorter than the index. ``blocks`` are theta's parameter_blocks and
     ``positive`` indexes its log-space entries (kernel, log kappa, log
-    noise), the ones a floored exponential maps to their values. The
-    dense path also keeps the (n, M) one-hot output indicator E."""
+    noise), the ones a floored exponential maps to their values;
+    ``kernel_part``, ``kappa_part`` and ``noise_part`` are where those
+    three blocks sit among them. The dense path also keeps the (n, M)
+    one-hot output indicator E."""
 
     def __init__(self, training: TrainingSet, rank: int):
         training.validate()
@@ -273,8 +273,12 @@ class _Geometry:
             self.evaluation_type = _KroneckerEvaluation
         self.lags, self.lag_index = lag_table(self.times, self.times)
         self.blocks = parameter_blocks(m, rank)
-        self.positive = np.r_[tuple(self.blocks[key] for key in (
-            "kernel", "coreg.log_kappa", "log_noise_variance"))]
+        positive = {key: self.blocks[key] for key in (
+            "kernel", "coreg.log_kappa", "log_noise_variance")}
+        self.positive = np.r_[tuple(positive.values())]
+        self.kernel_part, self.kappa_part, self.noise_part = _consecutive(
+            {key: part.stop - part.start
+             for key, part in positive.items()}).values()
 
     def evaluate(self, theta: np.ndarray):
         """The evaluation of the packed parameters ``theta`` on this data."""
@@ -288,23 +292,25 @@ def _evaluate(model: MoGPModel):
 
 class _Parameters:
     """One packed theta, unpacked once: its floored positive values and
-    their derivatives (one _floored_exp_with_grad call), W, the means,
-    B and the kernel components on the geometry's distinct lags. Both
-    evaluations build on it; it holds what the LML, the gradient and the
-    posterior share."""
+    their derivatives (one _floored_exp_with_grad call) cut by the
+    geometry's parts, W, the means, B and the kernel components on the
+    geometry's distinct lags. Both evaluations build on it; it holds what
+    the LML, the gradient and the posterior share."""
 
     def __init__(self, theta: np.ndarray, geometry: _Geometry):
         self.theta, self.geometry = theta, geometry
         blocks = geometry.blocks
-        self.floored, self.d_floored = _floored_exp_with_grad(
-            theta[geometry.positive])
-        self.noise = self.floored[-1]
+        floored, d_floored = _floored_exp_with_grad(theta[geometry.positive])
+        self.kernel = (floored[geometry.kernel_part],
+                       d_floored[geometry.kernel_part])
+        self.d_kappa = d_floored[geometry.kappa_part]
+        self.noise = floored[geometry.noise_part]
+        self.d_noise = d_floored[geometry.noise_part]
         self.w = theta[blocks["coreg.w"]].reshape(geometry.num_outputs,
                                                   geometry.rank)
         self.means = theta[blocks["means"]]
-        self.b = self.w @ self.w.T + np.diag(self.floored[7:-1])
-        self.temporal = TemporalKernel(self.floored, self.d_floored,
-                                       geometry.lags)
+        self.b = self.w @ self.w.T + np.diag(floored[geometry.kappa_part])
+        self.temporal = TemporalKernel(*self.kernel, geometry.lags)
         self.k_t = self.temporal.k_t[geometry.lag_index]
 
     def centered_values(self) -> np.ndarray:
@@ -322,23 +328,29 @@ class _Parameters:
         return np.concatenate([
             0.5 * self.temporal.gradient(per_lag),
             ((half_s + half_s.T) @ self.w).ravel(),
-            np.diag(half_s) * self.d_floored[7:-1],
+            np.diag(half_s) * self.d_kappa,
             alpha_sums,
-            [0.5 * self.d_floored[-1] * noise_term],
+            0.5 * self.d_noise * noise_term,
         ])
 
     def cross_kernel(self, query: np.ndarray) -> np.ndarray:
         """k_t between the query times and the geometry's times,
         (len(query), len(times))."""
         lags, lag_index = lag_table(query, self.geometry.times)
-        return TemporalKernel(self.floored, self.d_floored,
-                              lags).k_t[lag_index]
+        return TemporalKernel(*self.kernel, lags).k_t[lag_index]
 
     def prior_variance(self) -> np.ndarray:
         """(M, 1) prior variance of an observation of each output:
-        B_mm k_t(t, t) plus the noise."""
-        f = self.floored
-        return np.diag(self.b)[:, None] * (f[0] + f[3] + f[5]) + self.noise
+        B_mm k_t(t, t) plus the noise. k_t(t, t) is the kernel at lag 0,
+        the first of the sorted training lags."""
+        return np.diag(self.b)[:, None] * self.temporal.k_t[0] + self.noise
+
+    def log_likelihood(self, rotated, scaled) -> float:
+        """-1/2 r^T D^-1 r - 1/2 sum log D - n/2 log 2pi of the centered
+        targets r in the eigenbasis of K + s I, given ``scaled`` = D^-1 r."""
+        return float(-0.5 * np.vdot(rotated, scaled)
+                     - 0.5 * np.sum(np.log(self.d))
+                     - 0.5 * rotated.size * LOG_2PI)
 
 
 class _Evaluation(_Parameters):
@@ -357,9 +369,7 @@ class _Evaluation(_Parameters):
         rotated = self.u.T @ y_c
         scaled = rotated / self.d
         self.alpha = self.u @ scaled
-        self.lml = float(-0.5 * np.vdot(rotated, scaled)
-                         - 0.5 * np.sum(np.log(self.d))
-                         - 0.5 * y_c.size * LOG_2PI)
+        self.lml = self.log_likelihood(rotated, scaled)
 
     def gradient(self) -> np.ndarray:
         """d LML / d theta in parameter_names order (see lml_gradient);
@@ -418,9 +428,7 @@ class _KroneckerEvaluation(_Parameters):
         rotated = self.u_b.T @ y_c @ self.u_t
         scaled = rotated / self.d
         self.alpha = self.u_b @ scaled @ self.u_t.T
-        self.lml = float(-0.5 * np.vdot(rotated, scaled)
-                         - 0.5 * np.sum(np.log(self.d))
-                         - 0.5 * y_c.size * LOG_2PI)
+        self.lml = self.log_likelihood(rotated, scaled)
 
     def gradient(self) -> np.ndarray:
         """d LML / d theta in parameter_names order (see lml_gradient).
@@ -460,14 +468,19 @@ def parameter_blocks(num_outputs: int, rank: int) -> dict[str, slice]:
     lines: the seven "kernel" entries, "coreg.w" row-major (M r),
     "coreg.log_kappa" (M), the per-output "means" (M) and
     "log_noise_variance" (1), in that order."""
-    sizes = {"kernel": len(kernels.PARAMETER_NAMES),
-             "coreg.w": num_outputs * rank, "coreg.log_kappa": num_outputs,
-             "means": num_outputs, "log_noise_variance": 1}
-    blocks, start = {}, 0
+    return _consecutive({
+        "kernel": len(kernels.PARAMETER_NAMES), "coreg.w": num_outputs * rank,
+        "coreg.log_kappa": num_outputs, "means": num_outputs,
+        "log_noise_variance": 1})
+
+
+def _consecutive(sizes: dict[str, int]) -> dict[str, slice]:
+    """Back-to-back slices of the given sizes, in key order from 0."""
+    slices, start = {}, 0
     for key, size in sizes.items():
-        blocks[key] = slice(start, start + size)
+        slices[key] = slice(start, start + size)
         start += size
-    return blocks
+    return slices
 
 
 def parameter_names(num_outputs: int, rank: int) -> list[str]:
@@ -488,14 +501,6 @@ def _non_finite_names(theta: np.ndarray, num_outputs: int, rank: int) -> str:
         return ""
     return ", ".join(name for name, ok in zip(
         parameter_names(num_outputs, rank), finite) if not ok)
-
-
-def _weight_decay_mask(num_outputs: int, rank: int) -> np.ndarray:
-    """Decay applies to W and all log-parameters, never to the means."""
-    blocks = parameter_blocks(num_outputs, rank)
-    mask = np.ones(blocks["log_noise_variance"].stop)
-    mask[blocks["means"]] = 0.0
-    return mask
 
 
 def lml_gradient(model: MoGPModel) -> np.ndarray:
@@ -559,10 +564,12 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     training.validate(for_fitting=True)
 
     theta = initialize_model(training, config).theta
-    decay_mask = _weight_decay_mask(training.num_outputs, config.rank)
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
     geometry = _Geometry(training, config.rank)
+    # Decay applies to W and all log-parameters, never to the means.
+    decay_mask = np.ones_like(theta)
+    decay_mask[geometry.blocks["means"]] = 0.0
 
     trace: list[float] = []
     stall = 0
@@ -630,12 +637,10 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
 
 
 def export_coregionalization(model: MoGPModel) -> tuple[np.ndarray, np.ndarray]:
-    """B = W W^T + diag(kappa) and its correlation-normalized form."""
-    m, rank = model.num_outputs, model.config.rank
-    blocks = parameter_blocks(m, rank)
-    w = model.theta[blocks["coreg.w"]].reshape(m, rank)
-    kappa, _ = _floored_exp_with_grad(model.theta[blocks["coreg.log_kappa"]])
-    b = w @ w.T + np.diag(kappa)
+    """B = W W^T + diag(kappa), as the evaluations unpack it, and its
+    correlation-normalized form."""
+    b = _Parameters(model.theta,
+                    _Geometry(model.training, model.config.rank)).b
     diag = np.diag(b)
     if np.any(diag <= 0.0):
         raise ValidationError("coregionalization matrix has a zero diagonal entry")

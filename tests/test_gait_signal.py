@@ -13,6 +13,7 @@ from gaitmogp.errors import ValidationError
 from gaitmogp.gait_signal import (
     CHANNELS,
     _find_peaks,
+    cycle_grid,
     detect_events,
     impute_missing,
     lowpass_filter,
@@ -105,7 +106,8 @@ class TestNormalizeAndAlign:
     def test_grid_is_endpoint_free(self):
         cycles = [np.tile(np.sin(2 * np.pi * np.arange(40) / 40.0), (6, 1))]
         grid, normalized, _, _ = normalize_and_align(cycles, num_points=16)
-        np.testing.assert_allclose(grid, np.arange(16) / 16.0)
+        np.testing.assert_array_equal(grid, np.arange(16) / 16)
+        np.testing.assert_array_equal(cycle_grid(16), np.arange(16) / 16)
         assert normalized.shape == (1, 6, 16)
 
     def test_pooled_channels_are_zero_mean_unit_variance(self):
@@ -184,9 +186,10 @@ class TestDetectEvents:
         np.testing.assert_allclose(toe_offs, [0.44, 0.90])
 
     def test_default_grid_is_cycle_normalized(self):
-        t = np.arange(400) / 400.0
-        heel_strikes, _ = detect_events(_template(t))
+        y = _template(np.arange(400) / 400.0)
+        heel_strikes, _ = detect_events(y)
         assert abs(heel_strikes[0] - TEMPLATE_MIN) <= 1 / 400 + 1e-12
+        assert detect_events(y) == detect_events(y, cycle_grid(len(y)))
 
     def test_input_validation(self):
         with pytest.raises(ValidationError, match="at least 5"):

@@ -214,6 +214,19 @@ class TestLagTable:
         np.testing.assert_array_equal(_kernel(log_values, lags).k_t[index],
                                       _kernel(log_values, full).k_t)
 
+    # Any finite times whose differences stay finite, repeated or not,
+    # in any order, and single ones.
+    @given(times=st.one_of(time_sets, st.lists(
+        st.floats(min_value=-1e300, max_value=1e300), min_size=1,
+        max_size=40)))
+    @settings(max_examples=80, deadline=None)
+    def test_zero_lag_comes_first_and_indexes_the_diagonal(self, times):
+        # The MoGP's prior variance reads k_t(0) as k_t of the first lag.
+        times = np.array(times)
+        lags, index = lag_table(times, times)
+        assert lags[0] == 0.0
+        np.testing.assert_array_equal(np.diag(index), 0)
+
     @given(times=time_sets, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_gram_matrix_equals_the_full_lag_evaluation(self, times, seed):

@@ -285,7 +285,8 @@ class TestFit:
         # From a tiny signal variance the LML pushes the variances up;
         # one step of size ~1e6 makes them overflow at the last iterate.
         monkeypatch.setattr(mogp, "INIT_VARIANCE", 1e-4)
-        with pytest.raises(NumericError, match="non-finite"):
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericError, match="non-finite"):
             fit(training, OptimizerConfig(iterations=1, learning_rate=1e6,
                                           seed=0))
 
@@ -475,7 +476,8 @@ class TestPredict:
             model = _random_model(rng, shared_times=shared_times)
             names = parameter_names(3, 2)
             model.theta[names.index("se.log_variance")] = 1000.0
-            with pytest.raises(NumericError, match="non-finite"):
+            with pytest.warns(RuntimeWarning), \
+                    pytest.raises(NumericError, match="non-finite"):
                 predict(model, np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("mean, std", [
