@@ -276,15 +276,15 @@ def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
     """A MoGP fitted to a subsample of the frames of every cycle of
     ``records``.
 
-    One draw of ``points_per_channel`` (cycle, grid-time) frames, from
-    the seed stream ``(seed, index)``, serves all six channels, so each
-    job of a run (subject, pooled fit or LOSO split) has its own
-    reproducible draw. Every channel then has the same times, which puts
-    the fit on the MoGP's Kronecker path.
+    One draw of ``points_per_channel`` (cycle, ``cycle_grid(T)`` time)
+    frames, from the seed stream ``(seed, index)``, serves all six
+    channels, so each job of a run (subject, pooled fit or LOSO split)
+    has its own reproducible draw. Every channel then has the same times,
+    which puts the fit on the MoGP's Kronecker path.
     """
     rng = np.random.default_rng([cfg.seed, index])
     cycles = np.concatenate([record.cycles for record in records])
-    times = np.tile(records[0].grid, len(cycles))
+    times = np.tile(gait_signal.cycle_grid(cycles.shape[-1]), len(cycles))
     # (6, C * T): each channel's pooled values in the order of ``times``.
     values = cycles.transpose(1, 0, 2).reshape(len(CHANNELS), -1)
     if cfg.points_per_channel < times.shape[0]:
@@ -400,8 +400,8 @@ def _bilateral_deviation(obs: np.ndarray) -> np.ndarray:
     return np.abs(total - center) / max(scale, 1e-12)
 
 
-def _apply_decision_rule(states: np.ndarray, grid: np.ndarray,
-                         deviation: np.ndarray, threshold: float):
+def _apply_decision_rule(states: np.ndarray, deviation: np.ndarray,
+                         threshold: float):
     """Reported segments under the default decision rule.
 
     A decoded-abnormal step is reported only when its bilateral
@@ -412,18 +412,18 @@ def _apply_decision_rule(states: np.ndarray, grid: np.ndarray,
     if threshold > 0.0:
         # Suppressed steps are masked to normal state 1.
         states = np.where(deviation > threshold, states, 1)
-    return hmm.anomalous_segments(states, grid)
+    return hmm.anomalous_segments(states)
 
 
 def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
                      index: int) -> dict:
-    grid = record.grid
     notes: list[str] = []
 
     if cfg.observation_source == "raw":
         curves = record.cycles.mean(axis=0)
     else:
-        curves = mogp.predict(_fit_records(cfg, [record], index), grid).mean
+        curves = mogp.predict(_fit_records(cfg, [record], index),
+                              gait_signal.cycle_grid(cfg.grid_points)).mean
     right = curves[CHANNELS.index("ankle_right")]
     left = curves[CHANNELS.index("ankle_left")]
 
@@ -432,12 +432,12 @@ def _segment_subject(cfg: RunConfig, record: dataio.SubjectRecord,
     hmm_model = hmm.baum_welch_fit(init, [obs], _em_config(cfg))
     decoded = hmm.viterbi_decode(hmm_model, obs)
     segments = _apply_decision_rule(
-        decoded.states, grid, _bilateral_deviation(obs.steps),
+        decoded.states, _bilateral_deviation(obs.steps),
         cfg.segment_threshold)
 
     events_doc, phases_doc = {}, {}
     for side, curve in (("right", right), ("left", left)):
-        heel_strikes, toe_offs = detect_events(curve, grid)
+        heel_strikes, toe_offs = detect_events(curve)
         events_doc[side] = {"heel_strikes": heel_strikes,
                             "toe_offs": toe_offs}
         try:
@@ -488,11 +488,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     records = _load_corpus(cfg)
     os.makedirs(out_dir, exist_ok=True)
     splits = dataio.loso_splits(records)
+    grid = gait_signal.cycle_grid(cfg.grid_points)
 
     per_split: list[dict[str, float]] = []
     for split_index, (train, held) in enumerate(splits):
         model = _fit_records(cfg, train, split_index)
-        pred = mogp.predict(model, held.grid)
+        pred = mogp.predict(model, grid)
         truth = held.cycles.mean(axis=0)
 
         # The raw local cost |s a - s b| is s |a - b|, so each raw DTW is

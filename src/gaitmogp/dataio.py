@@ -30,11 +30,12 @@ cycle is gathered from one (N, 3) array of all rows by their
 
 Each subject becomes one ``SubjectRecord`` of plain arrays and nothing
 else: its raw cycles as (L, 6, 3) arrays keyed by corpus cycle id (NaN
-marks a gap), and the preprocessed cycles as one (C, 6, T) array on the
-T-point grid. Preprocessing reads only the y (height) axis, so a gap in
-x or z is carried through and never rejected. A cycle that cannot be
-preprocessed (too short to filter or to align, a gap run too long to
-impute) is reported with its subject id and corpus cycle id.
+marks a gap), and the preprocessed cycles as one (C, 6, T) array on
+``gait_signal.cycle_grid(T)``, which follows from T and is not stored.
+Preprocessing reads only the y (height) axis, so a gap in x or z is
+carried through and never rejected. A cycle that cannot be preprocessed
+(too short to filter or to align, a gap run too long to impute) is
+reported with its subject id and corpus cycle id.
 
 Synthetic subjects are built from a shared two-harmonic template
 
@@ -84,14 +85,13 @@ class SubjectRecord:
     ``raw_cycles`` maps each corpus cycle id, in increasing order, to an
     (L, 6, 3) array of (x, y, z) samples per frame and channel (CHANNELS
     order), NaN marking a gap. ``cycles[c]`` is the y axis of the c-th of
-    them imputed, filtered, resampled onto ``grid`` (T points) and
-    z-scored per channel with ``channel_means``/``channel_stds``, giving a
+    them imputed, filtered, resampled onto ``cycle_grid(T)`` and z-scored
+    per channel with ``channel_means``/``channel_stds``, giving a
     (C, 6, T) array.
     """
 
     subject_id: str
     cohort: str
-    grid: np.ndarray
     cycles: np.ndarray
     channel_means: np.ndarray
     channel_stds: np.ndarray
@@ -174,12 +174,12 @@ def _build_record(subject_id: str, cohort: str,
             raise ValidationError(
                 f"subject {subject_id}, cycle {cycle_id}: {exc}") from None
     try:
-        grid, cycles, means, stds = normalize_and_align(heights, num_points)
+        cycles, means, stds = normalize_and_align(heights, num_points)
     except ValidationError as exc:
         raise ValidationError(f"subject {subject_id}: {exc}") from None
-    return SubjectRecord(subject_id=subject_id, cohort=cohort, grid=grid,
-                         cycles=cycles, channel_means=means,
-                         channel_stds=stds, raw_cycles=raw_cycles)
+    return SubjectRecord(subject_id=subject_id, cohort=cohort, cycles=cycles,
+                         channel_means=means, channel_stds=stds,
+                         raw_cycles=raw_cycles)
 
 
 # Lines parsed per batch; it bounds the token strings alive at once.

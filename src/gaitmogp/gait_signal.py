@@ -13,10 +13,11 @@ Conventions
   order, and (x, y, z) joint displacements, with NaN marking a gap. Only
   the y (vertical) axis is preprocessed and modeled, as an (L, 6) array
   of channel heights; x/z are kept only so the corpus round-trips.
-- The normalized cycle grid is ``cycle_grid(T)``, t_k = k / T for
-  k = 0..T-1: a gait cycle is periodic, so the grid excludes the
-  duplicate endpoint t = 1, and resampling interpolates cyclically from
-  the L samples of a cycle at ``cycle_grid(L)``. A cycle needs
+- A cycle of T samples lies on ``cycle_grid(T)``, t_k = k / T for
+  k = 0..T-1, so its times follow from its length and are never passed
+  in: a gait cycle is periodic, so the grid excludes the duplicate
+  endpoint t = 1, and resampling interpolates cyclically from the L
+  samples of a cycle at ``cycle_grid(L)``. A cycle needs
   MIN_CYCLE_SAMPLES samples to be aligned (``check_cycle``).
 
 Importing this module imports no part of scipy. ``scipy.signal``
@@ -154,11 +155,11 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
 
     Returns
     -------
-    (grid, normalized, means, stds): the (T,) grid t_k = k / T; the
-    (C, 6, T) cycles resampled onto it and z-scored against the
-    subject's pooled cycles, so each channel has mean 0 and variance 1
-    across all C cycles; and the (6,) per-channel constants that map
-    normalized values back to raw units.
+    (normalized, means, stds): the (C, 6, T) cycles resampled onto
+    ``cycle_grid(T)`` and z-scored against the subject's pooled cycles,
+    so each channel has mean 0 and variance 1 across all C cycles; and
+    the (6,) per-channel constants that map normalized values back to
+    raw units.
     """
     if num_points < 2:
         raise ValidationError("num_points must be >= 2")
@@ -184,19 +185,16 @@ def normalize_and_align(cycles, num_points: int = DEFAULT_GRID_POINTS):
     if flat.size:
         raise ValidationError(
             f"zero-variance channel(s): {[CHANNELS[i] for i in flat]}")
-    return grid, (resampled - means[:, None]) / stds[:, None], means, stds
+    return (resampled - means[:, None]) / stds[:, None], means, stds
 
 
-def detect_events(values, grid=None) -> tuple[list[float], list[float]]:
-    """(heel_strikes, toe_offs): the grid times of the local minima and
-    of the local maxima of an ankle height signal over one normalized
-    cycle, each list in increasing order.
+def detect_events(values) -> tuple[list[float], list[float]]:
+    """(heel_strikes, toe_offs): the ``cycle_grid(T)`` times of the local
+    minima and of the local maxima of an ankle height signal of T samples
+    over one normalized cycle, each list in increasing order.
 
-    The signal needs MIN_EVENT_SAMPLES samples, and a given grid must be
-    finite, strictly increasing, uniformly spaced (to a relative 1e-9)
-    and in normalized cycle time [0, 1] (not frame indices):
-    MIN_EVENT_SPACING is in that unit and becomes a sample count through
-    the grid step. The cycle is treated as periodic: extrema sitting near
+    The signal must be one-dimensional with at least MIN_EVENT_SAMPLES
+    samples. The cycle is treated as periodic: extrema sitting near
     the grid boundary get their prominence from the wrapped-around
     signal, not from the truncated window. Peaks must reach a prominence
     of PROMINENCE_FRACTION times the signal's peak-to-peak range and be
@@ -204,25 +202,16 @@ def detect_events(values, grid=None) -> tuple[list[float], list[float]]:
     event sequence fails to alternate, the more extreme event of each
     same-type run is kept. A flat signal yields two empty lists.
     """
-    values = np.asarray(values, dtype=float).ravel()
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValidationError(
+            f"signal must be one-dimensional, got shape {values.shape}")
     if values.shape[0] < MIN_EVENT_SAMPLES:
         raise ValidationError(
             f"signal must have at least {MIN_EVENT_SAMPLES} samples")
     if not np.all(np.isfinite(values)):
         raise ValidationError("signal must be finite")
-    if grid is None:
-        grid = cycle_grid(values.shape[0])
-    else:
-        grid = np.asarray(grid, dtype=float).ravel()
-        if grid.shape != values.shape:
-            raise ValidationError("grid length must match signal length")
-        steps = np.diff(grid)
-        if not (np.all(np.isfinite(grid)) and np.all(steps > 0.0)
-                and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-                and grid[0] >= 0.0 and grid[-1] <= 1.0):
-            raise ValidationError(
-                "grid must be finite, strictly increasing, uniformly "
-                "spaced and within [0, 1] (normalized cycle time)")
+    grid = cycle_grid(values.shape[0])
 
     ptp = float(np.max(values) - np.min(values))
     if ptp < FLAT_SIGNAL_PTP:

@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .gait_signal import cycle_grid
 
 NUM_STATES = 4
 OBS_DIM = 2
@@ -122,7 +123,7 @@ class HmmModel:
 
 @dataclass
 class ObservationSequence:
-    """Bilateral ankle observations o(t) = [right y, left y] on a uniform grid."""
+    """Bilateral ankle observations o(t) = [right y, left y] on cycle_grid(T)."""
 
     steps: np.ndarray
 
@@ -533,22 +534,21 @@ def baum_welch_fit(init: HmmModel, sequences,
     return model
 
 
-def anomalous_segments(states, time_grid) -> list[dict]:
+def anomalous_segments(states) -> list[dict]:
     """Maximal runs of abnormal states as the segment report's
     ``{"start_time", "end_time", "state_label"}`` entries, in time order.
 
-    ``states`` is a (T,) path of 1-based state indices, such as
-    ``DecodedStates.states``. Contiguous steps in state 3 or 4 merge into
-    one segment; start/end are the grid times of the first and last step
-    of the run and the label is the majority state within it ("s3" on
-    ties).
+    ``states`` is a (T,) path of 1-based state indices over one cycle,
+    such as ``DecodedStates.states``. Contiguous steps in state 3 or 4
+    merge into one segment; start/end are the ``cycle_grid(T)`` times of
+    the first and last step of the run and the label is the majority
+    state within it ("s3" on ties).
     """
-    grid = np.asarray(time_grid, dtype=float).ravel()
-    states = np.asarray(states).ravel()
-    if grid.shape[0] != states.shape[0]:
+    states = np.asarray(states)
+    if states.ndim != 1:
         raise ValidationError(
-            f"time grid length {grid.shape[0]} does not match decoded "
-            f"length {states.shape[0]}")
+            f"states must be one-dimensional, got shape {states.shape}")
+    grid = cycle_grid(states.shape[0])
 
     # The abnormal mask flips at the start of each run and one past its
     # end; a run holds only states 3 and 4, so "s3" wins on 2 * n3 >= length.

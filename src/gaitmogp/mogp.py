@@ -41,7 +41,6 @@ the same evaluation on the model's theta, leaving the model untouched.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -51,8 +50,6 @@ from . import serialize
 from .errors import NumericError, ValidationError
 from . import kernels
 from .kernels import TemporalKernel, _floored_exp_with_grad, lag_table
-
-logger = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -555,7 +552,8 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
     ``iterations = 0``); an iterate with a non-finite parameter or a
     non-finite LML raises NumericError naming its iteration. It stops
     early after the iterate that follows |delta LML| staying below
-    EARLY_STOP_TOL for EARLY_STOP_PATIENCE consecutive iterations. Only
+    EARLY_STOP_TOL for EARLY_STOP_PATIENCE consecutive iterations, which
+    shows as ``len(model.lml_trace) < iterations + 1``. Only
     the best-scoring iterate becomes a model, so the final LML never
     falls below the initial one, with its evaluation cached for predict.
     """
@@ -607,8 +605,6 @@ def fit(training: TrainingSet, config: OptimizerConfig | None = None) -> MoGPMod
         else:
             stall = 0
         if stall >= EARLY_STOP_PATIENCE:
-            logger.debug("early stop after %d iterations (LML %.6f)",
-                         iteration + 1, lml)
             last = iteration + 1
 
     return MoGPModel(theta=best.theta, training=training, config=config,

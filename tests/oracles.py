@@ -4,7 +4,8 @@ Everything here is written the slow, obvious way on purpose: arbitrary
 precision arithmetic for kernel values, one dense dK/dtheta matrix per
 kernel parameter, dense matrix inversion for GP posteriors, exhaustive
 path enumeration for HMM likelihoods and DTW, the step-by-step
-log-space HMM forward-backward recursion, the row-by-row DTW
+log-space HMM forward-backward recursion, a step-by-step run finder
+for the anomalous segments, the row-by-row DTW
 recurrence, one channel at a time for the preprocessing chain, one
 line at a time with nested dicts for the corpus reader and one row at a
 time for the corpus writer; peak finding is checked against
@@ -588,6 +589,27 @@ def sample_hmm(initial, transitions, means, covariance, length: int,
     observations = np.array([
         rng.multivariate_normal(means[s], covariance) for s in states])
     return states + 1, observations
+
+
+def anomalous_runs(states) -> list[dict]:
+    """The maximal runs of states 3 and 4 in a 1-based path of T states,
+    found one step at a time: each run's start and end are k / T of its
+    first and last step, its label "s3" or "s4", whichever state more of
+    its steps take, "s3" on a tie."""
+    states = [int(s) for s in states]
+    runs = []
+    start = None
+    for k, state in enumerate(states + [1]):
+        if state in (3, 4) and start is None:
+            start = k
+        elif state not in (3, 4) and start is not None:
+            run = states[start:k]
+            label = "s3" if run.count(3) >= run.count(4) else "s4"
+            runs.append({"start_time": start / len(states),
+                         "end_time": (k - 1) / len(states),
+                         "state_label": label})
+            start = None
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def test_criterion_08_event_detection():
     for _ in range(100):
         phase = float(rng.uniform())
         heel_strikes, toe_offs = detect_events(
-            _template((grid - phase) % 1.0), grid)
+            _template((grid - phase) % 1.0))
         clean_hits += int(
             len(heel_strikes) == 1 and len(toe_offs) == 1
             and _circular_distance(heel_strikes[0],
@@ -370,7 +370,7 @@ def test_criterion_08_event_detection():
         traj = np.column_stack([np.zeros(3 * n), tiled, np.ones(3 * n)])
         smoothed = lowpass_filter(traj, cutoff_hz=4.0,
                                   frame_rate=float(n))[n:2 * n, 1]
-        heel_strikes, toe_offs = detect_events(smoothed, grid)
+        heel_strikes, toe_offs = detect_events(smoothed)
         noisy_hits += int(
             len(heel_strikes) == 1 and len(toe_offs) == 1
             and _circular_distance(heel_strikes[0],

@@ -268,7 +268,7 @@ def _assert_same_outcome(got, expected):
         for raw, raw_ref in zip(record.raw_cycles.values(),
                                 reference.raw_cycles.values()):
             np.testing.assert_array_equal(raw, raw_ref)
-        for name in ("grid", "cycles", "channel_means", "channel_stds"):
+        for name in ("cycles", "channel_means", "channel_stds"):
             np.testing.assert_array_equal(getattr(record, name),
                                           getattr(reference, name))
 
@@ -469,8 +469,6 @@ class TestPreprocessingChain:
             cycles, means, stds = oracles.preprocess_subject(
                 list(source.raw_cycles.values()), cutoff_hz=6.0, order=4,
                 frame_rate=30.0, num_points=400)
-            np.testing.assert_array_equal(record.grid,
-                                          np.arange(400) / 400.0)
             np.testing.assert_array_equal(record.cycles, cycles)
             np.testing.assert_array_equal(record.channel_means, means)
             np.testing.assert_array_equal(record.channel_stds, stds)
@@ -481,7 +479,7 @@ class TestSyntheticGeometry:
         records = generate_synthetic(_small_config())
         control = next(r for r in records if r.cohort == "control")
         cycle = control.cycles[0]
-        half = control.grid.shape[0] // 2
+        half = control.cycles.shape[-1] // 2
         for joint in ("hip", "knee", "ankle"):
             right = cycle[CHANNELS.index(f"{joint}_right")]
             left = cycle[CHANNELS.index(f"{joint}_left")]

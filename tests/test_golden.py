@@ -84,8 +84,8 @@ def test_anomalous_segments_are_the_report_entries(regenerated, tmp_path,
     returned = []
     anomalous_segments = hmm.anomalous_segments
 
-    def recording(states, time_grid):
-        returned.append(anomalous_segments(states, time_grid))
+    def recording(states):
+        returned.append(anomalous_segments(states))
         return returned[-1]
 
     monkeypatch.setattr(hmm, "anomalous_segments", recording)

@@ -514,31 +514,34 @@ class TestInitialization:
 
 class TestSegments:
     def test_runs_merge_into_segments(self):
-        grid = np.arange(8) / 8.0
-        segments = anomalous_segments(np.array([1, 3, 3, 2, 4, 4, 4, 1]),
-                                      grid)
+        segments = anomalous_segments(np.array([1, 3, 3, 2, 4, 4, 4, 1]))
         assert segments == [
             {"start_time": 1 / 8, "end_time": 2 / 8, "state_label": "s3"},
             {"start_time": 4 / 8, "end_time": 6 / 8, "state_label": "s4"}]
 
     def test_majority_label_with_tie_prefers_s3(self):
-        grid = np.arange(4) / 4.0
-        segments = anomalous_segments(np.array([3, 4, 1, 1]), grid)
+        segments = anomalous_segments(np.array([3, 4, 1, 1]))
         assert [s["state_label"] for s in segments] == ["s3"]
 
     def test_trailing_run_is_closed(self):
-        grid = np.arange(5) / 5.0
-        segments = anomalous_segments(np.array([1, 1, 1, 4, 4]), grid)
+        segments = anomalous_segments(np.array([1, 1, 1, 4, 4]))
         assert segments == [{"start_time": 3 / 5, "end_time": 4 / 5,
                              "state_label": "s4"}]
 
     def test_all_normal_path_yields_no_segments(self):
-        grid = np.arange(6) / 6.0
-        assert anomalous_segments(np.array([1, 2, 1, 2, 1, 2]), grid) == []
+        assert anomalous_segments(np.array([1, 2, 1, 2, 1, 2])) == []
 
-    def test_grid_length_mismatch(self):
-        with pytest.raises(ValidationError, match="does not match"):
-            anomalous_segments(np.array([1, 2]), np.zeros(3))
+    def test_rejects_two_dimensional_states(self):
+        # Raveled, two stacked paths would read as one of six steps.
+        with pytest.raises(ValidationError, match=r"states must be "
+                           r"one-dimensional, got shape \(2, 3\)"):
+            anomalous_segments([[1, 3, 3], [4, 1, 1]])
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_run_finder_oracle(self, states):
+        assert (anomalous_segments(np.array(states))
+                == oracles.anomalous_runs(states))
 
     def test_abnormal_state_labels(self):
         assert ABNORMAL_STATES == (3, 4)

@@ -24,11 +24,24 @@ def test_public_api_resolves_and_star_imports():
     assert set(gaitmogp.__all__) <= set(namespace)
 
 
-def _scipy_modules_after(code: str) -> list[str]:
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    block = library[library.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("```")]
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"]["adtw"] > 0.0
+    assert (tmp_path / "corpus.csv").is_file()
+
+
+def _modules_after(code: str, roots=("scipy",)) -> list[str]:
     """Run ``code`` in a fresh interpreter (this one has imported scipy
-    already) and return the ``scipy`` modules it left loaded."""
+    already) and return the modules of the packages ``roots`` it left
+    loaded."""
     probe = (code + "\nimport json, sys\nprint(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             f"m for m in sys.modules if m.split('.')[0] in {roots!r})))")
     path = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -39,7 +52,8 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    assert _scipy_modules_after("import gaitmogp.cli") == []
+    # Nor logging: no module of the package logs.
+    assert _modules_after("import gaitmogp.cli", ("scipy", "logging")) == []
 
 
 def _tiny_corpus(tmp_path) -> str:
@@ -75,7 +89,7 @@ for samples, cutoff in ((np.zeros((40, 6)), 0.0), (np.zeros((10, 6)), 6.0),
         continue
     raise SystemExit("bad filter input was accepted")
 """
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code) == []
     assert json.loads((tmp_path / "report.json").read_text())["subjects"]
 
 
@@ -85,7 +99,7 @@ def test_default_filter_still_imports_scipy_signal(tmp_path):
     corpus = _tiny_corpus(tmp_path)
     argv = ["preprocess", "--input", corpus,
             "--output", str(tmp_path / "processed.csv")]
-    assert "scipy.signal" in _scipy_modules_after(_run_cli(argv))
+    assert "scipy.signal" in _modules_after(_run_cli(argv))
 
 
 def test_unfiltered_pooled_fit_and_its_predict_skip_scipy(tmp_path):
@@ -98,7 +112,7 @@ def test_unfiltered_pooled_fit_and_its_predict_skip_scipy(tmp_path):
            "--points-per-channel", "20"]
     predict = ["predict", "--model", str(out / "pooled.mogp"),
                "--output", str(tmp_path / "pred.csv")]
-    assert _scipy_modules_after(_run_cli(fit, predict)) == []
+    assert _modules_after(_run_cli(fit, predict)) == []
     assert (tmp_path / "pred.csv").read_text()
 
 
@@ -109,7 +123,7 @@ def test_dense_model_predict_skips_scipy(tmp_path):
     out = tmp_path / "pred.csv"
     predict = ["predict", "--model", str(data / "per_channel.mogp"),
                "--output", str(out), "--grid-points", "16"]
-    assert _scipy_modules_after(_run_cli(predict)) == []
+    assert _modules_after(_run_cli(predict)) == []
     got, expected = (path.read_text().splitlines() for path in
                      (out, data / "per_channel_predict.csv"))
     assert got[:2] == expected[:2]
