@@ -280,7 +280,11 @@ def _fit_records(cfg: RunConfig, records, index: int) -> mogp.MoGPModel:
     frames, from the seed stream ``(seed, index)``, serves all six
     channels, so each job of a run (subject, pooled fit or LOSO split)
     has its own reproducible draw. Every channel then has the same times,
-    which puts the fit on the MoGP's Kronecker path.
+    which puts the fit on the MoGP's Kronecker path. Frames of different
+    cycles can share a grid time; the fit collapses them onto their
+    distinct times and a within-group scatter term (Binois, Gramacy &
+    Ludkovski 2018), so it costs O(U^3 + M^3 + M U^2) in the U distinct
+    times of the draw.
     """
     rng = np.random.default_rng([cfg.seed, index])
     cycles = np.concatenate([record.cycles for record in records])

@@ -317,19 +317,22 @@ def phase_durations(heel_strikes, toe_offs) -> tuple[list[float], list[float]]:
     (toe-off -> next heel strike) durations, in time order, from the event
     times of one side, such as ``detect_events`` returns.
 
-    Each list of times must be finite, strictly increasing and within
-    [0, 1]. The cycle is periodic: when the last event and the first
-    differ in kind, the phase after the last event ends at the first
-    event + 1, so one heel strike and one toe-off give one stance and one
-    swing that sum to one cycle. Otherwise only consecutive events pair
-    up. No stance (a lone event, or none) raises, and so do events that
-    do not alternate or a zero duration (a heel strike at the time of a
-    toe-off).
+    Each list of times must be one-dimensional, finite, strictly
+    increasing and within [0, 1]. The cycle is periodic: when the last
+    event and the first differ in kind, the phase after the last event
+    ends at the first event + 1, so one heel strike and one toe-off give
+    one stance and one swing that sum to one cycle. Otherwise only
+    consecutive events pair up. No stance (a lone event, or none) raises,
+    and so do events that do not alternate or a zero duration (a heel
+    strike at the time of a toe-off).
     """
     merged = []
     for kind, name, times in ((0, "heel_strikes", heel_strikes),
                               (1, "toe_offs", toe_offs)):
-        times = np.asarray(times, dtype=float).ravel()
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ValidationError(
+                f"{name} must be one-dimensional, got shape {times.shape}")
         if not np.all(np.isfinite(times)):
             raise ValidationError(f"{name} must be finite")
         if times.size and np.any(np.diff(times) <= 0.0):

@@ -15,10 +15,16 @@ eigenvalue of the covariance stays >= s >= PARAM_FLOOR.
 
 - **Kronecker.** When the points are one block per output, in output
   order, and every block has the same P times, the covariance is
-  exactly ``B (x) K_t + s I``. ``eigh`` of the P x P K_t and of the
-  M x M B then give the LML, its gradient and the posterior in
-  O(P^3 + M^3 + M P^2) (Bonilla, Chai & Williams 2008; Stegle et al.
-  2011).
+  exactly ``B (x) K_t + s I`` (Bonilla, Chai & Williams 2008; Stegle
+  et al. 2011). Frames of different cycles often share a time, so the
+  P times are grouped into their U distinct values tau, counted c. With
+  Z the P x U frame-to-time incidence and Q = Z C^-1/2, the covariance
+  is ``B (x) K~ + s I`` on the columns Y Q, K~ = sqrt(c) K_tau
+  sqrt(c)^T, and exactly ``s I`` on the within-group contrasts, which
+  contribute only the scatter w of the values about their group means
+  (Binois, Gramacy & Ludkovski 2018). ``eigh`` of the U x U K~ and of
+  the M x M B then give the LML, its gradient and the posterior in
+  O(U^3 + M^3 + M U^2).
 - **Dense.** Any other set (each output at its own times) takes
   ``eigh`` of the (n, n) ``B_oo o k_t``, in O(n^3).
 
@@ -177,8 +183,9 @@ class MoGPModel:
     r = config.rank); the constructor checks its length and that every
     entry is finite. The cache is one evaluation of theta on the
     training data: the Kronecker one (eigenvectors and eigenvalues of
-    K_t and B) when every output shares its times, the dense one
-    (those of the (n, n) Gram matrix) otherwise; see the module docstring.
+    the grouped K~ and of B) when every output shares its times, the
+    dense one (those of the (n, n) Gram matrix) otherwise; see the
+    module docstring.
     Only fit writes it, from its best iterate, and it is never
     serialized. predict reads the posterior from it; a model without it
     (loaded, or built from a theta or by initialize_model) gets a local
@@ -245,29 +252,51 @@ def _shared_times(training: TrainingSet) -> np.ndarray | None:
 
 class _Geometry:
     """What a training set and a rank fix for every parameter setting,
-    and which evaluation it takes. ``times`` are the shared block times
-    (Kronecker) or all n times (dense); ``lags`` are their distinct
-    pairwise lags |t_i - t_j| and ``lag_index`` the square integer index
-    into them (kernels.lag_table). Grid times repeat, so ``lags`` is far
-    shorter than the index. ``blocks`` are theta's parameter_blocks and
-    ``positive`` indexes its log-space entries (kernel, log kappa, log
-    noise), the ones a floored exponential maps to their values;
-    ``kernel_part``, ``kappa_part`` and ``noise_part`` are where those
-    three blocks sit among them. The dense path also keeps the (n, M)
-    one-hot output indicator E."""
+    and which evaluation it takes. ``times`` are the U distinct shared
+    block times tau (Kronecker) or all n times (dense); ``lags`` are
+    their distinct pairwise lags |t_i - t_j| and ``lag_index`` the square
+    integer index into them (kernels.lag_table). Grid times repeat, so
+    ``lags`` is far shorter than the index. ``blocks`` are theta's
+    parameter_blocks and ``positive`` indexes its log-space entries
+    (kernel, log kappa, log noise), the ones a floored exponential maps
+    to their values; ``kernel_part``, ``kappa_part`` and ``noise_part``
+    are where those three blocks sit among them.
+
+    The Kronecker path groups the P block times by value, in order of
+    first appearance (so distinct times keep their order and nothing is
+    permuted): ``group`` is each frame's index into tau, ``sqrt_counts``
+    the root of each time's count c and ``count_weights`` sqrt(c)
+    sqrt(c)^T. ``scaled_sums`` are the per-output sums of the values
+    over each group divided by sqrt(c), (M, U); ``scatter`` is w, the
+    sum of squares of the values about their group means, and
+    ``contrasts`` n_perp = M (P - U), the number of within-group
+    contrasts. Both are constants of the data: the means cancel in w.
+    The dense path keeps the (n, M) one-hot output indicator E."""
 
     def __init__(self, training: TrainingSet, rank: int):
         training.validate()
         m = self.num_outputs = training.num_outputs
         self.rank = rank
         self.values, self.outputs = training.values, training.outputs
-        self.times = _shared_times(training)
-        if self.times is None:
+        shared = _shared_times(training)
+        if shared is None:
             self.evaluation_type = _Evaluation
             self.times = training.times
             self.indicator = np.eye(m)[self.outputs]
         else:
             self.evaluation_type = _KroneckerEvaluation
+            self.times, counts, self.group = _grouped_times(shared)
+            u = self.times.size
+            self.sqrt_counts = np.sqrt(counts)
+            self.count_weights = np.outer(self.sqrt_counts, self.sqrt_counts)
+            values = self.values.reshape(m, -1)
+            cells = np.arange(m)[:, None] * u + self.group
+            sums = np.bincount(cells.ravel(), weights=values.ravel(),
+                               minlength=m * u).reshape(m, u)
+            self.scaled_sums = sums / self.sqrt_counts
+            spread = values - (sums / counts)[:, self.group]
+            self.scatter = float(np.vdot(spread, spread))
+            self.contrasts = m * (shared.size - u)
         self.lags, self.lag_index = lag_table(self.times, self.times)
         self.blocks = parameter_blocks(m, rank)
         positive = {key: self.blocks[key] for key in (
@@ -280,6 +309,17 @@ class _Geometry:
     def evaluate(self, theta: np.ndarray):
         """The evaluation of the packed parameters ``theta`` on this data."""
         return self.evaluation_type(theta, self)
+
+
+def _grouped_times(times: np.ndarray):
+    """The distinct values of ``times`` in order of first appearance,
+    how often each occurs, and the index of each time's value among them."""
+    values, first, inverse, counts = np.unique(
+        times, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return values[order], counts[order], position[inverse]
 
 
 def _evaluate(model: MoGPModel):
@@ -309,9 +349,6 @@ class _Parameters:
         self.b = self.w @ self.w.T + np.diag(floored[geometry.kappa_part])
         self.temporal = TemporalKernel(*self.kernel, geometry.lags)
         self.k_t = self.temporal.k_t[geometry.lag_index]
-
-    def centered_values(self) -> np.ndarray:
-        return self.geometry.values - self.means[self.geometry.outputs]
 
     def packed_gradient(self, per_lag: np.ndarray, s: np.ndarray,
                         alpha_sums: np.ndarray,
@@ -362,7 +399,7 @@ class _Evaluation(_Parameters):
         self.b_oo = self.b[np.ix_(geometry.outputs, geometry.outputs)]
         lam, self.u = _clamped_eigh(self.b_oo * self.k_t)
         self.d = lam + self.noise
-        y_c = self.centered_values()
+        y_c = geometry.values - self.means[geometry.outputs]
         rotated = self.u.T @ y_c
         scaled = rotated / self.d
         self.alpha = self.u @ scaled
@@ -411,43 +448,63 @@ def _clamped_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _KroneckerEvaluation(_Parameters):
-    """LML of one parameter setting when every output shares its P times:
-    K + s I = B (x) K_t + s I = (U_B (x) U_t) diag(D) (U_B (x) U_t)^T with
-    D = lambda_B lambda_t^T + s, from eigh of the M x M B and of the
-    P x P K_t. Targets and alpha are (M, P) arrays, one row per output."""
+    """LML of one parameter setting when every output shares its P times,
+    on their U distinct times tau (see _Geometry; Binois, Gramacy &
+    Ludkovski 2018). On the columns Y Q, K + s I is B (x) K~ + s I =
+    (U_B (x) U_t) diag(D) (U_B (x) U_t)^T with K~ = sqrt(c) K_tau
+    sqrt(c)^T (elementwise) and D = lambda_B lambda_t^T + s, from eigh of
+    the M x M B and of the U x U K~, in O(U^3 + M^3 + M U^2). Targets
+    S / sqrt(c) - mu sqrt(c)^T and alpha are (M, U) arrays, one row per
+    output. On the n_perp within-group contrasts it is s I, which adds
+    -w / 2s - n_perp / 2 (log s + log 2pi) to the LML. With every count
+    1 each of these steps multiplies by 1.0 or adds a zero."""
 
     def __init__(self, theta: np.ndarray, geometry: _Geometry):
         super().__init__(theta, geometry)
         self.lam_b, self.u_b = _clamped_eigh(self.b)
-        self.lam_t, self.u_t = _clamped_eigh(self.k_t)
+        self.k_grouped = self.k_t * geometry.count_weights
+        self.lam_t, self.u_t = _clamped_eigh(self.k_grouped)
         self.d = np.outer(self.lam_b, self.lam_t) + self.noise
-        y_c = self.centered_values().reshape(geometry.num_outputs, -1)
-        rotated = self.u_b.T @ y_c @ self.u_t
+        targets = geometry.scaled_sums - np.outer(self.means,
+                                                  geometry.sqrt_counts)
+        rotated = self.u_b.T @ targets @ self.u_t
         scaled = rotated / self.d
         self.alpha = self.u_b @ scaled @ self.u_t.T
-        self.lml = self.log_likelihood(rotated, scaled)
+        noise = self.noise[0]
+        self.lml = self.log_likelihood(rotated, scaled) - 0.5 * float(
+            geometry.scatter / noise
+            + geometry.contrasts * (math.log(noise) + LOG_2PI))
 
     def gradient(self) -> np.ndarray:
         """d LML / d theta in parameter_names order (see lml_gradient).
-        With A = alpha alpha^T - (K + s I)^-1, the weight on K_t is
+        With A = alpha alpha^T - (K~ + s I)^-1, the weight on K~ is
         alpha^T B alpha - U_t diag(g) U_t^T, g_j = sum_i lambda_B,i / D_ij,
-        and S = alpha K_t alpha^T - U_B diag(h) U_B^T, h_i = sum_j
-        lambda_t,j / D_ij."""
-        alpha, inv_d = self.alpha, 1.0 / self.d
+        and S = alpha K~ alpha^T - U_B diag(h) U_B^T, h_i = sum_j
+        lambda_t,j / D_ij. The weight on K_tau is that on K~ times
+        sqrt(c) sqrt(c)^T, the means get the row sums of alpha o
+        sqrt(c)^T, and the contrasts add w / s^2 - n_perp / s to the
+        noise term."""
+        geometry, alpha, inv_d = self.geometry, self.alpha, 1.0 / self.d
         weight_t = alpha.T @ self.b @ alpha
         weight_t -= (self.u_t * (self.lam_b @ inv_d)) @ self.u_t.T
-        s = alpha @ self.k_t @ alpha.T
+        weight_t *= geometry.count_weights
+        s = alpha @ self.k_grouped @ alpha.T
         s -= (self.u_b * (inv_d @ self.lam_t)) @ self.u_b.T
-        per_lag = np.bincount(self.geometry.lag_index.ravel(),
+        per_lag = np.bincount(geometry.lag_index.ravel(),
                               weights=weight_t.ravel(),
-                              minlength=self.geometry.lags.size)
-        return self.packed_gradient(per_lag, s, alpha.sum(axis=1),
-                                    np.vdot(alpha, alpha) - inv_d.sum())
+                              minlength=geometry.lags.size)
+        noise = self.noise[0]
+        return self.packed_gradient(
+            per_lag, s, (alpha * geometry.sqrt_counts).sum(axis=1),
+            np.vdot(alpha, alpha) - inv_d.sum()
+            + (geometry.scatter / (noise * noise)
+               - geometry.contrasts / noise))
 
     def posterior(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M, Q) B alpha K_*^T and the explained variance
-        ((U_B o lambda_B)^2) D^-1 (U_t^T K_*^T)^2 at the query times."""
-        k_star = self.cross_kernel(query)
+        ((U_B o lambda_B)^2) D^-1 (U_t^T K_*^T)^2 at the query times,
+        with K_* = K_*tau o sqrt(c)^T."""
+        k_star = self.cross_kernel(query) * self.geometry.sqrt_counts
         projected = self.u_t.T @ k_star.T
         explained = ((self.u_b * self.lam_b) ** 2) @ (
             (1.0 / self.d) @ (projected * projected))

@@ -279,9 +279,11 @@ class PerStepEvaluation:
     parameter floored by its own scalar call on its named entry, the
     kernel components on the distinct training lags (from ``np.unique``),
     then either eigh of the (n, n) B_oo o K_t, or, when every output has
-    the same times, eigh of B and of K_t. It repeats the package's
-    arithmetic operation for operation, so the package must agree with
-    it exactly."""
+    the same times, eigh of B and of sqrt(c) K_tau sqrt(c)^T on the
+    distinct times tau, taken in order of first appearance with counts
+    c, plus the within-group scatter and contrast terms. It repeats the
+    package's arithmetic operation for operation, so the package must
+    agree with it exactly."""
 
     def __init__(self, model):
         training = model.training
@@ -293,7 +295,14 @@ class PerStepEvaluation:
             and np.array_equal(outputs, np.repeat(np.arange(m), blocks.shape[1]))
             and (blocks == blocks[0]).all())
         if self.kronecker:
-            times = blocks[0]
+            # Distinct times in order of first appearance, their counts
+            # and each frame's group, by a plain dictionary walk.
+            first: dict[float, int] = {}
+            group = [first.setdefault(t, len(first)) for t in blocks[0]]
+            times = np.array(list(first))
+            self.group = np.array(group)
+            self.counts = np.bincount(self.group)
+            self.root = np.sqrt(self.counts)
         lags, inverse = np.unique(
             np.abs(times[:, None] - times[None, :]).ravel(),
             return_inverse=True)
@@ -321,16 +330,29 @@ class PerStepEvaluation:
         y_c = training.values - p["means"][outputs]
         log_2pi = math.log(2.0 * math.pi)
         if self.kronecker:
+            values = training.values.reshape(m, -1)
+            sums = np.zeros((m, times.size))
+            for row in range(m):
+                for frame, g in enumerate(self.group):
+                    sums[row, g] += values[row, frame]
+            spread = values - (sums / self.counts)[:, self.group]
+            self.scatter = float(np.vdot(spread, spread))
+            self.contrasts = values.size - sums.size
+            self.weights = np.outer(self.root, self.root)
+            self.k_grouped = self.k_t * self.weights
             self.lam_b, self.u_b = _clamped_eigh(self.b)
-            self.lam_t, self.u_t = _clamped_eigh(self.k_t)
+            self.lam_t, self.u_t = _clamped_eigh(self.k_grouped)
             self.d = np.outer(self.lam_b, self.lam_t) + noise
-            y_c = y_c.reshape(m, -1)
+            y_c = sums / self.root - np.outer(p["means"], self.root)
             rotated = self.u_b.T @ y_c @ self.u_t
             scaled = rotated / self.d
             self.alpha = self.u_b @ scaled @ self.u_t.T
             self.lml = float(-0.5 * np.vdot(rotated, scaled)
                              - 0.5 * np.sum(np.log(self.d))
-                             - 0.5 * y_c.size * log_2pi)
+                             - 0.5 * y_c.size * log_2pi) - 0.5 * float(
+                self.scatter / noise
+                + self.contrasts * (math.log(noise) + log_2pi))
+            self.noise = noise
         else:
             self.b_oo = self.b[np.ix_(outputs, outputs)]
             lam, self.u_k = _clamped_eigh(self.b_oo * self.k_t)
@@ -348,10 +370,13 @@ class PerStepEvaluation:
             inv_d = 1.0 / self.d
             weight = alpha.T @ self.b @ alpha
             weight -= (self.u_t * (self.lam_b @ inv_d)) @ self.u_t.T
-            s = alpha @ self.k_t @ alpha.T
+            weight *= self.weights
+            s = alpha @ self.k_grouped @ alpha.T
             s -= (self.u_b * (inv_d @ self.lam_t)) @ self.u_b.T
-            alpha_sums = alpha.sum(axis=1)
-            noise_term = np.vdot(alpha, alpha) - inv_d.sum()
+            alpha_sums = (alpha * self.root).sum(axis=1)
+            noise_term = (np.vdot(alpha, alpha) - inv_d.sum()
+                          + (self.scatter / (self.noise * self.noise)
+                             - self.contrasts / self.noise))
         else:
             weight = np.outer(alpha, alpha)
             weight -= (self.u_k / self.d) @ self.u_k.T

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,18 @@ class TestPhaseDurations:
         # A heel strike at the time of a toe-off is a zero stance.
         with pytest.raises(ValidationError, match="positive"):
             phase_durations([0.2], [0.2])
+
+    def test_rejects_two_dimensional_heel_strikes(self):
+        # Raveled, these would pair up as the flat lists [0.1, 0.6] and
+        # [0.35, 0.9]: two stances and two swings.
+        with pytest.raises(ValidationError, match=re.escape(
+                "heel_strikes must be one-dimensional, got shape (2, 1)")):
+            phase_durations([[0.10], [0.60]], [0.35, 0.90])
+
+    def test_rejects_two_dimensional_toe_offs(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "toe_offs must be one-dimensional, got shape (1, 2)")):
+            phase_durations([0.10, 0.60], [[0.35, 0.90]])
 
 
 class TestJointTrajectoryValidation:

@@ -70,8 +70,10 @@ def _random_coreg(rng: np.random.Generator, num_outputs: int,
 
 def _evaluation(theta, num_outputs: int, rank: int, times, outputs):
     """mogp's evaluation for the kernel, W and log kappa entries of theta
-    (zero means and values, unit noise) and the Gram matrix it factors:
-    B_oo o k_t on the dense path, B (x) K_t on the Kronecker one."""
+    (zero means and values, unit noise) and the Gram matrix of its
+    points: B_oo o k_t on the dense path, B (x) K_t on the Kronecker
+    one, with K_t gathered from k_t on the distinct times by each
+    frame's group."""
     training = mogp.TrainingSet(times=times, outputs=outputs,
                                 values=np.zeros(len(times)),
                                 num_outputs=num_outputs)
@@ -80,7 +82,9 @@ def _evaluation(theta, num_outputs: int, rank: int, times, outputs):
         training=training, config=mogp.OptimizerConfig(rank=rank))
     evaluation = mogp._evaluate(model)
     if type(evaluation) is mogp._KroneckerEvaluation:
-        return evaluation, np.kron(evaluation.b, evaluation.k_t)
+        group = evaluation.geometry.group
+        return evaluation, np.kron(evaluation.b,
+                                   evaluation.k_t[np.ix_(group, group)])
     return evaluation, evaluation.b_oo * evaluation.k_t
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitmogp import mogp
@@ -67,6 +67,13 @@ def _random_model(rng: np.random.Generator, num_outputs: int = 3,
                   shared_times: bool = False) -> MoGPModel:
     training = _random_training(rng, num_outputs, points_per_output,
                                 grid_points, shared_times)
+    return _model_on(rng, training, rank)
+
+
+def _model_on(rng: np.random.Generator, training: TrainingSet,
+              rank: int = 2) -> MoGPModel:
+    """A model with random parameters on ``training``."""
+    num_outputs = training.num_outputs
     config = OptimizerConfig(rank=rank, seed=int(rng.integers(0, 1000)))
     theta = np.concatenate([
         rng.uniform(-1.5, 0.5, size=7),
@@ -76,6 +83,60 @@ def _random_model(rng: np.random.Generator, num_outputs: int = 3,
         [math.log(rng.uniform(0.05, 0.4))],
     ])
     return MoGPModel(theta=theta, training=training, config=config)
+
+
+def _repeated_times_training(rng: np.random.Generator, num_outputs: int,
+                             counts, shuffled: bool) -> TrainingSet:
+    """Every output at the same frames: len(counts) distinct times on a
+    40-point grid, the u-th taken by counts[u] frames. The frames come
+    in time order, or with ``shuffled`` in a random order (as
+    _fit_records' cycle-major draw puts them)."""
+    distinct = rng.choice(40, size=len(counts), replace=False) / 40
+    frames = np.repeat(distinct, counts)
+    if shuffled:
+        frames = rng.permutation(frames)
+    values = (np.sin(2.0 * np.pi * frames)
+              + 0.3 * np.arange(num_outputs)[:, None]
+              + 0.1 * rng.standard_normal((num_outputs, frames.size)))
+    return TrainingSet(times=np.tile(frames, num_outputs),
+                       outputs=np.repeat(np.arange(num_outputs), frames.size),
+                       values=values, num_outputs=num_outputs)
+
+
+def _dense_reference_gradient(model: MoGPModel) -> np.ndarray:
+    """The LML gradient from the explicit inverse of the (n, n)
+    covariance: 1/2 sum A o dK/dtheta for every entry (dK = s' I for the
+    noise) except the means, which are per-output sums of alpha."""
+    training, m = model.training, model.num_outputs
+    names = parameter_names(m, model.config.rank)
+    constants = oracles._natural_kernel(model)
+    cov = oracles.dense_covariance(model, training.times, training.outputs)
+    cov += constants["noise"] * np.eye(training.size)
+    inv = np.linalg.inv(cov)
+    alpha = inv @ (training.values - constants["means"][training.outputs])
+    a_mat = np.outer(alpha, alpha) - inv
+    dense = oracles.kernel_gradients(model.theta, m, model.config.rank,
+                                     training.times, training.outputs)
+    dnoise = math.exp(model.theta[names.index("log_noise_variance")])
+    return np.concatenate([
+        [0.5 * np.sum(a_mat * dk) for dk in dense.values()],
+        [np.sum(alpha[training.outputs == k]) for k in range(m)],
+        [0.5 * dnoise * np.trace(a_mat)],
+    ])
+
+
+def _relative_gradient_error(model: MoGPModel) -> float:
+    """|analytic - central difference| / |central difference| of the
+    LML gradient."""
+
+    def lml_at(vector: np.ndarray) -> float:
+        return log_marginal_likelihood(MoGPModel(
+            theta=vector, training=model.training, config=model.config))
+
+    analytic = lml_gradient(model)
+    numeric = oracles.central_difference(lml_at, model.theta, step=1e-5)
+    return np.linalg.norm(analytic - numeric) \
+        / max(np.linalg.norm(numeric), 1e-12)
 
 
 def _fresh_evaluation(model: MoGPModel):
@@ -119,19 +180,7 @@ class TestExactness:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(44)
         for _ in range(3):
-            model = self._model(rng)
-
-            def lml_at(vector: np.ndarray) -> float:
-                return log_marginal_likelihood(MoGPModel(
-                    theta=vector, training=model.training,
-                    config=model.config))
-
-            analytic = lml_gradient(model)
-            numeric = oracles.central_difference(lml_at, model.theta,
-                                                 step=1e-5)
-            rel_err = np.linalg.norm(analytic - numeric) \
-                / max(np.linalg.norm(numeric), 1e-12)
-            assert rel_err < 1e-6
+            assert _relative_gradient_error(self._model(rng)) < 1e-6
 
     @pytest.mark.parametrize("floored", [False, True])
     def test_gradient_matches_dense_reference(self, floored):
@@ -143,22 +192,7 @@ class TestExactness:
         if floored:
             model.theta[names.index("se.log_variance")] = -60.0
             model.theta[names.index("coreg.log_kappa[2]")] = -60.0
-        training = model.training
-        constants = oracles._natural_kernel(model)
-        cov = oracles.dense_covariance(model, training.times, training.outputs)
-        cov += constants["noise"] * np.eye(training.size)
-        inv = np.linalg.inv(cov)
-        alpha = inv @ (training.values - constants["means"][training.outputs])
-        a_mat = np.outer(alpha, alpha) - inv
-        dense = oracles.kernel_gradients(model.theta, 6, model.config.rank,
-                                         training.times, training.outputs)
-        dnoise = math.exp(model.theta[names.index("log_noise_variance")])
-        expected = np.concatenate([
-            [0.5 * np.sum(a_mat * dk) for dk in dense.values()],
-            [np.sum(alpha[training.outputs == m]) for m in range(6)],
-            [0.5 * dnoise * np.trace(a_mat)],
-        ])
-
+        expected = _dense_reference_gradient(model)
         got = lml_gradient(model)
         assert np.linalg.norm(got - expected) \
             <= 1e-12 * np.linalg.norm(expected)
@@ -187,6 +221,46 @@ class TestExactnessOnSharedTimes(TestExactnessOnGridTimes):
     # singular): the Kronecker path, against the same dense oracles.
     SHARED_TIMES = True
     EVALUATION = mogp._KroneckerEvaluation
+
+
+class TestRepeatedTimes:
+    """Kronecker sets whose frames share times, collapsed to their
+    distinct times, against the dense oracles on the uncollapsed points
+    at TestExactness' tolerances."""
+
+    @given(seed=st.integers(0, 2**32 - 1), num_outputs=st.integers(1, 3),
+           counts=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           shuffled=st.booleans())
+    # Every frame at one time (U = 1), and all times distinct and
+    # unsorted.
+    @example(seed=0, num_outputs=2, counts=[6], shuffled=False)
+    @example(seed=1, num_outputs=3, counts=[1] * 6, shuffled=True)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_dense_oracles(self, seed, num_outputs, counts,
+                                       shuffled):
+        rng = np.random.default_rng(seed)
+        model = _model_on(rng, _repeated_times_training(
+            rng, num_outputs, counts, shuffled))
+        evaluation = _fresh_evaluation(model)
+        assert type(evaluation) is mogp._KroneckerEvaluation
+        assert evaluation.geometry.times.size == len(counts)
+
+        assert log_marginal_likelihood(model) == pytest.approx(
+            oracles.dense_lml(model), rel=1e-10, abs=1e-8)
+
+        expected = _dense_reference_gradient(model)
+        assert np.linalg.norm(lml_gradient(model) - expected) \
+            <= 1e-12 * np.linalg.norm(expected)
+        assert _relative_gradient_error(model) < 1e-6
+
+        query = rng.uniform(0.0, 1.0, size=6)
+        prediction = predict(model, query)
+        for m in range(num_outputs):
+            mean, var = oracles.dense_posterior(model, query, m)
+            np.testing.assert_allclose(prediction.mean[m], mean,
+                                       rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(prediction.std[m] ** 2, var,
+                                       rtol=1e-8, atol=1e-8)
 
 
 class TestDistinctLags:
@@ -376,6 +450,24 @@ class TestAgainstThePerStepFit:
         trace, theta = oracles.per_step_fit(training, config)
         assert type(model._evaluation) is (
             mogp._KroneckerEvaluation if shared_times else mogp._Evaluation)
+        assert model.lml_trace == trace
+        np.testing.assert_array_equal(model.theta, theta)
+
+    def test_fit_on_repeated_times_is_equal(self):
+        # 16 of the 40 frames of two 20-sample cycles, cycle-major as
+        # _fit_records draws them: 12 distinct times, each output's
+        # frames unsorted.
+        rng = np.random.default_rng(12)
+        frames = np.sort(rng.choice(40, size=16, replace=False))
+        times = np.tile(np.arange(20) / 20, 2)[frames]
+        training = TrainingSet(
+            times=np.tile(times, 3), outputs=np.repeat(np.arange(3), 16),
+            values=np.sin(2.0 * np.pi * np.tile(times, 3))
+            + 0.1 * rng.standard_normal(48), num_outputs=3)
+        config = OptimizerConfig(iterations=8, seed=3)
+        model = fit(training, config)
+        assert model._evaluation.geometry.times.size == 12
+        trace, theta = oracles.per_step_fit(training, config)
         assert model.lml_trace == trace
         np.testing.assert_array_equal(model.theta, theta)
 
