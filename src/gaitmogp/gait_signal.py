@@ -98,7 +98,7 @@ def impute_missing(samples) -> np.ndarray:
     raise, recommending the cycle be excluded. The error names the
     channel when ``samples`` is an (L, 6) cycle of channel heights.
     """
-    filled = np.array(samples, dtype=float)
+    filled = np.atleast_1d(np.array(samples, dtype=float))
     n = filled.shape[0]
     columns = filled.reshape(n, -1)  # a view: writes land in ``filled``
     gaps = ~np.isfinite(columns)

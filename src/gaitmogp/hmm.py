@@ -10,12 +10,11 @@ Likelihoods and EM statistics come from one forward-backward kernel:
 Rabiner's (1989) scaled messages, computed as a blocked prefix product
 (Blelloch 1990). The T - 1 transitions fall into about sqrt(T) blocks
 of about sqrt(T) steps. One stacked numpy matmul per in-block step
-advances the normalized forward and backward products of every block,
-and Python floats carry the two messages across the block boundaries:
-over four states, plain float arithmetic costs less there than numpy
-calls on 4-vectors. Where the scaled messages still lose mass, which
-shows as a zero, subnormal or non-finite normaliser or as a row sum
-sum_i alpha_t(i) beta_t(i) whose log, with the carried scales, strays
+advances the unscaled forward and backward products of every block, and
+one matmul per block advances the two boundary messages, each divided
+by its sum, across it. Where the messages still lose mass, which shows
+as a zero, subnormal or non-finite boundary sum or as a row sum
+sum_i alpha_t(i) beta_t(i) whose log, with the boundary scales, strays
 from log p, the same two passes rerun in log space. Viterbi is a
 log-space recursion on Python floats, unrolled over the four states.
 An observation sequence is only its (T, 2) steps; where its curves come
@@ -62,10 +61,10 @@ MIN_COVARIANCE_EIGENVALUE = 1e-8
 
 # Largest gap between log p and the log of a row sum
 # sum_i alpha_t(i) beta_t(i) of the blocked forward-backward, with both
-# messages' carried log scales, that is taken as rounding; the two are
+# messages' boundary log scales, that is taken as rounding; the two are
 # equal in exact arithmetic, so a larger gap means a block product or a
-# message lost mass to underflow (rounding measured below 1.5e-11 over
-# 373 sequences at T = 4000 with |log p| up to 3.3e5).
+# message lost mass to underflow (rounding measured below 4.2e-11 over
+# 229 sequences at T = 4000 with |log p| up to 7.8e5).
 SPLIT_TOLERANCE = 1e-8
 
 
@@ -216,14 +215,15 @@ def _emission_log_matrix(model: HmmModel, steps: np.ndarray) -> np.ndarray:
 
 def emission_logpdf(model: HmmModel, obs, state: int) -> float:
     """Log-density of a single observation under state's Gaussian (1-based)."""
-    if not 1 <= int(state) <= NUM_STATES:
-        raise ValidationError(f"state index must be in 1..4, got {state}")
+    if (isinstance(state, bool) or not isinstance(state, (int, np.integer))
+            or not 1 <= state <= NUM_STATES):
+        raise ValidationError(f"state index must be in 1..4, got {state!r}")
     obs = np.asarray(obs, dtype=float).ravel()
     if obs.shape != (OBS_DIM,):
         raise ValidationError("observation must be a 2-vector")
     if not np.all(np.isfinite(obs)):
         raise ValidationError("observation must be finite")
-    return float(_emission_log_matrix(model, obs[None, :])[0, int(state) - 1])
+    return float(_emission_log_matrix(model, obs[None, :])[0, state - 1])
 
 
 def _forward_backward(model: HmmModel, steps: np.ndarray):
@@ -237,27 +237,32 @@ def _forward_backward(model: HmmModel, steps: np.ndarray):
     fall into K blocks of L = floor(sqrt(T - 1)) steps, the last one
     padded with identities. One stacked matmul per in-block step advances
     every block's prefix product of the M_t (forward) and its suffix
-    product of the M_t^T (backward); each product is divided by the sum
-    of its entries, and the log of that sum is carried beside it.
-    ``_carry`` takes alpha and beta across the K block boundaries on
-    Python floats, and one batched product of those boundary messages
-    with the in-block products gives alpha_t and beta_t at every t.
-    log p(O | theta) is then the forward chain's carried log scale at
-    its end plus the emission shifts; log sum_i alpha_t(i) beta_t(i) with
-    both messages' log scales equals it at every t (the Rabiner
-    identity), and gamma_t is alpha_t o beta_t over its row sum.
+    product of the M_t^T (backward), unscaled. A backward product is the
+    transpose of a forward one, and the rows of every M_t sum to at most
+    1, so every entry lies in [0, 1]: a product can underflow, never
+    overflow.
+    The boundary messages, alpha at t = 0, L, ..., KL and beta at
+    t = KL, ..., L, 0, advance as one stack: each is divided by its sum
+    s_k, then one matmul per block multiplies it by its side's block
+    product. One batched product of the boundary messages with the
+    in-block products gives alpha_t and beta_t at every t, each with its
+    boundary's log scale log s_0 + ... + log s_k. log p(O | theta) is
+    then the forward side's last log scale plus the emission shifts;
+    log sum_i alpha_t(i) beta_t(i) with both messages' log scales equals
+    it at every t (the Rabiner identity), and gamma_t is alpha_t o beta_t
+    over its row sum.
 
-    The scaled messages can still lose mass: the shift may leave only
-    states that A cannot reach with a nonzero b, a state that matters
-    later may sit more than the float range below another in a block's
-    product or in a boundary message, or a possible state's b may itself
-    fall below the normal floats, which no normaliser or row sum shows.
-    Then some b_t with a finite log is zero or subnormal, some normaliser
-    is zero, subnormal or not finite, or some row sum's log with the
-    carried scales is further than ``SPLIT_TOLERANCE`` from log p, and the
-    same two passes run in log space (``_log_forward_backward``), which
-    cannot underflow and is slower. An impossible sequence gives -inf
-    and zero statistics.
+    The messages can still lose mass: the shift may leave only states
+    that A cannot reach with a nonzero b, a state that matters later may
+    sit more than the float range below another in a block's product or
+    in a boundary message, a whole block product may underflow, or a
+    possible state's b may itself fall below the normal floats, which no
+    scale or row sum shows. Then some b_t with a finite log is zero or
+    subnormal, some boundary sum s_k is zero, subnormal or not finite, or
+    some row sum's log with the boundary scales is further than
+    ``SPLIT_TOLERANCE`` from log p, and the same two passes run in log
+    space (``_log_forward_backward``), which cannot underflow and is
+    slower. An impossible sequence gives -inf and zero statistics.
     """
     log_b = _emission_log_matrix(model, steps)
     shift = log_b.max(axis=1)
@@ -276,59 +281,48 @@ def _forward_backward(model: HmmModel, steps: np.ndarray):
     np.multiply(model.transitions, emissions[1:, None, :], out=padded[:count])
     padded[count:] = np.eye(NUM_STATES)
     padded = padded.reshape(blocks, length, NUM_STATES, NUM_STATES)
-    # Chain k < K is forward block k, whose step j is M_{kL+j+1}; chain
-    # K + k is backward block k, whose step j is M_{(k+1)L-j}^T.
-    factors = np.empty((length, 2 * blocks, NUM_STATES, NUM_STATES))
-    factors[:, :blocks] = padded.transpose(1, 0, 2, 3)
-    factors[:, blocks:] = padded[:, ::-1].transpose(1, 0, 3, 2)
-
+    # Step j of forward chain k is M_{kL+j+1}; step j of backward chain
+    # k is M_{(K-k)L-j}^T, so chain k of either side ends at boundary k+1.
+    factors = np.empty((length, 2, blocks, NUM_STATES, NUM_STATES))
+    factors[:, 0] = padded.transpose(1, 0, 2, 3)
+    factors[:, 1] = padded[::-1, ::-1].transpose(1, 0, 3, 2)
     products = np.empty_like(factors)
-    totals = np.empty((2 * blocks, length))
-    ones, previous = np.ones(NUM_STATES ** 2), np.eye(NUM_STATES)
+    # Boundary messages: alpha at t = kL and beta at t = (K - k)L, each
+    # divided by its sum s_k before its side's block product advances it.
+    messages = np.empty((blocks + 1, 2, 1, NUM_STATES))
+    messages[0, 0] = model.initial_probs * emissions[0]
+    messages[0, 1] = 1.0
+    scales = np.empty((blocks + 1, 2, 1, 1))
+    previous = np.eye(NUM_STATES)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for factor, product, total in zip(factors, products, totals.T):
-            np.matmul(previous, factor, out=product)
-            # A matrix-vector product sums the 16 entries far faster
-            # than a reduction over the two short trailing axes.
-            np.matmul(product.reshape(-1, NUM_STATES ** 2), ones, out=total)
-            product /= total[:, None, None]
-            previous = product
-    if not np.all((totals >= sys.float_info.min) & (totals < math.inf)):
+        for factor, product in zip(factors, products):
+            previous = np.matmul(previous, factor, out=product)
+        for k in range(blocks + 1):
+            np.add.reduce(messages[k], axis=2, keepdims=True, out=scales[k])
+            messages[k] /= scales[k]
+            if k < blocks:
+                np.matmul(messages[k], products[-1, :, k],
+                          out=messages[k + 1])
+    if not np.all((scales >= sys.float_info.min) & (scales < math.inf)):
         return _log_forward_backward(model, log_b)
-    ends = products[-1].reshape(-1, NUM_STATES ** 2).tolist()
-    forward = _carry((model.initial_probs * emissions[0]).tolist(),
-                     ends[:blocks])
-    backward = _carry([1.0] * NUM_STATES, ends[:blocks - 1:-1])
-    if forward is None or backward is None:
-        return _log_forward_backward(model, log_b)
-
-    # Boundary messages: alpha at t = 0, L, ..., KL and beta at t = KL,
-    # ..., L, 0; the log scale of each is the sum of the logs of its own
-    # normalisers and of the full block products before it.
-    (alphas, alpha_scales), (betas, beta_scales) = forward, backward
-    in_block = np.cumsum(np.log(totals), axis=1)
-    alpha_logs = np.cumsum(np.log(alpha_scales) + np.concatenate(
-        ([0.0], in_block[:blocks, -1])))
-    beta_logs = np.cumsum(np.log(beta_scales) + np.concatenate(
-        ([0.0], in_block[:blocks - 1:-1, -1])))
     # Each chain's message after in-block step j is its boundary message
-    # times its product j: (2K, L, 4), in one batched product.
-    heads = np.array(alphas[:-1] + betas[-2::-1]).reshape(-1, 1, NUM_STATES)
-    inner = (heads @ products.transpose(1, 2, 0, 3).reshape(
-        2 * blocks, NUM_STATES, length * NUM_STATES)).reshape(
-            2 * blocks, length, NUM_STATES)
-    inner_logs = in_block + np.concatenate(
-        (alpha_logs[:-1], beta_logs[-2::-1]))[:, None]
+    # times its product j: (2, K, L, 4), in one batched product. Its log
+    # scale is the boundary's, log s_0 + ... + log s_k.
+    paths = products.transpose(1, 2, 3, 0, 4).reshape(
+        2, blocks, NUM_STATES, length * NUM_STATES)
+    inner = (messages[:-1].transpose(1, 0, 2, 3) @ paths).reshape(
+        2, blocks, length, NUM_STATES)
+    logs = np.cumsum(np.log(scales[:, :, 0, 0]), axis=0)
     size = len(emissions)
     alpha = np.concatenate(
-        ([alphas[0]], inner[:blocks].reshape(-1, NUM_STATES)))[:size]
-    beta = np.concatenate(
-        (inner[blocks:, ::-1].reshape(-1, NUM_STATES), [betas[0]]))[:size]
+        (messages[:1, 0, 0], inner[0].reshape(-1, NUM_STATES)))[:size]
+    beta = np.concatenate((inner[1, ::-1, ::-1].reshape(-1, NUM_STATES),
+                           messages[:1, 1, 0]))[:size]
     log_scales = (
-        np.concatenate(([alpha_logs[0]], inner_logs[:blocks].ravel()))[:size]
-        + np.concatenate((inner_logs[blocks:, ::-1].ravel(),
-                          [beta_logs[0]]))[:size])
-    log_likelihood = float(alpha_logs[-1])
+        np.concatenate((logs[:1, 0], np.repeat(logs[:-1, 0], length)))[:size]
+        + np.concatenate((np.repeat(logs[-2::-1, 1], length),
+                          logs[:1, 1]))[:size])
+    log_likelihood = float(logs[-1, 0])
     with np.errstate(divide="ignore"):
         gamma = alpha * beta
         norm = gamma.sum(axis=1)
@@ -336,34 +330,6 @@ def _forward_backward(model: HmmModel, steps: np.ndarray):
                   <= SPLIT_TOLERANCE):
             return gamma / norm[:, None], log_likelihood + float(shift.sum())
     return _log_forward_backward(model, log_b)
-
-
-def _carry(vector, matrices):
-    """The block-boundary recursion of ``_forward_backward`` on Python
-    floats: x_0 = vector / s_0 and x_k = x_{k-1} P_k / s_k over the
-    row-major 4 x 4 matrices P_1..P_K, flat lists of 16, each s_k the sum
-    of the unnormalized x_k. Returns ([x_0, ..., x_K], [s_0, ..., s_K]),
-    or None when some s_k is zero, subnormal or not finite."""
-    smallest, largest = sys.float_info.min, math.inf
-    x0, x1, x2, x3 = vector
-    messages, scales = [], []
-    for matrix in [*matrices, None]:
-        scale = x0 + x1 + x2 + x3
-        if not smallest <= scale < largest:
-            return None
-        x0, x1, x2, x3 = x0 / scale, x1 / scale, x2 / scale, x3 / scale
-        messages.append((x0, x1, x2, x3))
-        scales.append(scale)
-        if matrix is None:
-            return messages, scales
-        # Four states, unrolled: named floats cost less per step than a
-        # loop or a comprehension over states.
-        p00, p01, p02, p03, p10, p11, p12, p13, \
-            p20, p21, p22, p23, p30, p31, p32, p33 = matrix
-        x0, x1, x2, x3 = (x0 * p00 + x1 * p10 + x2 * p20 + x3 * p30,
-                          x0 * p01 + x1 * p11 + x2 * p21 + x3 * p31,
-                          x0 * p02 + x1 * p12 + x2 * p22 + x3 * p32,
-                          x0 * p03 + x1 * p13 + x2 * p23 + x3 * p33)
 
 
 def _log_forward_backward(model: HmmModel, log_b: np.ndarray):
@@ -406,8 +372,9 @@ def viterbi_decode(model: HmmModel, seq: ObservationSequence) -> DecodedStates:
             "emission underflow: an observation is impossible under every state")
     with np.errstate(divide="ignore"):
         log_pi, log_a = np.log(model.initial_probs), np.log(model.transitions)
-    # Four states, unrolled as in ``_carry``; each score is
-    # (delta_i + log a_ij) + log b_j, and a later i must beat it strictly.
+    # Four states, unrolled: named floats cost less per step than a loop
+    # or numpy calls on 4-vectors. Each score is (delta_i + log a_ij)
+    # + log b_j, and a later i must beat it strictly.
     (a00, a01, a02, a03), (a10, a11, a12, a13), \
         (a20, a21, a22, a23), (a30, a31, a32, a33) = log_a.tolist()
     d0, d1, d2, d3 = (log_pi + emissions[0]).tolist()

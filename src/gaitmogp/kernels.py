@@ -9,10 +9,11 @@ a Matern-3/2 term for rougher local structure,
 
 Each part depends on the lag r = |t - t'| alone (stationarity), so
 TemporalKernel takes one lag array of any shape and holds the only copy
-of the closed forms. lag_table reduces a pair of time sets to their
-distinct lags and an integer index into them; the MoGP's Gram matrix,
-its gradient and its posterior evaluate TemporalKernel once per distinct
-lag and gather the full matrix from that index.
+of the closed forms. lag_table reduces a time set's pairwise lags to
+the distinct ones and an integer index into them; the MoGP's Gram matrix
+and its gradient evaluate TemporalKernel once per distinct lag and
+gather the full matrix from that index, and its posterior evaluates the
+query-to-training lags directly.
 
 Cross-output structure follows the intrinsic coregionalization model:
 for outputs m, m' the covariance is B[m, m'] * k_t(t, t') with
@@ -77,9 +78,10 @@ class TemporalKernel:
     PARAMETER_NAMES order.
     The components and their intermediates are kept, and the lag array
     is referenced (not copied), so the same evaluation serves
-    :meth:`gradient`. Callers pass the distinct lags of a lag_table and
-    gather k_t by its index; :meth:`gradient` then takes weights binned
-    by lag.
+    :meth:`gradient`. The Gram matrix passes the distinct lags of a
+    lag_table and gathers k_t by its index, and :meth:`gradient` then
+    takes weights binned by lag; the posterior passes its whole matrix
+    of query-to-training lags.
     """
 
     def __init__(self, values: np.ndarray, grads: np.ndarray, lag):
@@ -131,19 +133,18 @@ class TemporalKernel:
         ])
 
 
-def lag_table(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of |a_i - b_j| for 1-d time arrays a and b and the
-    (len(a), len(b)) index into them, so that
-    ``lags[index] == abs(a[:, None] - b[None, :])``.
+def lag_table(times) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of |t_i - t_j| for a 1-d time array t and the
+    square (len(t), len(t)) index into them, so that
+    ``lags[index] == abs(t[:, None] - t[None, :])``.
 
-    Each lag is taken between distinct values of a and b, which is the
-    same float subtraction as the full difference, so the gathered
-    matrix is bit-identical to it.
+    Each lag is taken between distinct values of t, which is the same
+    float subtraction as the full difference, so the gathered matrix is
+    bit-identical to it.
     """
-    a_values, a_index = np.unique(a, return_inverse=True)
-    b_values, b_index = np.unique(b, return_inverse=True)
+    values, value_index = np.unique(times, return_inverse=True)
     lags, inverse = np.unique(
-        np.abs(a_values[:, None] - b_values[None, :]).ravel(),
+        np.abs(values[:, None] - values[None, :]).ravel(),
         return_inverse=True)
-    index = inverse.reshape(a_values.size, b_values.size)
-    return lags, index[np.ix_(a_index, b_index)]
+    index = inverse.reshape(values.size, values.size)
+    return lags, index[np.ix_(value_index, value_index)]

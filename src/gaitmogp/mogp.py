@@ -37,7 +37,8 @@ parameter_blocks slice, the only source of a block's position, and each
 entry named by parameter_names. Both evaluations and
 export_coregionalization unpack theta once (_Parameters), floor its
 positive entries with one vector call, and evaluate the kernel
-components once per distinct training lag. fit evaluates up to
+components once per distinct training lag; the posterior evaluates them
+on the query-to-training lags directly. fit evaluates up to
 ``iterations + 1`` iterates of theta, one evaluation each, and caches
 the best one's on the MoGPModel it returns, the only cache there is.
 log_marginal_likelihood, lml_gradient and predict (without a cache) run
@@ -297,7 +298,7 @@ class _Geometry:
             spread = values - (sums / counts)[:, self.group]
             self.scatter = float(np.vdot(spread, spread))
             self.contrasts = m * (shared.size - u)
-        self.lags, self.lag_index = lag_table(self.times, self.times)
+        self.lags, self.lag_index = lag_table(self.times)
         self.blocks = parameter_blocks(m, rank)
         positive = {key: self.blocks[key] for key in (
             "kernel", "coreg.log_kappa", "log_noise_variance")}
@@ -370,8 +371,8 @@ class _Parameters:
     def cross_kernel(self, query: np.ndarray) -> np.ndarray:
         """k_t between the query times and the geometry's times,
         (len(query), len(times))."""
-        lags, lag_index = lag_table(query, self.geometry.times)
-        return TemporalKernel(*self.kernel, lags).k_t[lag_index]
+        return TemporalKernel(*self.kernel, np.abs(
+            query[:, None] - self.geometry.times)).k_t
 
     def prior_variance(self) -> np.ndarray:
         """(M, 1) prior variance of an observation of each output:
@@ -677,7 +678,11 @@ def predict(model: MoGPModel, query_times) -> PosteriorPrediction:
     posterior comes from the model's cached evaluation, or from a local
     one when it has none; the model is not modified.
     """
-    query = np.asarray(query_times, dtype=float).ravel()
+    query = np.asarray(query_times, dtype=float)
+    if query.ndim > 1:
+        raise ValidationError(
+            f"query times must be one-dimensional, got shape {query.shape}")
+    query = np.atleast_1d(query)
     if query.shape[0] == 0:
         raise ValidationError("query grid is empty")
     if not np.all(np.isfinite(query)):

@@ -960,6 +960,30 @@ class TestSegmentOptions:
                 + int(abnormal[0])
             assert len(subject["anomalous_segments"]) == runs
 
+    @pytest.mark.parametrize("grid_points", ["400", "1000"])
+    def test_segment_takes_no_log_space_pass(self, pipeline, tmp_path,
+                                             monkeypatch, grid_points):
+        # The blocked forward-backward's unscaled products keep every
+        # E-step of an ordinary corpus out of the log-space passes.
+        passes = {"scaled": 0, "log": 0}
+        scaled, log_space = hmm._forward_backward, hmm._log_forward_backward
+
+        def count(kind, function):
+            def counted(*args):
+                passes[kind] += 1
+                return function(*args)
+            return counted
+
+        monkeypatch.setattr(hmm, "_forward_backward", count("scaled", scaled))
+        monkeypatch.setattr(hmm, "_log_forward_backward",
+                            count("log", log_space))
+        assert cli.main(["segment", "--input", str(pipeline["corpus"]),
+                         "--output", str(tmp_path / "report.json"),
+                         "--em-iterations", "5", "--iterations", "5",
+                         "--points-per-channel", "12", "--seed", "5",
+                         "--grid-points", grid_points]) == 0
+        assert passes["scaled"] >= 2 and passes["log"] == 0, passes
+
     def test_raw_observation_source(self, pipeline, tmp_path):
         path = tmp_path / "report.json"
         assert cli.main(["segment", "--input", str(pipeline["corpus"]),

@@ -97,6 +97,14 @@ class TestImputeMissing:
         with pytest.raises(ValidationError, match="exclude this cycle"):
             impute_missing(_trajectory(y))
 
+    def test_scalar_is_a_one_sample_signal(self):
+        np.testing.assert_array_equal(impute_missing(5.0), [5.0])
+
+    def test_lone_missing_sample_is_a_gap_too_long(self):
+        with pytest.raises(ValidationError, match=r"column 0: gap run of 1 "
+                           r"samples is >= 1/3 of the sequence \(1\)"):
+            impute_missing(np.nan)
+
     @given(arrays(np.float64, (12,), elements=st.floats(-100, 100)))
     @settings(max_examples=40, deadline=None)
     def test_finite_input_passes_through(self, y):

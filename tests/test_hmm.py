@@ -172,13 +172,19 @@ class TestExactness:
                                                                rel=1e-14)
         assert np.all(np.diff(fitted.log_likelihood_trace) >= -1e-9)
 
-    def test_posterior_survives_mass_lost_inside_a_product(self):
+    def test_posterior_survives_mass_lost_inside_a_product(
+            self, monkeypatch):
         # Inside the product of a few steps' matrices A diag(b_t), a state
         # that dominates gamma at step 1 sits more than the float range
         # below another, so a forward-backward that multiplies steps
         # before it normalizes gets (0, 1, 0, 0) at step 1 against the true
-        # ~(1, 0, 0, 0). The blocked kernel normalizes every product at
-        # every step.
+        # ~(1, 0, 0, 0). Every step has a state more than 708 nats below
+        # its best, whose shifted b is subnormal or zero, so the
+        # emission-underflow check selects the log-space passes.
+        fallbacks = []
+        log_passes = hmm._log_forward_backward
+        monkeypatch.setattr(hmm, "_log_forward_backward",
+                            lambda *args: fallbacks.append(1) or log_passes(*args))
         model = default_model()
         model.state_means = np.array([[-6.55, 23.4], [1.2, -21.88],
                                       [-14.35, -28.96], [-7.3, -0.82]])
@@ -191,6 +197,7 @@ class TestExactness:
         assert log_likelihood == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
                                    atol=1e-10)
+        assert len(fallbacks) == 1
 
     def test_row_sum_check_catches_a_state_dropped_from_alpha(
             self, monkeypatch):
@@ -198,10 +205,11 @@ class TestExactness:
         # favor the first group by e^400 each, and steps 2-4 favor the
         # second group by e^400 each, so it carries the whole posterior.
         # At step 1 the second group's alpha (~e^-800 of the first's)
-        # underflows to 0 while every normaliser stays normal, and so does
-        # the first group's beta: the row sum at step 1 is 0, and without
-        # the row-sum check gamma_1 is nan. The check selects the
-        # log-space passes.
+        # underflows to 0, and so does the first group's beta: the row sum
+        # at step 1 is 0, and without a check gamma_1 is nan. In blocks of
+        # two steps, the first group's forward path then falls e^-800 over
+        # steps 3 and 4, so the boundary sum at step 4 is 0 as well, and
+        # that check selects the log-space passes first.
         fallbacks = []
         log_passes = hmm._log_forward_backward
         monkeypatch.setattr(hmm, "_log_forward_backward",
@@ -228,15 +236,15 @@ class TestExactness:
         # start, state 2 cannot go back to 1, and {3, 4} is closed. At
         # steps 1 and 2, where states 3 and 4 fit best, the path that stays
         # in state 1 falls e^-800 below them, and the one that moves to
-        # state 2 e^-480. The first block's prefix product is divided by
-        # its largest entries, those of rows 3 and 4, so its state-1 path
-        # underflows to 0 at step 2; the per-step scaled messages keep it
-        # (~e^-320 of state 2's). From step 3 on, state 1 fits e^200 a
-        # step better than state 2, so that path carries the posterior.
-        # Every normaliser stays normal and the carried forward scale
-        # gives a log p ~1074 nats too low, but the backward products keep
-        # the path, so the row sum at step 0 gives the true one, and the
-        # check selects the log-space passes.
+        # state 2 e^-480. In the first block's unscaled prefix product the
+        # state-1 path underflows to 0 at step 2, while per-step scaled
+        # messages would keep it (~e^-320 of state 2's). From step 3 on,
+        # state 1 fits e^200 a step better than state 2, so that path
+        # carries the posterior, and the forward boundary scales give a
+        # log p ~1074 nats too low. Unscaled, the backward product of the
+        # first block loses the same e^-800 path, so the boundary sum of
+        # beta_0 is 0 and that check selects the log-space passes before
+        # the row sums are formed.
         fallbacks = []
         log_passes = hmm._log_forward_backward
         monkeypatch.setattr(hmm, "_log_forward_backward",
@@ -260,6 +268,63 @@ class TestExactness:
         np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
                                    atol=1e-10)
         assert np.all(gamma[:, 0] > 0.999)
+        assert len(fallbacks) == 1
+
+    def test_row_sum_check_catches_a_path_lost_behind_normal_boundary_sums(
+            self, monkeypatch):
+        # The closed groups {1, 2} and {3, 4} again. Steps 0 and 1 favor
+        # the first group by e^400 each, and the 100 steps after them
+        # favor the second by e^10 each, so the second group's path
+        # (e^-800) carries the posterior against the first's (e^-1000).
+        # The second group's alpha underflows at step 1, and the forward
+        # chain left falls only e^-100 a block of ten steps, so every
+        # boundary sum stays normal while the forward log p is ~200 nats
+        # too low. Only the row sums show it, and that check selects the
+        # log-space passes.
+        fallbacks = []
+        log_passes = hmm._log_forward_backward
+        monkeypatch.setattr(hmm, "_log_forward_backward",
+                            lambda *args: fallbacks.append(1) or log_passes(*args))
+        far = math.sqrt(800.0)
+        model = HmmModel(
+            initial_probs=np.full(4, 0.25),
+            transitions=[[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                         [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]],
+            state_means=[[0.0, 0.0], [0.0, 0.5], [far, 0.0], [far, 0.5]],
+            shared_covariance=np.eye(2))
+        steps = np.array([[0.0, 0.0]] * 2
+                         + [[far / 2 + 10.0 / far, 0.0]] * 100)
+        gamma, log_likelihood = hmm._forward_backward(model, steps)
+        expected, expected_gamma = _log_space_oracle(model, steps)
+        assert log_likelihood == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                   atol=1e-10)
+        assert np.all(gamma[:, 2:].sum(axis=1) > 0.999)
+        assert len(fallbacks) == 1
+
+    def test_whole_block_product_underflow_takes_the_log_space_passes(
+            self, monkeypatch):
+        # A = I and four means at the corners of a square of side
+        # sqrt(200); the observations alternate between opposite corners.
+        # Every path falls about 100 nats a step, so each block's unscaled
+        # product (19 steps at T = 400) underflows to 0 and the first
+        # boundary sum after it is zero: one log-space pass.
+        fallbacks = []
+        log_passes = hmm._log_forward_backward
+        monkeypatch.setattr(hmm, "_log_forward_backward",
+                            lambda *args: fallbacks.append(1) or log_passes(*args))
+        side = math.sqrt(200.0)
+        model = HmmModel(
+            initial_probs=np.full(4, 0.25), transitions=np.eye(4),
+            state_means=side * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                         [1.0, 1.0]]),
+            shared_covariance=np.eye(2))
+        steps = side * np.array([[0.0, 0.0], [1.0, 1.0]] * 200)
+        gamma, log_likelihood = hmm._forward_backward(model, steps)
+        expected, expected_gamma = _log_space_oracle(model, steps)
+        assert log_likelihood == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(gamma, expected_gamma, rtol=0.0,
+                                   atol=1e-10)
         assert len(fallbacks) == 1
 
     def test_forward_log_likelihood_equals_the_kernel(self):
@@ -577,6 +642,19 @@ class TestValidation:
             ObservationSequence(steps=np.zeros((4, 3)))
         with pytest.raises(ValidationError, match="finite"):
             ObservationSequence(steps=np.array([[0.0, np.nan]]))
+
+    @pytest.mark.parametrize("state", [0, 5, 2.5, 4.9, 2.0, "3", True,
+                                       np.float64(3.0)])
+    def test_emission_logpdf_rejects_a_state_that_is_not_1_to_4(self, state):
+        # int() would truncate 2.5 to state 2 and accept "3" and True.
+        with pytest.raises(ValidationError,
+                           match=r"state index must be in 1\.\.4, got "):
+            emission_logpdf(default_model(), [0.0, 0.0], state)
+
+    def test_emission_logpdf_takes_numpy_integers(self):
+        model = default_model()
+        assert emission_logpdf(model, [0.0, 0.0], np.int64(3)) \
+            == emission_logpdf(model, [0.0, 0.0], 3)
 
     def test_emission_underflow_raises_numeric_error(self):
         model = default_model()

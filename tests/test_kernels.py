@@ -206,12 +206,12 @@ class TestLagTable:
             min_size=1, max_size=40)),
         st.lists(finite_times, min_size=1, max_size=40))
 
-    @given(a=time_sets, b=time_sets, seed=st.integers(0, 2**32 - 1))
+    @given(times=time_sets, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_table_gathers_the_full_lag_evaluation(self, a, b, seed):
-        a, b = np.array(a), np.array(b)
-        full = _lag(a[:, None], b[None, :])
-        lags, index = lag_table(a, b)
+    def test_table_gathers_the_full_lag_evaluation(self, times, seed):
+        times = np.array(times)
+        full = _lag(times[:, None], times[None, :])
+        lags, index = lag_table(times)
         assert lags.size == np.unique(full).size
         np.testing.assert_array_equal(lags[index], full)
         log_values = _random_log_values(np.random.default_rng(seed))
@@ -227,7 +227,7 @@ class TestLagTable:
     def test_zero_lag_comes_first_and_indexes_the_diagonal(self, times):
         # The MoGP's prior variance reads k_t(0) as k_t of the first lag.
         times = np.array(times)
-        lags, index = lag_table(times, times)
+        lags, index = lag_table(times)
         assert lags[0] == 0.0
         np.testing.assert_array_equal(np.diag(index), 0)
 

@@ -540,6 +540,16 @@ class TestPredict:
         assert np.all(np.isfinite(prediction.mean))
         assert np.all(np.isfinite(prediction.std))
 
+    def test_rejects_a_two_dimensional_query(self):
+        # Raveled, a (2, 2) query would read as four query times.
+        model = _random_model(np.random.default_rng(8), num_outputs=1,
+                              points_per_output=4, rank=1)
+        with pytest.raises(ValidationError, match=r"query times must be "
+                           r"one-dimensional, got shape \(2, 2\)"):
+            predict(model, [[0.1, 0.2], [0.3, 0.4]])
+        # A scalar is one query time.
+        assert predict(model, 0.25).mean.shape == (1, 1)
+
     def test_negative_variance_is_clamped_to_zero(self):
         # At a training time the exact predictive variance is about twice
         # the floored noise (1e-10), while the subtraction that computes it
